@@ -1,0 +1,5 @@
+"""``python -m promisekit ARGS`` runs ``pml ARGS``."""
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

@@ -78,8 +78,9 @@ def _load(path: str) -> tuple[Union[ResolveResult, None], FileEntry, Union[str, 
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        return None, FileEntry(path), f"pml: cannot read {path}: {exc.strerror or exc}"
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        return None, FileEntry(path), f"pml: cannot read {path}: {reason}"
     parsed = parse(text, path)
     if not parsed.ok:
         return None, FileEntry(path, tuple(parsed.diagnostics)), None

@@ -51,15 +51,12 @@ class SourceSpan:
             raise ValueError("span must not end before it starts")
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
-        first, last = sorted(
-            (self, other), key=lambda s: (s.start_line, s.start_col)
-        )
+        start = min((self.start_line, self.start_col), (other.start_line, other.start_col))
+        end = max((self.end_line, self.end_col), (other.end_line, other.end_col))
         return SourceSpan(
             self.file,
-            first.start_line,
-            first.start_col,
-            max((self.end_line, self.end_col), (other.end_line, other.end_col))[0],
-            max((self.end_line, self.end_col), (other.end_line, other.end_col))[1],
+            *start,
+            *end,
             min(self.start_offset, other.start_offset),
             max(self.end_offset, other.end_offset),
         )

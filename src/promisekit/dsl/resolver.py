@@ -379,6 +379,7 @@ class _Resolver:
         return True
 
     def collect_promises(self) -> None:
+        flattened: dict[str, Bundle] = {}  # per resolve: each bundle once
         for decl in self.ast.decls:
             if not isinstance(decl, PromiseDecl):
                 continue
@@ -401,15 +402,18 @@ class _Resolver:
                 if not ok:
                     continue
                 group = bundle_group(promiser, promisee, bundle.name)
-                flat = _flatten_for(self.bundles, bundle.name)
+                flat = flattened.get(bundle.name)
+                if flat is None:
+                    flat = flattened[bundle.name] = _flatten_for(self.bundles, bundle.name)
                 for body in flat.bodies:
-                    conditioned = PromiseBody(
-                        body.polarity,
-                        body.type,
-                        body.constraints,
-                        body.condition.conjoin(attach_cond),
-                    )
-                    self.add_promise(promiser, promisee, conditioned, group, decl.span)
+                    if not attach_cond.is_empty:
+                        body = PromiseBody(
+                            body.polarity,
+                            body.type,
+                            body.constraints,
+                            body.condition.conjoin(attach_cond),
+                        )
+                    self.add_promise(promiser, promisee, body, group, decl.span)
             else:
                 kinds = {}
                 body = self.resolve_body(decl.item, kinds)
@@ -467,19 +471,17 @@ class _Resolver:
 
 def _flatten_for(bundles: dict[str, Bundle], name: str) -> Bundle:
     """Flatten one bundle against the resolver's (possibly partial) table."""
-    seen: list[str] = []
-    bodies: list[PromiseBody] = []
+    seen: set[str] = set()
+    bodies: dict[PromiseBody, None] = {}
 
     def walk(current: str) -> None:
         if current in seen:
             return  # cycles were already reported
-        seen.append(current)
+        seen.add(current)
         bundle = bundles[current]
         if bundle.parent is not None and bundle.parent in bundles:
             walk(bundle.parent)
-        for body in bundle.bodies:
-            if body not in bodies:
-                bodies.append(body)
+        bodies.update(dict.fromkeys(bundle.bodies))
 
     walk(name)
     return Bundle(name, tuple(bodies), bundles[name].parent)

@@ -9,12 +9,20 @@ bodies can be declared once as a named bundle and attached to any agent pair.
 Everything here is a frozen dataclass: graphs compare structurally, and
 construction sorts every collection so that identical declaration sets yield
 identical graphs regardless of declaration order.
+
+A ``PromiseGraph`` indexes its promises lazily, once per graph: per-channel
+tuples, per-agent outgoing and incoming tuples, and the set of types each
+giver promises each receiver.  ``channels``, ``promises_from``,
+``promises_to`` and ``given_types`` are lookups into those indexes rather
+than scans of ``promises``; ``channels`` hands out a read-only view.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Mapping, Sequence, Union
+from operator import attrgetter, itemgetter
+from types import MappingProxyType
+from typing import Callable, Iterable, Literal, Mapping, Sequence, Union
 
 from .errors import (
     BundleCycleError,
@@ -436,26 +444,51 @@ class PromiseGraph:
     def bundle(self, name: str) -> Union[Bundle, None]:
         return self._bundle_map.get(name)
 
-    def channels(self) -> dict[tuple[str, str], tuple[Promise, ...]]:
-        """Promises grouped by (promiser, promisee), deterministically ordered."""
-        out: dict[tuple[str, str], list[Promise]] = {}
+    @cached_property
+    def _channels(self) -> dict[tuple[str, str], tuple[Promise, ...]]:
+        return dict(sorted(_group_promises(self.promises, _channel_of).items()))
+
+    @cached_property
+    def _outgoing(self) -> dict[str, tuple[Promise, ...]]:
+        return _group_promises(self.promises, attrgetter("promiser"))
+
+    @cached_property
+    def _incoming(self) -> dict[str, tuple[Promise, ...]]:
+        return _group_promises(self.promises, attrgetter("promisee"))
+
+    @cached_property
+    def _given_types(self) -> dict[tuple[str, str], frozenset[str]]:
+        out: dict[tuple[str, str], set[str]] = {}
         for p in self.promises:
-            out.setdefault((p.promiser, p.promisee), []).append(p)
-        return {k: tuple(v) for k, v in sorted(out.items())}
+            if p.body.polarity == GIVE:
+                out.setdefault((p.promiser, p.promisee), set()).add(p.body.type)
+        return {k: frozenset(v) for k, v in out.items()}
+
+    def channels(self) -> Mapping[tuple[str, str], tuple[Promise, ...]]:
+        """Promises grouped by (promiser, promisee), deterministically ordered."""
+        return MappingProxyType(self._channels)
 
     def promises_from(self, agent: str) -> tuple[Promise, ...]:
-        return tuple(p for p in self.promises if p.promiser == agent)
+        return self._outgoing.get(agent, ())
 
     def promises_to(self, agent: str) -> tuple[Promise, ...]:
-        return tuple(p for p in self.promises if p.promisee == agent)
+        return self._incoming.get(agent, ())
 
     def given_types(self, giver: str, receiver: str) -> frozenset[str]:
         """Types that ``giver`` promises (polarity give) toward ``receiver``."""
-        return frozenset(
-            p.body.type
-            for p in self.promises
-            if p.promiser == giver and p.promisee == receiver and p.body.polarity == GIVE
-        )
+        return self._given_types.get((giver, receiver), frozenset())
+
+
+def _channel_of(p: Promise) -> tuple[str, str]:
+    return (p.promiser, p.promisee)
+
+
+def _group_promises(promises: Iterable[Promise], key: Callable) -> dict:
+    """Promises by ``key(promise)``, each group in the order given."""
+    out: dict = {}
+    for p in promises:
+        out.setdefault(key(p), []).append(p)
+    return {k: tuple(v) for k, v in out.items()}
 
 
 def _check_type_registry(types: Iterable[PromiseTypeDecl]) -> tuple[PromiseTypeDecl, ...]:
@@ -498,13 +531,10 @@ def flatten_bundles(bundles: Iterable[Bundle]) -> tuple[Bundle, ...]:
         bundle = by_name.get(name)
         if bundle is None:
             raise DanglingReferenceError(f"unknown parent bundle {name!r}")
-        bodies: list[PromiseBody] = []
+        inherited: tuple[PromiseBody, ...] = ()
         if bundle.parent is not None:
-            parent = resolve(bundle.parent, trail + (name,))
-            bodies.extend(parent.bodies)
-        for body in bundle.bodies:
-            if body not in bodies:
-                bodies.append(body)
+            inherited = resolve(bundle.parent, trail + (name,)).bodies
+        bodies = dict.fromkeys((*inherited, *bundle.bodies))
         result = Bundle(bundle.name, tuple(bodies), bundle.parent)
         flat[name] = result
         return result
@@ -524,19 +554,20 @@ def bundle_group(promiser: str, promisee: str, bundle_name: str) -> str:
     return f"{promiser}->{promisee}|bundle:{bundle_name}"
 
 
-def _referenced_types(body: PromiseBody) -> set[str]:
-    names: set[str] = set()
-    for c in body.constraints:
-        for t in c.terms():
-            if isinstance(t, Attribute):
-                names.add(t.name)
-    for lit in body.condition.literals:
+def _condition_names(condition: Condition) -> tuple[str, ...]:
+    """Type names a condition watches, in sorted-literal order."""
+    names: list[str] = []
+    for lit in condition.sorted_literals():
         if isinstance(lit, FlagLiteral):
-            names.add(lit.name)
+            names.append(lit.name)
         else:
-            for t in (lit.lhs, lit.rhs):
-                if isinstance(t, Attribute):
-                    names.add(t.name)
+            names.extend(t.name for t in (lit.lhs, lit.rhs) if isinstance(t, Attribute))
+    return tuple(names)
+
+
+def _referenced_types(body: PromiseBody) -> set[str]:
+    names = {t.name for c in body.constraints for t in c.terms() if isinstance(t, Attribute)}
+    names.update(_condition_names(body.condition))
     return names
 
 
@@ -554,12 +585,13 @@ def build_graph(
     within a group; sorts every collection for determinism.
     """
     agent_list = list(agents)
-    seen: set[str] = set()
+    # Each name maps to the agent's own string object, which every promise
+    # then shares instead of its own equal copy.
+    agent_names: dict[str, str] = {}
     for a in agent_list:
-        if a.name in seen:
+        if a.name in agent_names:
             raise DuplicateNameError(f"agent {a.name!r} declared twice")
-        seen.add(a.name)
-    agent_names = seen
+        agent_names[a.name] = a.name
 
     type_tuple = _check_type_registry(types)
     known_types = {t.name for t in type_tuple}
@@ -579,17 +611,33 @@ def build_graph(
         for body in b.bodies:
             check_body(body, f"bundle {b.name!r}")
 
-    deduped: dict[tuple, Promise] = {}
+    # Each distinct body once: the first equal object, which every promise
+    # carrying it then shares, and its body_key.  A body is entered only after
+    # it has passed check_body.
+    bodies: dict[PromiseBody, tuple[PromiseBody, tuple]] = {}
+    deduped: dict[tuple[str, str, str, PromiseBody], tuple] = {}
     for p in promises:
-        if p.promiser not in agent_names:
+        promiser = agent_names.get(p.promiser)
+        if promiser is None:
             raise DanglingReferenceError(f"unknown promiser {p.promiser!r}")
-        if p.promisee not in agent_names:
+        promisee = agent_names.get(p.promisee)
+        if promisee is None:
             raise DanglingReferenceError(f"unknown promisee {p.promisee!r}")
-        check_body(p.body, f"promise {p.promiser} -> {p.promisee}")
-        group = p.group or derive_group(p.promiser, p.promisee, p.body)
-        normalized = Promise(p.promiser, p.promisee, p.body, group)
-        deduped[(p.promiser, p.promisee, group, p.body)] = normalized
-    promise_tuple = tuple(sorted(deduped.values(), key=promise_sort_key))
+        entry = bodies.get(p.body)
+        if entry is None:
+            check_body(p.body, f"promise {promiser} -> {promisee}")
+            entry = bodies[p.body] = (p.body, body_key(p.body))
+        body, key = entry
+        group = p.group or derive_group(promiser, promisee, body)
+        deduped[(promiser, promisee, group, body)] = (promiser, promisee, key, group)
+    # Built in sorted order, so that promises that scans visit one after the
+    # other were also allocated one after the other.
+    promise_tuple = tuple(
+        Promise(promiser, promisee, body, group)
+        for (promiser, promisee, group, body), _ in sorted(
+            deduped.items(), key=itemgetter(1)
+        )
+    )
     promise_set = set(promise_tuple)
 
     valuation_list: list[Valuation] = []
@@ -629,27 +677,27 @@ def validate_autonomy(graph: PromiseGraph) -> list[AutonomyFinding]:
     it by the promisee, or its own private attributes.  One finding per
     offending reference."""
     findings: list[AutonomyFinding] = []
+    referenced: dict[Condition, tuple[str, ...]] = {}  # per distinct condition
     for p in graph.promises:
-        if p.body.condition.is_empty:
+        condition = p.body.condition
+        if condition.is_empty:
             continue
+        names = referenced.get(condition)
+        if names is None:
+            names = referenced[condition] = _condition_names(condition)
         visible = graph.given_types(p.promisee, p.promiser)
         private = {name for name, _ in graph.agent(p.promiser).private_attrs}
-        for lit in p.body.condition.sorted_literals():
-            if isinstance(lit, FlagLiteral):
-                referenced = [lit.name]
-            else:
-                referenced = [t.name for t in (lit.lhs, lit.rhs) if isinstance(t, Attribute)]
-            for name in referenced:
-                if name in visible or name in private:
-                    continue
-                findings.append(
-                    AutonomyFinding(
-                        promise=p,
-                        type_name=name,
-                        message=(
-                            f"condition of {p.formatted()} references {name!r}, "
-                            f"which {p.promisee} never promises to {p.promiser}"
-                        ),
-                    )
+        for name in names:
+            if name in visible or name in private:
+                continue
+            findings.append(
+                AutonomyFinding(
+                    promise=p,
+                    type_name=name,
+                    message=(
+                        f"condition of {p.formatted()} references {name!r}, "
+                        f"which {p.promisee} never promises to {p.promiser}"
+                    ),
                 )
+            )
     return findings

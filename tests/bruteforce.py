@@ -1,7 +1,11 @@
-"""Finite-domain enumeration oracles for cross-checking the constraint engine.
+"""Slow, obviously correct oracles for cross-checking the fast code.
 
-Everything here decides satisfiability and entailment the slow, obviously
-correct way: enumerate every assignment of domain values to the free terms
+Three families live here: finite-domain enumeration for the constraint
+engine, a character-by-character reference lexer, and linear scans standing
+in for the ``PromiseGraph`` indexes.
+
+The constraint oracles decide satisfiability and entailment the slow,
+obviously correct way: enumerate every assignment of domain values to the free terms
 and evaluate the formulas directly.  No union-find, no closure — only the
 shared term dataclasses are reused, never the algorithms under test.
 
@@ -19,12 +23,35 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+from promisekit.dsl.diagnostics import (
+    Diagnostic,
+    E_LEX_BAD_ESCAPE,
+    E_LEX_BAD_PARAM,
+    E_LEX_ILLEGAL_CHAR,
+    E_LEX_UNTERMINATED_STRING,
+    ERROR,
+    SourceSpan,
+)
+from promisekit.dsl.lexer import (
+    EOF,
+    IDENT,
+    KEYWORD,
+    KEYWORDS,
+    NUMBER,
+    OP,
+    PARAM,
+    STRING,
+    Token,
+)
 from promisekit.model import (
     CmpLiteral,
     Condition,
     EqConstraint,
     FlagLiteral,
+    GIVE,
     is_constant,
+    Promise,
+    PromiseGraph,
     Term,
 )
 
@@ -193,3 +220,165 @@ def oracle_mutually_exclusive(
     domain: Sequence[Value] = (0, 1, 2),
 ) -> bool:
     return not oracle_conditions_satisfiable([c1, c2], domain)
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer
+# ---------------------------------------------------------------------------
+
+_TWO_CHAR_OPS = ("->", "==", "!=")
+_ONE_CHAR_OPS = frozenset(";,:.{}=")
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+
+
+def reference_tokenize(
+    text: str, file: str = "<model>"
+) -> tuple[list[Token], list[Diagnostic]]:
+    """The lexer's contract, one character at a time and nothing cleverer.
+
+    Numbers are runs of ``str.isdecimal`` characters: ``float`` accepts
+    every such digit and rejects ``isdigit``-only ones such as '²', which
+    are therefore illegal characters.
+    """
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def span_from(start_i: int, start_line: int, start_col: int) -> SourceSpan:
+        return SourceSpan(file, start_line, start_col, line, col, start_i, i)
+
+    def emit(type_: str, value, start_i: int, start_line: int, start_col: int) -> None:
+        tokens.append(
+            Token(type_, value, text[start_i:i], span_from(start_i, start_line, start_col))
+        )
+
+    def advance(count: int = 1) -> None:
+        nonlocal i, line, col
+        for _ in range(count):
+            if i < n and text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    def error(code: str, message: str, start: tuple[int, int, int]) -> None:
+        diagnostics.append(Diagnostic(ERROR, code, message, span_from(*start)))
+
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            advance()
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                advance()
+            continue
+
+        start = (i, line, col)
+
+        if ch.isalpha() or ch == "_":
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                advance()
+            word = text[start[0]:i]
+            emit(KEYWORD if word in KEYWORDS else IDENT, word, *start)
+            continue
+
+        if ch.isdecimal():
+            while i < n and text[i].isdecimal():
+                advance()
+            if i + 1 < n and text[i] == "." and text[i + 1].isdecimal():
+                advance()
+                while i < n and text[i].isdecimal():
+                    advance()
+            value = float(text[start[0]:i])
+            emit(NUMBER, int(value) if value.is_integer() else value, *start)
+            continue
+
+        if ch == "$":
+            advance()
+            if i >= n or not (text[i].isalpha() or text[i] == "_"):
+                error(E_LEX_BAD_PARAM, "'$' must be followed by a parameter name", start)
+                continue
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                advance()
+            emit(PARAM, text[start[0] + 1 : i], *start)
+            continue
+
+        if ch == '"':
+            advance()
+            value_chars: list[str] = []
+            closed = False
+            while i < n:
+                c = text[i]
+                if c == '"':
+                    advance()
+                    closed = True
+                    break
+                if c == "\n":
+                    break
+                if c == "\\":
+                    advance()
+                    if i < n and text[i] in _ESCAPES:
+                        value_chars.append(_ESCAPES[text[i]])
+                        advance()
+                    else:
+                        bad = text[i] if i < n else "<eof>"
+                        error(E_LEX_BAD_ESCAPE, f"unknown escape '\\{bad}' in string", start)
+                        if i < n:
+                            value_chars.append(text[i])
+                            advance()
+                    continue
+                value_chars.append(c)
+                advance()
+            if not closed:
+                error(E_LEX_UNTERMINATED_STRING, "string literal is never closed", start)
+            emit(STRING, "".join(value_chars), *start)
+            continue
+
+        two = text[i : i + 2]
+        if two in _TWO_CHAR_OPS:
+            advance(2)
+            emit(OP, two, *start)
+            continue
+        if ch in _ONE_CHAR_OPS:
+            advance()
+            emit(OP, ch, *start)
+            continue
+
+        advance()
+        error(E_LEX_ILLEGAL_CHAR, f"unexpected character {ch!r}", start)
+
+    eof_span = SourceSpan(file, line, col, line, col, i, i)
+    tokens.append(Token(EOF, "", "", eof_span))
+    return tokens, diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Graph scans
+# ---------------------------------------------------------------------------
+
+def scan_promises_from(graph: PromiseGraph, agent: str) -> tuple[Promise, ...]:
+    return tuple(p for p in graph.promises if p.promiser == agent)
+
+
+def scan_promises_to(graph: PromiseGraph, agent: str) -> tuple[Promise, ...]:
+    return tuple(p for p in graph.promises if p.promisee == agent)
+
+
+def scan_given_types(graph: PromiseGraph, giver: str, receiver: str) -> frozenset[str]:
+    return frozenset(
+        p.body.type
+        for p in graph.promises
+        if p.promiser == giver and p.promisee == receiver and p.body.polarity == GIVE
+    )
+
+
+def scan_channels(graph: PromiseGraph) -> dict[tuple[str, str], tuple[Promise, ...]]:
+    out: dict[tuple[str, str], list[Promise]] = {}
+    for p in graph.promises:
+        out.setdefault((p.promiser, p.promisee), []).append(p)
+    return {k: tuple(v) for k, v in sorted(out.items())}

@@ -2,9 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import promisekit
 from promisekit import corpus
 from promisekit.cli import entry, main
 
@@ -48,6 +53,22 @@ class TestExitCodes:
         missing = str(tmp_path / "nope.pml")
         assert main(["check", missing]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.pml"
+        path.write_bytes(b"agent a\xff;\n")
+        for command in ("check", "roles", "classes", "dot"):
+            assert main([command, str(path)]) == 2
+            assert f"pml: cannot read {path}: " in capsys.readouterr().err
+
+    def test_superscript_digit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "superscript.pml"
+        path.write_text(
+            "agent a;\ntype width: num;\na -> a: give width = \u00b2;\n",
+            encoding="utf-8",
+        )
+        assert main(["check", str(path)]) == 2
+        assert "error[E-LEX-001]: unexpected character '\u00b2'" in capsys.readouterr().out
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 3
@@ -190,3 +211,23 @@ class TestDot:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "E-PARSE" in captured.err
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", BANK], ["isa", GEOMETRY, "Square", "Rectangle", "--json"], []],
+        ids=["check", "isa-json", "usage"],
+    )
+    def test_python_m_promisekit_matches_main(self, argv, capsys):
+        code = main(argv)
+        expected = capsys.readouterr().out
+        src = str(Path(promisekit.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "promisekit", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert (proc.returncode, proc.stdout) == (code, expected)

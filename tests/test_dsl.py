@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promisekit import corpus
 from promisekit.dsl import (
@@ -14,6 +15,8 @@ from promisekit.dsl import (
     tokenize,
 )
 from promisekit.model import NamedConst, NumConst, Parameter, StrConst
+
+from bruteforce import reference_tokenize
 
 GEOMETRY = """\
 agent rect;
@@ -85,6 +88,63 @@ class TestLexer:
     def test_bare_dollar(self):
         _, diags = tokenize("give $ = 1;")
         assert errors_of(diags) == ["E-LEX-005"]
+
+    def test_superscript_digit_is_an_illegal_character(self):
+        # str.isdigit accepts '²' but float() does not: it is not a number.
+        tokens, diags = tokenize("width = ²;")
+        assert errors_of(diags) == ["E-LEX-001"]
+        assert diags[0].message == "unexpected character '²'"
+        assert [t.type for t in tokens] == ["ident", "op", "op", "eof"]
+
+    def test_superscript_after_digits_ends_the_number(self):
+        tokens, diags = tokenize("11²")
+        assert [(t.type, t.value) for t in tokens] == [("number", 11), ("eof", "")]
+        assert errors_of(diags) == ["E-LEX-001"]
+        assert (diags[0].span.start_col, diags[0].span.end_col) == (3, 4)
+
+    def test_non_ascii_letters_and_digits_continue_tokens(self):
+        tokens, diags = tokenize("11é x١ 1١ 2.١ $pé")
+        assert diags == []
+        assert [(t.type, t.value, t.text) for t in tokens[:-1]] == [
+            ("number", 11, "11"),
+            ("ident", "é", "é"),
+            ("ident", "x١", "x١"),
+            ("number", 11, "1١"),
+            ("number", 2.1, "2.١"),
+            ("param", "pé", "$pé"),
+        ]
+
+    def test_columns_count_characters_across_lines_and_comments(self):
+        tokens, _ = tokenize('# é comment\r\n\t"é" é;\n  x')
+        spans = [(t.text, t.span.start_line, t.span.start_col, t.span.end_col) for t in tokens]
+        assert spans == [
+            ('"é"', 2, 2, 5),
+            ("é", 2, 6, 7),
+            (";", 2, 7, 8),
+            ("x", 3, 3, 4),
+            ("", 3, 4, 4),
+        ]
+
+
+# One- and several-character pieces: non-ASCII letters and digits, line
+# ends, escapes, unterminated strings, parameters and the two-character
+# operators, so that random texts hit both the fast and the slow path.
+LEX_PIECES = [
+    "a", "Z", "_", "k9", "0", "7", ".", ";", ",", ":", "{", "}", "=", "-",
+    ">", "!", "$", "#", "3.", '"', "\\", " ", "\t", "\r", "\n", "@", "é", "²",
+    "½", "١", "->", "==", "!=", "give", "agent", "$p", "12.5", '"ab"',
+    '"a\\nb"', '"a\\qb"', '"open', "# note\n",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
+def test_lexer_matches_the_reference_lexer(text):
+    def observed(result):
+        tokens, diags = result
+        return [(t.type, t.value, type(t.value), t.text, t.span) for t in tokens], diags
+
+    assert observed(tokenize(text, "t.pml")) == observed(reference_tokenize(text, "t.pml"))
 
 
 # ---------------------------------------------------------------------------

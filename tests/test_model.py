@@ -1,7 +1,10 @@
 """Core model layer: terms, bodies, bundles, graph assembly, autonomy."""
 from __future__ import annotations
 
+import contextlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promisekit.errors import (
     BundleCycleError,
@@ -38,12 +41,20 @@ from promisekit.model import (
     Parameter,
     Promise,
     PromiseBody,
+    PromiseGraph,
     PromiseTypeDecl,
     StrConst,
     term_key,
     use,
     validate_autonomy,
     Valuation,
+)
+
+from bruteforce import (
+    scan_channels,
+    scan_given_types,
+    scan_promises_from,
+    scan_promises_to,
 )
 
 WIDTH = Attribute("width")
@@ -371,3 +382,60 @@ class TestAutonomy:
         ]
         graph = build_graph(agents, types, [], promises)
         assert validate_autonomy(graph) == []
+
+
+# ---------------------------------------------------------------------------
+# Graph indexes against linear scans
+# ---------------------------------------------------------------------------
+
+INDEX_AGENTS = ("a", "b", "c", "d")
+INDEX_TYPES = [
+    PromiseTypeDecl("width", KIND_NUM),
+    PromiseTypeDecl("height", KIND_NUM),
+    PromiseTypeDecl("ready", KIND_FLAG),
+]
+
+index_body_st = st.one_of(
+    st.builds(give, st.sampled_from(["width", "height", "ready"])),
+    st.builds(use, st.sampled_from(["width", "height", "ready"])),
+    st.builds(lambda: give("width", EqConstraint(WIDTH, W))),
+    st.builds(lambda: link(W, H, Condition.of(FlagLiteral("ready")))),
+)
+index_promise_st = st.builds(
+    Promise,
+    st.sampled_from(INDEX_AGENTS),
+    st.sampled_from(INDEX_AGENTS),
+    index_body_st,
+    st.sampled_from(["", "g1", "g2"]),
+)
+
+
+def assert_indexes_match_scans(graph: PromiseGraph) -> None:
+    for agent in INDEX_AGENTS + ("nobody",):
+        assert graph.promises_from(agent) == scan_promises_from(graph, agent)
+        assert graph.promises_to(agent) == scan_promises_to(graph, agent)
+        for other in INDEX_AGENTS + ("nobody",):
+            assert graph.given_types(agent, other) == scan_given_types(graph, agent, other)
+    expected = scan_channels(graph)
+    assert list(graph.channels().items()) == list(expected.items())
+
+    returned = graph.channels()
+    key = next(iter(expected), ("a", "b"))
+    for mutate in (
+        lambda: returned.__setitem__(("nobody", "nobody"), ()),
+        lambda: returned.__delitem__(key),
+        lambda: returned.clear(),
+    ):
+        with contextlib.suppress(TypeError, AttributeError, KeyError):
+            mutate()
+    assert list(graph.channels().items()) == list(expected.items())
+
+
+@settings(max_examples=150)
+@given(st.lists(index_promise_st, max_size=14))
+def test_graph_indexes_match_linear_scans(promises):
+    agents = [Agent.make(name) for name in INDEX_AGENTS]
+    assert_indexes_match_scans(build_graph(agents, INDEX_TYPES, [], promises))
+    # Unsorted promises, straight into the dataclass: indexes keep their order.
+    direct = PromiseGraph(tuple(agents), tuple(INDEX_TYPES), (), tuple(promises))
+    assert_indexes_match_scans(direct)
