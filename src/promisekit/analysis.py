@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .constraints import (
@@ -26,7 +26,6 @@ from .constraints import (
 from .errors import UnsatisfiableError
 from .model import (
     ALWAYS,
-    Attribute,
     body_key,
     Bundle,
     CmpLiteral,
@@ -372,11 +371,23 @@ def _witness_text(witness: tuple[tuple[str, str], ...]) -> str:
     return ", ".join(f"{k}={v}" for k, v in witness) or "always"
 
 
-def _exclusivity_findings(
-    named: Sequence[tuple[str, Condition]], code: str, refs: dict[str, tuple[str, ...]]
+def _variant_findings(
+    check: str,
+    parent: Bundle,
+    parent_condition: Condition,
+    children: Sequence[tuple[Bundle, Condition]],
 ) -> list[Finding]:
-    if len(named) < 2:
-        return []
+    """The part ``check_specialization`` and ``check_substitution`` share:
+    the parent's condition and every child's must be pairwise exclusive.
+    Raises ValueError when there is no child."""
+    if not children:
+        raise ValueError(f"{check} needs at least one child")
+    named = [(f"bundle {parent.name}", parent_condition)] + [
+        (f"bundle {child.name}", cond) for child, cond in children
+    ]
+    refs = {f"bundle {parent.name}": _bundle_refs(parent)}
+    for child, _cond in children:
+        refs[f"bundle {child.name}"] = _bundle_refs(child)
     report = pairwise_exclusive([cond for _, cond in named])
     findings = []
     for i, j, witness in report.violations:
@@ -384,7 +395,7 @@ def _exclusivity_findings(
         findings.append(
             Finding(
                 Severity.PATTERN_ERROR,
-                code,
+                "non-exclusive",
                 f"conditions of {a} ({format_condition(named[i][1])}) and {b} "
                 f"({format_condition(named[j][1])}) can hold together: "
                 f"{_witness_text(witness)}",
@@ -402,9 +413,7 @@ def check_specialization(
     """Children may each replace a subset of the parent's typed bodies, and
     the parent's own condition plus every child condition must be pairwise
     exclusive — at most one variant in force at a time."""
-    if not children:
-        raise ValueError("specialization needs at least one child")
-    findings: list[Finding] = []
+    findings = _variant_findings("specialization", parent, base_condition, children)
     parent_types = _type_multiset(parent)
     for child, _cond in children:
         extra = _type_multiset(child) - parent_types
@@ -418,13 +427,6 @@ def check_specialization(
                     _bundle_refs(child),
                 )
             )
-    named = [(f"bundle {parent.name}", base_condition)] + [
-        (f"bundle {child.name}", cond) for child, cond in children
-    ]
-    refs = {f"bundle {parent.name}": _bundle_refs(parent)}
-    for child, _cond in children:
-        refs[f"bundle {child.name}"] = _bundle_refs(child)
-    findings.extend(_exclusivity_findings(named, "non-exclusive", refs))
     return CheckReport(tuple(sorted(findings, key=finding_sort_key)))
 
 
@@ -436,11 +438,9 @@ def check_substitution(
     """Each child must stand in for the parent wholesale: identical type
     multiset, under conditions exclusive with the parent's predicate.  The
     parent predicate defaults to whatever condition all its bodies share."""
-    if not children:
-        raise ValueError("substitution needs at least one child")
     if parent_condition is None:
         parent_condition = _shared_condition(parent)
-    findings: list[Finding] = []
+    findings = _variant_findings("substitution", parent, parent_condition, children)
     parent_types = _type_multiset(parent)
     for child, _cond in children:
         child_types = _type_multiset(child)
@@ -466,13 +466,6 @@ def check_substitution(
                     _bundle_refs(child),
                 )
             )
-    named = [(f"bundle {parent.name}", parent_condition)] + [
-        (f"bundle {child.name}", cond) for child, cond in children
-    ]
-    refs = {f"bundle {parent.name}": _bundle_refs(parent)}
-    for child, _cond in children:
-        refs[f"bundle {child.name}"] = _bundle_refs(child)
-    findings.extend(_exclusivity_findings(named, "non-exclusive", refs))
     return CheckReport(tuple(sorted(findings, key=finding_sort_key)))
 
 
@@ -1024,12 +1017,6 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
             for cond in conditions
             if cond not in overlapping
         )
-        if len(subtypes) >= 2:
-            recheck = pairwise_exclusive(
-                [cond for cond in conditions if cond not in overlapping]
-            )
-            if not recheck.ok:  # pragma: no cover - folding removed overlaps
-                raise RuntimeError("subtype conditions failed re-verification")
         entries.append(
             RoleClasses(
                 role,

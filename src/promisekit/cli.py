@@ -23,6 +23,7 @@ from .analysis import (
 )
 from .dsl import parse, resolve, ResolveResult
 from .errors import UnsatisfiableError
+from .model import PromiseGraph
 from .report import export_dot, FileEntry, format_text, Report, report_json
 
 EXIT_CLEAN = 0
@@ -89,8 +90,31 @@ def _load(path: str) -> tuple[Union[ResolveResult, None], FileEntry, Union[str, 
     return resolved, FileEntry(path, diagnostics), None
 
 
+def _load_graph(
+    args: argparse.Namespace, report_errors: bool = True
+) -> tuple[Union[PromiseGraph, None], FileEntry]:
+    """Load ``args.file`` for a one-file command: (graph, entry), or (None,
+    entry) once the failure is reported.  Diagnostics go out as a report, or
+    to stderr when ``report_errors`` is false."""
+    resolved, entry, io_error = _load(args.file)
+    if io_error:
+        print(io_error, file=sys.stderr)
+        return None, entry
+    if resolved is None or not resolved.ok:
+        if report_errors:
+            _emit(Report((entry,)), args.json, args.output)
+        else:
+            for d in entry.diagnostics:
+                print(d.formatted(), file=sys.stderr)
+        return None, entry
+    return resolved.graph, entry
+
+
 def _emit(report: Report, as_json: bool, output: Union[str, None]) -> None:
-    text = report_json(report) if as_json else format_text(report)
+    _write(report_json(report) if as_json else format_text(report), output)
+
+
+def _write(text: str, output: Union[str, None]) -> None:
     if output:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -136,27 +160,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_roles(args: argparse.Namespace) -> int:
-    resolved, entry, io_error = _load(args.file)
-    if io_error:
-        print(io_error, file=sys.stderr)
+    graph, entry = _load_graph(args)
+    if graph is None:
         return EXIT_INPUT_ERROR
-    if resolved is None or not resolved.ok:
-        _emit(Report((entry,)), args.json, args.output)
-        return EXIT_INPUT_ERROR
-    report = Report((entry,), roles=tuple(discover_roles(resolved.graph)))
+    report = Report((entry,), roles=tuple(discover_roles(graph)))
     _emit(report, args.json, args.output)
     return EXIT_CLEAN
 
 
 def _cmd_classes(args: argparse.Namespace) -> int:
-    resolved, entry, io_error = _load(args.file)
-    if io_error:
-        print(io_error, file=sys.stderr)
+    graph, entry = _load_graph(args)
+    if graph is None:
         return EXIT_INPUT_ERROR
-    if resolved is None or not resolved.ok:
-        _emit(Report((entry,)), args.json, args.output)
-        return EXIT_INPUT_ERROR
-    hierarchy = derive_class_hierarchy(resolved.graph)
+    hierarchy = derive_class_hierarchy(graph)
     report = Report((entry,), findings=hierarchy.findings, hierarchy=hierarchy)
     _emit(report, args.json, args.output)
     return _exit_for(hierarchy.findings)
@@ -183,14 +199,9 @@ def _isa_findings(verdict: IsAVerdict, child: str, parent: str) -> tuple[Finding
 
 
 def _cmd_isa(args: argparse.Namespace) -> int:
-    resolved, entry, io_error = _load(args.file)
-    if io_error:
-        print(io_error, file=sys.stderr)
+    graph, entry = _load_graph(args)
+    if graph is None:
         return EXIT_INPUT_ERROR
-    if resolved is None or not resolved.ok:
-        _emit(Report((entry,)), args.json, args.output)
-        return EXIT_INPUT_ERROR
-    graph = resolved.graph
     missing = [
         name for name in (args.child, args.parent) if graph.bundle(name) is None
     ]
@@ -219,20 +230,10 @@ def _cmd_isa(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    resolved, entry, io_error = _load(args.file)
-    if io_error:
-        print(io_error, file=sys.stderr)
+    graph, _entry = _load_graph(args, report_errors=False)
+    if graph is None:
         return EXIT_INPUT_ERROR
-    if resolved is None or not resolved.ok:
-        for d in entry.diagnostics:
-            print(d.formatted(), file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    text = export_dot(resolved.graph)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(export_dot(graph), args.output)
     return EXIT_CLEAN
 
 

@@ -13,18 +13,14 @@ from typing import Iterable, Sequence, Union
 from .errors import UnsatisfiableError
 from .model import (
     Attribute,
-    CmpLiteral,
     Condition,
     EqConstraint,
     FlagLiteral,
     NamedConst,
-    NumConst,
     Parameter,
-    StrConst,
     Term,
     format_term,
     is_constant,
-    is_observable,
     term_key,
 )
 
@@ -102,9 +98,6 @@ class TermPartition:
     def class_of(self, t: Term) -> tuple[Term, ...]:
         return self._class_of.get(t, (t,))
 
-    def representative(self, t: Term) -> Term:
-        return self.class_of(t)[0]
-
     def same_class(self, a: Term, b: Term) -> bool:
         if a == b:
             return True
@@ -129,12 +122,6 @@ class TermPartition:
                 for j in range(i + 1, len(members)):
                     pairs.append((members[i], members[j]))
         return tuple(sorted(pairs, key=lambda p: (term_key(p[0]), term_key(p[1]))))
-
-    def restrict(self, vocabulary: Iterable[Term]) -> "TermPartition":
-        vocab = set(vocabulary)
-        return TermPartition(
-            [t for t in cls if t in vocab] for cls in self.classes
-        )
 
     def new_pairs_over(
         self, baseline: "TermPartition", vocabulary: Iterable[Term]
@@ -244,9 +231,6 @@ class ExclusivityVerdict:
     exclusive: bool
     witness: Union[tuple[tuple[str, str], ...], None] = None
 
-    def witness_dict(self) -> dict[str, str]:
-        return dict(self.witness or ())
-
 
 def split_condition(
     cond: Condition,
@@ -269,8 +253,12 @@ def split_condition(
     return eqs, neqs, flags
 
 
-def condition_satisfiable(*conds: Condition) -> bool:
-    """Can all these conditions hold at once?"""
+def _conjunction(
+    conds: Iterable[Condition],
+) -> Union[tuple[list[EqConstraint], list[tuple[Term, Term]], dict[str, bool]], None]:
+    """The conditions' literals merged into one conjunction, or None when a
+    flag is both required and forbidden or a term must differ from itself.
+    Equalities among the terms are left to the caller's closure."""
     eqs: list[EqConstraint] = []
     neqs: list[tuple[Term, Term]] = []
     flags: dict[str, bool] = {}
@@ -278,16 +266,22 @@ def condition_satisfiable(*conds: Condition) -> bool:
         try:
             ce, cn, cf = split_condition(cond)
         except ValueError:
-            return False
+            return None
         eqs.extend(ce)
         neqs.extend(cn)
         for name, wanted in cf.items():
             if flags.setdefault(name, wanted) != wanted:
-                return False
+                return None
     for a, b in neqs:
         if a == b:
-            return False
-    return satisfiable(eqs, neqs)
+            return None
+    return eqs, neqs, flags
+
+
+def condition_satisfiable(*conds: Condition) -> bool:
+    """Can all these conditions hold at once?"""
+    conjunction = _conjunction(conds)
+    return conjunction is not None and satisfiable(conjunction[0], conjunction[1])
 
 
 def _conjunction_witness(
@@ -319,22 +313,10 @@ def _conjunction_witness(
 def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
     """Can ``c1`` and ``c2`` hold at the same time?  Exclusive iff their
     conjunction is unsatisfiable; otherwise the verdict carries a witness."""
-    eqs: list[EqConstraint] = []
-    neqs: list[tuple[Term, Term]] = []
-    flags: dict[str, bool] = {}
-    for cond in (c1, c2):
-        try:
-            ce, cn, cf = split_condition(cond)
-        except ValueError:
-            return ExclusivityVerdict(exclusive=True)
-        eqs.extend(ce)
-        neqs.extend(cn)
-        for name, wanted in cf.items():
-            if flags.setdefault(name, wanted) != wanted:
-                return ExclusivityVerdict(exclusive=True)
-    for a, b in neqs:
-        if a == b:
-            return ExclusivityVerdict(exclusive=True)
+    conjunction = _conjunction((c1, c2))
+    if conjunction is None:
+        return ExclusivityVerdict(exclusive=True)
+    eqs, neqs, flags = conjunction
     if not satisfiable(eqs, neqs):
         return ExclusivityVerdict(exclusive=True)
     return ExclusivityVerdict(

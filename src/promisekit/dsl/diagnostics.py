@@ -1,7 +1,7 @@
 """Diagnostics with stable codes and source spans."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 ERROR = "error"

@@ -36,7 +36,6 @@ from .diagnostics import (
     E_PARSE_UNEXPECTED,
     ERROR,
     has_errors,
-    SourceSpan,
 )
 from .lexer import EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, STRING, Token, tokenize
 

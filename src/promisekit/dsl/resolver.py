@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ..errors import PromiseModelError
+from ..errors import BundleCycleError, PromiseModelError
 from ..model import (
     Agent,
     ALWAYS,
@@ -24,6 +24,7 @@ from ..model import (
     derive_group,
     EqConstraint,
     FlagLiteral,
+    flatten_bundles,
     flatten_type,
     GIVE,
     KIND_FLAG,
@@ -102,6 +103,7 @@ class _Resolver:
         self.types: dict[str, PromiseTypeDecl] = {}
         self.bundle_decls: dict[str, BundleDecl] = {}
         self.bundles: dict[str, Bundle] = {}
+        self.flat_bundles: dict[str, Bundle] = {}
         self.promises: list[Promise] = []
         self.promise_spans: dict[tuple, SourceSpan] = {}
 
@@ -330,43 +332,31 @@ class _Resolver:
             self.bundle_decls[decl.name.text] = decl
 
         for name, decl in self.bundle_decls.items():
-            if decl.parent is not None and decl.parent.text not in self.bundle_decls:
+            parent = decl.parent.text if decl.parent else None
+            if parent is not None and parent not in self.bundle_decls:
                 self.error(
                     E_RESOLVE_UNKNOWN_BUNDLE,
-                    f"unknown parent bundle '{decl.parent.text}'",
+                    f"unknown parent bundle '{parent}'",
                     decl.parent.span,
                 )
-
-        # Cycle check over declared parents before flattening.
-        for name, decl in self.bundle_decls.items():
-            trail = [name]
-            seen = {name}
-            current = decl.parent.text if decl.parent else None
-            while current is not None and current in self.bundle_decls:
-                if current in seen:
-                    cycle = " -> ".join(trail + [current])
-                    self.error(
-                        E_RESOLVE_CYCLE,
-                        f"bundle inheritance cycle: {cycle}",
-                        decl.name.span,
-                    )
-                    return
-                trail.append(current)
-                seen.add(current)
-                parent = self.bundle_decls[current].parent
-                current = parent.text if parent else None
-
-        for name, decl in self.bundle_decls.items():
+                parent = None
             kinds: dict[str, str] = {}  # one parameter scope per bundle
             bodies = []
             for body_node in decl.bodies:
                 body = self.resolve_body(body_node, kinds)
                 if body is not None:
                     bodies.append(body)
-            parent = decl.parent.text if decl.parent else None
-            if parent is not None and parent not in self.bundle_decls:
-                parent = None
             self.bundles[name] = Bundle(name, tuple(bodies), parent)
+
+        # A cycle leaves flat_bundles empty: the run has an error and builds
+        # no graph, so attachments need not be expanded.
+        try:
+            flat = flatten_bundles(self.bundles.values())
+        except BundleCycleError as exc:
+            first = self.bundle_decls[exc.cycle[0]]
+            self.error(E_RESOLVE_CYCLE, str(exc), first.name.span)
+            return
+        self.flat_bundles = {b.name: b for b in flat}
 
     # -- promises ------------------------------------------------------------
 
@@ -379,7 +369,6 @@ class _Resolver:
         return True
 
     def collect_promises(self) -> None:
-        flattened: dict[str, Bundle] = {}  # per resolve: each bundle once
         for decl in self.ast.decls:
             if not isinstance(decl, PromiseDecl):
                 continue
@@ -399,12 +388,10 @@ class _Resolver:
                     continue
                 kinds: dict[str, str] = {}
                 attach_cond = self.resolve_condition(ref.condition, kinds)
-                if not ok:
+                flat = self.flat_bundles.get(bundle.name)
+                if not ok or flat is None:
                     continue
                 group = bundle_group(promiser, promisee, bundle.name)
-                flat = flattened.get(bundle.name)
-                if flat is None:
-                    flat = flattened[bundle.name] = _flatten_for(self.bundles, bundle.name)
                 for body in flat.bodies:
                     if not attach_cond.is_empty:
                         body = PromiseBody(
@@ -467,24 +454,6 @@ class _Resolver:
                 Diagnostic(WARNING, W_AUTONOMY, finding.message, span)
             )
         return ResolveResult(graph, sorted(self.diagnostics, key=diagnostic_sort_key))
-
-
-def _flatten_for(bundles: dict[str, Bundle], name: str) -> Bundle:
-    """Flatten one bundle against the resolver's (possibly partial) table."""
-    seen: set[str] = set()
-    bodies: dict[PromiseBody, None] = {}
-
-    def walk(current: str) -> None:
-        if current in seen:
-            return  # cycles were already reported
-        seen.add(current)
-        bundle = bundles[current]
-        if bundle.parent is not None and bundle.parent in bundles:
-            walk(bundle.parent)
-        bodies.update(dict.fromkeys(bundle.bodies))
-
-    walk(name)
-    return Bundle(name, tuple(bodies), bundles[name].parent)
 
 
 def resolve(ast: ModelAst) -> ResolveResult:

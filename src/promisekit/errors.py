@@ -11,11 +11,16 @@ class DuplicateNameError(PromiseModelError):
 
 
 class DanglingReferenceError(PromiseModelError):
-    """A promise or valuation refers to something that is not declared."""
+    """A promise or bundle refers to something that is not declared."""
 
 
 class BundleCycleError(PromiseModelError):
-    """Bundle inheritance chains must be acyclic."""
+    """Bundle inheritance chains must be acyclic.  ``cycle`` names the
+    bundles around the cycle, first to last, and then the first again."""
+
+    def __init__(self, cycle: tuple[str, ...]) -> None:
+        super().__init__(f"bundle inheritance cycle: {' -> '.join(cycle)}")
+        self.cycle = cycle
 
 
 class TypeCollisionError(PromiseModelError):

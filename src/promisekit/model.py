@@ -18,7 +18,7 @@ than scans of ``promises``; ``channels`` hands out a read-only view.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
@@ -72,8 +72,8 @@ class StrConst:
 class NamedConst:
     """A bare identifier that is not a declared type.
 
-    It resolves to a private attribute of the agent whose condition mentions
-    it when one exists; otherwise it stays a distinct symbolic constant.
+    It stays a distinct symbolic constant, never looked up as an agent's
+    private attribute; equating it with another constant is no clash.
     """
 
     name: str
@@ -121,11 +121,6 @@ def format_term(term: Term) -> str:
 
 def is_constant(term: Term) -> bool:
     return isinstance(term, (NumConst, StrConst))
-
-
-def is_observable(term: Term) -> bool:
-    """Terms whose identity matters to solutions (everything but parameters)."""
-    return not isinstance(term, Parameter)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +320,6 @@ class Promise:
         return f"{self.promiser} -> {self.promisee}: {format_body(self.body)}"
 
 
-def promise_sort_key(p: Promise) -> tuple:
-    return (p.promiser, p.promisee, body_key(p.body), p.group)
-
-
 @dataclass(frozen=True)
 class Bundle:
     """A named, reusable collection of bodies, optionally extending another."""
@@ -353,10 +344,6 @@ class Agent:
     def make(name: str, attrs: Union[Mapping[str, Term], None] = None) -> "Agent":
         items = tuple(sorted((attrs or {}).items()))
         return Agent(name, items)
-
-    @property
-    def attrs(self) -> dict[str, Term]:
-        return dict(self.private_attrs)
 
 
 KIND_NUM = "num"
@@ -391,15 +378,6 @@ def flatten_type(path: Sequence[str]) -> str:
 
 
 @dataclass(frozen=True)
-class Valuation:
-    """A party's worth judgement about one promise; stored, never analyzed."""
-
-    valuer: str
-    promise: Promise
-    worth: float
-
-
-@dataclass(frozen=True)
 class AutonomyFinding:
     """A condition literal that leans on something never promised to the agent."""
 
@@ -418,7 +396,6 @@ class PromiseGraph:
     types: tuple[PromiseTypeDecl, ...]
     bundles: tuple[Bundle, ...]
     promises: tuple[Promise, ...]
-    valuations: tuple[Valuation, ...] = ()
 
     @cached_property
     def _agent_map(self) -> dict[str, Agent]:
@@ -521,26 +498,24 @@ def flatten_bundles(bundles: Iterable[Bundle]) -> tuple[Bundle, ...]:
         by_name[b.name] = b
 
     flat: dict[str, Bundle] = {}
-
-    def resolve(name: str, trail: tuple[str, ...]) -> Bundle:
-        if name in flat:
-            return flat[name]
-        if name in trail:
-            cycle = " -> ".join(trail[trail.index(name):] + (name,))
-            raise BundleCycleError(f"bundle inheritance cycle: {cycle}")
-        bundle = by_name.get(name)
-        if bundle is None:
-            raise DanglingReferenceError(f"unknown parent bundle {name!r}")
-        inherited: tuple[PromiseBody, ...] = ()
-        if bundle.parent is not None:
-            inherited = resolve(bundle.parent, trail + (name,)).bodies
-        bodies = dict.fromkeys((*inherited, *bundle.bodies))
-        result = Bundle(bundle.name, tuple(bodies), bundle.parent)
-        flat[name] = result
-        return result
-
     for name in by_name:
-        resolve(name, ())
+        # Walk up to a flattened ancestor or a root, then flatten on the way
+        # back down: a loop, so that no chain is too deep for the stack.
+        trail: dict[str, int] = {}  # bundle -> its step in the walk
+        current: Union[str, None] = name
+        while current is not None and current not in flat:
+            if current in trail:
+                raise BundleCycleError((*list(trail)[trail[current]:], current))
+            bundle = by_name.get(current)
+            if bundle is None:
+                raise DanglingReferenceError(f"unknown parent bundle {current!r}")
+            trail[current] = len(trail)
+            current = bundle.parent
+        inherited = flat[current].bodies if current is not None else ()
+        for step in reversed(trail):
+            bundle = by_name[step]
+            inherited = tuple(dict.fromkeys((*inherited, *bundle.bodies)))
+            flat[step] = Bundle(step, inherited, bundle.parent)
     return tuple(sorted(flat.values(), key=lambda b: b.name))
 
 
@@ -576,13 +551,12 @@ def build_graph(
     types: Iterable[PromiseTypeDecl],
     bundles: Iterable[Bundle] = (),
     promises: Iterable[Promise] = (),
-    valuations: Iterable[Valuation] = (),
 ) -> PromiseGraph:
     """Assemble and validate an immutable promise graph.
 
-    Checks name uniqueness, reference integrity, bundle acyclicity, and
-    valuation sanity; flattens bundle inheritance; deduplicates promises
-    within a group; sorts every collection for determinism.
+    Checks name uniqueness, reference integrity and bundle acyclicity;
+    flattens bundle inheritance; deduplicates promises within a group; sorts
+    every collection for determinism.
     """
     agent_list = list(agents)
     # Each name maps to the agent's own string object, which every promise
@@ -638,37 +612,12 @@ def build_graph(
             deduped.items(), key=itemgetter(1)
         )
     )
-    promise_set = set(promise_tuple)
-
-    valuation_list: list[Valuation] = []
-    for v in valuations:
-        anchored = v.promise
-        if not anchored.group:
-            anchored = Promise(
-                anchored.promiser,
-                anchored.promisee,
-                anchored.body,
-                derive_group(anchored.promiser, anchored.promisee, anchored.body),
-            )
-        if anchored not in promise_set:
-            raise DanglingReferenceError(
-                f"valuation refers to an absent promise: {anchored.formatted()}"
-            )
-        if v.valuer not in (anchored.promiser, anchored.promisee):
-            raise DanglingReferenceError(
-                f"valuer {v.valuer!r} is party to neither side of {anchored.formatted()}"
-            )
-        valuation_list.append(Valuation(v.valuer, anchored, v.worth))
-    valuation_tuple = tuple(
-        sorted(valuation_list, key=lambda v: (v.valuer, promise_sort_key(v.promise), v.worth))
-    )
 
     return PromiseGraph(
         agents=tuple(sorted(agent_list, key=lambda a: a.name)),
         types=type_tuple,
         bundles=flat_bundles,
         promises=promise_tuple,
-        valuations=valuation_tuple,
     )
 
 

@@ -61,6 +61,45 @@ class TestExitCodes:
             assert main([command, str(path)]) == 2
             assert f"pml: cannot read {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["roles", "classes", "isa", "dot"])
+    @pytest.mark.parametrize(
+        "case, content",
+        [
+            ("missing", None),
+            ("non-utf8", b"agent a\xff;\n"),
+            ("parse", b"agent a\nagent a {\n"),
+            ("resolve", b"agent a;\na -> b: give width;\n"),
+        ],
+    )
+    def test_unusable_input_contract(self, command, case, content, tmp_path, capsys):
+        """Single-file commands on input they cannot use: exit 2; a read
+        failure goes to stderr with no report; diagnostics come as a report on
+        stdout, except for dot, which prints them on stderr and no graph."""
+        path = tmp_path / f"{case}.pml"
+        if content is not None:
+            path.write_bytes(content)
+        argv = [command, str(path)] + (["Child", "Parent"] if command == "isa" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        if case in ("missing", "non-utf8"):
+            reason = {
+                "missing": "No such file or directory",
+                "non-utf8": "'utf-8' codec can't decode byte 0xff in position 7: "
+                "invalid start byte",
+            }[case]
+            assert (captured.out, captured.err) == ("", f"pml: cannot read {path}: {reason}\n")
+            return
+        diagnostics = {
+            "parse": f"{path}:2:1: error[E-PARSE-001]: expected ';', found keyword 'agent'\n"
+            f"{path}:2:9: error[E-PARSE-001]: expected ';', found '{{'\n",
+            "resolve": f"{path}:2:6: error[E-RESOLVE-001]: unknown agent 'b'\n"
+            f"{path}:2:14: error[E-RESOLVE-002]: unknown type or flag 'width'\n",
+        }[case]
+        if command == "dot":
+            assert (captured.out, captured.err) == ("", diagnostics)
+        else:
+            assert (captured.out, captured.err) == (diagnostics + "no findings\n", "")
+
     def test_superscript_digit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "superscript.pml"
         path.write_text(

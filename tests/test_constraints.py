@@ -390,8 +390,9 @@ def test_mutual_exclusivity_is_symmetric(c1, c2):
     assert mutually_exclusive(c1, c2).exclusive == mutually_exclusive(c2, c1).exclusive
 
 
-@given(condition_st)
-def test_nothing_excludes_the_empty_condition_unless_broken(cond):
-    assert mutually_exclusive(cond, ALWAYS).exclusive == (
-        not condition_satisfiable(cond)
-    )
+@settings(max_examples=200)
+@given(condition_st, st.one_of(st.just(ALWAYS), condition_st))
+def test_exclusive_iff_the_conjunction_is_unsatisfiable(c1, c2):
+    verdict = mutually_exclusive(c1, c2)
+    assert verdict.exclusive == (not condition_satisfiable(c1, c2))
+    assert (verdict.witness is None) == verdict.exclusive

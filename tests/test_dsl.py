@@ -299,6 +299,42 @@ class TestResolver:
             d.message for d in result.diagnostics if d.code == "E-RESOLVE-004"
         )
         assert "->" in message
+        assert [d.formatted() for d in result.diagnostics] == [
+            "m.pml:1:8: error[E-RESOLVE-004]: bundle inheritance cycle: A -> B -> A"
+        ]
+
+    def test_cycle_is_reported_once_at_its_first_bundle(self):
+        # X only leads into the cycle, and C is outside it: neither is blamed,
+        # and attachments to either are not unknown bundles.
+        text = (
+            "agent a, b;\n"
+            "type width: num;\n"
+            "bundle X extends A { give width = 1; }\n"
+            "bundle A extends B { give width = 2; }\n"
+            "bundle B extends A { give width = 3; }\n"
+            "bundle C { give width = 4; }\n"
+            "a -> b: bundle C\n"
+            "a -> b: bundle X\n"
+        )
+        result = resolve_text(text)
+        assert not result.ok
+        assert [d.formatted() for d in result.diagnostics] == [
+            "m.pml:4:8: error[E-RESOLVE-004]: bundle inheritance cycle: A -> B -> A"
+        ]
+
+    def test_cycle_does_not_hide_errors_in_other_bundles(self):
+        text = (
+            "agent a, b;\n"
+            "bundle A extends B { }\n"
+            "bundle B extends A { }\n"
+            "bundle C { give height = 4; }\n"
+            "a -> b: bundle C\n"
+        )
+        result = resolve_text(text)
+        assert [d.formatted() for d in result.diagnostics] == [
+            "m.pml:2:8: error[E-RESOLVE-004]: bundle inheritance cycle: A -> B -> A",
+            "m.pml:4:17: error[E-RESOLVE-002]: unknown type or flag 'height'",
+        ]
 
     def test_duplicate_agent(self):
         result = resolve_text("agent a; agent a;\n")

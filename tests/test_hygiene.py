@@ -1,0 +1,61 @@
+"""Source hygiene: no module imports a name it never uses.
+
+Package ``__init__`` modules are exempt, because their imports are the
+public re-exports.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import promisekit
+
+PACKAGE = Path(promisekit.__file__).resolve().parent
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # A quoted annotation such as -> "Bundle" uses the names inside it.
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    expr = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue  # a Literal[...] value, not a type
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
+
+
+def test_no_module_imports_an_unused_name():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = _used_names(tree)
+        for name, line in sorted(_imported_names(tree).items()):
+            if name not in used:
+                unused.append(f"{path.relative_to(PACKAGE)}:{line}: {name}")
+    assert unused == []

@@ -47,7 +47,6 @@ from promisekit.model import (
     term_key,
     use,
     validate_autonomy,
-    Valuation,
 )
 
 from bruteforce import (
@@ -179,6 +178,13 @@ class TestBundles:
             flatten_bundles([a, b])
         assert "->" in str(exc.value)
 
+    def test_chain_deeper_than_the_stack_declared_child_first(self):
+        depth = 3000
+        chain = [Bundle(f"B{i}", (), parent=f"B{i - 1}") for i in range(depth, 0, -1)]
+        flat = flatten_bundles(chain + [Bundle("B0", rect_bundle().bodies[:1])])
+        assert len(flat) == depth + 1
+        assert all(b.bodies == rect_bundle().bodies[:1] for b in flat)
+
     def test_repeated_inherited_body_not_duplicated(self):
         child = Bundle("Child", rect_bundle().bodies[:1], parent="Rectangle")
         flat = flatten_bundles([rect_bundle(), child])
@@ -308,23 +314,6 @@ class TestBuildGraph:
         body = give("width", EqConstraint(WIDTH, W))
         assert derive_group("a", "b", body) == "a->b|body:+width=$w"
         assert bundle_group("a", "b", "Rectangle") == "a->b|bundle:Rectangle"
-
-    def test_valuation_must_point_at_an_existing_promise(self):
-        ghost = Promise("rect", "viewer", give("height"))
-        with pytest.raises(DanglingReferenceError):
-            build_graph(AGENTS, TYPES, [], [width_promise()],
-                        [Valuation("rect", ghost, 1.0)])
-
-    def test_valuer_must_be_a_party(self):
-        promise = width_promise()
-        with pytest.raises(DanglingReferenceError):
-            build_graph(
-                AGENTS + [Agent.make("other")], TYPES, [], [promise],
-                [Valuation("other", promise, 1.0)],
-            )
-        graph = build_graph(AGENTS, TYPES, [], [promise],
-                            [Valuation("viewer", promise, 2.5)])
-        assert graph.valuations[0].worth == 2.5
 
 
 # ---------------------------------------------------------------------------
