@@ -619,7 +619,7 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
                 refs.append((f"child {child.name}: {format_body(body)}", scoped))
 
         joint = closure(joint_eqs)
-        if not satisfiable(joint_eqs, scenario.neqs):
+        if not joint.admits(scenario.neqs):
             detail = _clash_detail(joint)
             if scenario.active:
                 detail += f" (when {scenario.describe()})"
@@ -876,7 +876,7 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
             part = closure(eqs)
             when = f" (when {scenario.describe()})" if scenario.active else ""
 
-            if not satisfiable(eqs, scenario.neqs):
+            if not part.admits(scenario.neqs):
                 contributors = [p for p in active if scoped[p]]
                 add(
                     Finding(

@@ -1,7 +1,8 @@
 """The ``pml`` command: parse, check, and summarize promise models.
 
 Exit codes: 0 clean; 1 findings at policy-violation severity or worse;
-2 parse/resolve failure or unreadable input; 3 usage error.
+2 parse/resolve failure, unreadable input or an unwritable ``-o`` path;
+3 usage error.
 """
 from __future__ import annotations
 
@@ -30,6 +31,10 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_USAGE = 3
+
+
+class _OutputError(Exception):
+    """An ``-o`` path that cannot be written; ``main`` reports it."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,11 +120,14 @@ def _emit(report: Report, as_json: bool, output: Union[str, None]) -> None:
 
 
 def _write(text: str, output: Union[str, None]) -> None:
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _OutputError(f"pml: cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _exit_for(findings: Sequence[Finding]) -> int:
@@ -252,7 +260,11 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _OutputError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 def entry() -> None:

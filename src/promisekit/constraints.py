@@ -112,6 +112,13 @@ class TermPartition:
                 return (consts[0], consts[1])
         return None
 
+    def admits(self, disequalities: Iterable[tuple[Term, Term]] = ()) -> bool:
+        """True iff no class holds two distinct constants and no disequality
+        pair falls inside one class."""
+        if self.constant_clash() is not None:
+            return False
+        return not any(self.same_class(a, b) for a, b in disequalities)
+
     def merged_pairs(self, vocabulary: Iterable[Term]) -> tuple[tuple[Term, Term], ...]:
         """All same-class pairs drawn from ``vocabulary``."""
         vocab = set(vocabulary)
@@ -155,15 +162,8 @@ def satisfiable(
     constraints: Iterable[EqConstraint],
     disequalities: Iterable[tuple[Term, Term]] = (),
 ) -> bool:
-    """True iff no class holds two distinct constants and no disequality pair
-    falls inside one class."""
-    part = closure(constraints)
-    if part.constant_clash() is not None:
-        return False
-    for a, b in disequalities:
-        if part.same_class(a, b):
-            return False
-    return True
+    """True iff the closure of ``constraints`` admits ``disequalities``."""
+    return closure(constraints).admits(disequalities)
 
 
 def reduce(constraints: Iterable[EqConstraint]) -> frozenset[EqConstraint]:
@@ -211,11 +211,10 @@ def entails(
 ) -> bool:
     """True iff every candidate equality already holds in closure(base).
     Both sets must be satisfiable."""
-    base_list = list(base)
+    part = closure(base)
     cand_list = list(candidate)
-    if not satisfiable(base_list) or not satisfiable(cand_list):
+    if not part.admits() or not satisfiable(cand_list):
         raise UnsatisfiableError("entails requires satisfiable constraint sets")
-    part = closure(base_list)
     return all(part.same_class(c.lhs, c.rhs) for c in cand_list)
 
 
@@ -285,14 +284,11 @@ def condition_satisfiable(*conds: Condition) -> bool:
 
 
 def _conjunction_witness(
-    eqs: Sequence[EqConstraint],
-    neqs: Sequence[tuple[Term, Term]],
-    flags: dict[str, bool],
+    part: TermPartition, flags: dict[str, bool]
 ) -> tuple[tuple[str, str], ...]:
-    """A satisfying assignment sketch: one value per class, flags as booleans.
-    Distinct classes get distinct synthetic values, so all disequalities hold."""
-    extra = [t for pair in neqs for t in pair]
-    part = closure(eqs, extra)
+    """A satisfying assignment sketch: one value per class of ``part``, flags
+    as booleans.  Distinct classes get distinct synthetic values, so every
+    disequality between two classes holds."""
     entries: list[tuple[str, str]] = []
     fresh = 0
     for cls in part.classes:
@@ -317,11 +313,10 @@ def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
     if conjunction is None:
         return ExclusivityVerdict(exclusive=True)
     eqs, neqs, flags = conjunction
-    if not satisfiable(eqs, neqs):
+    part = closure(eqs, [t for pair in neqs for t in pair])
+    if not part.admits(neqs):
         return ExclusivityVerdict(exclusive=True)
-    return ExclusivityVerdict(
-        exclusive=False, witness=_conjunction_witness(eqs, neqs, flags)
-    )
+    return ExclusivityVerdict(exclusive=False, witness=_conjunction_witness(part, flags))
 
 
 @dataclass(frozen=True)

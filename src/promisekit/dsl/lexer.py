@@ -3,15 +3,15 @@
 Produces a flat token stream plus recoverable diagnostics; the parser never
 sees raw text.  ``#`` starts a line comment.  Keywords are reserved words.
 
-Two paths produce the same tokens.  The fast path matches one compiled
-alternation at the current offset: whitespace and comments, ASCII-initial
-identifiers and keywords, ASCII numbers, ``$params``, strings without escapes,
-and operators.  Everything else goes through the slow path, which scans one
-token a character at a time: identifiers and numbers that start with or run
-into a non-ASCII letter or digit, strings with escapes or without a closing
-quote, a ``$`` without a name, and illegal characters.  Identifiers continue
-over ``str.isalnum`` characters and numbers over ``str.isdecimal`` ones, so
-'²' (a digit to ``isdigit`` but not to ``float``) is an illegal character.
+Whitespace is space, tab, carriage return and newline.  Identifiers and
+keywords start on an ``str.isalpha`` character or ``_`` and continue over
+``str.isalnum`` characters and ``_``; a parameter is ``$`` followed by an
+identifier.  Numbers are runs of ``str.isdecimal`` digits with an optional
+fraction, so '²' (a digit to ``isdigit`` but not to ``float``) is an illegal
+character.  A string ends at its closing quote or, unterminated, at a line
+end or the end of the text; its escapes are ``\\\\ \\" \\n \\t``, and
+any other escaped character, a line end included, is reported and kept as
+it is.
 """
 from __future__ import annotations
 
@@ -72,17 +72,26 @@ class Token:
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
-# The fast path.  Its ASCII runs stop where ``isalnum``/``isdecimal`` would go
-# on, so ``tokenize`` sends a word, number or parameter that is followed by a
-# non-ASCII character to the slow path instead.
-_FAST = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]+|#[^\n]*)+)"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<number>[0-9]+(?:\.[0-9]+)?)"
-    r"|(?P<param>\$[A-Za-z_][A-Za-z0-9_]*)"
-    r'|(?P<string>"[^"\\\n]*")'
+# One match takes the whitespace and comments before a token, then the token;
+# at the end of the text it takes only the former.  On str patterns \w is
+# exactly ``isalnum() or "_"`` and \d is ``isdecimal()``.  [^\W\d] also takes
+# characters that are digits or numerals but not letters ('²', 'Ⅻ', '①'), so
+# a name's first character is matched alone and checked with ``isalpha``
+# before _NAME_TAIL takes the rest; taking the whole name in the same match
+# would scan a run of such characters again after each one.  A string takes
+# in escapes, a backslash-newline and a missing closing quote.  The last
+# alternative is any single character.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(?P<word>[^\W\d])"
+    r"|(?P<number>\d+(?:\.\d+)?)"
+    r"|(?P<param>\$[^\W\d])"
+    r'|(?P<string>"(?:[^"\\\n]|\\[\s\S]?)*"?)'
     r"|(?P<op>->|==|!=|[;,:.{}=])"
+    r"|(?P<other>[\s\S]))?"
 )
+_NAME_TAIL = re.compile(r"\w*")
+_ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
 def tokenize(text: str, file: str = "<model>") -> tuple[list[Token], list[Diagnostic]]:
@@ -91,45 +100,50 @@ def tokenize(text: str, file: str = "<model>") -> tuple[list[Token], list[Diagno
     i = 0
     line = 1
     col = 1
-    n = len(text)
-    match = _FAST.match
-    # In pure-ASCII text no fast token can be cut short by a non-ASCII tail.
-    all_ascii = text.isascii()
+    match = _TOKEN.match
+    name_tail = _NAME_TAIL.match
 
-    while i < n:
+    while True:
         m = match(text, i)
-        kind = m.lastgroup if m is not None else None
-        if kind == "skip":
-            end = m.end()
-            newline = text.rfind("\n", i, end)
-            if newline < 0:
-                col += end - i
+        kind = m.lastgroup
+        end = m.end()
+        start = m.start(kind) if kind else end
+        if start > i:
+            line, col = _position(text, i, start, line, col)
+            i = start
+        if kind is None:
+            break
+        if kind == "word" or kind == "param":
+            head = text[end - 1]
+            if head.isalpha() or head == "_":
+                end = name_tail(text, end).end()
             else:
-                line += text.count("\n", i, end)
-                col = end - newline
-            i = end
-            continue
-        # Two characters: a number may go on with "." and a non-ASCII digit.
-        if kind is not None and (
-            all_ascii or kind in ("string", "op") or text[m.end() : m.end() + 2].isascii()
-        ):
-            raw = m.group()
-            end = m.end()
-            if kind == "word":
-                type_, value = (KEYWORD if raw in KEYWORDS else IDENT), raw
-            elif kind == "number":
-                type_, value = NUMBER, _number(raw)
-            elif kind == "param":
-                type_, value = PARAM, raw[1:]
-            elif kind == "string":
-                type_, value = STRING, raw[1:-1]
-            else:
-                type_, value = OP, raw
-            stop = col + end - i
-            tokens.append(Token(type_, value, raw, SourceSpan(file, line, col, line, stop, i, end)))
-            i, col = end, stop
-            continue
-        i, line, col = _slow_token(text, file, i, line, col, tokens, diagnostics)
+                kind, end = "other", i + 1
+        raw = text[i:end]
+        end_line, end_col = line, col + end - i
+        if kind == "word":
+            type_, value = (KEYWORD if raw in KEYWORDS else IDENT), raw
+        elif kind == "op":
+            type_, value = OP, raw
+        elif kind == "number":
+            type_, value = NUMBER, _number(raw)
+        elif kind == "param":
+            type_, value = PARAM, raw[1:]
+        elif kind == "string":
+            type_, value = STRING, raw[1:-1]
+            if "\\" in raw or len(raw) == 1 or raw[-1] != '"':
+                value = _string(text, i, end, line, col, file, diagnostics)
+                end_line, end_col = _position(text, i, end, line, col)
+        span = SourceSpan(file, line, col, end_line, end_col, i, end)
+        if kind != "other":
+            tokens.append(Token(type_, value, raw, span))
+        elif raw == "$":
+            message = "'$' must be followed by a parameter name"
+            diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_PARAM, message, span))
+        else:
+            message = f"unexpected character {raw!r}"
+            diagnostics.append(Diagnostic(ERROR, E_LEX_ILLEGAL_CHAR, message, span))
+        i, line, col = end, end_line, end_col
 
     eof_span = SourceSpan(file, line, col, line, col, i, i)
     tokens.append(Token(EOF, "", "", eof_span))
@@ -141,120 +155,39 @@ def _number(raw: str) -> Union[int, float]:
     return int(value) if value.is_integer() else value
 
 
-def _slow_token(
-    text: str,
-    file: str,
-    i: int,
-    line: int,
-    col: int,
-    tokens: list[Token],
-    diagnostics: list[Diagnostic],
-) -> tuple[int, int, int]:
-    """Scan one token (or one diagnosed character) character by character.
+def _position(text: str, start: int, stop: int, line: int, col: int) -> tuple[int, int]:
+    """The line and column of offset ``stop``, given those of ``start``."""
+    newline = text.rfind("\n", start, stop)
+    if newline < 0:
+        return line, col + stop - start
+    return line + text.count("\n", start, stop), stop - newline
 
-    Handles what the fast pattern leaves out: non-ASCII identifiers and
-    digits, strings with escapes or without a closing quote, a ``$`` without
-    a name, and illegal characters.  Returns the new (offset, line, column).
-    """
-    n = len(text)
-    start_i, start_line, start_col = i, line, col
 
-    def span_here() -> SourceSpan:
-        return SourceSpan(file, start_line, start_col, line, col, start_i, i)
-
-    def emit(type_: str, value) -> None:
-        tokens.append(Token(type_, value, text[start_i:i], span_here()))
-
-    def advance() -> None:
-        nonlocal i, line, col
-        if i < n and text[i] == "\n":
-            line += 1
-            col = 1
+def _string(
+    text: str, i: int, end: int, line: int, col: int, file: str, diagnostics: list[Diagnostic]
+) -> str:
+    """The value of the string token ``text[i:end]``, which holds a backslash
+    or has no closing quote.  Reports each unknown escape, with a span that
+    ends just past its backslash, then a missing closing quote."""
+    parts = []
+    pos = i + 1
+    for escape in _ESCAPE.finditer(text, i + 1, end):
+        char = escape.group(1)
+        parts.append(text[pos : escape.start()])
+        if char in _ESCAPES:
+            parts.append(_ESCAPES[char])
         else:
-            col += 1
-        i += 1
-
-    ch = text[i]
-    if ch.isalpha() or ch == "_":
-        while i < n and (text[i].isalnum() or text[i] == "_"):
-            advance()
-        word = text[start_i:i]
-        emit(KEYWORD if word in KEYWORDS else IDENT, word)
-    elif ch.isdecimal():
-        # isdecimal, not isdigit: float() rejects digits such as '²'.
-        while i < n and text[i].isdecimal():
-            advance()
-        if i + 1 < n and text[i] == "." and text[i + 1].isdecimal():
-            advance()
-            while i < n and text[i].isdecimal():
-                advance()
-        emit(NUMBER, _number(text[start_i:i]))
-    elif ch == "$":
-        advance()
-        if i >= n or not (text[i].isalpha() or text[i] == "_"):
-            diagnostics.append(
-                Diagnostic(
-                    ERROR,
-                    E_LEX_BAD_PARAM,
-                    "'$' must be followed by a parameter name",
-                    span_here(),
-                )
-            )
-        else:
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                advance()
-            emit(PARAM, text[start_i + 1 : i])
-    elif ch == '"':
-        advance()
-        value_chars: list[str] = []
-        closed = False
-        while i < n:
-            c = text[i]
-            if c == '"':
-                advance()
-                closed = True
-                break
-            if c == "\n":
-                break
-            if c == "\\":
-                advance()
-                if i < n and text[i] in _ESCAPES:
-                    value_chars.append(_ESCAPES[text[i]])
-                    advance()
-                else:
-                    bad = text[i] if i < n else "<eof>"
-                    diagnostics.append(
-                        Diagnostic(
-                            ERROR,
-                            E_LEX_BAD_ESCAPE,
-                            f"unknown escape '\\{bad}' in string",
-                            span_here(),
-                        )
-                    )
-                    if i < n:
-                        value_chars.append(text[i])
-                        advance()
-                continue
-            value_chars.append(c)
-            advance()
-        if not closed:
-            diagnostics.append(
-                Diagnostic(
-                    ERROR,
-                    E_LEX_UNTERMINATED_STRING,
-                    "string literal is never closed",
-                    span_here(),
-                )
-            )
-        emit(STRING, "".join(value_chars))
-    else:
-        advance()
-        diagnostics.append(
-            Diagnostic(
-                ERROR,
-                E_LEX_ILLEGAL_CHAR,
-                f"unexpected character {ch!r}",
-                span_here(),
-            )
-        )
-    return i, line, col
+            reach = escape.start() + 1
+            span = SourceSpan(file, line, col, *_position(text, i, reach, line, col), i, reach)
+            message = f"unknown escape '\\{char or '<eof>'}' in string"
+            diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_ESCAPE, message, span))
+            parts.append(char)
+        pos = escape.end()
+    # Past the last escape, a quote can only be the closing one.
+    closed = pos < end and text[end - 1] == '"'
+    parts.append(text[pos : end - 1 if closed else end])
+    if not closed:
+        span = SourceSpan(file, line, col, *_position(text, i, end, line, col), i, end)
+        message = "string literal is never closed"
+        diagnostics.append(Diagnostic(ERROR, E_LEX_UNTERMINATED_STRING, message, span))
+    return "".join(parts)

@@ -100,6 +100,28 @@ class TestExitCodes:
         else:
             assert (captured.out, captured.err) == (diagnostics + "no findings\n", "")
 
+    # dot prints input errors on stderr and writes no file, so it has no
+    # "broken" case.
+    @pytest.mark.parametrize(
+        "command, source",
+        [(c, "model") for c in ("check", "roles", "classes", "isa", "dot")]
+        + [(c, "broken") for c in ("check", "roles", "classes", "isa")],
+    )
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing-dir", "No such file or directory"), ("directory", "Is a directory")],
+    )
+    def test_unwritable_output_path(
+        self, command, source, target, reason, broken_file, tmp_path, capsys
+    ):
+        """An -o path that cannot be opened: exit 2, nothing on stdout and one
+        line on stderr, also when the report only lists input errors."""
+        output = tmp_path / "missing" / "out.txt" if target == "missing-dir" else tmp_path
+        path = GEOMETRY if source == "model" else broken_file
+        argv = [command, path] + (["Square", "Rectangle"] if command == "isa" else [])
+        assert main(argv + ["-o", str(output)]) == 2
+        assert capsys.readouterr() == ("", f"pml: cannot write {output}: {reason}\n")
+
     def test_superscript_digit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "superscript.pml"
         path.write_text(

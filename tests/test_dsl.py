@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from promisekit import corpus
 from promisekit.dsl import (
@@ -126,19 +126,24 @@ class TestLexer:
         ]
 
 
-# One- and several-character pieces: non-ASCII letters and digits, line
-# ends, escapes, unterminated strings, parameters and the two-character
-# operators, so that random texts hit both the fast and the slow path.
+# One- and several-character pieces: letters, digits and numerals outside
+# ASCII (some of which continue a name but cannot start one), whitespace the
+# language does not skip, line ends, escapes, a backslash-newline,
+# unterminated strings, parameters and the two-character operators, so that
+# random texts reach every alternative of the lexer's pattern.
 LEX_PIECES = [
     "a", "Z", "_", "k9", "0", "7", ".", ";", ",", ":", "{", "}", "=", "-",
     ">", "!", "$", "#", "3.", '"', "\\", " ", "\t", "\r", "\n", "@", "é", "²",
-    "½", "١", "->", "==", "!=", "give", "agent", "$p", "12.5", '"ab"',
-    '"a\\nb"', '"a\\qb"', '"open', "# note\n",
+    "½", "١", "Ⅻ", "①", "ß", "Ω", "日本", "\u00a0", "\x0c", "$²", "$é", "_²",
+    "a²", "->", "==", "!=", "give", "agent", "$p", "12.5", '"ab"', '"a\\nb"',
+    '"a\\qb"', '"a\\\nb"', '"open', "# note\n",
 ]
 
 
 @settings(max_examples=400)
 @given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
+@example('x = "a\\\nb";')
+@example("Ⅻ1 aⅫ $Ⅻ")
 def test_lexer_matches_the_reference_lexer(text):
     def observed(result):
         tokens, diags = result

@@ -1,7 +1,8 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no module
+defines a private name it never uses.
 
-Package ``__init__`` modules are exempt, because their imports are the
-public re-exports.
+Package ``__init__`` modules are exempt from the import check, because their
+imports are the public re-exports.
 """
 from __future__ import annotations
 
@@ -34,8 +35,32 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each module-level function, class or constant named ``_name``, with
+    the line of its definition."""
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
 def _used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    """Each name the module reads, also inside a quoted annotation."""
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
     # A quoted annotation such as -> "Bundle" uses the names inside it.
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
@@ -56,6 +81,17 @@ def test_no_module_imports_an_unused_name():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         used = _used_names(tree)
         for name, line in sorted(_imported_names(tree).items()):
+            if name not in used:
+                unused.append(f"{path.relative_to(PACKAGE)}:{line}: {name}")
+    assert unused == []
+
+
+def test_no_module_defines_an_unused_private_name():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = _used_names(tree)
+        for name, line in sorted(_private_definitions(tree).items()):
             if name not in used:
                 unused.append(f"{path.relative_to(PACKAGE)}:{line}: {name}")
     assert unused == []
