@@ -512,36 +512,108 @@ class _Scenario:
         return " & ".join(sorted(format_condition(c) for c in self.active))
 
 
+def _components(conditions: Sequence[Condition]) -> list[list[int]]:
+    """Indices of ``conditions`` grouped so that no two groups share a flag
+    name or a non-constant term, each group in ascending order.
+
+    Conditions in different groups never clash.  A clash joins two distinct
+    constants, or the two sides of one disequality, by a chain of
+    equalities.  Inside a shortest chain every term is a non-constant, except
+    at most one constant between the non-constant sides of a disequality,
+    and then both halves touch the disequality's own terms.  So each clash
+    lies inside one group."""
+    parent = list(range(len(conditions)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[object, int] = {}
+    for i, cond in enumerate(conditions):
+        for lit in cond.literals:
+            if isinstance(lit, FlagLiteral):
+                keys: tuple = (("flag", lit.name),)
+            else:
+                keys = tuple(t for t in (lit.lhs, lit.rhs) if not is_constant(t))
+            for key in keys:
+                parent[find(i)] = find(owner.setdefault(key, i))
+    groups: dict[int, list[int]] = {}
+    for i in range(len(conditions)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _maximal_subsets(
+    conditions: Sequence[Condition], members: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The maximal satisfiable subsets of ``members`` (indices into
+    ``conditions``), by include/exclude backtracking in member order."""
+    found: list[tuple[int, ...]] = []
+    # (next position, chosen indices, indices left out although they fit)
+    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
+    while stack:
+        pos, chosen, skipped = stack.pop()
+        if pos == len(members):
+            held = [conditions[i] for i in chosen]
+            if not any(condition_satisfiable(*held, conditions[i]) for i in skipped):
+                found.append(chosen)
+            continue
+        i = members[pos]
+        held = [conditions[j] for j in chosen + (i,)]
+        rest = [conditions[j] for j in members[pos + 1 :]]
+        if condition_satisfiable(*held, *rest):
+            # Every set that leaves i out still fits i: none is maximal.
+            stack.append((pos + 1, chosen + (i,), skipped))
+        elif rest and condition_satisfiable(*held):
+            stack.append((pos + 1, chosen, skipped + (i,)))
+            stack.append((pos + 1, chosen + (i,), skipped))
+        else:
+            stack.append((pos + 1, chosen, skipped))
+    return found
+
+
 def _scenarios(conditions: Iterable[Condition]) -> list[_Scenario]:
     """Maximal co-satisfiable combinations of the distinct conditions seen.
 
     Each scenario carries the equality/disequality premises its conditions
-    impose; bodies with conditions outside the scenario are dormant."""
+    impose; bodies with conditions outside the scenario are dormant.
+
+    The satisfiable distinct conditions split into independent components
+    (``_components``); include/exclude backtracking finds each component's
+    maximal satisfiable subsets, and the worlds are their product.  The
+    result is exact, with no cap.  Worlds come largest first, then in order
+    of the sorted indices of their conditions.
+
+    Cost: each backtracking step runs at most two satisfiability tests, and
+    each leaf one more per condition it left out although it fit.  The
+    exclude branch of a condition is cut when everything after it still
+    fits beside it, so compatible conditions and separate components cost
+    one step each, and the work grows with the number of worlds times the
+    number of conditions, not with 2^k.  Inside one component, a clash
+    among its last conditions keeps that cut from firing for the ones
+    before it; the backtracking can then visit exponentially many leaves
+    that its maximality test refutes."""
     distinct = sorted(
         {c for c in conditions if not c.is_empty},
         key=lambda c: format_condition(c),
     )
     viable = [c for c in distinct if condition_satisfiable(c)]
-    subsets: list[frozenset[Condition]] = []
-    for r in range(len(viable), -1, -1):
-        for combo in itertools.combinations(viable, r):
-            if not condition_satisfiable(*combo):
-                continue
-            chosen = frozenset(combo)
-            if any(chosen < bigger for bigger in subsets):
-                continue
-            if chosen not in subsets:
-                subsets.append(chosen)
-    if not subsets:
-        subsets = [frozenset()]
+    worlds: list[tuple[int, ...]] = [()]
+    for members in _components(viable):
+        subsets = _maximal_subsets(viable, members)
+        worlds = [world + subset for world in worlds for subset in subsets]
+    ordered = sorted((tuple(sorted(w)) for w in worlds), key=lambda w: (-len(w), w))
     scenarios = []
-    for chosen in subsets:
+    for world in ordered:
         eqs: list[EqConstraint] = []
         neqs: list[tuple[Term, Term]] = []
-        for cond in chosen:
-            ce, cn, _ = split_condition(cond)
+        for i in world:
+            ce, cn, _ = split_condition(viable[i])
             eqs.extend(ce)
             neqs.extend(cn)
+        chosen = frozenset(viable[i] for i in world)
         scenarios.append(_Scenario(chosen, tuple(eqs), tuple(neqs)))
     return scenarios
 
@@ -680,56 +752,60 @@ def _refs_touching(
 # ---------------------------------------------------------------------------
 
 def check_override_policy(base: Bundle, child: Bundle) -> list[Finding]:
-    """The base bundle's bodies are not to be overridden: conjoining the
-    child must neither contradict nor narrow any of them.  Parameters are a
+    """The base bundle's bodies are not to be overridden: in every world of
+    the two bundles' conditions, conjoining the child's bodies in force must
+    neither contradict nor narrow a base body in force.  Parameters are a
     shared namespace here — the child is editing the base's own variables."""
-    base_cons = [c for b in base.bodies for c in b.constraints]
-    child_cons = [c for b in child.bodies for c in b.constraints]
-    joint = closure(base_cons + child_cons)
     findings: list[Finding] = []
+    for scenario in _scenarios(b.condition for b in base.bodies + child.bodies):
+        when = f" (when {scenario.describe()})" if scenario.active else ""
+        base_bodies = [b for b in base.sorted_bodies() if _active(b, scenario)]
+        base_cons = [c for b in base_bodies for c in b.constraints]
+        child_cons = [
+            c for b in child.bodies if _active(b, scenario) for c in b.constraints
+        ]
+        joint = closure(list(scenario.eqs) + base_cons + child_cons)
 
-    clash_classes = [
-        set(cls)
-        for cls in joint.classes
-        if sum(1 for t in cls if is_constant(t)) > 1
-    ]
-    if clash_classes:
-        for body in base.sorted_bodies():
+        clash_classes = [
+            set(cls)
+            for cls in joint.classes
+            if sum(1 for t in cls if is_constant(t)) > 1
+        ] + [set(joint.class_of(a)) for a, b in scenario.neqs if joint.same_class(a, b)]
+        if clash_classes:
+            for body in base_bodies:
+                terms = {t for c in body.constraints for t in c.terms()}
+                if any(terms & cls for cls in clash_classes):
+                    findings.append(
+                        Finding(
+                            Severity.POLICY_VIOLATION,
+                            "override-contradiction",
+                            f"base body '{format_body(body)}' of {base.name} is "
+                            f"contradicted by {child.name}{when}",
+                            _bundle_refs(child) + (f"bundle {base.name}: {format_body(body)}",),
+                        )
+                    )
+            continue
+
+        baseline = closure(list(scenario.eqs) + base_cons)
+        vocabulary = {t for c in base_cons for t in c.terms()}
+        new_pairs = joint.new_pairs_over(baseline, vocabulary)
+        for body in base_bodies:
             terms = {t for c in body.constraints for t in c.terms()}
-            if any(terms & cls for cls in clash_classes):
+            touching = [
+                f"{format_term(a)} ~ {format_term(b)}"
+                for a, b in new_pairs
+                if a in terms or b in terms
+            ]
+            if touching:
                 findings.append(
                     Finding(
                         Severity.POLICY_VIOLATION,
-                        "override-contradiction",
-                        f"base body '{format_body(body)}' of {base.name} is "
-                        f"contradicted by {child.name}",
+                        "override-restriction",
+                        f"base body '{format_body(body)}' of {base.name} is narrowed "
+                        f"by {child.name}{when}: {', '.join(touching)}",
                         _bundle_refs(child) + (f"bundle {base.name}: {format_body(body)}",),
                     )
                 )
-        return sorted(findings, key=finding_sort_key)
-
-    baseline = closure(base_cons)
-    vocabulary = {t for c in base_cons for t in c.terms()}
-    new_pairs = joint.new_pairs_over(baseline, vocabulary)
-    if not new_pairs:
-        return []
-    for body in base.sorted_bodies():
-        terms = {t for c in body.constraints for t in c.terms()}
-        touching = [
-            f"{format_term(a)} ~ {format_term(b)}"
-            for a, b in new_pairs
-            if a in terms or b in terms
-        ]
-        if touching:
-            findings.append(
-                Finding(
-                    Severity.POLICY_VIOLATION,
-                    "override-restriction",
-                    f"base body '{format_body(body)}' of {base.name} is narrowed "
-                    f"by {child.name}: {', '.join(touching)}",
-                    _bundle_refs(child) + (f"bundle {base.name}: {format_body(body)}",),
-                )
-            )
     return sorted(findings, key=finding_sort_key)
 
 

@@ -1,8 +1,9 @@
 """Slow, obviously correct oracles for cross-checking the fast code.
 
-Three families live here: finite-domain enumeration for the constraint
-engine, a character-by-character reference lexer, and linear scans standing
-in for the ``PromiseGraph`` indexes.
+Four families live here: finite-domain enumeration for the constraint
+engine, the sweep over every subset of conditions that the analyzers' world
+enumeration replaced, a character-by-character reference lexer, and linear
+scans standing in for the ``PromiseGraph`` indexes.
 
 The constraint oracles decide satisfiability and entailment the slow,
 obviously correct way: enumerate every assignment of domain values to the free terms
@@ -20,9 +21,11 @@ inside that regime.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+from promisekit.analysis import _Scenario
+from promisekit.constraints import condition_satisfiable, split_condition
 from promisekit.dsl.diagnostics import (
     Diagnostic,
     E_LEX_BAD_ESCAPE,
@@ -48,6 +51,7 @@ from promisekit.model import (
     Condition,
     EqConstraint,
     FlagLiteral,
+    format_condition,
     GIVE,
     is_constant,
     Promise,
@@ -220,6 +224,42 @@ def oracle_mutually_exclusive(
     domain: Sequence[Value] = (0, 1, 2),
 ) -> bool:
     return not oracle_conditions_satisfiable([c1, c2], domain)
+
+
+# ---------------------------------------------------------------------------
+# Worlds: every subset of the distinct conditions
+# ---------------------------------------------------------------------------
+
+def reference_scenarios(conditions: Iterable[Condition]) -> list[_Scenario]:
+    """Maximal co-satisfiable combinations of the distinct conditions seen,
+    found by testing all 2^k subsets, largest first."""
+    distinct = sorted(
+        {c for c in conditions if not c.is_empty},
+        key=lambda c: format_condition(c),
+    )
+    viable = [c for c in distinct if condition_satisfiable(c)]
+    subsets: list[frozenset[Condition]] = []
+    for r in range(len(viable), -1, -1):
+        for combo in combinations(viable, r):
+            if not condition_satisfiable(*combo):
+                continue
+            chosen = frozenset(combo)
+            if any(chosen < bigger for bigger in subsets):
+                continue
+            if chosen not in subsets:
+                subsets.append(chosen)
+    if not subsets:
+        subsets = [frozenset()]
+    scenarios = []
+    for chosen in subsets:
+        eqs: list[EqConstraint] = []
+        neqs: list[tuple[Term, Term]] = []
+        for cond in chosen:
+            ce, cn, _ = split_condition(cond)
+            eqs.extend(ce)
+            neqs.extend(cn)
+        scenarios.append(_Scenario(chosen, tuple(eqs), tuple(neqs)))
+    return scenarios
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Graph analyses: signatures, roles, structural checks, conflicts, classes."""
 from __future__ import annotations
 
-import pytest
-from hypothesis import assume, given, settings, strategies as st
+from collections import Counter
 
-from promisekit import corpus
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from promisekit import analysis, corpus
 from promisekit.analysis import (
+    _scenarios,
     bundle_signature,
     check_dispatch_pattern,
     check_extension,
@@ -45,6 +48,7 @@ from promisekit.model import (
     use,
 )
 
+from bruteforce import reference_scenarios
 from loaders import load_corpus, load_text
 
 WIDTH, HEIGHT, ANGLE = Attribute("width"), Attribute("height"), Attribute("angle")
@@ -420,6 +424,38 @@ class TestOverridePolicy:
         child = Bundle("Child", (give("depth", EqConstraint(Attribute("depth"), NumConst(2))),))
         assert check_override_policy(base, child) == []
 
+    def test_bodies_never_in_force_together_do_not_clash(self):
+        f, not_f = Condition.of(FlagLiteral("f")), Condition.of(FlagLiteral("f", True))
+        base = Bundle("Base", (give("width", EqConstraint(WIDTH, NumConst(1)), condition=f),))
+        child = Bundle("Child", (give("width", EqConstraint(WIDTH, NumConst(2)), condition=not_f),))
+        assert check_override_policy(base, child) == []
+
+    def test_a_clash_names_the_world_it_holds_in(self):
+        f, g = Condition.of(FlagLiteral("f")), Condition.of(FlagLiteral("g"))
+        base = Bundle("Base", (give("width", EqConstraint(WIDTH, NumConst(1)), condition=f),))
+        child = Bundle(
+            "Child",
+            (
+                give("width", EqConstraint(WIDTH, NumConst(2)), condition=f),
+                give("height", EqConstraint(WIDTH, HEIGHT), condition=g),
+            ),
+        )
+        findings = check_override_policy(base, child)
+        assert [(f.code, f.message) for f in findings] == [
+            (
+                "override-contradiction",
+                "base body '+width=1 if f' of Base is contradicted by Child (when f & g)",
+            )
+        ]
+
+    def test_a_child_that_breaks_the_world_premise_contradicts(self):
+        apart = Condition.of(CmpLiteral(WIDTH, "neq", HEIGHT))
+        base = Bundle("Base", (give("width", EqConstraint(WIDTH, P("w")), condition=apart),))
+        child = Bundle("Child", (link(P("w"), HEIGHT),))
+        findings = check_override_policy(base, child)
+        assert [f.code for f in findings] == ["override-contradiction"]
+        assert findings[0].message.endswith("(when height != width)")
+
 
 # ---------------------------------------------------------------------------
 # Dispatch pattern
@@ -704,3 +740,74 @@ def test_everything_satisfiable_is_itself(bundle):
     except UnsatisfiableError:
         assume(False)
     assert verdict.outcome == IS_A
+
+
+# ---------------------------------------------------------------------------
+# World enumeration: the subset sweep as oracle, and a counted cost bound
+# ---------------------------------------------------------------------------
+
+X, Y, Z = Attribute("x"), Attribute("y"), Attribute("z")
+CONDITION_TERMS = [X, Y, Z, P("p"), P("q"), NumConst(1), NumConst(2)]
+
+literal_st = st.one_of(
+    st.builds(FlagLiteral, st.sampled_from(["f", "g", "h"]), st.booleans()),
+    st.builds(
+        CmpLiteral,
+        st.sampled_from(CONDITION_TERMS),
+        st.sampled_from(["eq", "neq"]),
+        st.sampled_from(CONDITION_TERMS),
+    ),
+)
+condition_st = st.builds(Condition, st.frozensets(literal_st, max_size=3))
+
+
+def eq(a, b) -> Condition:
+    return Condition.of(CmpLiteral(a, "eq", b))
+
+
+def neq(a, b) -> Condition:
+    return Condition.of(CmpLiteral(a, "neq", b))
+
+
+def worlds(scenarios) -> list[tuple]:
+    """Each world's conditions and premises, premises as multisets."""
+    return [(s.active, Counter(s.eqs), Counter(s.neqs)) for s in scenarios]
+
+
+@settings(max_examples=300)
+@example([eq(X, Y), eq(Y, Z), neq(X, Z)])
+@example([eq(X, NumConst(1)), eq(Y, NumConst(1)), neq(X, Y)])
+@example(  # two components whose worlds interleave in index order
+    [
+        Condition.of(FlagLiteral("f"), FlagLiteral("g", True)),
+        Condition.of(FlagLiteral("f", True), FlagLiteral("g")),
+        Condition.of(FlagLiteral("f", True), FlagLiteral("g", True)),
+        Condition.of(FlagLiteral("h")),
+        Condition.of(FlagLiteral("h", True)),
+    ]
+)
+@given(st.lists(condition_st, max_size=8))
+def test_scenarios_match_the_subset_sweep(family):
+    assert worlds(_scenarios(family)) == worlds(reference_scenarios(family))
+
+
+def test_world_count_not_subset_count_sets_the_cost(monkeypatch):
+    calls = 0
+    real = analysis.condition_satisfiable
+
+    def counting(*conds):
+        nonlocal calls
+        calls += 1
+        return real(*conds)
+
+    monkeypatch.setattr(analysis, "condition_satisfiable", counting)
+    family = [Condition.of(FlagLiteral(f"g{i}")) for i in range(20)] + [
+        Condition.of(FlagLiteral(name, negated))
+        for name in ("a", "b")
+        for negated in (False, True)
+    ]
+    scenarios = _scenarios(family)
+    assert len(scenarios) == 4
+    assert all(len(s.active) == 22 for s in scenarios)
+    # The subset sweep needed 2^24 tests here; k^2 bounds the enumeration.
+    assert calls <= len(family) ** 2
