@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .diagnostics import SourceSpan
+from .diagnostics import LineIndex, SourceSpan
 
-_NO_SPAN = SourceSpan("<none>", 1, 1, 1, 1, 0, 0)
+_NO_SPAN = SourceSpan("<none>", 0, 0, LineIndex(""))
 
 
 def _span_field() -> SourceSpan:

@@ -1,6 +1,15 @@
-"""Diagnostics with stable codes and source spans."""
+"""Diagnostics with stable codes and source spans.
+
+A span is a file name and two character offsets into that file's text, plus
+the text's shared ``LineIndex``.  Lines and columns are worked out from the
+offsets only when a diagnostic is formatted, sorted or written as JSON, so
+the lexer and parser never count lines.
+"""
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Literal
 
@@ -11,6 +20,7 @@ WARNING = "warning"
 E_LEX_ILLEGAL_CHAR = "E-LEX-001"
 E_LEX_UNTERMINATED_STRING = "E-LEX-002"
 E_LEX_BAD_ESCAPE = "E-LEX-003"
+E_LEX_NUMBER_RANGE = "E-LEX-004"
 E_LEX_BAD_PARAM = "E-LEX-005"
 
 # Parser
@@ -33,40 +43,80 @@ E_RESOLVE_TYPE_COLLISION = "E-RESOLVE-010"
 W_AUTONOMY = "W-AUTONOMY-001"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """A half-open region of one file; lines and columns are 1-based, offsets
-    are 0-based character indexes into the source text."""
+_NEWLINE = re.compile("\n")
 
-    file: str
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    start_offset: int = 0
-    end_offset: int = 0
 
-    def __post_init__(self) -> None:
-        if (self.end_line, self.end_col) < (self.start_line, self.start_col):
+class LineIndex:
+    """Where the lines of one source text start, shared by all its spans.
+
+    The newline offsets are found on the first call of ``position``; in the
+    program, only formatting, sorting or writing out a diagnostic makes one.
+    """
+
+    __slots__ = ("text", "_newlines")
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self._newlines: list[int] | None = None
+
+    def position(self, offset: int) -> tuple[int, int]:
+        """The 1-based line and column of a 0-based offset.  A line ends
+        with its newline; the column counts characters."""
+        newlines = self._newlines
+        if newlines is None:
+            newlines = self._newlines = [m.start() for m in _NEWLINE.finditer(self.text)]
+        line = bisect_left(newlines, offset)
+        return line + 1, (offset - newlines[line - 1] if line else offset + 1)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, LineIndex) and self.text == other.text
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
+
+class SourceSpan(namedtuple("SourceSpan", "file start_offset end_offset lines")):
+    """A half-open region ``[start_offset, end_offset)`` of one file, as
+    0-based character offsets into the text that ``lines`` indexes.
+
+    ``start_line``, ``start_col``, ``end_line`` and ``end_col`` are 1-based
+    and derived from the offsets.  Offset 0 is line 1, column 1 of every
+    text, so a span at the start of a file may carry ``LineIndex("")``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, file: str, start_offset: int, end_offset: int, lines: LineIndex):
+        if end_offset < start_offset:
             raise ValueError("span must not end before it starts")
+        return tuple.__new__(cls, (file, start_offset, end_offset, lines))
+
+    @property
+    def start_line(self) -> int:
+        return self.lines.position(self.start_offset)[0]
+
+    @property
+    def start_col(self) -> int:
+        return self.lines.position(self.start_offset)[1]
+
+    @property
+    def end_line(self) -> int:
+        return self.lines.position(self.end_offset)[0]
+
+    @property
+    def end_col(self) -> int:
+        return self.lines.position(self.end_offset)[1]
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
-        start = min((self.start_line, self.start_col), (other.start_line, other.start_col))
-        end = max((self.end_line, self.end_col), (other.end_line, other.end_col))
         return SourceSpan(
             self.file,
-            *start,
-            *end,
             min(self.start_offset, other.start_offset),
             max(self.end_offset, other.end_offset),
+            self.lines,
         )
 
     def overlaps_offsets(self, start: int, end: int) -> bool:
         return self.start_offset < end and start < self.end_offset
-
-
-def point_span(file: str, line: int, col: int, offset: int) -> SourceSpan:
-    return SourceSpan(file, line, col, line, col + 1, offset, offset + 1)
 
 
 @dataclass(frozen=True)

@@ -7,25 +7,33 @@ Whitespace is space, tab, carriage return and newline.  Identifiers and
 keywords start on an ``str.isalpha`` character or ``_`` and continue over
 ``str.isalnum`` characters and ``_``; a parameter is ``$`` followed by an
 identifier.  Numbers are runs of ``str.isdecimal`` digits with an optional
-fraction, so '²' (a digit to ``isdigit`` but not to ``float``) is an illegal
-character.  A string ends at its closing quote or, unterminated, at a line
-end or the end of the text; its escapes are ``\\\\ \\" \\n \\t``, and
-any other escaped character, a line end included, is reported and kept as
-it is.
+fraction, so '²' (a digit to ``isdigit`` but not to ``int``) is an illegal
+character.  A digit run is read as an exact ``int`` of any size up to the
+digit limit of ``int()`` (``sys.get_int_max_str_digits()``, 4300 by
+default); a fraction is read as the nearest ``float``, and as an ``int``
+when that float is integral.  A number that neither holds is reported
+(E-LEX-004) and yields no token.  A string ends at its closing quote or,
+unterminated, at a line end or the end of the text; its escapes are
+``\\\\ \\" \\n \\t``, and any other escaped character, a line end
+included, is reported and kept as it is.
+
+Spans are character offsets; every span of one text shares that text's
+``LineIndex``, so the lexer keeps no line or column count.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .diagnostics import (
     Diagnostic,
     E_LEX_BAD_ESCAPE,
     E_LEX_BAD_PARAM,
     E_LEX_ILLEGAL_CHAR,
+    E_LEX_NUMBER_RANGE,
     E_LEX_UNTERMINATED_STRING,
     ERROR,
+    LineIndex,
     SourceSpan,
 )
 
@@ -56,8 +64,9 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its kind, its value, the text it was read from, and where."""
+
     type: str
     value: Union[str, int, float]
     text: str
@@ -71,6 +80,7 @@ class Token:
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_INFINITY = float("inf")
 
 # One match takes the whitespace and comments before a token, then the token;
 # at the end of the text it takes only the former.  On str patterns \w is
@@ -97,9 +107,8 @@ _ESCAPE = re.compile(r"\\([\s\S]?)")
 def tokenize(text: str, file: str = "<model>") -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
+    lines = LineIndex(text)
     i = 0
-    line = 1
-    col = 1
     match = _TOKEN.match
     name_tail = _NAME_TAIL.match
 
@@ -107,12 +116,10 @@ def tokenize(text: str, file: str = "<model>") -> tuple[list[Token], list[Diagno
         m = match(text, i)
         kind = m.lastgroup
         end = m.end()
-        start = m.start(kind) if kind else end
-        if start > i:
-            line, col = _position(text, i, start, line, col)
-            i = start
         if kind is None:
+            i = end
             break
+        i = m.start(kind)
         if kind == "word" or kind == "param":
             head = text[end - 1]
             if head.isalpha() or head == "_":
@@ -120,51 +127,54 @@ def tokenize(text: str, file: str = "<model>") -> tuple[list[Token], list[Diagno
             else:
                 kind, end = "other", i + 1
         raw = text[i:end]
-        end_line, end_col = line, col + end - i
+        span = SourceSpan(file, i, end, lines)
         if kind == "word":
-            type_, value = (KEYWORD if raw in KEYWORDS else IDENT), raw
+            tokens.append(Token(KEYWORD if raw in KEYWORDS else IDENT, raw, raw, span))
         elif kind == "op":
-            type_, value = OP, raw
+            tokens.append(Token(OP, raw, raw, span))
         elif kind == "number":
-            type_, value = NUMBER, _number(raw)
+            value = _number(raw)
+            if value is None:
+                message = "number literal is too large to read"
+                diagnostics.append(Diagnostic(ERROR, E_LEX_NUMBER_RANGE, message, span))
+            else:
+                tokens.append(Token(NUMBER, value, raw, span))
         elif kind == "param":
-            type_, value = PARAM, raw[1:]
+            tokens.append(Token(PARAM, raw[1:], raw, span))
         elif kind == "string":
-            type_, value = STRING, raw[1:-1]
+            value = raw[1:-1]
             if "\\" in raw or len(raw) == 1 or raw[-1] != '"':
-                value = _string(text, i, end, line, col, file, diagnostics)
-                end_line, end_col = _position(text, i, end, line, col)
-        span = SourceSpan(file, line, col, end_line, end_col, i, end)
-        if kind != "other":
-            tokens.append(Token(type_, value, raw, span))
+                value = _string(text, i, end, file, lines, diagnostics)
+            tokens.append(Token(STRING, value, raw, span))
         elif raw == "$":
             message = "'$' must be followed by a parameter name"
             diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_PARAM, message, span))
         else:
             message = f"unexpected character {raw!r}"
             diagnostics.append(Diagnostic(ERROR, E_LEX_ILLEGAL_CHAR, message, span))
-        i, line, col = end, end_line, end_col
+        i = end
 
-    eof_span = SourceSpan(file, line, col, line, col, i, i)
-    tokens.append(Token(EOF, "", "", eof_span))
+    tokens.append(Token(EOF, "", "", SourceSpan(file, i, i, lines)))
     return tokens, diagnostics
 
 
-def _number(raw: str) -> Union[int, float]:
+def _number(raw: str) -> Union[int, float, None]:
+    """The exact integer of a digit run, or the nearest float of a fraction;
+    None when no number type holds it: an integer of more digits than
+    ``int`` reads, or a fraction too large for a finite float."""
+    if "." not in raw:
+        try:
+            return int(raw)
+        except ValueError:
+            return None
     value = float(raw)
+    if value == _INFINITY:
+        return None
     return int(value) if value.is_integer() else value
 
 
-def _position(text: str, start: int, stop: int, line: int, col: int) -> tuple[int, int]:
-    """The line and column of offset ``stop``, given those of ``start``."""
-    newline = text.rfind("\n", start, stop)
-    if newline < 0:
-        return line, col + stop - start
-    return line + text.count("\n", start, stop), stop - newline
-
-
 def _string(
-    text: str, i: int, end: int, line: int, col: int, file: str, diagnostics: list[Diagnostic]
+    text: str, i: int, end: int, file: str, lines: LineIndex, diagnostics: list[Diagnostic]
 ) -> str:
     """The value of the string token ``text[i:end]``, which holds a backslash
     or has no closing quote.  Reports each unknown escape, with a span that
@@ -177,8 +187,7 @@ def _string(
         if char in _ESCAPES:
             parts.append(_ESCAPES[char])
         else:
-            reach = escape.start() + 1
-            span = SourceSpan(file, line, col, *_position(text, i, reach, line, col), i, reach)
+            span = SourceSpan(file, i, escape.start() + 1, lines)
             message = f"unknown escape '\\{char or '<eof>'}' in string"
             diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_ESCAPE, message, span))
             parts.append(char)
@@ -187,7 +196,7 @@ def _string(
     closed = pos < end and text[end - 1] == '"'
     parts.append(text[pos : end - 1 if closed else end])
     if not closed:
-        span = SourceSpan(file, line, col, *_position(text, i, end, line, col), i, end)
+        span = SourceSpan(file, i, end, lines)
         message = "string literal is never closed"
         diagnostics.append(Diagnostic(ERROR, E_LEX_UNTERMINATED_STRING, message, span))
     return "".join(parts)

@@ -78,18 +78,16 @@ class Parser:
         self.tokens = tokens
         self.file = file
         self.pos = 0
+        self.current: Token = tokens[0]
         self.diagnostics: list[Diagnostic] = []
 
     # -- token plumbing -----------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.current
         if tok.type != EOF:
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return tok
 
     def _fail(self, expected: str) -> _ParseFailure:

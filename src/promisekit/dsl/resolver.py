@@ -77,6 +77,7 @@ from .diagnostics import (
     E_RESOLVE_VALUELESS_TYPE,
     ERROR,
     has_errors,
+    LineIndex,
     SourceSpan,
     W_AUTONOMY,
     WARNING,
@@ -106,9 +107,14 @@ class _Resolver:
         self.flat_bundles: dict[str, Bundle] = {}
         self.promises: list[Promise] = []
         self.promise_spans: dict[tuple, SourceSpan] = {}
+        self.body_texts: dict[PromiseBody, str] = {}
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(ERROR, code, message, span))
+
+    def file_start(self) -> SourceSpan:
+        """An empty span at line 1, column 1, which offset 0 is in any text."""
+        return SourceSpan(self.ast.file, 0, 0, LineIndex(""))
 
     # -- declaration collection --------------------------------------------
 
@@ -406,7 +412,7 @@ class _Resolver:
                 body = self.resolve_body(decl.item, kinds)
                 if body is None or not ok:
                     continue
-                group = derive_group(promiser, promisee, body)
+                group = derive_group(promiser, promisee, body, self.body_texts)
                 self.add_promise(promiser, promisee, body, group, decl.span)
 
     def add_promise(
@@ -438,18 +444,15 @@ class _Resolver:
                 self.promises,
             )
         except PromiseModelError as exc:  # pragma: no cover - prevalidated
-            span = SourceSpan(self.ast.file, 1, 1, 1, 1, 0, 0)
-            self.error(E_RESOLVE_DUPLICATE, str(exc), span)
+            self.error(E_RESOLVE_DUPLICATE, str(exc), self.file_start())
             return ResolveResult(None, sorted(self.diagnostics, key=diagnostic_sort_key))
 
         from ..model import validate_autonomy
 
         for finding in validate_autonomy(graph):
             p = finding.promise
-            span = self.promise_spans.get(
-                (p.promiser, p.promisee, p.group, p.body),
-                SourceSpan(self.ast.file, 1, 1, 1, 1, 0, 0),
-            )
+            key = (p.promiser, p.promisee, p.group, p.body)
+            span = self.promise_spans.get(key) or self.file_start()
             self.diagnostics.append(
                 Diagnostic(WARNING, W_AUTONOMY, finding.message, span)
             )

@@ -88,16 +88,32 @@ def term_key(term: Term) -> tuple:
     """Total order over terms: constants first, then named, attributes, parameters."""
     rank = _TERM_RANK[type(term)]
     if isinstance(term, NumConst):
-        return (rank, float(term.value), "")
+        # int and float compare exactly, and no int is too large to compare.
+        return (rank, term.value, "")
     if isinstance(term, StrConst):
         return (rank, 0.0, term.value)
     return (rank, 0.0, term.name)
 
 
 def format_number(value: Union[int, float]) -> str:
-    if isinstance(value, float) and value.is_integer():
+    """Positional notation that reads back as the same number.
+
+    An integral float prints as an integer.  Any other float prints with the
+    shortest digits that round-trip, those of ``repr``, with an exponent
+    written out as leading zeros: a float of 1e16 or more is integral, so
+    only negative exponents reach that step.
+    """
+    if not isinstance(value, float):
+        return str(value)
+    if value.is_integer():
         return str(int(value))
-    return str(value)
+    text = repr(value)
+    mantissa, e, exponent = text.partition("e")
+    if not e:
+        return text
+    sign = "-" if mantissa.startswith("-") else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    return f"{sign}0.{'0' * (-int(exponent) - 1)}{digits}"
 
 
 def escape_string(value: str) -> str:
@@ -519,9 +535,22 @@ def flatten_bundles(bundles: Iterable[Bundle]) -> tuple[Bundle, ...]:
     return tuple(sorted(flat.values(), key=lambda b: b.name))
 
 
-def derive_group(promiser: str, promisee: str, body: PromiseBody) -> str:
-    """Content-derived scope id for a directly declared promise body."""
-    return f"{promiser}->{promisee}|body:{format_body(body)}"
+def derive_group(
+    promiser: str,
+    promisee: str,
+    body: PromiseBody,
+    texts: Union[dict[PromiseBody, str], None] = None,
+) -> str:
+    """Content-derived scope id for a directly declared promise body.
+
+    ``texts``, when given, keeps ``format_body`` of each body for the
+    caller's next calls: many channels promise the same few bodies.
+    """
+    memo = {} if texts is None else texts
+    text = memo.get(body)
+    if text is None:
+        text = memo[body] = format_body(body)
+    return f"{promiser}->{promisee}|body:{text}"
 
 
 def bundle_group(promiser: str, promisee: str, bundle_name: str) -> str:

@@ -27,13 +27,12 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 from promisekit.analysis import _Scenario
 from promisekit.constraints import condition_satisfiable, split_condition
 from promisekit.dsl.diagnostics import (
-    Diagnostic,
     E_LEX_BAD_ESCAPE,
     E_LEX_BAD_PARAM,
     E_LEX_ILLEGAL_CHAR,
+    E_LEX_NUMBER_RANGE,
     E_LEX_UNTERMINATED_STRING,
     ERROR,
-    SourceSpan,
 )
 from promisekit.dsl.lexer import (
     EOF,
@@ -44,7 +43,6 @@ from promisekit.dsl.lexer import (
     OP,
     PARAM,
     STRING,
-    Token,
 )
 from promisekit.model import (
     CmpLiteral,
@@ -271,28 +269,39 @@ _ONE_CHAR_OPS = frozenset(";,:.{}=")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
+# Where a token or diagnostic lies: (file, start_line, start_col, end_line,
+# end_col, start_offset, end_offset), lines and columns 1-based.
+Place = tuple[str, int, int, int, int, int, int]
+
+
 def reference_tokenize(
     text: str, file: str = "<model>"
-) -> tuple[list[Token], list[Diagnostic]]:
+) -> tuple[list[tuple], list[tuple]]:
     """The lexer's contract, one character at a time and nothing cleverer.
 
-    Numbers are runs of ``str.isdecimal`` characters: ``float`` accepts
-    every such digit and rejects ``isdigit``-only ones such as '²', which
-    are therefore illegal characters.
+    Returns tokens as (type, value, text, place) and diagnostics as
+    (severity, code, message, place), with every line and column counted
+    here, character by character, rather than taken from a ``SourceSpan``.
+
+    Numbers are runs of ``str.isdecimal`` characters: ``int`` and ``float``
+    accept every such digit and reject ``isdigit``-only ones such as '²',
+    which are therefore illegal characters.  A digit run is an exact
+    ``int``, a fraction the nearest ``float``; one that neither holds is
+    reported.
     """
-    tokens: list[Token] = []
-    diagnostics: list[Diagnostic] = []
+    tokens: list[tuple] = []
+    diagnostics: list[tuple] = []
     i = 0
     line = 1
     col = 1
     n = len(text)
 
-    def span_from(start_i: int, start_line: int, start_col: int) -> SourceSpan:
-        return SourceSpan(file, start_line, start_col, line, col, start_i, i)
+    def place_from(start_i: int, start_line: int, start_col: int) -> Place:
+        return (file, start_line, start_col, line, col, start_i, i)
 
     def emit(type_: str, value, start_i: int, start_line: int, start_col: int) -> None:
         tokens.append(
-            Token(type_, value, text[start_i:i], span_from(start_i, start_line, start_col))
+            (type_, value, text[start_i:i], place_from(start_i, start_line, start_col))
         )
 
     def advance(count: int = 1) -> None:
@@ -306,7 +315,7 @@ def reference_tokenize(
             i += 1
 
     def error(code: str, message: str, start: tuple[int, int, int]) -> None:
-        diagnostics.append(Diagnostic(ERROR, code, message, span_from(*start)))
+        diagnostics.append((ERROR, code, message, place_from(*start)))
 
     while i < n:
         ch = text[i]
@@ -334,8 +343,23 @@ def reference_tokenize(
                 advance()
                 while i < n and text[i].isdecimal():
                     advance()
-            value = float(text[start[0]:i])
-            emit(NUMBER, int(value) if value.is_integer() else value, *start)
+            raw = text[start[0]:i]
+            value: Union[int, float, None]
+            if "." in raw:
+                value = float(raw)
+                if value == float("inf"):
+                    value = None
+                elif value.is_integer():
+                    value = int(value)
+            else:
+                try:
+                    value = int(raw)
+                except ValueError:  # more digits than int() reads
+                    value = None
+            if value is None:
+                error(E_LEX_NUMBER_RANGE, "number literal is too large to read", start)
+            else:
+                emit(NUMBER, value, *start)
             continue
 
         if ch == "$":
@@ -392,8 +416,7 @@ def reference_tokenize(
         advance()
         error(E_LEX_ILLEGAL_CHAR, f"unexpected character {ch!r}", start)
 
-    eof_span = SourceSpan(file, line, col, line, col, i, i)
-    tokens.append(Token(EOF, "", "", eof_span))
+    tokens.append((EOF, "", "", (file, line, col, line, col, i, i)))
     return tokens, diagnostics
 
 

@@ -254,6 +254,41 @@ class TestIsA:
         assert capsys.readouterr().err.startswith("pml isa:")
 
 
+class TestNumberLiterals:
+    @staticmethod
+    def model(tmp_path, *values: str) -> str:
+        path = tmp_path / "numbers.pml"
+        path.write_text(
+            "agent a, b;\ntype width: num;\n"
+            + "".join(f"a -> b: give width = {v};\n" for v in values)
+        )
+        return str(path)
+
+    def test_integers_beyond_float_precision_stay_apart(self, tmp_path, capsys):
+        path = self.model(tmp_path, "9007199254740993", "9007199254740992")
+        assert main(["check", path]) == 1
+        assert "channel-inconsistent" in capsys.readouterr().out
+        assert main(["dot", path]) == 0
+        out = capsys.readouterr().out
+        assert '"a" -> "b" [label="+width=9007199254740992"];' in out
+        assert '"a" -> "b" [label="+width=9007199254740993"];' in out
+
+    def test_long_integer_prints_exactly(self, tmp_path, capsys):
+        digits = "7" * 400
+        assert main(["dot", self.model(tmp_path, digits)]) == 0
+        assert f'[label="+width={digits}"];' in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "literal", ["9" * 4301, "1" * 400 + ".5"], ids=["too-many-digits", "float-overflow"]
+    )
+    def test_literal_no_number_type_holds_exits_two(self, literal, tmp_path, capsys):
+        path = self.model(tmp_path, literal)
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().out.startswith(
+            f"{path}:3:22: error[E-LEX-004]: number literal is too large to read\n"
+        )
+
+
 class TestDot:
     def test_renders_every_promise(self, capsys):
         assert main(["dot", GEOMETRY]) == 0

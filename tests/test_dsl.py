@@ -8,12 +8,15 @@ from promisekit import corpus
 from promisekit.dsl import (
     Diagnostic,
     has_errors,
+    LineIndex,
     parse,
     print_model,
     resolve,
     SourceSpan,
     tokenize,
 )
+from promisekit.dsl import resolver as resolver_module
+from promisekit.errors import PromiseModelError
 from promisekit.model import NamedConst, NumConst, Parameter, StrConst
 
 from bruteforce import reference_tokenize
@@ -67,6 +70,24 @@ class TestLexer:
         assert diags == []
         values = [t.value for t in tokens if t.type in ("number", "string")]
         assert values == [90, 2.5, 'a"b']
+
+    def test_digit_runs_are_exact_integers(self):
+        digits = "9007199254740993"  # 2**53 + 1, which no float holds
+        tokens, diags = tokenize(f"{digits} 2.0 {'7' * 400}")
+        assert diags == []
+        assert [t.value for t in tokens[:-1]] == [2**53 + 1, 2, int("7" * 400)]
+        assert [type(t.value) for t in tokens[:-1]] == [int, int, int]
+
+    @pytest.mark.parametrize(
+        "literal", ["9" * 4301, "1" * 400 + ".5"], ids=["too-many-digits", "float-overflow"]
+    )
+    def test_number_no_type_holds_is_reported(self, literal):
+        tokens, diags = tokenize(f"x = {literal};")
+        assert [(d.code, d.message) for d in diags] == [
+            ("E-LEX-004", "number literal is too large to read")
+        ]
+        assert (diags[0].span.start_offset, diags[0].span.end_offset) == (4, 4 + len(literal))
+        assert [t.type for t in tokens] == ["ident", "op", "op", "eof"]
 
     def test_spans_are_one_based(self):
         tokens, _ = tokenize("agent a;\nagent b;")
@@ -135,7 +156,8 @@ LEX_PIECES = [
     "a", "Z", "_", "k9", "0", "7", ".", ";", ",", ":", "{", "}", "=", "-",
     ">", "!", "$", "#", "3.", '"', "\\", " ", "\t", "\r", "\n", "@", "é", "²",
     "½", "١", "Ⅻ", "①", "ß", "Ω", "日本", "\u00a0", "\x0c", "$²", "$é", "_²",
-    "a²", "->", "==", "!=", "give", "agent", "$p", "12.5", '"ab"', '"a\\nb"',
+    "a²", "->", "==", "!=", "give", "agent", "$p", "12.5", "9007199254740993",
+    "0.00001", '"ab"', '"a\\nb"',
     '"a\\qb"', '"a\\\nb"', '"open', "# note\n",
 ]
 
@@ -144,12 +166,23 @@ LEX_PIECES = [
 @given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
 @example('x = "a\\\nb";')
 @example("Ⅻ1 aⅫ $Ⅻ")
+@example("x\r\n\t𝐀 😀 \"é\r\n" + "9" * 4301 + " " + "1" * 400 + ".5")
 def test_lexer_matches_the_reference_lexer(text):
-    def observed(result):
-        tokens, diags = result
-        return [(t.type, t.value, type(t.value), t.text, t.span) for t in tokens], diags
+    """Every token and diagnostic, with the lines and columns that the
+    spans derive from offsets against those the reference counts."""
 
-    assert observed(tokenize(text, "t.pml")) == observed(reference_tokenize(text, "t.pml"))
+    def place(span: SourceSpan) -> tuple:
+        return (
+            span.file, span.start_line, span.start_col, span.end_line, span.end_col,
+            span.start_offset, span.end_offset,
+        )
+
+    tokens, diags = tokenize(text, "t.pml")
+    expected_tokens, expected_diags = reference_tokenize(text, "t.pml")
+    assert [(t.type, t.value, type(t.value), t.text, place(t.span)) for t in tokens] == [
+        (type_, value, type(value), raw, where) for type_, value, raw, where in expected_tokens
+    ]
+    assert [(d.severity, d.code, d.message, place(d.span)) for d in diags] == expected_diags
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +235,54 @@ class TestParser:
         assert result.ok
 
     def test_span_overlap_arithmetic(self):
-        span = SourceSpan("f", 1, 3, 1, 6, 2, 5)
+        span = SourceSpan("f", 2, 5, LineIndex("ab cde f"))
         assert span.overlaps_offsets(4, 9)
         assert not span.overlaps_offsets(5, 9)
         assert not span.overlaps_offsets(0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Spans
+# ---------------------------------------------------------------------------
+
+class TestSourceSpan:
+    # Newlines at offsets 2 and 6; "\r" and "\t" are one column each.
+    LINES = LineIndex("ab\ncd\r\n\tx")
+
+    def test_lines_and_columns_come_from_offsets(self):
+        positions = [
+            (s.start_line, s.start_col, s.end_line, s.end_col)
+            for s in (SourceSpan("f", 0, 2, self.LINES), SourceSpan("f", 2, 3, self.LINES),
+                      SourceSpan("f", 5, 9, self.LINES))
+        ]
+        # A line ends with its newline, so offset 2 is on line 1.
+        assert positions == [(1, 1, 1, 3), (1, 3, 2, 1), (2, 3, 3, 3)]
+
+    def test_merge_spans_the_outermost_offsets(self):
+        left, right = SourceSpan("f", 1, 4, self.LINES), SourceSpan("f", 3, 8, self.LINES)
+        merged = left.merge(right)
+        assert merged == right.merge(left) == SourceSpan("f", 1, 8, self.LINES)
+        assert merged.lines is self.LINES
+        inner = SourceSpan("f", 2, 3, self.LINES)
+        assert left.merge(inner) == left
+
+    def test_span_must_not_end_before_it_starts(self):
+        with pytest.raises(ValueError, match="must not end before it starts"):
+            SourceSpan("f", 5, 4, self.LINES)
+        empty = SourceSpan("f", 4, 4, self.LINES)
+        assert (empty.start_line, empty.start_col) == (empty.end_line, empty.end_col)
+
+    def test_resolver_falls_back_to_the_start_of_the_file(self, monkeypatch):
+        def refuse(*args):
+            raise PromiseModelError("refused")
+
+        monkeypatch.setattr(resolver_module, "build_graph", refuse)
+        result = resolve(parse("\n\nagent a;\n", "m.pml").ast)
+        assert [d.formatted() for d in result.diagnostics] == [
+            "m.pml:1:1: error[E-RESOLVE-005]: refused"
+        ]
+        span = result.diagnostics[0].span
+        assert (span.start_offset, span.end_offset, span.end_line, span.end_col) == (0, 0, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +293,18 @@ def normalize(text: str, path: str = "p.pml") -> str:
     result = parse(text, path)
     assert result.ok, [d.formatted() for d in result.diagnostics]
     return print_model(result.ast)
+
+
+# Digit runs, and fractions whose leading zeros reach past where ``repr``
+# switches a float to an exponent.
+NUMBER_LITERALS = st.builds(
+    lambda whole, zeros, fraction: (
+        whole if fraction is None else f"{whole}.{'0' * zeros}{fraction}"
+    ),
+    st.from_regex(r"[0-9]{1,25}", fullmatch=True),
+    st.integers(0, 30),
+    st.none() | st.from_regex(r"[0-9]{1,20}", fullmatch=True),
+)
 
 
 class TestPrinterRoundTrip:
@@ -229,6 +318,24 @@ class TestPrinterRoundTrip:
         original = resolve_text(corpus.read(name))
         reprinted = resolve_text(normalize(corpus.read(name), name))
         assert original.graph == reprinted.graph
+
+    @settings(max_examples=200)
+    @given(NUMBER_LITERALS)
+    @example("0.00001")
+    @example("9007199254740993")
+    @example("123456789012345678.5")
+    def test_number_literals_print_back_to_the_same_value(self, literal):
+        text = f"agent a, b;\ntype width: num;\na -> b: give width = {literal};\n"
+
+        def value(source: str):
+            (term,) = [t for t in tokenize(source)[0] if t.type == "number"]
+            return term.value
+
+        printed = normalize(text)
+        assert normalize(printed) == printed
+        expected = float(literal) if "." in literal else int(literal)
+        assert value(printed) == value(text) == expected
+        assert type(value(printed)) is type(value(text))
 
     def test_printing_normalizes_whitespace(self):
         messy = "agent   a;\n\n\nagent b;\ntype t:num;\na->b:   give t;\n"

@@ -14,7 +14,7 @@ from promisekit.analysis import (
     Finding,
     Severity,
 )
-from promisekit.dsl import Diagnostic, parse, SourceSpan
+from promisekit.dsl import Diagnostic, LineIndex, parse, SourceSpan
 from promisekit.model import format_body
 from promisekit.report import (
     export_dot,
@@ -63,14 +63,32 @@ class TestJson:
         assert data["findings"][0]["promises"] == ["a -> b: +w=$v"]
 
     def test_diagnostics_carry_positions(self):
-        span = SourceSpan("f.pml", 2, 5, 2, 9, 10, 14)
+        span = SourceSpan("f.pml", 10, 14, LineIndex("abcde\nwxyz12345\n"))
         diag = Diagnostic("error", "E-PARSE-001", "boom", span)
         report = Report(files=(FileEntry("f.pml", (diag,)),))
         data = json.loads(report_json(report))
         got = data["files"][0]["diagnostics"][0]
-        assert (got["line"], got["col"]) == (2, 5)
+        assert (got["line"], got["col"], got["end_line"], got["end_col"]) == (2, 5, 2, 9)
         assert got["code"] == "E-PARSE-001"
         assert got["severity"] == "error"
+
+    def test_diagnostic_columns_count_characters(self):
+        # CRLF line ends, a tab, an astral-plane letter and an astral-plane
+        # symbol: each character is one column, and "\r" is the last column
+        # of its line (an unterminated string takes it in).
+        text = "agent a;\r\n\t\U0001D400 \U0001F600;\r\nx = \"\u00e9\r\n"
+        diagnostics = tuple(parse(text, "f.pml").diagnostics)
+        data = json.loads(report_json(Report(files=(FileEntry("f.pml", diagnostics),))))
+        got = [
+            (d["code"], d["line"], d["col"], d["end_line"], d["end_col"])
+            for d in data["files"][0]["diagnostics"]
+        ]
+        assert got == [
+            ("E-LEX-001", 2, 4, 2, 5),
+            ("E-PARSE-001", 2, 5, 2, 6),
+            ("E-PARSE-001", 3, 3, 3, 4),
+            ("E-LEX-002", 3, 5, 3, 8),
+        ]
 
     def test_roles_expose_signature_entries(self):
         data = json.loads(report_json(bank_report()))
