@@ -14,15 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .constraints import (
-    closure,
-    condition_satisfiable,
-    mutually_exclusive,
-    pairwise_exclusive,
-    satisfiable,
-    split_condition,
-    TermPartition,
-)
+from .constraints import mutually_exclusive, pairwise_exclusive, TermPartition
 from .errors import UnsatisfiableError
 from .model import (
     ALWAYS,
@@ -47,6 +39,7 @@ from .model import (
     Term,
     USE,
 )
+from .worlds import judge
 
 
 class Severity(enum.IntEnum):
@@ -500,124 +493,6 @@ class IsAVerdict:
         return self.outcome == IS_A
 
 
-@dataclass(frozen=True)
-class _Scenario:
-    active: frozenset[Condition]
-    eqs: tuple[EqConstraint, ...]
-    neqs: tuple[tuple[Term, Term], ...]
-
-    def describe(self) -> str:
-        if not self.active:
-            return ""
-        return " & ".join(sorted(format_condition(c) for c in self.active))
-
-
-def _components(conditions: Sequence[Condition]) -> list[list[int]]:
-    """Indices of ``conditions`` grouped so that no two groups share a flag
-    name or a non-constant term, each group in ascending order.
-
-    Conditions in different groups never clash.  A clash joins two distinct
-    constants, or the two sides of one disequality, by a chain of
-    equalities.  Inside a shortest chain every term is a non-constant, except
-    at most one constant between the non-constant sides of a disequality,
-    and then both halves touch the disequality's own terms.  So each clash
-    lies inside one group."""
-    parent = list(range(len(conditions)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[object, int] = {}
-    for i, cond in enumerate(conditions):
-        for lit in cond.literals:
-            if isinstance(lit, FlagLiteral):
-                keys: tuple = (("flag", lit.name),)
-            else:
-                keys = tuple(t for t in (lit.lhs, lit.rhs) if not is_constant(t))
-            for key in keys:
-                parent[find(i)] = find(owner.setdefault(key, i))
-    groups: dict[int, list[int]] = {}
-    for i in range(len(conditions)):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _maximal_subsets(
-    conditions: Sequence[Condition], members: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """The maximal satisfiable subsets of ``members`` (indices into
-    ``conditions``), by include/exclude backtracking in member order."""
-    found: list[tuple[int, ...]] = []
-    # (next position, chosen indices, indices left out although they fit)
-    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
-    while stack:
-        pos, chosen, skipped = stack.pop()
-        if pos == len(members):
-            held = [conditions[i] for i in chosen]
-            if not any(condition_satisfiable(*held, conditions[i]) for i in skipped):
-                found.append(chosen)
-            continue
-        i = members[pos]
-        held = [conditions[j] for j in chosen + (i,)]
-        rest = [conditions[j] for j in members[pos + 1 :]]
-        if condition_satisfiable(*held, *rest):
-            # Every set that leaves i out still fits i: none is maximal.
-            stack.append((pos + 1, chosen + (i,), skipped))
-        elif rest and condition_satisfiable(*held):
-            stack.append((pos + 1, chosen, skipped + (i,)))
-            stack.append((pos + 1, chosen + (i,), skipped))
-        else:
-            stack.append((pos + 1, chosen, skipped))
-    return found
-
-
-def _scenarios(conditions: Iterable[Condition]) -> list[_Scenario]:
-    """Maximal co-satisfiable combinations of the distinct conditions seen.
-
-    Each scenario carries the equality/disequality premises its conditions
-    impose; bodies with conditions outside the scenario are dormant.
-
-    The satisfiable distinct conditions split into independent components
-    (``_components``); include/exclude backtracking finds each component's
-    maximal satisfiable subsets, and the worlds are their product.  The
-    result is exact, with no cap.  Worlds come largest first, then in order
-    of the sorted indices of their conditions.
-
-    Cost: each backtracking step runs at most two satisfiability tests, and
-    each leaf one more per condition it left out although it fit.  The
-    exclude branch of a condition is cut when everything after it still
-    fits beside it, so compatible conditions and separate components cost
-    one step each, and the work grows with the number of worlds times the
-    number of conditions, not with 2^k.  Inside one component, a clash
-    among its last conditions keeps that cut from firing for the ones
-    before it; the backtracking can then visit exponentially many leaves
-    that its maximality test refutes."""
-    distinct = sorted(
-        {c for c in conditions if not c.is_empty},
-        key=lambda c: format_condition(c),
-    )
-    viable = [c for c in distinct if condition_satisfiable(c)]
-    worlds: list[tuple[int, ...]] = [()]
-    for members in _components(viable):
-        subsets = _maximal_subsets(viable, members)
-        worlds = [world + subset for world in worlds for subset in subsets]
-    ordered = sorted((tuple(sorted(w)) for w in worlds), key=lambda w: (-len(w), w))
-    scenarios = []
-    for world in ordered:
-        eqs: list[EqConstraint] = []
-        neqs: list[tuple[Term, Term]] = []
-        for i in world:
-            ce, cn, _ = split_condition(viable[i])
-            eqs.extend(ce)
-            neqs.extend(cn)
-        chosen = frozenset(viable[i] for i in world)
-        scenarios.append(_Scenario(chosen, tuple(eqs), tuple(neqs)))
-    return scenarios
-
-
 def _scope_params(body: PromiseBody, scope: str) -> frozenset[EqConstraint]:
     """Rename the body's parameters apart from every other scope's."""
 
@@ -631,19 +506,9 @@ def _scope_params(body: PromiseBody, scope: str) -> frozenset[EqConstraint]:
     )
 
 
-def _active(body: PromiseBody, scenario: _Scenario) -> bool:
-    return body.condition.is_empty or body.condition in scenario.active
-
-
 def _bundle_satisfiable(bundle: Bundle, scope: str) -> bool:
-    for scenario in _scenarios(b.condition for b in bundle.bodies):
-        eqs = list(scenario.eqs)
-        for body in bundle.bodies:
-            if _active(body, scenario):
-                eqs.extend(_scope_params(body, scope))
-        if not satisfiable(eqs, scenario.neqs):
-            return False
-    return True
+    entries = [(b, b.condition, _scope_params(b, scope)) for b in bundle.bodies]
+    return all(part.admits(world.neqs) for world, _, part in judge(entries))
 
 
 def _clash_detail(part: TermPartition) -> str:
@@ -667,84 +532,52 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
                 f"bundle {bundle.name} is unsatisfiable on its own"
             )
 
-    conditions = [b.condition for b in parent.bodies] + [
-        b.condition for b in child.bodies
+    entries = [
+        ((side, f"{side} {bundle.name}: {format_body(body)}"), body.condition,
+         _scope_params(body, side))
+        for side, bundle in (("parent", parent), ("child", child))
+        for body in bundle.bodies
     ]
-    merged: list[tuple[str, ...]] = []
-    merged_involved: list[str] = []
-    for scenario in _scenarios(conditions):
-        parent_eqs = list(scenario.eqs)
-        joint_eqs = list(scenario.eqs)
-        parent_scoped: list[frozenset[EqConstraint]] = []
-        refs: list[tuple[str, frozenset[EqConstraint]]] = []
-        for body in parent.bodies:
-            if _active(body, scenario):
-                scoped = _scope_params(body, "parent")
-                parent_scoped.append(scoped)
-                parent_eqs.extend(scoped)
-                joint_eqs.extend(scoped)
-                refs.append((f"parent {parent.name}: {format_body(body)}", scoped))
-        for body in child.bodies:
-            if _active(body, scenario):
-                scoped = _scope_params(body, "child")
-                joint_eqs.extend(scoped)
-                refs.append((f"child {child.name}: {format_body(body)}", scoped))
-
-        joint = closure(joint_eqs)
-        if not joint.admits(scenario.neqs):
-            detail = _clash_detail(joint)
-            if scenario.active:
-                detail += f" (when {scenario.describe()})"
+    merged: set[str] = set()
+    merged_involved: set[str] = set()
+    for world, in_force, joint in judge(entries):
+        if not joint.admits(world.neqs):
             return IsAVerdict(
                 INCONSISTENT,
-                (detail,),
-                _refs_touching(refs, joint, None),
+                (_clash_detail(joint) + world.when,),
+                _refs_touching(in_force, joint.clashing_classes(world.neqs)),
             )
 
-        baseline = closure(parent_eqs)
+        parent_cons = [
+            c for (side, _), _, scoped in in_force if side == "parent" for c in scoped
+        ]
+        baseline = world.closure(parent_cons)
         vocabulary = {
-            t
-            for scoped in parent_scoped
-            for c in scoped
-            for t in c.terms()
-            if not isinstance(t, Parameter)
+            t for c in parent_cons for t in c.terms() if not isinstance(t, Parameter)
         }
         for a, b in joint.new_pairs_over(baseline, vocabulary):
-            pair = f"{format_term(a)} ~ {format_term(b)}"
-            if scenario.active:
-                pair += f" (when {scenario.describe()})"
-            merged.append((pair, format_term(a), format_term(b)))
-            merged_involved.extend(_refs_touching(refs, joint, a))
+            merged.add(f"{format_term(a)} ~ {format_term(b)}{world.when}")
+            merged_involved.update(_refs_touching(in_force, [joint.class_of(a)]))
 
     if merged:
-        details = tuple(sorted({entry[0] for entry in merged}))
-        return IsAVerdict(RESTRICTED, details, tuple(sorted(set(merged_involved))))
+        return IsAVerdict(
+            RESTRICTED, tuple(sorted(merged)), tuple(sorted(merged_involved))
+        )
     return IsAVerdict(IS_A)
 
 
 def _refs_touching(
-    refs: Sequence[tuple[str, frozenset[EqConstraint]]],
-    part: TermPartition,
-    anchor: Union[Term, None],
+    in_force: Sequence[tuple[tuple[str, str], Condition, frozenset[EqConstraint]]],
+    classes: Sequence[tuple[Term, ...]],
 ) -> tuple[str, ...]:
-    """The body references whose terms sit in the anchor's class (or in any
-    clashing class when no anchor is given)."""
-    if anchor is not None:
-        target_classes = [set(part.class_of(anchor))]
-    else:
-        target_classes = [
-            set(cls)
-            for cls in part.classes
-            if sum(1 for t in cls if is_constant(t)) > 1
-        ]
-        if not target_classes:
-            target_classes = [set(part.terms)]
-    out = []
-    for name, scoped in refs:
+    """The body references whose terms sit in one of ``classes``; every
+    reference when none does."""
+    touching = set()
+    for (_, ref), _, scoped in in_force:
         terms = {t for c in scoped for t in c.terms()}
-        if any(terms & cls for cls in target_classes):
-            out.append(name)
-    return tuple(sorted(set(out))) or tuple(sorted({name for name, _ in refs}))
+        if any(not terms.isdisjoint(cls) for cls in classes):
+            touching.add(ref)
+    return tuple(sorted(touching or {ref for (_, ref), _, _ in in_force}))
 
 
 # ---------------------------------------------------------------------------
@@ -757,55 +590,43 @@ def check_override_policy(base: Bundle, child: Bundle) -> list[Finding]:
     neither contradict nor narrow a base body in force.  Parameters are a
     shared namespace here — the child is editing the base's own variables."""
     findings: list[Finding] = []
-    for scenario in _scenarios(b.condition for b in base.bodies + child.bodies):
-        when = f" (when {scenario.describe()})" if scenario.active else ""
-        base_bodies = [b for b in base.sorted_bodies() if _active(b, scenario)]
+    entries = [
+        ((side, body), body.condition, body.constraints)
+        for side, bodies in (("base", base.sorted_bodies()), ("child", child.bodies))
+        for body in bodies
+    ]
+    for world, in_force, joint in judge(entries):
+        base_bodies = [body for (side, body), _, _ in in_force if side == "base"]
         base_cons = [c for b in base_bodies for c in b.constraints]
-        child_cons = [
-            c for b in child.bodies if _active(b, scenario) for c in b.constraints
-        ]
-        joint = closure(list(scenario.eqs) + base_cons + child_cons)
-
-        clash_classes = [
-            set(cls)
-            for cls in joint.classes
-            if sum(1 for t in cls if is_constant(t)) > 1
-        ] + [set(joint.class_of(a)) for a, b in scenario.neqs if joint.same_class(a, b)]
-        if clash_classes:
-            for body in base_bodies:
-                terms = {t for c in body.constraints for t in c.terms()}
-                if any(terms & cls for cls in clash_classes):
-                    findings.append(
-                        Finding(
-                            Severity.POLICY_VIOLATION,
-                            "override-contradiction",
-                            f"base body '{format_body(body)}' of {base.name} is "
-                            f"contradicted by {child.name}{when}",
-                            _bundle_refs(child) + (f"bundle {base.name}: {format_body(body)}",),
-                        )
-                    )
-            continue
-
-        baseline = closure(list(scenario.eqs) + base_cons)
-        vocabulary = {t for c in base_cons for t in c.terms()}
-        new_pairs = joint.new_pairs_over(baseline, vocabulary)
+        clashing = joint.clashing_classes(world.neqs)
+        new_pairs = () if clashing else joint.new_pairs_over(
+            world.closure(base_cons), {t for c in base_cons for t in c.terms()}
+        )
         for body in base_bodies:
             terms = {t for c in body.constraints for t in c.terms()}
-            touching = [
-                f"{format_term(a)} ~ {format_term(b)}"
-                for a, b in new_pairs
-                if a in terms or b in terms
-            ]
-            if touching:
-                findings.append(
-                    Finding(
-                        Severity.POLICY_VIOLATION,
-                        "override-restriction",
-                        f"base body '{format_body(body)}' of {base.name} is narrowed "
-                        f"by {child.name}{when}: {', '.join(touching)}",
-                        _bundle_refs(child) + (f"bundle {base.name}: {format_body(body)}",),
-                    )
+            if clashing:
+                if all(terms.isdisjoint(cls) for cls in clashing):
+                    continue
+                code = "override-contradiction"
+                effect = f"contradicted by {child.name}{world.when}"
+            else:
+                touching = [
+                    f"{format_term(a)} ~ {format_term(b)}"
+                    for a, b in new_pairs
+                    if a in terms or b in terms
+                ]
+                if not touching:
+                    continue
+                code = "override-restriction"
+                effect = f"narrowed by {child.name}{world.when}: {', '.join(touching)}"
+            findings.append(
+                Finding(
+                    Severity.POLICY_VIOLATION,
+                    code,
+                    f"base body '{format_body(body)}' of {base.name} is {effect}",
+                    _bundle_refs(child) + (f"bundle {base.name}: {format_body(body)}",),
                 )
+            )
     return sorted(findings, key=finding_sort_key)
 
 
@@ -861,23 +682,20 @@ def check_dispatch_pattern(
         if _mentions_flag(p.body.condition, discriminator):
             branches.setdefault((p.group, p.body.condition), []).append(p)
     keys = sorted(branches, key=lambda k: (k[0], format_condition(k[1])))
-    for (g1, c1), (g2, c2) in itertools.combinations(keys, 2):
-        verdict = mutually_exclusive(c1, c2)
-        if verdict.exclusive:
-            continue
+    overlaps: tuple = ()
+    if len(keys) > 1:
+        overlaps = pairwise_exclusive([c for _, c in keys]).violations
+    for i, j, witness in overlaps:
         cited = tuple(
-            sorted(
-                {p.formatted() for p in branches[(g1, c1)]}
-                | {p.formatted() for p in branches[(g2, c2)]}
-            )
+            sorted({p.formatted() for key in (keys[i], keys[j]) for p in branches[key]})
         )
         findings.append(
             Finding(
                 Severity.PATTERN_ERROR,
                 "dispatch-overlap",
                 f"branches on '{discriminator}' overlap: "
-                f"({format_condition(c1)}) and ({format_condition(c2)}) "
-                f"hold together when {_witness_text(verdict.witness or ())}",
+                f"({format_condition(keys[i][1])}) and ({format_condition(keys[j][1])}) "
+                f"hold together when {_witness_text(witness)}",
                 cited,
             )
         )
@@ -940,25 +758,19 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
                 )
             )
 
-        # Scenario-by-scenario joint satisfiability and independence.
-        scoped: dict[Promise, frozenset[EqConstraint]] = {
-            p: _scope_params(p.body, p.group) for p in promises
-        }
-        for scenario in _scenarios(p.body.condition for p in promises):
-            active = [p for p in promises if _active(p.body, scenario)]
-            eqs = list(scenario.eqs)
-            for p in active:
-                eqs.extend(scoped[p])
-            part = closure(eqs)
-            when = f" (when {scenario.describe()})" if scenario.active else ""
-
-            if not part.admits(scenario.neqs):
-                contributors = [p for p in active if scoped[p]]
+        # World-by-world joint satisfiability and independence.
+        entries = [
+            (p, p.body.condition, _scope_params(p.body, p.group)) for p in promises
+        ]
+        for world, in_force, part in judge(entries):
+            active = [p for p, _, _ in in_force]
+            if not part.admits(world.neqs):
+                contributors = [p for p, _, scoped in in_force if scoped]
                 add(
                     Finding(
                         Severity.INCONSISTENT,
                         "channel-inconsistent",
-                        f"{channel}: promises cannot all hold{when}: "
+                        f"{channel}: promises cannot all hold{world.when}: "
                         f"{_clash_detail(part)}",
                         tuple(sorted({p.formatted() for p in contributors}))
                         or tuple(sorted({p.formatted() for p in active})),
@@ -993,7 +805,7 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
                         Severity.RESTRICTED,
                         "channel-restricted",
                         f"{channel}: independent declarations are forced to "
-                        f"share one value{when}: {shared}",
+                        f"share one value{world.when}: {shared}",
                         involved,
                     )
                 )

@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
 def _load(path: str) -> tuple[Union[ResolveResult, None], FileEntry, Union[str, None]]:
     """Parse and resolve one file; the string is a hard I/O error, if any."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc

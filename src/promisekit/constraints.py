@@ -119,6 +119,15 @@ class TermPartition:
             return False
         return not any(self.same_class(a, b) for a, b in disequalities)
 
+    def clashing_classes(
+        self, disequalities: Iterable[tuple[Term, Term]] = ()
+    ) -> list[tuple[Term, ...]]:
+        """The classes that keep ``admits`` from holding: each class with two
+        distinct constants, then the class of each violated disequality."""
+        clashing = [cls for cls in self.classes if sum(map(is_constant, cls)) > 1]
+        clashing += [self.class_of(a) for a, b in disequalities if self.same_class(a, b)]
+        return clashing
+
     def merged_pairs(self, vocabulary: Iterable[Term]) -> tuple[tuple[Term, Term], ...]:
         """All same-class pairs drawn from ``vocabulary``."""
         vocab = set(vocabulary)

@@ -1,0 +1,172 @@
+"""Worlds: the maximal sets of conditions that can hold together.
+
+A conditional promise is in force only where its condition holds, so every
+analyzer asks its question once per world.  ``worlds`` enumerates them
+exactly; ``judge`` walks them, keeping the entries in force in each one and
+closing their constraints together with the world's own equalities.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Collection, Iterable, Iterator, Sequence, TypeVar
+
+from .constraints import closure, condition_satisfiable, split_condition, TermPartition
+from .model import (
+    Condition,
+    EqConstraint,
+    FlagLiteral,
+    format_condition,
+    is_constant,
+    Term,
+)
+
+Item = TypeVar("Item")
+
+
+@dataclass(frozen=True)
+class World:
+    """One maximal co-satisfiable set of conditions, with the equalities and
+    disequalities those conditions impose."""
+
+    active: frozenset[Condition]
+    eqs: tuple[EqConstraint, ...]
+    neqs: tuple[tuple[Term, Term], ...]
+
+    @property
+    def when(self) -> str:
+        """The suffix naming the world in a finding: ``" (when a & b)"``, or
+        ``""`` for the world of no conditions."""
+        if not self.active:
+            return ""
+        return f" (when {' & '.join(sorted(format_condition(c) for c in self.active))})"
+
+    def closure(self, extra: Iterable[EqConstraint]) -> TermPartition:
+        """The closure of the world's equalities with ``extra``."""
+        return closure([*self.eqs, *extra])
+
+
+def _components(conditions: Sequence[Condition]) -> list[list[int]]:
+    """Indices of ``conditions`` grouped so that no two groups share a flag
+    name or a non-constant term, each group in ascending order.
+
+    Conditions in different groups never clash.  A clash joins two distinct
+    constants, or the two sides of one disequality, by a chain of
+    equalities.  Inside a shortest chain every term is a non-constant, except
+    at most one constant between the non-constant sides of a disequality,
+    and then both halves touch the disequality's own terms.  So each clash
+    lies inside one group."""
+    parent = list(range(len(conditions)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: dict[object, int] = {}
+    for i, cond in enumerate(conditions):
+        for lit in cond.literals:
+            if isinstance(lit, FlagLiteral):
+                keys: tuple = (("flag", lit.name),)
+            else:
+                keys = tuple(t for t in (lit.lhs, lit.rhs) if not is_constant(t))
+            for key in keys:
+                parent[find(i)] = find(owner.setdefault(key, i))
+    groups: dict[int, list[int]] = {}
+    for i in range(len(conditions)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _maximal_subsets(
+    conditions: Sequence[Condition], members: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The maximal satisfiable subsets of ``members`` (indices into
+    ``conditions``), by include/exclude backtracking in member order."""
+    found: list[tuple[int, ...]] = []
+    # (next position, chosen indices, indices left out although they fit)
+    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
+    while stack:
+        pos, chosen, skipped = stack.pop()
+        if pos == len(members):
+            held = [conditions[i] for i in chosen]
+            if not any(condition_satisfiable(*held, conditions[i]) for i in skipped):
+                found.append(chosen)
+            continue
+        i = members[pos]
+        held = [conditions[j] for j in chosen + (i,)]
+        rest = [conditions[j] for j in members[pos + 1 :]]
+        if condition_satisfiable(*held, *rest):
+            # Every set that leaves i out still fits i: none is maximal.
+            stack.append((pos + 1, chosen + (i,), skipped))
+        elif rest and condition_satisfiable(*held):
+            stack.append((pos + 1, chosen, skipped + (i,)))
+            stack.append((pos + 1, chosen + (i,), skipped))
+        else:
+            stack.append((pos + 1, chosen, skipped))
+    return found
+
+
+def worlds(conditions: Iterable[Condition]) -> list[World]:
+    """Maximal co-satisfiable combinations of the distinct conditions seen.
+
+    Each world carries the equality/disequality premises its conditions
+    impose; bodies with conditions outside the world are dormant.
+
+    The satisfiable distinct conditions split into independent components
+    (``_components``); include/exclude backtracking finds each component's
+    maximal satisfiable subsets, and the worlds are their product.  The
+    result is exact, with no cap.  Worlds come largest first, then in order
+    of the sorted indices of their conditions.
+
+    Cost: each backtracking step runs at most two satisfiability tests, and
+    each leaf one more per condition it left out although it fit.  The
+    exclude branch of a condition is cut when everything after it still
+    fits beside it, so compatible conditions and separate components cost
+    one step each, and the work grows with the number of worlds times the
+    number of conditions, not with 2^k.  Inside one component, a clash
+    among its last conditions keeps that cut from firing for the ones
+    before it; the backtracking can then visit exponentially many leaves
+    that its maximality test refutes."""
+    distinct = sorted(
+        {c for c in conditions if not c.is_empty},
+        key=lambda c: format_condition(c),
+    )
+    viable = [c for c in distinct if condition_satisfiable(c)]
+    chosen: list[tuple[int, ...]] = [()]
+    for members in _components(viable):
+        subsets = _maximal_subsets(viable, members)
+        chosen = [world + subset for world in chosen for subset in subsets]
+    ordered = sorted((tuple(sorted(w)) for w in chosen), key=lambda w: (-len(w), w))
+    out = []
+    for world in ordered:
+        eqs: list[EqConstraint] = []
+        neqs: list[tuple[Term, Term]] = []
+        for i in world:
+            ce, cn, _ = split_condition(viable[i])
+            eqs.extend(ce)
+            neqs.extend(cn)
+        out.append(World(frozenset(viable[i] for i in world), tuple(eqs), tuple(neqs)))
+    return out
+
+
+def judge(
+    entries: Iterable[tuple[Item, Condition, Collection[EqConstraint]]],
+) -> Iterator[
+    tuple[World, list[tuple[Item, Condition, Collection[EqConstraint]]], TermPartition]
+]:
+    """Walk the worlds of the entries' conditions, in ``worlds`` order.
+
+    Each entry is (item, condition, constraints).  For each world this
+    yields the world, the entries in force in it (unconditional, or with a
+    condition of the world) in input order, and the closure of their
+    constraints with the world's equalities.  The closure of a world is
+    made only when the caller asks for that world."""
+    entries = list(entries)
+    for world in worlds(condition for _, condition, _ in entries):
+        in_force = [
+            entry
+            for entry in entries
+            if entry[1].is_empty or entry[1] in world.active
+        ]
+        yield world, in_force, world.closure(c for _, _, cons in in_force for c in cons)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from promisekit.analysis import _Scenario
 from promisekit.constraints import condition_satisfiable, split_condition
 from promisekit.dsl.diagnostics import (
     E_LEX_BAD_ESCAPE,
@@ -56,6 +55,7 @@ from promisekit.model import (
     PromiseGraph,
     Term,
 )
+from promisekit.worlds import World
 
 Value = Union[int, str]
 Assignment = Mapping[Term, Value]
@@ -228,7 +228,7 @@ def oracle_mutually_exclusive(
 # Worlds: every subset of the distinct conditions
 # ---------------------------------------------------------------------------
 
-def reference_scenarios(conditions: Iterable[Condition]) -> list[_Scenario]:
+def reference_scenarios(conditions: Iterable[Condition]) -> list[World]:
     """Maximal co-satisfiable combinations of the distinct conditions seen,
     found by testing all 2^k subsets, largest first."""
     distinct = sorted(
@@ -256,7 +256,7 @@ def reference_scenarios(conditions: Iterable[Condition]) -> list[_Scenario]:
             ce, cn, _ = split_condition(cond)
             eqs.extend(ce)
             neqs.extend(cn)
-        scenarios.append(_Scenario(chosen, tuple(eqs), tuple(neqs)))
+        scenarios.append(World(chosen, tuple(eqs), tuple(neqs)))
     return scenarios
 
 

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import promisekit
 from promisekit import corpus
 from promisekit.analysis import (
     check_dispatch_pattern,
@@ -501,7 +507,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def test_criterion_8_determinism():
+def determinism_invocations() -> list[list[str]]:
     invocations: list[list[str]] = []
     for name in corpus.names():
         path = str(corpus.path(name))
@@ -514,7 +520,11 @@ def test_criterion_8_determinism():
     invocations.append(["isa", geometry, "Square", "Rectangle"])
     invocations.append(["isa", geometry, "Square", "Rectangle", "--json"])
     invocations.append(["isa", dispatch, "ClassicApi", "BaseApi"])
+    return invocations
 
+
+def test_criterion_8_determinism():
+    invocations = determinism_invocations()
     stable = 0
     for argv in invocations:
         first = run_command(argv)
@@ -530,3 +540,36 @@ def test_criterion_8_determinism():
         f"across consecutive runs",
     )
     assert stable == len(invocations)
+
+
+# Runs each argv read from stdin as JSON, printing [[exit code, stdout], ...].
+_RUN_ALL = """
+import contextlib, io, json, sys
+from promisekit.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def test_output_does_not_depend_on_pythonhashseed():
+    invocations = determinism_invocations()
+    src = str(Path(promisekit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_ALL],
+            input=json.dumps(invocations),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath},
+            check=True,
+        )
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0]) == len(invocations)
+    assert runs[0] == runs[1]

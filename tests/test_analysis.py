@@ -6,9 +6,9 @@ from collections import Counter
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from promisekit import analysis, corpus
+import promisekit.worlds
+from promisekit import corpus
 from promisekit.analysis import (
-    _scenarios,
     bundle_signature,
     check_dispatch_pattern,
     check_extension,
@@ -382,6 +382,23 @@ class TestIsA:
         verdict = check_is_a(gated_link, rectangle())
         assert verdict.outcome == RESTRICTED
         assert verdict.details == ("height ~ width (when f)",)
+
+    def test_violated_disequality_cites_only_the_bodies_in_its_class(self):
+        graph = load_text(
+            "agent a, b;\ntype width: num;\ntype height: num;\ntype depth: num;\n"
+            "bundle P { give width = $w if height != width; give depth = $d; }\n"
+            "bundle C { give width = height; }\n"
+            "a -> b: bundle P;\n"
+        )
+        verdict = check_is_a(graph.bundle("C"), graph.bundle("P"))
+        assert verdict.outcome == INCONSISTENT
+        assert verdict.details == (
+            "a required disequality is violated (when height != width)",
+        )
+        assert verdict.involved == (
+            "child C: +height=width",
+            "parent P: +width=$w if height != width",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -788,25 +805,25 @@ def worlds(scenarios) -> list[tuple]:
 )
 @given(st.lists(condition_st, max_size=8))
 def test_scenarios_match_the_subset_sweep(family):
-    assert worlds(_scenarios(family)) == worlds(reference_scenarios(family))
+    assert worlds(promisekit.worlds.worlds(family)) == worlds(reference_scenarios(family))
 
 
 def test_world_count_not_subset_count_sets_the_cost(monkeypatch):
     calls = 0
-    real = analysis.condition_satisfiable
+    real = promisekit.worlds.condition_satisfiable
 
     def counting(*conds):
         nonlocal calls
         calls += 1
         return real(*conds)
 
-    monkeypatch.setattr(analysis, "condition_satisfiable", counting)
+    monkeypatch.setattr(promisekit.worlds, "condition_satisfiable", counting)
     family = [Condition.of(FlagLiteral(f"g{i}")) for i in range(20)] + [
         Condition.of(FlagLiteral(name, negated))
         for name in ("a", "b")
         for negated in (False, True)
     ]
-    scenarios = _scenarios(family)
+    scenarios = promisekit.worlds.worlds(family)
     assert len(scenarios) == 4
     assert all(len(s.active) == 22 for s in scenarios)
     # The subset sweep needed 2^24 tests here; k^2 bounds the enumeration.

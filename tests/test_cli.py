@@ -12,6 +12,7 @@ import pytest
 import promisekit
 from promisekit import corpus
 from promisekit.cli import entry, main
+from promisekit.dsl import parse
 
 CLEAN = str(corpus.path("web.pml"))
 GEOMETRY = str(corpus.path("geometry.pml"))
@@ -190,6 +191,16 @@ class TestCheck:
         assert main(["check", BANK, "--json", "-o", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text())["findings"] == []
+
+    def test_positions_are_the_librarys_on_carriage_returns(self, tmp_path, capsys):
+        content = b"agent a;\r\nagent b;\rx @\r\n"
+        path = tmp_path / "line_ends.pml"
+        path.write_bytes(content)
+        assert main(["check", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"{path}:2:12: error[E-LEX-001]")
+        parsed = parse(content.decode("utf-8"), str(path))
+        assert out.startswith("".join(f"{d.formatted()}\n" for d in parsed.diagnostics))
 
 
 class TestRoles:
