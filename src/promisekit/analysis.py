@@ -29,7 +29,6 @@ from .model import (
     format_condition,
     format_term,
     GIVE,
-    is_constant,
     LINK_TYPE,
     Parameter,
     Promise,
@@ -105,14 +104,14 @@ class CheckReport:
 
 _PERM_CAP = 720
 
+#: A parameter's place in ``term_key`` order; its name gives way to its index.
+_PARAM_RANK = term_key(Parameter(""))[0]
+
 
 def _term_sig(term: Term, assign: dict[str, int]) -> tuple:
     if isinstance(term, Parameter):
-        return ("param", assign.get(term.name, -1))
-    kind = type(term).__name__
-    if is_constant(term):
-        return (kind, term.value)  # type: ignore[union-attr]
-    return (kind, term.name)  # type: ignore[union-attr]
+        return (_PARAM_RANK, assign.get(term.name, -1))
+    return term_key(term)
 
 
 def _constraint_sig(c: EqConstraint, assign: dict[str, int]) -> tuple:
@@ -127,47 +126,26 @@ def _literal_sig(lit: ConditionLiteral, assign: dict[str, int]) -> tuple:
     return ("cmp", lit.op, sides[0], sides[1])
 
 
-def _entry_sig(
-    body: PromiseBody, assign: dict[str, int], with_condition: bool
-) -> tuple:
+def _entry_sig(body: PromiseBody, assign: dict[str, int]) -> tuple:
     constraints = tuple(sorted(_constraint_sig(c, assign) for c in body.constraints))
     entry: tuple = (body.polarity, body.type, constraints)
-    if with_condition:
-        lits = tuple(sorted(_literal_sig(l, assign) for l in body.condition.literals))
-        entry += (lits,)
+    if body.condition.literals:
+        entry += (tuple(sorted(_literal_sig(l, assign) for l in body.condition.literals)),)
     return entry
 
 
-def _body_params(body: PromiseBody, with_condition: bool) -> list[str]:
-    names = []
-    for c in body.constraints:
-        for t in c.terms():
-            if isinstance(t, Parameter):
-                names.append(t.name)
-    if with_condition:
-        for lit in body.condition.literals:
-            if isinstance(lit, CmpLiteral):
-                for t in (lit.lhs, lit.rhs):
-                    if isinstance(t, Parameter):
-                        names.append(t.name)
-    return names
-
-
-def _param_classes(
-    bodies: Sequence[PromiseBody], with_condition: bool
-) -> list[list[str]]:
+def _param_classes(bodies: Sequence[PromiseBody]) -> list[list[str]]:
     """Group parameters by their renaming-invariant occurrence profile."""
     masked: dict[str, int] = {}
     contexts: dict[str, list[tuple]] = {}
     for body in bodies:
-        body_ctx = _entry_sig(body, masked, with_condition)
+        body_ctx = _entry_sig(body, masked)
         items: list[tuple[tuple, tuple[Term, ...]]] = [
             (_constraint_sig(c, masked), c.terms()) for c in body.constraints
         ]
-        if with_condition:
-            for lit in body.condition.literals:
-                if isinstance(lit, CmpLiteral):
-                    items.append((_literal_sig(lit, masked), (lit.lhs, lit.rhs)))
+        for lit in body.condition.literals:
+            if isinstance(lit, CmpLiteral):
+                items.append((_literal_sig(lit, masked), (lit.lhs, lit.rhs)))
         for item_ctx, terms in items:
             for t in terms:
                 if isinstance(t, Parameter):
@@ -203,14 +181,12 @@ def _assignments(classes: list[list[str]]) -> Iterable[dict[str, int]]:
         yield assign
 
 
-def _canonical(bodies: Sequence[PromiseBody], with_condition: bool) -> tuple:
-    has_params = any(_body_params(b, with_condition) for b in bodies)
-    if not has_params:
-        return tuple(sorted(_entry_sig(b, {}, with_condition) for b in bodies))
-    classes = _param_classes(bodies, with_condition)
+def _canonical(bodies: Sequence[PromiseBody]) -> tuple:
+    """The least rendering of ``bodies`` over the parameter assignments;
+    without parameters there is one, the empty assignment."""
     best: Union[tuple, None] = None
-    for assign in _assignments(classes):
-        cand = tuple(sorted(_entry_sig(b, assign, with_condition) for b in bodies))
+    for assign in _assignments(_param_classes(bodies)):
+        cand = tuple(sorted(_entry_sig(b, assign) for b in bodies))
         if best is None or cand < best:
             best = cand
     return best or ()
@@ -220,17 +196,15 @@ def bundle_signature(bundle: Bundle) -> tuple:
     """Canonical multiset of (polarity, type, constraint shape), parameter
     names erased.  Conditions do not participate: an attachment condition
     never changes which class a bundle belongs to."""
-    stripped = [
-        PromiseBody(b.polarity, b.type, b.constraints, ALWAYS)
-        for b in bundle.bodies
-    ]
-    return _canonical(stripped, with_condition=False)
+    return _canonical(
+        [PromiseBody(b.polarity, b.type, b.constraints, ALWAYS) for b in bundle.bodies]
+    )
 
 
 def normalize_body(body: PromiseBody) -> tuple:
     """One body's shape with parameters canonically indexed, condition
     included — the equality used for containment checks."""
-    return _canonical([body], with_condition=True)[0]
+    return _canonical([body])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ congruence degenerates to transitive closure of the stated equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Hashable, Iterable, Sequence, Union
 
 from .errors import UnsatisfiableError
 from .model import (
@@ -25,31 +25,27 @@ from .model import (
 )
 
 
-class _UnionFind:
-    """Plain union-find with path halving; roots chosen by canonical order."""
+class UnionFind:
+    """Plain union-find with path halving over any hashable nodes."""
 
     def __init__(self) -> None:
-        self.parent: dict[Term, Term] = {}
+        self.parent: dict[Hashable, Hashable] = {}
 
-    def add(self, t: Term) -> None:
-        if t not in self.parent:
-            self.parent[t] = t
+    def add(self, x: Hashable) -> None:
+        if x not in self.parent:
+            self.parent[x] = x
 
-    def find(self, t: Term) -> Term:
+    def find(self, x: Hashable) -> Hashable:
         p = self.parent
-        while p[t] != t:
-            p[t] = p[p[t]]
-            t = p[t]
-        return t
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
 
-    def union(self, a: Term, b: Term) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # Keep the canonically smaller term as root so results are stable.
-        if term_key(rb) < term_key(ra):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
+    def union(self, a: Hashable, b: Hashable) -> None:
+        self.add(a)
+        self.add(b)
+        self.parent[self.find(a)] = self.find(b)
 
 
 class TermPartition:
@@ -154,12 +150,10 @@ def closure(
     constraints: Iterable[EqConstraint], extra_terms: Iterable[Term] = ()
 ) -> TermPartition:
     """Least equivalence over the mentioned terms containing every equality."""
-    uf = _UnionFind()
+    uf = UnionFind()
     for t in extra_terms:
         uf.add(t)
     for c in constraints:
-        uf.add(c.lhs)
-        uf.add(c.rhs)
         uf.union(c.lhs, c.rhs)
     groups: dict[Term, list[Term]] = {}
     for t in uf.parent:
@@ -264,25 +258,17 @@ def split_condition(
 def _conjunction(
     conds: Iterable[Condition],
 ) -> Union[tuple[list[EqConstraint], list[tuple[Term, Term]], dict[str, bool]], None]:
-    """The conditions' literals merged into one conjunction, or None when a
-    flag is both required and forbidden or a term must differ from itself.
+    """The conditions' literals split as one condition, or None when a flag
+    is both required and forbidden or a term must differ from itself.
     Equalities among the terms are left to the caller's closure."""
-    eqs: list[EqConstraint] = []
-    neqs: list[tuple[Term, Term]] = []
-    flags: dict[str, bool] = {}
-    for cond in conds:
-        try:
-            ce, cn, cf = split_condition(cond)
-        except ValueError:
-            return None
-        eqs.extend(ce)
-        neqs.extend(cn)
-        for name, wanted in cf.items():
-            if flags.setdefault(name, wanted) != wanted:
-                return None
-    for a, b in neqs:
-        if a == b:
-            return None
+    try:
+        eqs, neqs, flags = split_condition(
+            Condition(frozenset().union(*(c.literals for c in conds)))
+        )
+    except ValueError:
+        return None
+    if any(a == b for a, b in neqs):
+        return None
     return eqs, neqs, flags
 
 

@@ -37,7 +37,6 @@ E_RESOLVE_USE_CONSTRAINT = "E-RESOLVE-006"
 E_RESOLVE_VALUELESS_TYPE = "E-RESOLVE-007"
 E_RESOLVE_KIND_CONFLICT = "E-RESOLVE-008"
 E_RESOLVE_NOT_A_FLAG = "E-RESOLVE-009"
-E_RESOLVE_TYPE_COLLISION = "E-RESOLVE-010"
 
 # Warnings
 W_AUTONOMY = "W-AUTONOMY-001"

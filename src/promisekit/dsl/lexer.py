@@ -1,7 +1,8 @@
 """Tokenizer for the modeling language.
 
 Produces a flat token stream plus recoverable diagnostics; the parser never
-sees raw text.  ``#`` starts a line comment.  Keywords are reserved words.
+sees raw text.  ``#`` starts a comment, which ends before the next carriage
+return or newline.  Keywords are reserved words.
 
 Whitespace is space, tab, carriage return and newline.  Identifiers and
 keywords start on an ``str.isalpha`` character or ``_`` and continue over
@@ -92,7 +93,7 @@ _INFINITY = float("inf")
 # in escapes, a backslash-newline and a missing closing quote.  The last
 # alternative is any single character.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:[ \t\r\n]+|#[^\r\n]*)*"
     r"(?:(?P<word>[^\W\d])"
     r"|(?P<number>\d+(?:\.\d+)?)"
     r"|(?P<param>\$[^\W\d])"

@@ -69,7 +69,6 @@ from .diagnostics import (
     E_RESOLVE_DUPLICATE,
     E_RESOLVE_KIND_CONFLICT,
     E_RESOLVE_NOT_A_FLAG,
-    E_RESOLVE_TYPE_COLLISION,
     E_RESOLVE_UNKNOWN_AGENT,
     E_RESOLVE_UNKNOWN_BUNDLE,
     E_RESOLVE_UNKNOWN_TYPE,
@@ -107,7 +106,8 @@ class _Resolver:
         self.flat_bundles: dict[str, Bundle] = {}
         self.promises: list[Promise] = []
         self.promise_spans: dict[tuple, SourceSpan] = {}
-        self.body_texts: dict[PromiseBody, str] = {}
+        # One object per distinct direct-promise body: equal bodies share a text.
+        self.bodies: dict[PromiseBody, PromiseBody] = {}
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(ERROR, code, message, span))
@@ -133,29 +133,19 @@ class _Resolver:
                 self.agents[name.text] = Agent.make(name.text)
 
     def collect_types(self) -> None:
-        paths: dict[str, tuple[str, ...]] = {}
+        # Identifiers hold no '.', so a repeated flattened name is a duplicate.
         for decl in self.ast.decls:
             if isinstance(decl, TypeDecl):
                 path = tuple(n.text for n in decl.path)
                 flat = flatten_type(path)
-                span = decl.path[0].span.merge(decl.path[-1].span)
                 if flat in self.types:
-                    if paths.get(flat, path) != path:
-                        self.error(
-                            E_RESOLVE_TYPE_COLLISION,
-                            f"type path '{'.'.join(path)}' collides with "
-                            f"'{'.'.join(paths[flat])}' (both flatten to '{flat}')",
-                            span,
-                        )
-                    else:
-                        self.error(
-                            E_RESOLVE_DUPLICATE,
-                            f"type '{flat}' is already declared",
-                            span,
-                        )
+                    self.error(
+                        E_RESOLVE_DUPLICATE,
+                        f"type '{flat}' is already declared",
+                        decl.path[0].span.merge(decl.path[-1].span),
+                    )
                     continue
                 self.types[flat] = PromiseTypeDecl(flat, decl.kind, path)  # type: ignore[arg-type]
-                paths[flat] = path
             elif isinstance(decl, FlagDecl):
                 name = decl.name.text
                 if name in self.types:
@@ -166,7 +156,6 @@ class _Resolver:
                     )
                     continue
                 self.types[name] = PromiseTypeDecl(name, KIND_FLAG, (name,))
-                paths[name] = (name,)
 
     # -- term and condition resolution --------------------------------------
 
@@ -412,7 +401,8 @@ class _Resolver:
                 body = self.resolve_body(decl.item, kinds)
                 if body is None or not ok:
                     continue
-                group = derive_group(promiser, promisee, body, self.body_texts)
+                body = self.bodies.setdefault(body, body)
+                group = derive_group(promiser, promisee, body)
                 self.add_promise(promiser, promisee, body, group, decl.span)
 
     def add_promise(

@@ -282,6 +282,21 @@ class PromiseBody:
             out.extend(c.terms())
         return tuple(out)
 
+    @cached_property
+    def text(self) -> str:
+        """The printed body, made once per body object: ``+width=$w``,
+        ``U(width)``, ``+$w=$h if subtype``."""
+        if self.is_link:
+            core = format_constraint(next(iter(self.constraints)))
+            text = f"+{core}"
+        else:
+            parts = [format_constraint(c) for c in self.sorted_constraints()]
+            core = self.type if not parts else ",".join(parts)
+            text = f"+{core}" if self.polarity == GIVE else f"U({core})"
+        if not self.condition.is_empty:
+            text += f" if {format_condition(self.condition)}"
+        return text
+
 
 def give(type_: str, *constraints: EqConstraint, condition: Condition = ALWAYS) -> PromiseBody:
     return PromiseBody(GIVE, type_, frozenset(constraints), condition)
@@ -297,16 +312,7 @@ def link(lhs: Term, rhs: Term, condition: Condition = ALWAYS) -> PromiseBody:
 
 
 def format_body(body: PromiseBody) -> str:
-    if body.is_link:
-        core = format_constraint(next(iter(body.constraints)))
-        text = f"+{core}"
-    else:
-        parts = [format_constraint(c) for c in body.sorted_constraints()]
-        core = body.type if not parts else ",".join(parts)
-        text = f"+{core}" if body.polarity == GIVE else f"U({core})"
-    if not body.condition.is_empty:
-        text += f" if {format_condition(body.condition)}"
-    return text
+    return body.text
 
 
 def body_key(body: PromiseBody) -> tuple:
@@ -535,22 +541,9 @@ def flatten_bundles(bundles: Iterable[Bundle]) -> tuple[Bundle, ...]:
     return tuple(sorted(flat.values(), key=lambda b: b.name))
 
 
-def derive_group(
-    promiser: str,
-    promisee: str,
-    body: PromiseBody,
-    texts: Union[dict[PromiseBody, str], None] = None,
-) -> str:
-    """Content-derived scope id for a directly declared promise body.
-
-    ``texts``, when given, keeps ``format_body`` of each body for the
-    caller's next calls: many channels promise the same few bodies.
-    """
-    memo = {} if texts is None else texts
-    text = memo.get(body)
-    if text is None:
-        text = memo[body] = format_body(body)
-    return f"{promiser}->{promisee}|body:{text}"
+def derive_group(promiser: str, promisee: str, body: PromiseBody) -> str:
+    """Content-derived scope id for a directly declared promise body."""
+    return f"{promiser}->{promisee}|body:{format_body(body)}"
 
 
 def bundle_group(promiser: str, promisee: str, bundle_name: str) -> str:

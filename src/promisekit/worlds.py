@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence, TypeVar
 
-from .constraints import closure, condition_satisfiable, split_condition, TermPartition
+from .constraints import (
+    closure,
+    condition_satisfiable,
+    split_condition,
+    TermPartition,
+    UnionFind,
+)
 from .model import (
     Condition,
     EqConstraint,
@@ -55,26 +61,19 @@ def _components(conditions: Sequence[Condition]) -> list[list[int]]:
     at most one constant between the non-constant sides of a disequality,
     and then both halves touch the disequality's own terms.  So each clash
     lies inside one group."""
-    parent = list(range(len(conditions)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner: dict[object, int] = {}
+    uf = UnionFind()
     for i, cond in enumerate(conditions):
+        uf.add(i)
         for lit in cond.literals:
             if isinstance(lit, FlagLiteral):
                 keys: tuple = (("flag", lit.name),)
             else:
                 keys = tuple(t for t in (lit.lhs, lit.rhs) if not is_constant(t))
             for key in keys:
-                parent[find(i)] = find(owner.setdefault(key, i))
-    groups: dict[int, list[int]] = {}
+                uf.union(key, i)
+    groups: dict[object, list[int]] = {}
     for i in range(len(conditions)):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(uf.find(i), []).append(i)
     return list(groups.values())
 
 

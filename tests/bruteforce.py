@@ -323,7 +323,7 @@ def reference_tokenize(
             advance()
             continue
         if ch == "#":
-            while i < n and text[i] != "\n":
+            while i < n and text[i] not in "\r\n":
                 advance()
             continue
 

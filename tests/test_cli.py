@@ -202,6 +202,25 @@ class TestCheck:
         parsed = parse(content.decode("utf-8"), str(path))
         assert out.startswith("".join(f"{d.formatted()}\n" for d in parsed.diagnostics))
 
+    @pytest.mark.parametrize("name", corpus.names())
+    def test_lone_carriage_returns_end_comments_like_newlines(
+        self, name, tmp_path, capsys
+    ):
+        def check(line_end: str) -> tuple:
+            path = tmp_path / line_end.encode().hex() / name
+            path.parent.mkdir()
+            path.write_bytes(corpus.read(name).replace("\n", line_end).encode("utf-8"))
+            code = main(["check", "--json", str(path)])
+            data = json.loads(capsys.readouterr().out)
+            diagnostics = [
+                (d["code"], d["message"]) for f in data["files"] for d in f["diagnostics"]
+            ]
+            return code, data["findings"], data["roles"], diagnostics
+
+        lf = check("\n")
+        assert lf[2], "the model has roles"
+        assert check("\r") == lf
+
 
 class TestRoles:
     def test_text_listing(self, capsys):
@@ -321,6 +340,17 @@ class TestDot:
 
 
 class TestModuleEntry:
+    def test_one_process_answers_like_separate_runs(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the same width
+        runs = [["isa", GEOMETRY, "Square"], ["roles", BANK], ["--help"]]
+        in_process = []
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert [run[0] for run in in_process] == [3, 0, 0]
+        assert in_process == [_run_module(argv) for argv in runs]
+
     @pytest.mark.parametrize(
         "argv",
         [["check", BANK], ["isa", GEOMETRY, "Square", "Rectangle", "--json"], []],
@@ -329,12 +359,17 @@ class TestModuleEntry:
     def test_python_m_promisekit_matches_main(self, argv, capsys):
         code = main(argv)
         expected = capsys.readouterr().out
-        src = str(Path(promisekit.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "promisekit", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
-        assert (proc.returncode, proc.stdout) == (code, expected)
+        assert _run_module(argv)[:2] == (code, expected)
+
+
+def _run_module(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m promisekit`` in a new process."""
+    src = str(Path(promisekit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "promisekit", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    return proc.returncode, proc.stdout, proc.stderr

@@ -29,6 +29,7 @@ from promisekit.model import (
 )
 
 from bruteforce import (
+    oracle_conditions_satisfiable,
     oracle_entails,
     oracle_mutually_exclusive,
     oracle_same_class_pairs,
@@ -396,3 +397,19 @@ def test_exclusive_iff_the_conjunction_is_unsatisfiable(c1, c2):
     verdict = mutually_exclusive(c1, c2)
     assert verdict.exclusive == (not condition_satisfiable(c1, c2))
     assert (verdict.witness is None) == verdict.exclusive
+
+
+def _disequalities(conds) -> int:
+    return sum(
+        isinstance(lit, CmpLiteral) and lit.op == "neq"
+        for cond in conds
+        for lit in cond.literals
+    )
+
+
+# World search conjoins three or more conditions at once.  At most two
+# disequalities in all keep the oracle's three-value domain exact.
+@settings(max_examples=200)
+@given(st.lists(condition_st, max_size=4).filter(lambda cs: _disequalities(cs) <= 2))
+def test_conjunction_of_several_conditions_matches_oracle(conds):
+    assert condition_satisfiable(*conds) == oracle_conditions_satisfiable(conds)

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no module
-defines a private name it never uses.
+"""Source hygiene: no module imports a name it never uses, no module
+defines a private name it never uses, and no module imports another
+promisekit module's private name.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -95,3 +96,21 @@ def test_no_module_defines_an_unused_private_name():
             if name not in used:
                 unused.append(f"{path.relative_to(PACKAGE)}:{line}: {name}")
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another_module():
+    """A ``_name`` is its module's own: a name shared between modules is
+    public.  Relative imports and ``promisekit`` imports are checked."""
+    private = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not (node.level or (node.module or "").split(".")[0] == "promisekit"):
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not name.startswith("__"):
+                    private.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}")
+    assert private == []
