@@ -115,15 +115,15 @@ def _term_sig(term: Term, assign: dict[str, int]) -> tuple:
 
 
 def _constraint_sig(c: EqConstraint, assign: dict[str, int]) -> tuple:
-    sides = sorted((_term_sig(c.lhs, assign), _term_sig(c.rhs, assign)))
-    return ("eq", sides[0], sides[1])
+    a, b = _term_sig(c.lhs, assign), _term_sig(c.rhs, assign)
+    return ("eq", b, a) if b < a else ("eq", a, b)
 
 
 def _literal_sig(lit: ConditionLiteral, assign: dict[str, int]) -> tuple:
     if isinstance(lit, FlagLiteral):
         return ("flag", lit.name, lit.negated)
-    sides = sorted((_term_sig(lit.lhs, assign), _term_sig(lit.rhs, assign)))
-    return ("cmp", lit.op, sides[0], sides[1])
+    a, b = _term_sig(lit.lhs, assign), _term_sig(lit.rhs, assign)
+    return ("cmp", lit.op, b, a) if b < a else ("cmp", lit.op, a, b)
 
 
 def _entry_sig(body: PromiseBody, assign: dict[str, int]) -> tuple:

@@ -7,7 +7,6 @@ Exit codes: 0 clean; 1 findings at policy-violation severity or worse;
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from typing import Sequence, Union
 
@@ -47,9 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@functools.cache
 def _build_parser() -> _Parser:
-    """The one parser of the process, built on the first ``main`` call."""
     parser = _Parser(prog="pml", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 

@@ -340,17 +340,6 @@ class TestDot:
 
 
 class TestModuleEntry:
-    def test_one_process_answers_like_separate_runs(self, monkeypatch, capsys):
-        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the same width
-        runs = [["isa", GEOMETRY, "Square"], ["roles", BANK], ["--help"]]
-        in_process = []
-        for argv in runs:
-            code = main(argv)
-            captured = capsys.readouterr()
-            in_process.append((code, captured.out, captured.err))
-        assert [run[0] for run in in_process] == [3, 0, 0]
-        assert in_process == [_run_module(argv) for argv in runs]
-
     @pytest.mark.parametrize(
         "argv",
         [["check", BANK], ["isa", GEOMETRY, "Square", "Rectangle", "--json"], []],
@@ -359,17 +348,12 @@ class TestModuleEntry:
     def test_python_m_promisekit_matches_main(self, argv, capsys):
         code = main(argv)
         expected = capsys.readouterr().out
-        assert _run_module(argv)[:2] == (code, expected)
-
-
-def _run_module(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``python -m promisekit`` in a new process."""
-    src = str(Path(promisekit.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "promisekit", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+        src = str(Path(promisekit.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "promisekit", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert (proc.returncode, proc.stdout) == (code, expected)
