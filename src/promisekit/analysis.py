@@ -23,12 +23,14 @@ from .model import (
     CmpLiteral,
     Condition,
     ConditionLiteral,
+    derive_group,
     EqConstraint,
     FlagLiteral,
     format_body,
     format_condition,
     format_term,
     GIVE,
+    group_label,
     LINK_TYPE,
     Parameter,
     Promise,
@@ -290,7 +292,10 @@ def extract_spanning_set(graph: PromiseGraph) -> tuple[SpanningClass, ...]:
     for bundle in graph.bundles:
         candidates.append((bundle.name, bundle_signature(bundle)))
     for (promiser, promisee), promises in graph.channels().items():
-        direct = [p.body for p in promises if "|body:" in p.group]
+        direct = [
+            p.body for p in promises
+            if p.group == derive_group(promiser, promisee, p.body)
+        ]
         if direct:
             name = f"{promiser}->{promisee}"
             candidates.append((name, bundle_signature(Bundle(name, tuple(direct)))))
@@ -468,20 +473,20 @@ class IsAVerdict:
 
 
 def _scope_params(body: PromiseBody, scope: str) -> frozenset[EqConstraint]:
-    """Rename the body's parameters apart from every other scope's."""
+    """The body's constraints with its parameters put in ``scope``, apart
+    from every other scope's."""
 
     def rescope(t: Term) -> Term:
-        if isinstance(t, Parameter):
-            return Parameter(f"{scope}::{t.name}")
-        return t
+        return Parameter(t.name, scope) if isinstance(t, Parameter) else t
 
     return frozenset(
         EqConstraint(rescope(c.lhs), rescope(c.rhs)) for c in body.constraints
     )
 
 
-def _bundle_satisfiable(bundle: Bundle, scope: str) -> bool:
-    entries = [(b, b.condition, _scope_params(b, scope)) for b in bundle.bodies]
+def _bundle_satisfiable(bundle: Bundle) -> bool:
+    """Scoped as ``check_is_a`` scopes: apart from condition parameters."""
+    entries = [(b, b.condition, _scope_params(b, "bundle")) for b in bundle.bodies]
     return all(part.admits(world.neqs) for world, _, part in judge(entries))
 
 
@@ -500,8 +505,8 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     attributes and constants that the parent alone does not entail.
     Otherwise the child can genuinely stand in for the parent.
     """
-    for bundle, scope in ((parent, "parent"), (child, "child")):
-        if not _bundle_satisfiable(bundle, scope):
+    for bundle in (parent, child):
+        if not _bundle_satisfiable(bundle):
             raise UnsatisfiableError(
                 f"bundle {bundle.name} is unsatisfiable on its own"
             )
@@ -680,19 +685,6 @@ def check_dispatch_pattern(
 # Conflict detection
 # ---------------------------------------------------------------------------
 
-def _scope_label(group: str) -> str:
-    tail = group.split("|", 1)[-1]
-    if tail.startswith("bundle:"):
-        return f"bundle {tail[len('bundle:'):]}"
-    return f"promise {tail[len('body:'):]}"
-
-
-def _scope_of(term: Term) -> Union[str, None]:
-    if isinstance(term, Parameter) and "::" in term.name:
-        return term.name.split("::", 1)[0]
-    return None
-
-
 def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     """Per channel, conjoin everything that can be in force at once.
 
@@ -755,13 +747,12 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
             for cls in part.classes:
                 by_scope: dict[str, list[Term]] = {}
                 for t in cls:
-                    scope = _scope_of(t)
-                    if scope is not None:
-                        by_scope.setdefault(scope, []).append(t)
+                    if isinstance(t, Parameter) and t.scope:
+                        by_scope.setdefault(t.scope, []).append(t)
                 if len(by_scope) < 2:
                     continue
                 shared = " = ".join(
-                    f"{_scope_label(scope)} "
+                    f"{group_label(promiser, promisee, scope)} "
                     f"{{{', '.join(format_term(t) for t in sorted(terms, key=term_key))}}}"
                     for scope, terms in sorted(by_scope.items())
                 )

@@ -14,9 +14,9 @@ digit limit of ``int()`` (``sys.get_int_max_str_digits()``, 4300 by
 default); a fraction is read as the nearest ``float``, and as an ``int``
 when that float is integral.  A number that neither holds is reported
 (E-LEX-004) and yields no token.  A string ends at its closing quote or,
-unterminated, at a line end or the end of the text; its escapes are
-``\\\\ \\" \\n \\t``, and any other escaped character, a line end
-included, is reported and kept as it is.
+unterminated, before a carriage return or newline or at the end of the
+text; its escapes are ``\\\\ \\" \\n \\t``, and any other escaped
+character, a line end included, is reported and kept as it is.
 
 Spans are character offsets; every span of one text shares that text's
 ``LineIndex``, so the lexer keeps no line or column count.
@@ -97,7 +97,7 @@ _TOKEN = re.compile(
     r"(?:(?P<word>[^\W\d])"
     r"|(?P<number>\d+(?:\.\d+)?)"
     r"|(?P<param>\$[^\W\d])"
-    r'|(?P<string>"(?:[^"\\\n]|\\[\s\S]?)*"?)'
+    r'|(?P<string>"(?:[^"\\\r\n]|\\[\s\S]?)*"?)'
     r"|(?P<op>->|==|!=|[;,:.{}=])"
     r"|(?P<other>[\s\S]))?"
 )

@@ -8,6 +8,7 @@ hide the rest of the file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .ast_nodes import (
     AgentDecl,
@@ -127,6 +128,18 @@ class Parser:
                 return
             self.advance()
 
+    def _recover(self, parse: Callable, starters: frozenset[str], into: list) -> None:
+        """Append what ``parse`` returns to ``into``; on a syntax error, record
+        it and resynchronize, moving at least one token past where it began."""
+        start = self.pos
+        try:
+            into.append(parse())
+        except _ParseFailure as failure:
+            self.diagnostics.append(failure.diagnostic)
+            self._sync(starters)
+            if self.pos == start:
+                self.advance()
+
     # -- grammar ------------------------------------------------------------
 
     def parse_model(self) -> ModelAst:
@@ -140,14 +153,7 @@ class Parser:
                 )
                 self.advance()
                 continue
-            start = self.pos
-            try:
-                decls.append(self.parse_decl())
-            except _ParseFailure as failure:
-                self.diagnostics.append(failure.diagnostic)
-                self._sync(_TOP_STARTERS)
-                if self.pos == start:
-                    self.advance()
+            self._recover(self.parse_decl, _TOP_STARTERS, decls)
         return ModelAst(tuple(decls), self.file)
 
     def parse_decl(self) -> Decl:
@@ -204,14 +210,7 @@ class Parser:
         self.expect_op("{")
         bodies: list[BodyNode] = []
         while not self.current.is_op("}") and self.current.type != EOF:
-            body_start = self.pos
-            try:
-                bodies.append(self.parse_body())
-            except _ParseFailure as failure:
-                self.diagnostics.append(failure.diagnostic)
-                self._sync(_BODY_STARTERS)
-                if self.pos == body_start:
-                    self.advance()
+            self._recover(self.parse_body, _BODY_STARTERS, bodies)
         end = self.expect_op("}")
         return BundleDecl(name, parent, tuple(bodies), start.span.merge(end.span))
 

@@ -42,6 +42,7 @@ from ..model import (
     StrConst,
     Term,
     USE,
+    validate_autonomy,
     VALUED_KINDS,
 )
 from .ast_nodes import (
@@ -268,43 +269,39 @@ class _Resolver:
                     node.span,
                 )
                 return None
-            assert node.value is not None  # grammar guarantees PARAM "=" term
-            left = (Parameter(node.subject.name), kinds.get(f"${node.subject.name}", _UNKNOWN))
-            right = self.resolve_term(node.value, kinds)
-            self.unify_kinds(left, right, kinds, node.span)
-            return PromiseBody(
-                GIVE, LINK_TYPE, frozenset({EqConstraint(left[0], right[0])}), condition
-            )
+            type_name = LINK_TYPE
+            left = self.resolve_term(node.subject, kinds)
+        else:
+            type_name = node.subject.name
+            decl = self.types.get(type_name)
+            if decl is None:
+                self.error(
+                    E_RESOLVE_UNKNOWN_TYPE,
+                    f"unknown type or flag '{type_name}'",
+                    node.subject.span,
+                )
+                return None
+            if node.value is None:
+                return PromiseBody(node.polarity, type_name, frozenset(), condition)  # type: ignore[arg-type]
 
-        type_name = node.subject.name
-        decl = self.types.get(type_name)
-        if decl is None:
-            self.error(
-                E_RESOLVE_UNKNOWN_TYPE,
-                f"unknown type or flag '{type_name}'",
-                node.subject.span,
-            )
-            return None
-        if node.value is None:
-            return PromiseBody(node.polarity, type_name, frozenset(), condition)  # type: ignore[arg-type]
-
-        # A value is attached: only valued types may take one, only on give.
-        if node.polarity == USE:
-            self.error(
-                E_RESOLVE_USE_CONSTRAINT,
-                f"a use body accepts '{type_name}' as promised and cannot constrain it",
-                node.span,
-            )
-            return None
-        if decl.kind not in VALUED_KINDS:
-            what = "flag" if decl.kind == KIND_FLAG else "service type"
-            self.error(
-                E_RESOLVE_VALUELESS_TYPE,
-                f"{what} '{type_name}' takes no value",
-                node.span,
-            )
-            return None
-        left = (Attribute(type_name), decl.kind)
+            # A value is attached: only valued types may take one, only on give.
+            if node.polarity == USE:
+                self.error(
+                    E_RESOLVE_USE_CONSTRAINT,
+                    f"a use body accepts '{type_name}' as promised and cannot constrain it",
+                    node.span,
+                )
+                return None
+            if decl.kind not in VALUED_KINDS:
+                what = "flag" if decl.kind == KIND_FLAG else "service type"
+                self.error(
+                    E_RESOLVE_VALUELESS_TYPE,
+                    f"{what} '{type_name}' takes no value",
+                    node.span,
+                )
+                return None
+            left = (Attribute(type_name), decl.kind)
+        assert node.value is not None  # the grammar gives a parameter subject "= term"
         right = self.resolve_term(node.value, kinds)
         self.unify_kinds(left, right, kinds, node.span)
         return PromiseBody(
@@ -436,8 +433,6 @@ class _Resolver:
         except PromiseModelError as exc:  # pragma: no cover - prevalidated
             self.error(E_RESOLVE_DUPLICATE, str(exc), self.file_start())
             return ResolveResult(None, sorted(self.diagnostics, key=diagnostic_sort_key))
-
-        from ..model import validate_autonomy
 
         for finding in validate_autonomy(graph):
             p = finding.promise

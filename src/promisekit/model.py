@@ -53,9 +53,11 @@ class Attribute:
 
 @dataclass(frozen=True)
 class Parameter:
-    """A free value placeholder, written ``$w``; scoped to its promise group."""
+    """A free value placeholder, written ``$w``.  ``scope`` is the group of
+    the promise that makes it, set where analyses keep groups apart, else ""."""
 
     name: str
+    scope: str = ""
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,15 @@ _TERM_RANK = {NumConst: 0, StrConst: 1, NamedConst: 2, Attribute: 3, Parameter: 
 
 
 def term_key(term: Term) -> tuple:
-    """Total order over terms: constants first, then named, attributes, parameters."""
+    """Total order over terms: constants, named, attributes, then parameters."""
     rank = _TERM_RANK[type(term)]
     if isinstance(term, NumConst):
         # int and float compare exactly, and no int is too large to compare.
         return (rank, term.value, "")
     if isinstance(term, StrConst):
         return (rank, 0.0, term.value)
+    if isinstance(term, Parameter):
+        return (rank, 0.0, term.scope, term.name)
     return (rank, 0.0, term.name)
 
 
@@ -126,8 +130,7 @@ def format_term(term: Term) -> str:
     if isinstance(term, Attribute):
         return term.name
     if isinstance(term, Parameter):
-        name = term.name.split("::", 1)[-1]  # drop internal scope tags
-        return f"${name}"
+        return f"${term.name}"
     if isinstance(term, NumConst):
         return format_number(term.value)
     if isinstance(term, StrConst):
@@ -549,6 +552,17 @@ def derive_group(promiser: str, promisee: str, body: PromiseBody) -> str:
 def bundle_group(promiser: str, promisee: str, bundle_name: str) -> str:
     """Scope id shared by all bodies of one bundle attachment."""
     return f"{promiser}->{promisee}|bundle:{bundle_name}"
+
+
+def group_label(promiser: str, promisee: str, group: str) -> str:
+    """How reports name a group on its channel: ``bundle NAME`` for a bundle
+    attachment, ``promise BODY`` for a direct declaration, and a group of
+    neither form by itself."""
+    for form, word in (("bundle:", "bundle"), ("body:", "promise")):
+        prefix = f"{promiser}->{promisee}|{form}"
+        if group.startswith(prefix):
+            return f"{word} {group[len(prefix):]}"
+    return group
 
 
 def _condition_names(condition: Condition) -> tuple[str, ...]:

@@ -382,7 +382,7 @@ def reference_tokenize(
                     advance()
                     closed = True
                     break
-                if c == "\n":
+                if c in "\r\n":
                     break
                 if c == "\\":
                     advance()

@@ -56,7 +56,7 @@ from bruteforce import (
     oracle_same_class_pairs,
     oracle_satisfiable,
 )
-from loaders import load_corpus, load_text
+from loaders import CORPUS_DIR, cli_invocations, load_corpus, load_text, run_cli
 
 
 def verdict_line(number: int, ok: bool, detail: str) -> None:
@@ -499,36 +499,12 @@ def test_criterion_7_dsl_robustness(tmp_path, capsys):
 # 8. Determinism: every command, every fixture, byte-identical reruns
 # ---------------------------------------------------------------------------
 
-def run_command(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    err = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue()
-
-
-def determinism_invocations() -> list[list[str]]:
-    invocations: list[list[str]] = []
-    for name in corpus.names():
-        path = str(corpus.path(name))
-        for command in ("check", "roles", "classes"):
-            invocations.append([command, path])
-            invocations.append([command, path, "--json"])
-        invocations.append(["dot", path])
-    geometry = str(corpus.path("geometry.pml"))
-    dispatch = str(corpus.path("dispatch.pml"))
-    invocations.append(["isa", geometry, "Square", "Rectangle"])
-    invocations.append(["isa", geometry, "Square", "Rectangle", "--json"])
-    invocations.append(["isa", dispatch, "ClassicApi", "BaseApi"])
-    return invocations
-
-
 def test_criterion_8_determinism():
-    invocations = determinism_invocations()
+    invocations = cli_invocations()
     stable = 0
     for argv in invocations:
-        first = run_command(argv)
-        second = run_command(argv)
+        first = run_cli(argv)
+        second = run_cli(argv)
         if first == second:
             stable += 1
 
@@ -557,7 +533,7 @@ json.dump(results, sys.stdout)
 
 
 def test_output_does_not_depend_on_pythonhashseed():
-    invocations = determinism_invocations()
+    invocations = cli_invocations()
     src = str(Path(promisekit.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = []
@@ -565,6 +541,7 @@ def test_output_does_not_depend_on_pythonhashseed():
         proc = subprocess.run(
             [sys.executable, "-c", _RUN_ALL],
             input=json.dumps(invocations),
+            cwd=CORPUS_DIR,
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath},

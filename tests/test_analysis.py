@@ -33,8 +33,10 @@ from promisekit.constraints import mutually_exclusive
 from promisekit.dsl import parse, resolve
 from promisekit.errors import UnsatisfiableError
 from promisekit.model import (
+    Agent,
     ALWAYS,
     Attribute,
+    build_graph,
     Bundle,
     CmpLiteral,
     Condition,
@@ -44,7 +46,9 @@ from promisekit.model import (
     link,
     NumConst,
     Parameter,
+    Promise,
     PromiseBody,
+    PromiseTypeDecl,
     use,
 )
 
@@ -400,6 +404,17 @@ class TestIsA:
             "parent P: +width=$w if height != width",
         )
 
+    def test_condition_parameters_stay_apart_from_constraint_parameters(self):
+        # The condition's $x is channel-wide; the constraint's $x belongs to
+        # its body, so w = $x does not meet $x == 1 and 1 is never forced to 2.
+        graph = load_text(
+            "agent a, b;\ntype w: num;\n"
+            "bundle B { give w = $x if $x == 1; give w = 2; }\n"
+            "a -> b: bundle B;\n"
+        )
+        bundle = graph.bundle("B")
+        assert check_is_a(bundle, bundle).outcome == IS_A
+
 
 # ---------------------------------------------------------------------------
 # Override policy
@@ -584,6 +599,52 @@ class TestDetectConflicts:
         findings = detect_conflicts(graph)
         severities = [f.severity for f in findings]
         assert severities == sorted(severities, reverse=True)
+
+    def test_library_groups_name_their_scopes(self):
+        graph = build_graph(
+            [Agent("a"), Agent("b")],
+            [PromiseTypeDecl("x", "num")],
+            promises=[
+                Promise("b", "a", use("x"), "g1"),
+                Promise("a", "b", give("x", EqConstraint(Attribute("x"), P("y"))), "g2"),
+                Promise("a", "b", give("x", EqConstraint(Attribute("x"), P("z"))), "g3"),
+            ],
+        )
+        [finding] = detect_conflicts(graph)
+        assert finding.code == "channel-restricted"
+        assert finding.message.endswith(": g2 {$y} = g3 {$z}")
+
+
+# One channel of direct promises, each a body and a gate; "{m}" marks where a
+# string constant takes characters that the report's own formats use.
+SCOPED_HEAD = "agent a, b;\ntype x: str;\ntype y: str;\nflag f;\nb -> a: give f;\n"
+SCOPED_BODIES = [
+    "give x = $v", "give x = $w", "give y = $w", "give $v = $w",
+    'give x = "p{m}"', 'give y = "q{m}"', 'give $w = "p{m}"', 'give $v = "q{m}"',
+]
+
+
+@settings(max_examples=150)
+@example([('give $w = "p{m}"', ""), ('give $v = "p{m}"', " if f")], "::")
+@example([('give $w = "p{m}"', ""), ('give $w = "p{m}"', " if f")], "::")
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(SCOPED_BODIES), st.sampled_from(["", " if f", " if not f"])
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from(["::", "|", "->", '\\"']),
+)
+def test_string_constants_do_not_change_conflicts(promises, mark):
+    def codes(m: str) -> Counter:
+        text = SCOPED_HEAD + "".join(
+            f"a -> b: {body.format(m=m)}{gate};\n" for body, gate in promises
+        )
+        return Counter(f.code for f in detect_conflicts(load_text(text)))
+
+    assert codes(mark) == codes("")
 
 
 # ---------------------------------------------------------------------------

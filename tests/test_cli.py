@@ -221,6 +221,21 @@ class TestCheck:
         assert lf[2], "the model has roles"
         assert check("\r") == lf
 
+    @pytest.mark.parametrize("second", ["$v", "$w"])
+    def test_scopes_do_not_depend_on_string_constants(self, second, tmp_path, capsys):
+        def check(constant: str) -> tuple:
+            path = tmp_path / f"{constant.replace(':', '_')}.pml"
+            path.write_text(
+                "agent a, b;\nflag f;\nb -> a: give f;\n"
+                f'a -> b: give $w = "{constant}";\n'
+                f'a -> b: give {second} = "{constant}" if f;\n'
+            )
+            code = main(["check", "--json", str(path)])
+            data = json.loads(capsys.readouterr().out)
+            return code, [f["code"] for f in data["findings"]]
+
+        assert check("p::q") == check("pq") == (1, ["channel-restricted"])
+
 
 class TestRoles:
     def test_text_listing(self, capsys):

@@ -146,6 +146,14 @@ class TestLexer:
             ("", 3, 4, 4),
         ]
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+    def test_unterminated_string_ends_at_any_line_end(self, line_end):
+        lines = [
+            "agent a, b;", "type s: str;", 'a -> b: give s = "oops;', "b -> a: use s;"
+        ]
+        result = parse(line_end.join(lines))
+        assert errors_of(result.diagnostics) == ["E-LEX-002", "E-PARSE-001"]
+
 
 # One- and several-character pieces: letters, digits and numerals outside
 # ASCII (some of which continue a name but cannot start one), whitespace the

@@ -86,7 +86,13 @@ class TestTerms:
         assert format_term(NamedConst("owner")) == "owner"
 
     def test_scoped_parameter_prints_without_its_scope_tag(self):
-        assert format_term(Parameter("child::w")) == "$w"
+        assert format_term(Parameter("w", "child")) == "$w"
+
+    def test_parameters_order_by_scope_then_name(self):
+        params = [Parameter("a", "s2"), Parameter("b", "s1"), Parameter("a", "s1"), W]
+        assert sorted(params, key=term_key) == [
+            W, Parameter("a", "s1"), Parameter("b", "s1"), Parameter("a", "s2")
+        ]
 
     def test_equality_constraints_are_order_normalized(self):
         assert EqConstraint(W, WIDTH) == EqConstraint(WIDTH, W)

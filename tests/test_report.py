@@ -74,8 +74,8 @@ class TestJson:
 
     def test_diagnostic_columns_count_characters(self):
         # CRLF line ends, a tab, an astral-plane letter and an astral-plane
-        # symbol: each character is one column, and "\r" is the last column
-        # of its line (an unterminated string takes it in).
+        # symbol: each character is one column.  An unterminated string ends
+        # before the "\r" of its line.
         text = "agent a;\r\n\t\U0001D400 \U0001F600;\r\nx = \"\u00e9\r\n"
         diagnostics = tuple(parse(text, "f.pml").diagnostics)
         data = json.loads(report_json(Report(files=(FileEntry("f.pml", diagnostics),))))
@@ -87,7 +87,7 @@ class TestJson:
             ("E-LEX-001", 2, 4, 2, 5),
             ("E-PARSE-001", 2, 5, 2, 6),
             ("E-PARSE-001", 3, 3, 3, 4),
-            ("E-LEX-002", 3, 5, 3, 8),
+            ("E-LEX-002", 3, 5, 3, 7),
         ]
 
     def test_roles_expose_signature_entries(self):
