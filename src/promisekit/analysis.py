@@ -244,8 +244,6 @@ def role_signature(graph: PromiseGraph, agent: str) -> RoleSignature:
 
 
 def _role_label(signature: RoleSignature) -> str:
-    if not signature:
-        return "isolated"
     for direction, polarity in ((OUT, GIVE), (OUT, USE), (IN, GIVE), (IN, USE)):
         types = sorted(
             {
@@ -731,6 +729,8 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
         for world, in_force, part in judge(entries):
             active = [p for p, _, _ in in_force]
             if not part.admits(world.neqs):
+                # The world's conditions hold together, so the clash needs
+                # the constraints of some promise in force.
                 contributors = [p for p, _, scoped in in_force if scoped]
                 add(
                     Finding(
@@ -738,8 +738,7 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
                         "channel-inconsistent",
                         f"{channel}: promises cannot all hold{world.when}: "
                         f"{_clash_detail(part)}",
-                        tuple(sorted({p.formatted() for p in contributors}))
-                        or tuple(sorted({p.formatted() for p in active})),
+                        tuple(sorted({p.formatted() for p in contributors})),
                     )
                 )
                 continue

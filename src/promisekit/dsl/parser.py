@@ -103,11 +103,6 @@ class Parser:
             return self.advance()
         raise self._fail(f"'{op}'")
 
-    def expect_kw(self, word: str) -> Token:
-        if self.current.is_kw(word):
-            return self.advance()
-        raise self._fail(f"keyword '{word}'")
-
     def expect_ident(self, what: str = "an identifier") -> Name:
         if self.current.type == IDENT:
             tok = self.advance()
@@ -171,7 +166,7 @@ class Parser:
         raise self._fail("a declaration")
 
     def parse_agent(self) -> AgentDecl:
-        start = self.expect_kw("agent")
+        start = self.advance()
         names = [self.expect_ident("an agent name")]
         while self.current.is_op(","):
             self.advance()
@@ -180,7 +175,7 @@ class Parser:
         return AgentDecl(tuple(names), start.span.merge(end.span))
 
     def parse_type(self) -> TypeDecl:
-        start = self.expect_kw("type")
+        start = self.advance()
         path = [self.expect_ident("a type name")]
         while self.current.is_op("."):
             self.advance()
@@ -195,13 +190,13 @@ class Parser:
         return TypeDecl(tuple(path), str(kind_tok.value), start.span.merge(end.span))
 
     def parse_flag(self) -> FlagDecl:
-        start = self.expect_kw("flag")
+        start = self.advance()
         name = self.expect_ident("a flag name")
         end = self.expect_op(";")
         return FlagDecl(name, start.span.merge(end.span))
 
     def parse_bundle_decl(self) -> BundleDecl:
-        start = self.expect_kw("bundle")
+        start = self.advance()
         name = self.expect_ident("a bundle name")
         parent = None
         if self.current.is_kw("extends"):

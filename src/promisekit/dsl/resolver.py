@@ -8,8 +8,9 @@ no constraints), expands bundle attachments, and attaches autonomy warnings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Hashable, Union
 
+from ..constraints import UnionFind
 from ..errors import BundleCycleError, PromiseModelError
 from ..model import (
     Agent,
@@ -25,7 +26,6 @@ from ..model import (
     EqConstraint,
     FlagLiteral,
     flatten_bundles,
-    flatten_type,
     GIVE,
     KIND_FLAG,
     KIND_NUM,
@@ -86,6 +86,27 @@ from .diagnostics import (
 _UNKNOWN = "unknown"  # kind placeholder for named constants
 
 
+class _Scope:
+    """The parameters of one scope: a bundle, or one promise.  Parameters
+    related to each other form one class, and a class has at most one kind."""
+
+    def __init__(self) -> None:
+        self.classes = UnionFind()
+        self.kinds: dict[Hashable, str] = {}  # class root -> kind
+
+    def kind(self, name: str) -> str:
+        self.classes.add(name)
+        return self.kinds.get(self.classes.find(name), _UNKNOWN)
+
+    def join(self, terms: tuple[Term, Term], kind: str) -> None:
+        """Put the parameters among ``terms`` in one class of ``kind``."""
+        names = [t.name for t in terms if isinstance(t, Parameter)]
+        if len(names) == 2:
+            self.classes.union(*names)
+        if names and kind != _UNKNOWN:
+            self.kinds[self.classes.find(names[0])] = kind
+
+
 @dataclass
 class ResolveResult:
     graph: Union[PromiseGraph, None]
@@ -119,57 +140,52 @@ class _Resolver:
 
     # -- declaration collection --------------------------------------------
 
+    def declare(
+        self, table: dict, name: str, value: object, span: SourceSpan, message: str
+    ) -> None:
+        """Enter ``name`` in ``table``, or report it as declared already;
+        ``message`` takes the name at ``{}``."""
+        if name in table:
+            self.error(E_RESOLVE_DUPLICATE, message.format(name), span)
+        else:
+            table[name] = value
+
     def collect_agents(self) -> None:
         for decl in self.ast.decls:
-            if not isinstance(decl, AgentDecl):
-                continue
-            for name in decl.names:
-                if name.text in self.agents:
-                    self.error(
-                        E_RESOLVE_DUPLICATE,
-                        f"agent '{name.text}' is already declared",
-                        name.span,
+            if isinstance(decl, AgentDecl):
+                for name in decl.names:
+                    self.declare(
+                        self.agents, name.text, Agent.make(name.text), name.span,
+                        "agent '{}' is already declared",
                     )
-                    continue
-                self.agents[name.text] = Agent.make(name.text)
 
     def collect_types(self) -> None:
-        # Identifiers hold no '.', so a repeated flattened name is a duplicate.
+        # Identifiers hold no '.', so the joined path is the type's one name.
         for decl in self.ast.decls:
             if isinstance(decl, TypeDecl):
-                path = tuple(n.text for n in decl.path)
-                flat = flatten_type(path)
-                if flat in self.types:
-                    self.error(
-                        E_RESOLVE_DUPLICATE,
-                        f"type '{flat}' is already declared",
-                        decl.path[0].span.merge(decl.path[-1].span),
-                    )
-                    continue
-                self.types[flat] = PromiseTypeDecl(flat, decl.kind, path)  # type: ignore[arg-type]
+                name = ".".join(n.text for n in decl.path)
+                self.declare(
+                    self.types, name, PromiseTypeDecl(name, decl.kind),  # type: ignore[arg-type]
+                    decl.path[0].span.merge(decl.path[-1].span),
+                    "type '{}' is already declared",
+                )
             elif isinstance(decl, FlagDecl):
                 name = decl.name.text
-                if name in self.types:
-                    self.error(
-                        E_RESOLVE_DUPLICATE,
-                        f"'{name}' is already declared (types and flags share one namespace)",
-                        decl.name.span,
-                    )
-                    continue
-                self.types[name] = PromiseTypeDecl(name, KIND_FLAG, (name,))
+                self.declare(
+                    self.types, name, PromiseTypeDecl(name, KIND_FLAG), decl.name.span,
+                    "'{}' is already declared (types and flags share one namespace)",
+                )
 
     # -- term and condition resolution --------------------------------------
 
-    def resolve_term(
-        self, node: TermNode, kinds: dict[str, str]
-    ) -> tuple[Term, str]:
+    def resolve_term(self, node: TermNode, scope: _Scope) -> tuple[Term, str]:
         """Returns (term, kind); kind is 'num', 'str', or 'unknown'."""
         if isinstance(node, NumberTerm):
             return NumConst(node.value), KIND_NUM
         if isinstance(node, StringTerm):
             return StrConst(node.value), KIND_STR
         if isinstance(node, ParamTerm):
-            return Parameter(node.name), kinds.get(f"${node.name}", _UNKNOWN)
+            return Parameter(node.name), scope.kind(node.name)
         if isinstance(node, IdentTerm):
             decl = self.types.get(node.name)
             if decl is None:
@@ -195,36 +211,23 @@ class _Resolver:
         self,
         left: tuple[Term, str],
         right: tuple[Term, str],
-        kinds: dict[str, str],
+        scope: _Scope,
         span: SourceSpan,
     ) -> None:
-        """Propagate value kinds across '=' and comparisons; report clashes."""
-        known = [k for _, k in (left, right) if k != _UNKNOWN]
-        if len(known) == 2 and known[0] != known[1]:
+        """Relate two terms by '=' or a comparison: report a num related to a
+        str, else put their parameters in one class of the known kind."""
+        (lterm, lkind), (rterm, rkind) = left, right
+        if _UNKNOWN not in (lkind, rkind) and lkind != rkind:
             self.error(
                 E_RESOLVE_KIND_CONFLICT,
-                f"cannot relate a {known[0]} value to a {known[1]} value",
+                f"cannot relate a {lkind} value to a {rkind} value",
                 span,
             )
             return
-        if not known:
-            return
-        kind = known[0]
-        for term, term_kind in (left, right):
-            if isinstance(term, Parameter):
-                key = f"${term.name}"
-                prior = kinds.get(key, _UNKNOWN)
-                if prior == _UNKNOWN:
-                    kinds[key] = kind
-                elif prior != kind:
-                    self.error(
-                        E_RESOLVE_KIND_CONFLICT,
-                        f"parameter '{key}' is used as both {prior} and {kind}",
-                        span,
-                    )
+        scope.join((lterm, rterm), rkind if lkind == _UNKNOWN else lkind)
 
     def resolve_condition(
-        self, node: Union[ConditionNode, None], kinds: dict[str, str]
+        self, node: Union[ConditionNode, None], scope: _Scope
     ) -> Condition:
         if node is None:
             return ALWAYS
@@ -248,17 +251,17 @@ class _Resolver:
                     continue
                 literals.append(FlagLiteral(lit.name.text, lit.negated))
             elif isinstance(lit, CmpLiteralNode):
-                left = self.resolve_term(lit.lhs, kinds)
-                right = self.resolve_term(lit.rhs, kinds)
-                self.unify_kinds(left, right, kinds, lit.span)
+                left = self.resolve_term(lit.lhs, scope)
+                right = self.resolve_term(lit.rhs, scope)
+                self.unify_kinds(left, right, scope, lit.span)
                 op = "eq" if lit.op == "==" else "neq"
                 literals.append(CmpLiteral(left[0], op, right[0]))  # type: ignore[arg-type]
         return Condition(frozenset(literals))
 
     def resolve_body(
-        self, node: BodyNode, kinds: dict[str, str]
+        self, node: BodyNode, scope: _Scope
     ) -> Union[PromiseBody, None]:
-        condition = self.resolve_condition(node.condition, kinds)
+        condition = self.resolve_condition(node.condition, scope)
 
         if isinstance(node.subject, ParamTerm):
             # Constraint-only body: give $w = $h;
@@ -270,7 +273,7 @@ class _Resolver:
                 )
                 return None
             type_name = LINK_TYPE
-            left = self.resolve_term(node.subject, kinds)
+            left = self.resolve_term(node.subject, scope)
         else:
             type_name = node.subject.name
             decl = self.types.get(type_name)
@@ -302,8 +305,8 @@ class _Resolver:
                 return None
             left = (Attribute(type_name), decl.kind)
         assert node.value is not None  # the grammar gives a parameter subject "= term"
-        right = self.resolve_term(node.value, kinds)
-        self.unify_kinds(left, right, kinds, node.span)
+        right = self.resolve_term(node.value, scope)
+        self.unify_kinds(left, right, scope, node.span)
         return PromiseBody(
             GIVE, type_name, frozenset({EqConstraint(left[0], right[0])}), condition
         )
@@ -312,16 +315,11 @@ class _Resolver:
 
     def collect_bundles(self) -> None:
         for decl in self.ast.decls:
-            if not isinstance(decl, BundleDecl):
-                continue
-            if decl.name.text in self.bundle_decls:
-                self.error(
-                    E_RESOLVE_DUPLICATE,
-                    f"bundle '{decl.name.text}' is already declared",
-                    decl.name.span,
+            if isinstance(decl, BundleDecl):
+                self.declare(
+                    self.bundle_decls, decl.name.text, decl, decl.name.span,
+                    "bundle '{}' is already declared",
                 )
-                continue
-            self.bundle_decls[decl.name.text] = decl
 
         for name, decl in self.bundle_decls.items():
             parent = decl.parent.text if decl.parent else None
@@ -332,10 +330,10 @@ class _Resolver:
                     decl.parent.span,
                 )
                 parent = None
-            kinds: dict[str, str] = {}  # one parameter scope per bundle
+            scope = _Scope()  # one parameter scope per bundle
             bodies = []
             for body_node in decl.bodies:
-                body = self.resolve_body(body_node, kinds)
+                body = self.resolve_body(body_node, scope)
                 if body is not None:
                     bodies.append(body)
             self.bundles[name] = Bundle(name, tuple(bodies), parent)
@@ -378,8 +376,7 @@ class _Resolver:
                         ref.name.span,
                     )
                     continue
-                kinds: dict[str, str] = {}
-                attach_cond = self.resolve_condition(ref.condition, kinds)
+                attach_cond = self.resolve_condition(ref.condition, _Scope())
                 flat = self.flat_bundles.get(bundle.name)
                 if not ok or flat is None:
                     continue
@@ -394,8 +391,7 @@ class _Resolver:
                         )
                     self.add_promise(promiser, promisee, body, group, decl.span)
             else:
-                kinds = {}
-                body = self.resolve_body(decl.item, kinds)
+                body = self.resolve_body(decl.item, _Scope())
                 if body is None or not ok:
                     continue
                 body = self.bodies.setdefault(body, body)

@@ -23,10 +23,6 @@ class BundleCycleError(PromiseModelError):
         self.cycle = cycle
 
 
-class TypeCollisionError(PromiseModelError):
-    """Two distinct type paths flatten to the same dotted name."""
-
-
 class InvalidBodyError(PromiseModelError):
     """A promise body violates a structural rule (e.g. constraints on use)."""
 

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Literal, Mapping, Sequence, Union
+from typing import Callable, Iterable, Literal, Mapping, Union
 
 from .errors import (
     BundleCycleError,
     DanglingReferenceError,
     DuplicateNameError,
     InvalidBodyError,
-    TypeCollisionError,
 )
 
 GIVE = "give"
@@ -381,25 +380,11 @@ VALUED_KINDS = (KIND_NUM, KIND_STR)
 
 @dataclass(frozen=True)
 class PromiseTypeDecl:
-    """A registered promise type.  ``name`` is the flattened dotted path."""
+    """A registered promise type.  A dotted ``name`` such as ``bank.balance``
+    is one name: ``.`` only groups types for the reader."""
 
     name: str
     kind: Literal["num", "str", "flag", "service"]
-    path: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.path:
-            object.__setattr__(self, "path", tuple(self.name.split(".")))
-
-
-def flatten_type(path: Sequence[str]) -> str:
-    """Join a namespace path into a single dotted type name."""
-    if not path:
-        raise ValueError("type path must not be empty")
-    for seg in path:
-        if not seg:
-            raise ValueError("type path segments must be non-empty")
-    return ".".join(path)
 
 
 @dataclass(frozen=True)
@@ -496,20 +481,11 @@ def _group_promises(promises: Iterable[Promise], key: Callable) -> dict:
 def _check_type_registry(types: Iterable[PromiseTypeDecl]) -> tuple[PromiseTypeDecl, ...]:
     by_name: dict[str, PromiseTypeDecl] = {}
     for decl in types:
-        flat = flatten_type(decl.path)
-        if flat != decl.name:
-            raise TypeCollisionError(
-                f"type {decl.name!r} does not match its path {'.'.join(decl.path)!r}"
-            )
-        prior = by_name.get(flat)
-        if prior is not None:
-            if prior.path != decl.path:
-                raise TypeCollisionError(
-                    f"type paths {'.'.join(prior.path)!r} and {'.'.join(decl.path)!r} "
-                    f"both flatten to {flat!r}"
-                )
-            raise DuplicateNameError(f"type {flat!r} declared twice")
-        by_name[flat] = decl
+        if "" in decl.name.split("."):
+            raise ValueError(f"type name {decl.name!r} has an empty segment")
+        if decl.name in by_name:
+            raise DuplicateNameError(f"type {decl.name!r} declared twice")
+        by_name[decl.name] = decl
     return tuple(sorted(by_name.values(), key=lambda d: d.name))
 
 

@@ -1,5 +1,5 @@
 """Shared helpers: texts through the full pipeline into graphs, and
-``pml`` runs on the shipped corpus."""
+``pml`` runs on the shipped corpus and on the invalid models."""
 from __future__ import annotations
 
 import contextlib
@@ -14,6 +14,8 @@ from promisekit.dsl import parse, resolve
 from promisekit.model import PromiseGraph
 
 CORPUS_DIR = Path(corpus.__file__).parent
+#: Small models that each show one diagnostic code, or one defect.
+INVALID_DIR = Path(__file__).parent / "golden" / "invalid"
 
 #: Bundles of one model that ``pml isa`` judges, each ordered pair of them.
 ISA_BUNDLES = {
@@ -35,30 +37,36 @@ def load_corpus(name: str) -> PromiseGraph:
     return load_text(corpus.read(name), name)
 
 
-def cli_invocations() -> list[list[str]]:
-    """Every ``pml`` command on every corpus model, paths relative to the
-    corpus directory."""
+def cli_invocations() -> list[tuple[Path, list[str]]]:
+    """Every ``pml`` command on every corpus model, and ``check`` on every
+    invalid model, each with the directory it runs in: file paths are
+    relative to it."""
     runs = []
     for name in corpus.names():
+        argvs = []
         for command in ("check", "roles", "classes"):
-            runs += [[command, name], [command, name, "--json"]]
-        runs.append(["dot", name])
+            argvs += [[command, name], [command, name, "--json"]]
+        argvs.append(["dot", name])
         for child, parent in itertools.permutations(ISA_BUNDLES.get(name, ()), 2):
             isa = ["isa", name, child, parent]
-            runs += [isa, [*isa, "--json"]]
+            argvs += [isa, [*isa, "--json"]]
+        runs += [(CORPUS_DIR, argv) for argv in argvs]
+    for path in sorted(INVALID_DIR.glob("*.pml")):
+        check = ["check", path.name]
+        runs += [(INVALID_DIR, check), (INVALID_DIR, [*check, "--json"])]
     return runs
 
 
-def run_cli(argv: list[str]) -> dict:
-    """One in-process ``pml`` run in the corpus directory."""
+def run_cli(cwd: Path, argv: list[str]) -> dict:
+    """One in-process ``pml`` run in the directory ``cwd``."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(CORPUS_DIR)
+    saved = os.getcwd()
+    os.chdir(cwd)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
     finally:
-        os.chdir(cwd)
+        os.chdir(saved)
     return {
         "argv": argv, "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()
     }

@@ -56,7 +56,7 @@ from bruteforce import (
     oracle_same_class_pairs,
     oracle_satisfiable,
 )
-from loaders import CORPUS_DIR, cli_invocations, load_corpus, load_text, run_cli
+from loaders import cli_invocations, load_corpus, load_text, run_cli
 
 
 def verdict_line(number: int, ok: bool, detail: str) -> None:
@@ -502,9 +502,9 @@ def test_criterion_7_dsl_robustness(tmp_path, capsys):
 def test_criterion_8_determinism():
     invocations = cli_invocations()
     stable = 0
-    for argv in invocations:
-        first = run_cli(argv)
-        second = run_cli(argv)
+    for cwd, argv in invocations:
+        first = run_cli(cwd, argv)
+        second = run_cli(cwd, argv)
         if first == second:
             stable += 1
 
@@ -518,12 +518,14 @@ def test_criterion_8_determinism():
     assert stable == len(invocations)
 
 
-# Runs each argv read from stdin as JSON, printing [[exit code, stdout], ...].
+# Runs each [directory, argv] pair read from stdin as JSON, printing
+# [[exit code, stdout], ...].
 _RUN_ALL = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 from promisekit.cli import main
 results = []
-for argv in json.load(sys.stdin):
+for cwd, argv in json.load(sys.stdin):
+    os.chdir(cwd)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -540,8 +542,7 @@ def test_output_does_not_depend_on_pythonhashseed():
     for seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-c", _RUN_ALL],
-            input=json.dumps(invocations),
-            cwd=CORPUS_DIR,
+            input=json.dumps([[str(cwd), argv] for cwd, argv in invocations]),
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath},

@@ -135,6 +135,16 @@ class TestSignatures:
         b = give("width", EqConstraint(WIDTH, P("zz")))
         assert normalize_body(a) == normalize_body(b)
 
+    def test_renaming_parameters_in_a_condition_keeps_the_body_shape(self):
+        def gated(x: str, y: str, pinned: str) -> PromiseBody:
+            cond = Condition.of(
+                CmpLiteral(P(pinned), "eq", NumConst(1)), CmpLiteral(P(x), "neq", P(y))
+            )
+            return give("width", EqConstraint(WIDTH, P(x)), condition=cond)
+
+        assert normalize_body(gated("x", "y", "y")) == normalize_body(gated("a", "b", "b"))
+        assert normalize_body(gated("x", "y", "y")) != normalize_body(gated("x", "y", "x"))
+
     def test_constraint_shape_matters(self):
         a = give("width", EqConstraint(WIDTH, P("w")))
         b = give("width", EqConstraint(WIDTH, NumConst(3)))
@@ -236,6 +246,14 @@ class TestExtension:
         assert check_extension(mid, base)
         assert check_extension(top, mid)
         assert check_extension(top, base)
+
+    def test_condition_literals_tell_bodies_apart(self):
+        def gated(name: str, n: int) -> Bundle:
+            cond = Condition.of(CmpLiteral(P("y"), "eq", NumConst(n)))
+            return Bundle(name, (give("width", EqConstraint(WIDTH, P("y")), condition=cond),))
+
+        assert check_extension(gated("A", 1), gated("B", 1))
+        assert not check_extension(gated("A", 1), gated("B", 2))
 
     def test_repeated_bodies_are_counted(self):
         once = Bundle("Once", (use("svc"),))
@@ -478,6 +496,20 @@ class TestOverridePolicy:
                 "override-contradiction",
                 "base body '+width=1 if f' of Base is contradicted by Child (when f & g)",
             )
+        ]
+
+    def test_a_clash_cites_only_the_base_bodies_it_touches(self):
+        base = Bundle(
+            "Base",
+            (
+                give("width", EqConstraint(WIDTH, P("w"))),
+                give("height", EqConstraint(HEIGHT, P("h"))),
+            ),
+        )
+        child = Bundle("Child", (link(P("w"), NumConst(1)), link(P("w"), NumConst(2))))
+        findings = check_override_policy(base, child)
+        assert [(f.code, f.message) for f in findings] == [
+            ("override-contradiction", "base body '+width=$w' of Base is contradicted by Child")
         ]
 
     def test_a_child_that_breaks_the_world_premise_contradicts(self):

@@ -226,6 +226,19 @@ class TestParser:
         assert not result.ok
         assert len(errors_of(result.diagnostics)) >= 2
 
+    @pytest.mark.parametrize(
+        "body, found",
+        [
+            ("give w $y;", "expected ';', found parameter '$y'"),
+            ("give w = 5 5;", "expected ';', found number '5'"),
+            ('give t = "s" "t";', "expected ';', found string '\"t\"'"),
+            ("give w if 3;", "expected '==' or '!=', found ';'"),
+        ],
+    )
+    def test_unexpected_token_is_described(self, body, found):
+        result = parse(f"agent a, b; type w: num; type t: str;\na -> b: {body}\n", "t.pml")
+        assert [(d.code, d.message) for d in result.diagnostics] == [("E-PARSE-001", found)]
+
     def test_diagnostic_formatting(self):
         result = parse("agent a\nagent b;\n", "some/file.pml")
         line = result.diagnostics[0].formatted()
@@ -484,6 +497,18 @@ class TestResolver:
         )
         assert errors_of(result.diagnostics) == ["E-RESOLVE-007"]
 
+    def test_service_type_as_a_value_rejected(self):
+        result = resolve_text(
+            "agent a; agent b; type w: num; type svc: service;\na -> b: give w = svc;\n"
+        )
+        assert [d.formatted() for d in result.diagnostics] == [
+            "m.pml:2:18: error[E-RESOLVE-007]: service type 'svc' carries no value"
+        ]
+
+    def test_use_link_body_rejected(self):
+        result = resolve_text("agent a; agent b;\na -> b: use $w = $h;\n")
+        assert errors_of(result.diagnostics) == ["E-RESOLVE-006"]
+
     def test_value_on_flag_rejected(self):
         result = resolve_text(
             "agent a; agent b; flag f;\na -> b: give f = 4;\n"
@@ -504,6 +529,32 @@ class TestResolver:
             "a -> b: bundle B\n"
         )
         assert "E-RESOLVE-008" in errors_of(result.diagnostics)
+
+    @pytest.mark.parametrize(
+        "bodies",
+        [
+            "give $x = $y; give w = $x; give s = $y;",
+            "give w = $x; give $x = $y; give s = $y;",
+            "give w = $x; give s = $y; give $x = $y;",
+            "give s = $y; give $x = $y; give w = $x;",
+        ],
+    )
+    def test_related_parameters_share_a_kind_in_any_order(self, bodies):
+        result = resolve_text(
+            "agent a, b; type w: num; type s: str;\n"
+            f"bundle B {{ {bodies} }}\n"
+            "a -> b: bundle B\n"
+        )
+        assert errors_of(result.diagnostics) == ["E-RESOLVE-008"]
+
+    def test_a_condition_relates_parameters_for_its_body(self):
+        result = resolve_text(
+            "agent a, b; type w: num;\n"
+            'a -> b: give w = $x if $x == $y and $y == "s";\n'
+        )
+        assert [d.message for d in result.diagnostics] == [
+            "cannot relate a num value to a str value"
+        ]
 
     def test_flag_used_as_value_rejected(self):
         result = resolve_text(

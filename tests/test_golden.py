@@ -1,8 +1,9 @@
-"""Golden outputs: ``pml`` on the shipped corpus, compared byte for byte.
+"""Golden outputs: ``pml`` on the shipped corpus and on the invalid models
+in ``golden/invalid``, compared byte for byte.
 
 ``golden/corpus.json`` records, for each invocation that
 ``loaders.cli_invocations`` lists, the exit code, stdout and stderr of
-``pml`` run in the corpus directory, so that file paths in the output are
+``pml`` run in the model's directory, so that file paths in the output are
 relative to it.  A change that is meant to alter
 output rewrites the file, and its diff shows what changed:
 
@@ -27,16 +28,17 @@ def golden() -> dict[str, dict]:
 
 
 def test_the_golden_file_records_every_invocation(golden):
-    assert list(golden) == [" ".join(argv) for argv in cli_invocations()]
+    assert list(golden) == [" ".join(argv) for _, argv in cli_invocations()]
 
 
-@pytest.mark.parametrize("argv", cli_invocations(), ids=" ".join)
-def test_output_matches_the_golden_file(argv, golden):
-    assert run_cli(argv) == golden[" ".join(argv)]
+@pytest.mark.parametrize("run", cli_invocations(), ids=lambda run: " ".join(run[1]))
+def test_output_matches_the_golden_file(run, golden):
+    cwd, argv = run
+    assert run_cli(cwd, argv) == golden[" ".join(argv)]
 
 
 if __name__ == "__main__":
-    records = [run_cli(argv) for argv in cli_invocations()]
+    records = [run_cli(cwd, argv) for cwd, argv in cli_invocations()]
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(
         json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8"

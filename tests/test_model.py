@@ -11,7 +11,6 @@ from promisekit.errors import (
     DanglingReferenceError,
     DuplicateNameError,
     InvalidBodyError,
-    TypeCollisionError,
 )
 from promisekit.model import (
     Agent,
@@ -25,7 +24,6 @@ from promisekit.model import (
     derive_group,
     EqConstraint,
     flatten_bundles,
-    flatten_type,
     FlagLiteral,
     format_body,
     format_condition,
@@ -203,35 +201,20 @@ class TestBundles:
 # ---------------------------------------------------------------------------
 
 class TestTypes:
-    def test_flatten_joins_path_segments(self):
-        assert flatten_type(["bank", "account", "balance"]) == "bank.account.balance"
+    def test_name_with_an_empty_segment_rejected(self):
+        for name in ("", "a..b", "a.", ".a"):
+            with pytest.raises(ValueError):
+                build_graph([], [PromiseTypeDecl(name, KIND_NUM)])
 
-    def test_flatten_rejects_empty(self):
-        with pytest.raises(ValueError):
-            flatten_type([])
-        with pytest.raises(ValueError):
-            flatten_type(["a", ""])
-
-    def test_decl_derives_path_from_dotted_name(self):
-        decl = PromiseTypeDecl("a.b", KIND_NUM)
-        assert decl.path == ("a", "b")
-
-    def test_colliding_paths_rejected(self):
-        decls = [
-            PromiseTypeDecl("a.b", KIND_NUM, ("a", "b")),
-            PromiseTypeDecl("a.b", KIND_NUM, ("a.b",)),
-        ]
-        with pytest.raises(TypeCollisionError):
-            build_graph([], decls)
+    def test_dotted_name_is_one_name(self):
+        graph = build_graph([], [PromiseTypeDecl("a.b", KIND_NUM)])
+        assert graph.type_decl("a.b") == PromiseTypeDecl("a.b", KIND_NUM)
+        assert graph.type_decl("a") is None
 
     def test_duplicate_type_rejected(self):
         decls = [PromiseTypeDecl("w", KIND_NUM), PromiseTypeDecl("w", KIND_NUM)]
         with pytest.raises(DuplicateNameError):
             build_graph([], decls)
-
-    def test_mismatched_name_and_path_rejected(self):
-        with pytest.raises(TypeCollisionError):
-            build_graph([], [PromiseTypeDecl("x", KIND_NUM, ("y",))])
 
 
 # ---------------------------------------------------------------------------
