@@ -93,7 +93,7 @@ class AgentDecl:
 
 @dataclass(frozen=True)
 class TypeDecl:
-    path: tuple[Name, ...]
+    name: Name  # a dotted name such as ``bank.balance`` is one name
     kind: str  # "num" | "str" | "service"
     span: SourceSpan = field(default_factory=_span_field, compare=False, repr=False)
 

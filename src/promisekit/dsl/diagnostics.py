@@ -107,12 +107,14 @@ class SourceSpan(namedtuple("SourceSpan", "file start_offset end_offset lines"))
         return self.lines.position(self.end_offset)[1]
 
     def merge(self, other: "SourceSpan") -> "SourceSpan":
-        return SourceSpan(
-            self.file,
-            min(self.start_offset, other.start_offset),
-            max(self.end_offset, other.end_offset),
-            self.lines,
-        )
+        file, start, end, lines = self
+        if other.start_offset < start:
+            start = other.start_offset
+        if other.end_offset > end:
+            end = other.end_offset
+        if end < start:
+            raise ValueError("span must not end before it starts")
+        return tuple.__new__(SourceSpan, (file, start, end, lines))
 
     def overlaps_offsets(self, start: int, end: int) -> bool:
         return self.start_offset < end and start < self.end_offset

@@ -18,6 +18,11 @@ unterminated, before a carriage return or newline or at the end of the
 text; its escapes are ``\\\\ \\" \\n \\t``, and any other escaped
 character, a line end included, is reported and kept as it is.
 
+The lexer makes one regular-expression match per token, and none for an
+illegal character inside a run of ``\\w`` characters that an earlier match
+has read already.  Tokens and spans are built as plain tuples, without a
+constructor call per token.
+
 Spans are character offsets; every span of one text shares that text's
 ``LineIndex``, so the lexer keeps no line or column count.
 """
@@ -85,23 +90,25 @@ _INFINITY = float("inf")
 
 # One match takes the whitespace and comments before a token, then the token;
 # at the end of the text it takes only the former.  On str patterns \w is
-# exactly ``isalnum() or "_"`` and \d is ``isdecimal()``.  [^\W\d] also takes
-# characters that are digits or numerals but not letters ('²', 'Ⅻ', '①'), so
-# a name's first character is matched alone and checked with ``isalpha``
-# before _NAME_TAIL takes the rest; taking the whole name in the same match
-# would scan a run of such characters again after each one.  A string takes
-# in escapes, a backslash-newline and a missing closing quote.  The last
-# alternative is any single character.
+# exactly ``isalnum() or "_"`` and \d is ``isdecimal()``.  A word or a
+# parameter takes a whole run of \w, so a name is one match.  But [^\W\d] also
+# takes characters that are numerals and not letters ('²', 'Ⅻ', '①'), and a
+# run that starts on one is no name: each of its characters up to the first
+# letter, '_' or decimal digit is illegal, and a name there runs to the end of
+# the run.  ``tokenize`` reports those characters from the run it has matched
+# already, in one pass, and matches again only where a name or a number
+# starts; matching the run again after each illegal character would read it
+# once per character.  A string takes in escapes, a backslash-newline and a
+# missing closing quote.  The last alternative is any single character.
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|#[^\r\n]*)*"
-    r"(?:(?P<word>[^\W\d])"
+    r"(?:(?P<word>[^\W\d]\w*)"
     r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<param>\$[^\W\d])"
+    r"|(?P<param>\$[^\W\d]\w*)"
     r'|(?P<string>"(?:[^"\\\r\n]|\\[\s\S]?)*"?)'
     r"|(?P<op>->|==|!=|[;,:.{}=])"
     r"|(?P<other>[\s\S]))?"
 )
-_NAME_TAIL = re.compile(r"\w*")
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
@@ -110,43 +117,47 @@ def tokenize(text: str, file: str = "<model>") -> tuple[list[Token], list[Diagno
     diagnostics: list[Diagnostic] = []
     lines = LineIndex(text)
     i = 0
+    run = 0  # where the last matched word run that starts on no letter ends
     match = _TOKEN.match
-    name_tail = _NAME_TAIL.match
+    new = tuple.__new__
 
     while True:
-        m = match(text, i)
-        kind = m.lastgroup
-        end = m.end()
-        if kind is None:
-            i = end
-            break
-        i = m.start(kind)
-        if kind == "word" or kind == "param":
-            head = text[end - 1]
-            if head.isalpha() or head == "_":
-                end = name_tail(text, end).end()
-            else:
-                kind, end = "other", i + 1
+        if i < run and not (text[i].isalpha() or text[i] == "_" or text[i].isdecimal()):
+            kind, end = "other", i + 1
+        else:
+            m = match(text, i)
+            kind = m.lastgroup
+            end = m.end()
+            if kind is None:
+                i = end
+                break
+            i = m.start(kind)
+            if kind == "word" or kind == "param":
+                head = text[i] if kind == "word" else text[i + 1]
+                if not (head.isalpha() or head == "_"):
+                    run, kind, end = end, "other", i + 1
+        if end < i:
+            raise ValueError("span must not end before it starts")
         raw = text[i:end]
-        span = SourceSpan(file, i, end, lines)
+        span = new(SourceSpan, (file, i, end, lines))
         if kind == "word":
-            tokens.append(Token(KEYWORD if raw in KEYWORDS else IDENT, raw, raw, span))
+            tokens.append(new(Token, (KEYWORD if raw in KEYWORDS else IDENT, raw, raw, span)))
         elif kind == "op":
-            tokens.append(Token(OP, raw, raw, span))
+            tokens.append(new(Token, (OP, raw, raw, span)))
         elif kind == "number":
             value = _number(raw)
             if value is None:
                 message = "number literal is too large to read"
                 diagnostics.append(Diagnostic(ERROR, E_LEX_NUMBER_RANGE, message, span))
             else:
-                tokens.append(Token(NUMBER, value, raw, span))
+                tokens.append(new(Token, (NUMBER, value, raw, span)))
         elif kind == "param":
-            tokens.append(Token(PARAM, raw[1:], raw, span))
+            tokens.append(new(Token, (PARAM, raw[1:], raw, span)))
         elif kind == "string":
             value = raw[1:-1]
             if "\\" in raw or len(raw) == 1 or raw[-1] != '"':
                 value = _string(text, i, end, file, lines, diagnostics)
-            tokens.append(Token(STRING, value, raw, span))
+            tokens.append(new(Token, (STRING, value, raw, span)))
         elif raw == "$":
             message = "'$' must be followed by a parameter name"
             diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_PARAM, message, span))

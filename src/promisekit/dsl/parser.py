@@ -37,6 +37,7 @@ from .diagnostics import (
     E_PARSE_UNEXPECTED,
     ERROR,
     has_errors,
+    SourceSpan,
 )
 from .lexer import EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, STRING, Token, tokenize
 
@@ -99,15 +100,36 @@ class Parser:
         )
 
     def expect_op(self, op: str) -> Token:
-        if self.current.is_op(op):
-            return self.advance()
+        tok = self.current
+        if tok.type == OP and tok.value == op:
+            self.pos += 1
+            self.current = self.tokens[self.pos]
+            return tok
         raise self._fail(f"'{op}'")
 
     def expect_ident(self, what: str = "an identifier") -> Name:
-        if self.current.type == IDENT:
-            tok = self.advance()
-            return Name(str(tok.value), tok.span)
+        tok = self.current
+        if tok.type == IDENT:
+            self.pos += 1
+            self.current = self.tokens[self.pos]
+            return Name(tok.value, tok.span)
         raise self._fail(what)
+
+    def expect_dotted(self, what: str = "an identifier") -> tuple[str, SourceSpan]:
+        """Identifiers joined by '.', such as ``bank.balance``, as one name
+        and the span that covers them."""
+        tok = self.current
+        if tok.type != IDENT:
+            raise self._fail(what)
+        self.advance()
+        if not self.current.is_op("."):
+            return tok.value, tok.span
+        parts = [tok.value]
+        while self.current.is_op("."):
+            self.advance()
+            segment = self.expect_ident("a path segment")
+            parts.append(segment.text)
+        return ".".join(parts), tok.span.merge(segment.span)
 
     # -- recovery -----------------------------------------------------------
 
@@ -153,6 +175,8 @@ class Parser:
 
     def parse_decl(self) -> Decl:
         tok = self.current
+        if tok.type == IDENT:
+            return self.parse_promise()
         if tok.is_kw("agent"):
             return self.parse_agent()
         if tok.is_kw("type"):
@@ -161,8 +185,6 @@ class Parser:
             return self.parse_flag()
         if tok.is_kw("bundle"):
             return self.parse_bundle_decl()
-        if tok.type == IDENT:
-            return self.parse_promise()
         raise self._fail("a declaration")
 
     def parse_agent(self) -> AgentDecl:
@@ -176,10 +198,7 @@ class Parser:
 
     def parse_type(self) -> TypeDecl:
         start = self.advance()
-        path = [self.expect_ident("a type name")]
-        while self.current.is_op("."):
-            self.advance()
-            path.append(self.expect_ident("a path segment"))
+        name = Name(*self.expect_dotted("a type name"))
         self.expect_op(":")
         kind_tok = self.current
         if kind_tok.type == KEYWORD and kind_tok.value in ("num", "str", "service"):
@@ -187,7 +206,7 @@ class Parser:
         else:
             raise self._fail("'num', 'str', or 'service'")
         end = self.expect_op(";")
-        return TypeDecl(tuple(path), str(kind_tok.value), start.span.merge(end.span))
+        return TypeDecl(name, kind_tok.value, start.span.merge(end.span))
 
     def parse_flag(self) -> FlagDecl:
         start = self.advance()
@@ -219,12 +238,11 @@ class Parser:
         value: TermNode | None = None
         if self.current.type == PARAM:
             ptok = self.advance()
-            subject = ParamTerm(str(ptok.value), ptok.span)
+            subject = ParamTerm(ptok.value, ptok.span)
             self.expect_op("=")
             value = self.parse_term()
         elif self.current.type == IDENT:
-            itok = self.advance()
-            subject = IdentTerm(str(itok.value), itok.span)
+            subject = IdentTerm(*self.expect_dotted())
             if self.current.is_op("="):
                 self.advance()
                 value = self.parse_term()
@@ -235,9 +253,7 @@ class Parser:
             self.advance()
             condition = self.parse_condition()
         end = self.expect_op(";")
-        return BodyNode(
-            str(start.value), subject, value, condition, start.span.merge(end.span)
-        )
+        return BodyNode(start.value, subject, value, condition, start.span.merge(end.span))
 
     def parse_promise(self) -> PromiseDecl:
         promiser = self.expect_ident("an agent name")
@@ -278,7 +294,7 @@ class Parser:
             return FlagLiteralNode(name, True, start.span.merge(name.span))
         lhs = self.parse_term()
         if self.current.type == OP and self.current.value in ("==", "!="):
-            op = str(self.advance().value)
+            op = self.advance().value
             rhs = self.parse_term()
             return CmpLiteralNode(lhs, op, rhs, lhs.span.merge(rhs.span))
         if isinstance(lhs, IdentTerm):
@@ -288,18 +304,17 @@ class Parser:
     def parse_term(self) -> TermNode:
         tok = self.current
         if tok.type == IDENT:
-            self.advance()
-            return IdentTerm(str(tok.value), tok.span)
+            return IdentTerm(*self.expect_dotted())
         if tok.type == PARAM:
             self.advance()
-            return ParamTerm(str(tok.value), tok.span)
+            return ParamTerm(tok.value, tok.span)
         if tok.type == NUMBER:
             self.advance()
             assert isinstance(tok.value, (int, float))
             return NumberTerm(tok.value, tok.span)
         if tok.type == STRING:
             self.advance()
-            return StringTerm(str(tok.value), tok.span)
+            return StringTerm(tok.value, tok.span)
         raise self._fail("a term")
 
 

@@ -65,7 +65,7 @@ def _decl(node: Decl) -> str:
     if isinstance(node, AgentDecl):
         return "agent " + ", ".join(n.text for n in node.names) + ";"
     if isinstance(node, TypeDecl):
-        return "type " + ".".join(n.text for n in node.path) + f": {node.kind};"
+        return f"type {node.name.text}: {node.kind};"
     if isinstance(node, FlagDecl):
         return f"flag {node.name.text};"
     if isinstance(node, BundleDecl):

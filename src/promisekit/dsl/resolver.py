@@ -127,7 +127,7 @@ class _Resolver:
         self.bundles: dict[str, Bundle] = {}
         self.flat_bundles: dict[str, Bundle] = {}
         self.promises: list[Promise] = []
-        self.promise_spans: dict[tuple, SourceSpan] = {}
+        self.spans: list[SourceSpan] = []  # the declaration of each promise
         # One object per distinct direct-promise body: equal bodies share a text.
         self.bodies: dict[PromiseBody, PromiseBody] = {}
 
@@ -160,14 +160,12 @@ class _Resolver:
                     )
 
     def collect_types(self) -> None:
-        # Identifiers hold no '.', so the joined path is the type's one name.
         for decl in self.ast.decls:
             if isinstance(decl, TypeDecl):
-                name = ".".join(n.text for n in decl.path)
+                name = decl.name.text
                 self.declare(
                     self.types, name, PromiseTypeDecl(name, decl.kind),  # type: ignore[arg-type]
-                    decl.path[0].span.merge(decl.path[-1].span),
-                    "type '{}' is already declared",
+                    decl.name.span, "type '{}' is already declared",
                 )
             elif isinstance(decl, FlagDecl):
                 name = decl.name.text
@@ -350,21 +348,23 @@ class _Resolver:
 
     # -- promises ------------------------------------------------------------
 
-    def check_agent(self, name) -> bool:
-        if name.text not in self.agents:
+    def check_agent(self, name) -> Union[str, None]:
+        """The declared agent's own name string, or None when it is unknown."""
+        agent = self.agents.get(name.text)
+        if agent is None:
             self.error(
                 E_RESOLVE_UNKNOWN_AGENT, f"unknown agent '{name.text}'", name.span
             )
-            return False
-        return True
+            return None
+        return agent.name
 
     def collect_promises(self) -> None:
         for decl in self.ast.decls:
             if not isinstance(decl, PromiseDecl):
                 continue
-            ok = self.check_agent(decl.promiser)
-            ok = self.check_agent(decl.promisee) and ok
-            promiser, promisee = decl.promiser.text, decl.promisee.text
+            promiser = self.check_agent(decl.promiser)
+            promisee = self.check_agent(decl.promisee)
+            ok = promiser is not None and promisee is not None
 
             if isinstance(decl.item, BundleRef):
                 ref = decl.item
@@ -376,7 +376,9 @@ class _Resolver:
                         ref.name.span,
                     )
                     continue
-                attach_cond = self.resolve_condition(ref.condition, _Scope())
+                attach_cond = ALWAYS
+                if ref.condition is not None:
+                    attach_cond = self.resolve_condition(ref.condition, _Scope())
                 flat = self.flat_bundles.get(bundle.name)
                 if not ok or flat is None:
                     continue
@@ -407,7 +409,7 @@ class _Resolver:
         span: SourceSpan,
     ) -> None:
         self.promises.append(Promise(promiser, promisee, body, group))
-        self.promise_spans.setdefault((promiser, promisee, group, body), span)
+        self.spans.append(span)
 
     # -- entry ---------------------------------------------------------------
 
@@ -430,13 +432,19 @@ class _Resolver:
             self.error(E_RESOLVE_DUPLICATE, str(exc), self.file_start())
             return ResolveResult(None, sorted(self.diagnostics, key=diagnostic_sort_key))
 
-        for finding in validate_autonomy(graph):
-            p = finding.promise
-            key = (p.promiser, p.promisee, p.group, p.body)
-            span = self.promise_spans.get(key) or self.file_start()
-            self.diagnostics.append(
-                Diagnostic(WARNING, W_AUTONOMY, finding.message, span)
-            )
+        findings = validate_autonomy(graph)
+        if findings:
+            # Each promise at its first declaration.
+            first_spans: dict[tuple, SourceSpan] = {}
+            for p, span in zip(self.promises, self.spans):
+                first_spans.setdefault((p.promiser, p.promisee, p.group, p.body), span)
+            for finding in findings:
+                p = finding.promise
+                key = (p.promiser, p.promisee, p.group, p.body)
+                span = first_spans.get(key) or self.file_start()
+                self.diagnostics.append(
+                    Diagnostic(WARNING, W_AUTONOMY, finding.message, span)
+                )
         return ResolveResult(graph, sorted(self.diagnostics, key=diagnostic_sort_key))
 
 

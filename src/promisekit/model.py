@@ -601,7 +601,8 @@ def build_graph(
     # carrying it then shares, and its body_key.  A body is entered only after
     # it has passed check_body.
     bodies: dict[PromiseBody, tuple[PromiseBody, tuple]] = {}
-    deduped: dict[tuple[str, str, str, PromiseBody], tuple] = {}
+    # Keyed by the shared body's id, which stands for its value here.
+    deduped: dict[tuple[str, str, str, int], tuple[tuple, Promise]] = {}
     for p in promises:
         promiser = agent_names.get(p.promiser)
         if promiser is None:
@@ -615,15 +616,13 @@ def build_graph(
             entry = bodies[p.body] = (p.body, body_key(p.body))
         body, key = entry
         group = p.group or derive_group(promiser, promisee, body)
-        deduped[(promiser, promisee, group, body)] = (promiser, promisee, key, group)
-    # Built in sorted order, so that promises that scans visit one after the
-    # other were also allocated one after the other.
-    promise_tuple = tuple(
-        Promise(promiser, promisee, body, group)
-        for (promiser, promisee, group, body), _ in sorted(
-            deduped.items(), key=itemgetter(1)
-        )
-    )
+        # A promise whose fields are the shared objects already is kept as is.
+        if not (p.promiser is promiser and p.promisee is promisee and p.body is body
+                and p.group is group):
+            p = Promise(promiser, promisee, body, group)
+        sort_key = (promiser, promisee, key, group)
+        deduped.setdefault((promiser, promisee, group, id(body)), (sort_key, p))
+    promise_tuple = tuple(p for _, p in sorted(deduped.values(), key=itemgetter(0)))
 
     return PromiseGraph(
         agents=tuple(sorted(agent_list, key=lambda a: a.name)),

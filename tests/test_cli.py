@@ -186,6 +186,12 @@ class TestCheck:
         assert main(["check", str(path)]) == 0
         assert "W-AUTONOMY-001" in capsys.readouterr().out
 
+    def test_a_dotted_type_can_be_named(self, tmp_path, capsys):
+        path = tmp_path / "dotted.pml"
+        path.write_text("agent a, b;\ntype x.y: num;\na -> b: give x.y = 1;\n")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("gives:x.y: a\nno findings\n")
+
     def test_output_file_instead_of_stdout(self, tmp_path, capsys):
         target = tmp_path / "out.json"
         assert main(["check", BANK, "--json", "-o", str(target)]) == 0

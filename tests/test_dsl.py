@@ -15,9 +15,9 @@ from promisekit.dsl import (
     SourceSpan,
     tokenize,
 )
-from promisekit.dsl import resolver as resolver_module
+from promisekit.dsl import lexer as lexer_module, resolver as resolver_module
 from promisekit.errors import PromiseModelError
-from promisekit.model import NamedConst, NumConst, Parameter, StrConst
+from promisekit.model import Attribute, CmpLiteral, NamedConst, NumConst, Parameter, StrConst
 
 from bruteforce import reference_tokenize
 
@@ -146,6 +146,32 @@ class TestLexer:
             ("", 3, 4, 4),
         ]
 
+    @pytest.mark.parametrize(
+        "text",
+        ["²" * 20000, ("²" * 50 + "a") * 400, "$²" * 10000],
+        ids=["numerals", "numerals-then-a-name", "dollar-numeral"],
+    )
+    def test_a_run_of_numerals_is_read_in_linear_time(self, text, monkeypatch):
+        """A count, not a timing: one match per token or diagnostic, and each
+        character read by at most two matches."""
+
+        class CountingPattern:
+            def __init__(self, pattern):
+                self.pattern = pattern
+                self.calls = self.consumed = 0
+
+            def match(self, text, pos=0):
+                m = self.pattern.match(text, pos)
+                self.calls += 1
+                self.consumed += m.end() - pos
+                return m
+
+        counting = CountingPattern(lexer_module._TOKEN)
+        monkeypatch.setattr(lexer_module, "_TOKEN", counting)
+        tokens, diags = tokenize(text)
+        assert counting.calls <= len(tokens) + len(diags) + 1
+        assert counting.consumed <= 2 * len(text)
+
     @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
     def test_unterminated_string_ends_at_any_line_end(self, line_end):
         lines = [
@@ -165,7 +191,7 @@ LEX_PIECES = [
     ">", "!", "$", "#", "3.", '"', "\\", " ", "\t", "\r", "\n", "@", "é", "²",
     "½", "١", "Ⅻ", "①", "ß", "Ω", "日本", "\u00a0", "\x0c", "$²", "$é", "_²",
     "a²", "->", "==", "!=", "give", "agent", "$p", "12.5", "9007199254740993",
-    "0.00001", '"ab"', '"a\\nb"',
+    "0.00001", '"ab"', '"a\\nb"', "²²²", "²Ⅻ①", "²5", "²_x", "$²²",
     '"a\\qb"', '"a\\\nb"', '"open', "# note\n",
 ]
 
@@ -174,6 +200,7 @@ LEX_PIECES = [
 @given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
 @example('x = "a\\\nb";')
 @example("Ⅻ1 aⅫ $Ⅻ")
+@example("²Ⅻ①5" * 1249 + "²a²5")
 @example("x\r\n\t𝐀 😀 \"é\r\n" + "9" * 4301 + " " + "1" * 400 + ".5")
 def test_lexer_matches_the_reference_lexer(text):
     """Every token and diagnostic, with the lines and columns that the
@@ -254,6 +281,16 @@ class TestParser:
         )
         result = parse(text, "t.pml")
         assert result.ok
+
+    def test_a_dotted_name_is_one_term(self):
+        result = parse("a -> b: give x.y = 1 if x . y == z;\n", "t.pml")
+        assert result.ok
+        body = result.ast.decls[0].item
+        lhs = body.condition.literals[0].lhs
+        assert (body.subject.name, lhs.name) == ("x.y", "x.y")
+        assert (body.subject.span.start_col, body.subject.span.end_col) == (14, 17)
+        assert (lhs.span.start_col, lhs.span.end_col) == (25, 30)
+        assert print_model(result.ast) == "a -> b: give x.y = 1 if x.y == z;\n"
 
     def test_span_overlap_arithmetic(self):
         span = SourceSpan("f", 2, 5, LineIndex("ab cde f"))
@@ -574,6 +611,18 @@ class TestResolver:
         assert result.ok  # distinct names are fine
         result = resolve_text("type a.b: num;\ntype a.b: str;\n")
         assert "E-RESOLVE-005" in errors_of(result.diagnostics)
+
+    def test_a_condition_compares_a_dotted_type(self):
+        result = resolve_text(
+            "agent a, b; type x.y: num; type w: num;\n"
+            "b -> a: give x.y = 2;\n"
+            "a -> b: give w = 1 if x . y == 2;\n"
+        )
+        assert result.ok and result.diagnostics == []
+        gated = [p for p in result.graph.promises if p.promiser == "a"]
+        assert [set(p.body.condition.literals) for p in gated] == [
+            {CmpLiteral(Attribute("x.y"), "eq", NumConst(2))}
+        ]
 
     def test_autonomy_warning_is_not_an_error(self):
         result = resolve_text(

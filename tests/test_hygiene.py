@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no module
-defines a private name it never uses, and no module imports another
-promisekit module's private name.
+defines a private name it never uses, no module imports another
+promisekit module's private name, and only the lexer and the span module
+build tuples without their class's constructor.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -10,7 +11,10 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import promisekit
+from promisekit.dsl import LineIndex, SourceSpan
 
 PACKAGE = Path(promisekit.__file__).resolve().parent
 
@@ -114,3 +118,30 @@ def test_no_module_imports_a_private_name_of_another_module():
                 if name.startswith("_") and not name.startswith("__"):
                     private.append(f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}")
     assert private == []
+
+
+def test_only_the_lexer_and_spans_skip_the_tuple_constructors():
+    """``tuple.__new__`` skips the check in ``SourceSpan.__new__``; the two
+    modules that use it check ``end < start`` themselves."""
+    users = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__new__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "tuple"
+            ):
+                users.add(path.relative_to(PACKAGE).as_posix())
+    assert users == {"dsl/diagnostics.py", "dsl/lexer.py"}
+
+
+def test_spans_keep_their_checks():
+    with pytest.raises(ValueError, match="must not end before it starts"):
+        SourceSpan("f", 5, 3, LineIndex(""))
+    lines = LineIndex("abcdefghij")
+    a, b = SourceSpan("f", 6, 9, lines), SourceSpan("f", 1, 2, lines)
+    for merged in (a.merge(b), b.merge(a)):
+        assert (merged.start_offset, merged.end_offset) == (1, 9)
+        assert type(merged) is SourceSpan and merged.lines is lines
