@@ -14,7 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .constraints import mutually_exclusive, pairwise_exclusive, TermPartition
+from .constraints import (
+    ExclusivityVerdict,
+    mutually_exclusive,
+    pairwise_exclusive,
+    TermPartition,
+)
 from .errors import UnsatisfiableError
 from .model import (
     ALWAYS,
@@ -40,7 +45,7 @@ from .model import (
     Term,
     USE,
 )
-from .worlds import judge
+from .worlds import judge, World
 
 
 class Severity(enum.IntEnum):
@@ -693,6 +698,12 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     conditions can overlap, leaving it ambiguous which one applies.
     """
     findings: dict[tuple, Finding] = {}
+    # Channels that carry one bundle share its conditions: each distinct
+    # condition set gets its worlds, and each unordered condition pair its
+    # verdict, once per call.  Both depend on the conditions alone, and a
+    # pair's verdict on the set of its literals, not on their order.
+    world_memo: dict[frozenset[Condition], list[World]] = {}
+    verdicts: dict[frozenset[Condition], ExclusivityVerdict] = {}
 
     def add(f: Finding) -> None:
         findings.setdefault((f.severity, f.code, f.promises, f.message), f)
@@ -708,7 +719,10 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
             c1, c2 = p1.body.condition, p2.body.condition
             if c1 == c2:
                 continue
-            verdict = mutually_exclusive(c1, c2)
+            pair = frozenset((c1, c2))
+            verdict = verdicts.get(pair)
+            if verdict is None:
+                verdict = verdicts[pair] = mutually_exclusive(c1, c2)
             if verdict.exclusive:
                 continue
             add(
@@ -722,11 +736,17 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
                 )
             )
 
-        # World-by-world joint satisfiability and independence.
+        # World-by-world joint satisfiability and independence.  With no
+        # constraints on the channel there is nothing to judge: a world's
+        # conditions hold together by construction, and their parameters
+        # keep scope "" (see Parameter), so no world is inconsistent or
+        # restricted.
+        if not any(p.body.constraints for p in promises):
+            continue
         entries = [
             (p, p.body.condition, _scope_params(p.body, p.group)) for p in promises
         ]
-        for world, in_force, part in judge(entries):
+        for world, in_force, part in judge(entries, world_memo):
             active = [p for p, _, _ in in_force]
             if not part.admits(world.neqs):
                 # The world's conditions hold together, so the clash needs

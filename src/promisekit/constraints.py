@@ -26,7 +26,15 @@ from .model import (
 
 
 class UnionFind:
-    """Plain union-find with path halving over any hashable nodes."""
+    """Plain union-find with path halving over any hashable nodes.
+
+    ``find`` tests for a root by identity, not by ``==`` (a dataclass
+    ``__eq__`` per step on terms).  This is exact because every parent is a
+    stored key: ``add`` makes a new key its own parent and ``union`` links
+    roots that ``find`` returned, so a root's parent is the stored key
+    itself.  An equal copy of a stored key takes one more step, to that
+    key; so ``find`` returns stored keys only, and two nodes share a class
+    iff their roots are one object."""
 
     def __init__(self) -> None:
         self.parent: dict[Hashable, Hashable] = {}
@@ -37,7 +45,7 @@ class UnionFind:
 
     def find(self, x: Hashable) -> Hashable:
         p = self.parent
-        while p[x] != x:
+        while p[x] is not x:
             p[x] = p[p[x]]
             x = p[x]
         return x
@@ -146,15 +154,22 @@ class TermPartition:
         )
 
 
-def closure(
+def _union_find(
     constraints: Iterable[EqConstraint], extra_terms: Iterable[Term] = ()
-) -> TermPartition:
-    """Least equivalence over the mentioned terms containing every equality."""
+) -> UnionFind:
     uf = UnionFind()
     for t in extra_terms:
         uf.add(t)
     for c in constraints:
         uf.union(c.lhs, c.rhs)
+    return uf
+
+
+def closure(
+    constraints: Iterable[EqConstraint], extra_terms: Iterable[Term] = ()
+) -> TermPartition:
+    """Least equivalence over the mentioned terms containing every equality."""
+    uf = _union_find(constraints, extra_terms)
     groups: dict[Term, list[Term]] = {}
     for t in uf.parent:
         groups.setdefault(uf.find(t), []).append(t)
@@ -165,8 +180,21 @@ def satisfiable(
     constraints: Iterable[EqConstraint],
     disequalities: Iterable[tuple[Term, Term]] = (),
 ) -> bool:
-    """True iff the closure of ``constraints`` admits ``disequalities``."""
-    return closure(constraints).admits(disequalities)
+    """True iff the closure of ``constraints`` admits ``disequalities``.
+
+    Decided on the union-find, with no sorted ``TermPartition``: the closure
+    fails to admit exactly when two distinct constants share a root, or the
+    two sides of a disequality are one term or share a root."""
+    uf = _union_find(constraints)
+    parent, find = uf.parent, uf.find
+    # Roots are stored keys, so their identities name the classes.
+    pinned = [id(find(t)) for t in parent if is_constant(t)]
+    if len(set(pinned)) < len(pinned):
+        return False
+    return not any(
+        a == b or (a in parent and b in parent and find(a) is find(b))
+        for a, b in disequalities
+    )
 
 
 def reduce(constraints: Iterable[EqConstraint]) -> frozenset[EqConstraint]:
@@ -259,17 +287,12 @@ def _conjunction(
     conds: Iterable[Condition],
 ) -> Union[tuple[list[EqConstraint], list[tuple[Term, Term]], dict[str, bool]], None]:
     """The conditions' literals split as one condition, or None when a flag
-    is both required and forbidden or a term must differ from itself.
-    Equalities among the terms are left to the caller's closure."""
+    is both required and forbidden.  The equalities and disequalities are
+    left to the caller's ``satisfiable``."""
     try:
-        eqs, neqs, flags = split_condition(
-            Condition(frozenset().union(*(c.literals for c in conds)))
-        )
+        return split_condition(Condition(frozenset().union(*(c.literals for c in conds))))
     except ValueError:
         return None
-    if any(a == b for a, b in neqs):
-        return None
-    return eqs, neqs, flags
 
 
 def condition_satisfiable(*conds: Condition) -> bool:
@@ -303,14 +326,13 @@ def _conjunction_witness(
 
 def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
     """Can ``c1`` and ``c2`` hold at the same time?  Exclusive iff their
-    conjunction is unsatisfiable; otherwise the verdict carries a witness."""
+    conjunction is unsatisfiable; otherwise the verdict carries a witness,
+    the one place that needs the conjunction's sorted partition."""
     conjunction = _conjunction((c1, c2))
-    if conjunction is None:
+    if conjunction is None or not satisfiable(conjunction[0], conjunction[1]):
         return ExclusivityVerdict(exclusive=True)
     eqs, neqs, flags = conjunction
     part = closure(eqs, [t for pair in neqs for t in pair])
-    if not part.admits(neqs):
-        return ExclusivityVerdict(exclusive=True)
     return ExclusivityVerdict(exclusive=False, witness=_conjunction_witness(part, flags))
 
 

@@ -8,7 +8,7 @@ closing their constraints together with the world's own equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Sequence, TypeVar
+from typing import Collection, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .constraints import (
     closure,
@@ -126,7 +126,9 @@ def worlds(conditions: Iterable[Condition]) -> list[World]:
     number of conditions, not with 2^k.  Inside one component, a clash
     among its last conditions keeps that cut from firing for the ones
     before it; the backtracking can then visit exponentially many leaves
-    that its maximality test refutes."""
+    that its maximality test refutes.  An analyzer that judges many entry
+    lists pays this once per distinct condition set per call (see
+    ``judge``), not once per list."""
     distinct = sorted(
         {c for c in conditions if not c.is_empty},
         key=lambda c: format_condition(c),
@@ -151,6 +153,7 @@ def worlds(conditions: Iterable[Condition]) -> list[World]:
 
 def judge(
     entries: Iterable[tuple[Item, Condition, Collection[EqConstraint]]],
+    memo: Optional[dict[frozenset[Condition], list[World]]] = None,
 ) -> Iterator[
     tuple[World, list[tuple[Item, Condition, Collection[EqConstraint]]], TermPartition]
 ]:
@@ -160,9 +163,20 @@ def judge(
     yields the world, the entries in force in it (unconditional, or with a
     condition of the world) in input order, and the closure of their
     constraints with the world's equalities.  The closure of a world is
-    made only when the caller asks for that world."""
+    made only when the caller asks for that world.
+
+    Cost: ``memo`` maps each set of non-empty conditions to its worlds.  A
+    caller that judges many entry lists in one call, one per channel say,
+    passes one fresh dict to all of them, so worlds are computed once per
+    distinct condition set per call.  ``worlds`` depends on that set alone
+    and sorts it, so a memo hit is exact.  Closures stay per list and per
+    world."""
     entries = list(entries)
-    for world in worlds(condition for _, condition, _ in entries):
+    memo = {} if memo is None else memo
+    conditions = frozenset(c for _, c, _ in entries if not c.is_empty)
+    if conditions not in memo:
+        memo[conditions] = worlds(conditions)
+    for world in memo[conditions]:
         in_force = [
             entry
             for entry in entries

@@ -16,6 +16,8 @@ from promisekit.model import PromiseGraph
 CORPUS_DIR = Path(corpus.__file__).parent
 #: Small models that each show one diagnostic code, or one defect.
 INVALID_DIR = Path(__file__).parent / "golden" / "invalid"
+#: Models whose channels share one bundle, and so its conditions.
+SHARED_DIR = Path(__file__).parent / "golden" / "shared"
 
 #: Bundles of one model that ``pml isa`` judges, each ordered pair of them.
 ISA_BUNDLES = {
@@ -39,8 +41,8 @@ def load_corpus(name: str) -> PromiseGraph:
 
 def cli_invocations() -> list[tuple[Path, list[str]]]:
     """Every ``pml`` command on every corpus model, and ``check`` on every
-    invalid model, each with the directory it runs in: file paths are
-    relative to it."""
+    invalid model and every shared-bundle model, each with the directory it
+    runs in: file paths are relative to it."""
     runs = []
     for name in corpus.names():
         argvs = []
@@ -51,9 +53,10 @@ def cli_invocations() -> list[tuple[Path, list[str]]]:
             isa = ["isa", name, child, parent]
             argvs += [isa, [*isa, "--json"]]
         runs += [(CORPUS_DIR, argv) for argv in argvs]
-    for path in sorted(INVALID_DIR.glob("*.pml")):
-        check = ["check", path.name]
-        runs += [(INVALID_DIR, check), (INVALID_DIR, [*check, "--json"])]
+    for directory in (INVALID_DIR, SHARED_DIR):
+        for path in sorted(directory.glob("*.pml")):
+            check = ["check", path.name]
+            runs += [(directory, check), (directory, [*check, "--json"])]
     return runs
 
 

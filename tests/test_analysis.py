@@ -1,11 +1,13 @@
 """Graph analyses: signatures, roles, structural checks, conflicts, classes."""
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import promisekit.constraints
 import promisekit.worlds
 from promisekit import corpus
 from promisekit.analysis import (
@@ -921,3 +923,76 @@ def test_world_count_not_subset_count_sets_the_cost(monkeypatch):
     assert all(len(s.active) == 22 for s in scenarios)
     # The subset sweep needed 2^24 tests here; k^2 bounds the enumeration.
     assert calls <= len(family) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Conflict detection pays once per distinct condition set, not per channel
+# ---------------------------------------------------------------------------
+
+def ring_text(n: int) -> str:
+    """n agents in a ring: each attaches one bundle with a gated body to its
+    successor and gives it a direct load too, so every successor channel
+    holds the same condition and the same overlapping pair."""
+    agents = [f"a{i}" for i in range(n)]
+    lines = [
+        f"agent {', '.join(agents)};",
+        "type token: num;",
+        "type load: num;",
+        "flag ready;",
+        "bundle Feed { give token = $t; give load = $t if ready; }",
+    ]
+    for i, a in enumerate(agents):
+        succ, pred = agents[(i + 1) % n], agents[i - 1]
+        lines += [
+            f"{a} -> {succ}: bundle Feed",
+            f"{a} -> {succ}: give load = $x;",
+            f"{a} -> {pred}: give ready;",
+            f"{a} -> {pred}: use token;",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def count_calls(monkeypatch, module, name: str) -> Counter:
+    """Wrap ``module.name`` wherever a promisekit module binds it, as the
+    benchmark's tracer does; the counter's ``calls`` rises per call."""
+    real = getattr(module, name)
+    counter: Counter = Counter()
+
+    def counting(*args, **kwargs):
+        counter["calls"] += 1
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "promisekit" or mod_name.startswith("promisekit."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return counter
+
+
+def test_conflict_detection_judges_each_condition_set_once(monkeypatch):
+    graphs = {n: load_text(ring_text(n)) for n in (25, 50)}
+    counts = {}
+    findings = {}
+    for n, graph in graphs.items():
+        with monkeypatch.context() as patch:
+            counters = {
+                "condition_satisfiable": count_calls(
+                    patch, promisekit.constraints, "condition_satisfiable"
+                ),
+                "mutually_exclusive": count_calls(
+                    patch, promisekit.constraints, "mutually_exclusive"
+                ),
+                "worlds": count_calls(patch, promisekit.worlds, "worlds"),
+            }
+            findings[n] = detect_conflicts(graph)
+        counts[n] = {name: c["calls"] for name, c in counters.items()}
+    assert Counter(f.code for f in findings[25]) == {
+        "channel-overlap": 25, "channel-restricted": 25
+    }
+    assert len(findings[50]) == 2 * len(findings[25])
+    assert counts[25] == counts[50]
+    # One distinct non-empty condition set, one distinct condition pair.
+    assert counts[25]["worlds"] == 1
+    assert counts[25]["mutually_exclusive"] == 1
+    assert counts[25]["condition_satisfiable"] > 0

@@ -1,9 +1,12 @@
 """Constraint engine: hand-computed frozen cases, oracle agreement, properties."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from promisekit.analysis import detect_conflicts, finding_sort_key
 from promisekit.constraints import (
     closure,
     condition_satisfiable,
@@ -22,9 +25,12 @@ from promisekit.model import (
     Condition,
     EqConstraint,
     FlagLiteral,
+    format_term,
+    is_constant,
     NamedConst,
     NumConst,
     Parameter,
+    PromiseGraph,
     StrConst,
 )
 
@@ -35,6 +41,7 @@ from bruteforce import (
     oracle_same_class_pairs,
     oracle_satisfiable,
 )
+from loaders import load_text
 
 WIDTH = Attribute("width")
 HEIGHT = Attribute("height")
@@ -413,3 +420,101 @@ def _disequalities(conds) -> int:
 @given(st.lists(condition_st, max_size=4).filter(lambda cs: _disequalities(cs) <= 2))
 def test_conjunction_of_several_conditions_matches_oracle(conds):
     assert condition_satisfiable(*conds) == oracle_conditions_satisfiable(conds)
+
+
+# ---------------------------------------------------------------------------
+# Satisfiability on the union-find, and conflict detection across channels
+# ---------------------------------------------------------------------------
+
+# Fresh objects equal to the pool's terms, and 1.0 beside 1: the union-find
+# must treat an equal copy as the stored term.
+copied_terms_st = st.one_of(
+    terms_st.map(dataclasses.replace), st.just(NumConst(1.0))
+)
+neqs_st = st.lists(st.tuples(copied_terms_st, copied_terms_st), max_size=4)
+copied_eqs_st = st.lists(
+    st.tuples(copied_terms_st, copied_terms_st)
+    .filter(lambda p: p[0] != p[1])
+    .map(lambda p: EqConstraint(*p)),
+    max_size=5,
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(eqs_st, copied_eqs_st), neqs_st)
+def test_satisfiable_agrees_with_the_partition(eqs, neqs):
+    assert satisfiable(eqs, neqs) == closure(eqs).admits(neqs)
+
+
+def partition_verdict(c1: Condition, c2: Condition):
+    """Exclusivity read off the conjunction's sorted partition: exclusive
+    unless it admits the disequalities, and then one value per class (a
+    constant, else a fresh ``v<i>``) and each flag's polarity."""
+    try:
+        eqs, neqs, flags = split_condition(c1.conjoin(c2))
+    except ValueError:
+        return True, None
+    part = closure(eqs, [t for pair in neqs for t in pair])
+    if not part.admits(neqs):
+        return True, None
+    entries, fresh = [], 0
+    for cls in part.classes:
+        consts = [t for t in cls if is_constant(t)]
+        if consts:
+            value = format_term(consts[0])
+        else:
+            value, fresh = f"v{fresh}", fresh + 1
+        entries += [(format_term(t), value) for t in cls if not is_constant(t)]
+    entries += [(name, "true" if on else "false") for name, on in sorted(flags.items())]
+    return False, tuple(sorted(entries))
+
+
+@settings(max_examples=300)
+@given(condition_st, st.one_of(st.just(ALWAYS), condition_st))
+def test_exclusivity_keeps_the_partition_verdict_and_witness(c1, c2):
+    verdict = mutually_exclusive(c1, c2)
+    assert (verdict.exclusive, verdict.witness) == partition_verdict(c1, c2)
+
+
+# Channels drawn from a few agents; each promise takes its gate from a small
+# pool, so channels share conditions and condition pairs.
+CHANNEL_HEAD = (
+    "agent a, b, c;\ntype x: num;\ntype y: num;\nflag f;\nflag g;\n"
+    "bundle B { give x = $t; give y = $t if f; }\n"
+    "b -> a: give f;\nb -> a: give g;\nc -> a: give f;\nc -> a: give g;\n"
+)
+CHANNEL_BODIES = [
+    "bundle B", "give x = $u", "give y = $u", "give x = 1", "give y = 2",
+    "give x = y", "use x",
+]
+CHANNEL_GATES = ["", " if f", " if not f", " if f and g", " if x == 1", " if y != 2"]
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a -> b", "a -> c", "b -> c", "c -> b"]),
+            st.sampled_from(CHANNEL_BODIES),
+            st.sampled_from(CHANNEL_GATES),
+        ),
+        min_size=1,
+        max_size=10,
+    )
+)
+def test_conflicts_match_judging_each_channel_alone(promises):
+    lines = []
+    for channel, body, gate in promises:
+        if body.startswith("bundle"):
+            lines.append(f"{channel}: {body}\n")
+        else:
+            lines.append(f"{channel}: {body}{gate};\n")
+    graph = load_text(CHANNEL_HEAD + "".join(lines))
+    alone = [
+        finding
+        for channel_promises in graph.channels().values()
+        for finding in detect_conflicts(
+            PromiseGraph(graph.agents, graph.types, graph.bundles, channel_promises)
+        )
+    ]
+    assert detect_conflicts(graph) == sorted(alone, key=finding_sort_key)

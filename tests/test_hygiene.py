@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no module
 defines a private name it never uses, no module imports another
-promisekit module's private name, and only the lexer and the span module
-build tuples without their class's constructor.
+promisekit module's private name, only the lexer and the span module
+build tuples without their class's constructor, and no module-level
+container outlives a run.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -9,11 +10,15 @@ imports are the public re-exports.
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import sys
 from pathlib import Path
 
 import pytest
 
 import promisekit
+from promisekit import cli, corpus
 from promisekit.dsl import LineIndex, SourceSpan
 
 PACKAGE = Path(promisekit.__file__).resolve().parent
@@ -145,3 +150,42 @@ def test_spans_keep_their_checks():
     for merged in (a.merge(b), b.merge(a)):
         assert (merged.start_offset, merged.end_offset) == (1, 9)
         assert type(merged) is SourceSpan and merged.lines is lines
+
+
+def _module_container_sizes() -> dict[str, int]:
+    """The size of each dict, list and set bound at a promisekit module's
+    top level, apart from the interpreter's own ``__dunder__`` names."""
+    return {
+        f"{name}.{attr}": len(value)
+        for name, module in sorted(sys.modules.items())
+        if name == "promisekit" or name.startswith("promisekit.")
+        for attr, value in vars(module).items()
+        if isinstance(value, (dict, list, set)) and not attr.startswith("__")
+    }
+
+
+def test_no_module_level_container_outlives_a_run(tmp_path):
+    """Memos belong to one call: two rounds of ``pml check`` leave every
+    module-level container as it was.  The ring model's names are this
+    test's own, so a memo that earlier tests filled would still grow."""
+    ring = tmp_path / "ring.pml"
+    ring.write_text(
+        "agent hyg_a, hyg_b, hyg_c;\ntype hyg_token: num;\ntype hyg_load: num;\n"
+        "flag hyg_ready;\n"
+        "bundle HygFeed { give hyg_token = $t; give hyg_load = $t if hyg_ready; }\n"
+        + "".join(
+            f"{a} -> {b}: bundle HygFeed\n{a} -> {b}: give hyg_load = $x;\n"
+            f"{b} -> {a}: give hyg_ready;\n"
+            for a, b in (("hyg_a", "hyg_b"), ("hyg_b", "hyg_c"), ("hyg_c", "hyg_a"))
+        ),
+        encoding="utf-8",
+    )
+    paths = [str(corpus.path(name)) for name in corpus.names()] + [str(ring)]
+    before = _module_container_sizes()
+    with contextlib.redirect_stdout(io.StringIO()):
+        for _ in range(2):
+            for path in paths:
+                assert cli.main(["check", path]) in (0, 1)
+    after = _module_container_sizes()
+    assert {k: (v, after.get(k)) for k, v in before.items() if after.get(k) != v} == {}
+    assert sorted(set(after) - set(before)) == []
