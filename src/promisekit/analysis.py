@@ -14,12 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .constraints import (
-    ExclusivityVerdict,
-    mutually_exclusive,
-    pairwise_exclusive,
-    TermPartition,
-)
+from .constraints import ExclusivityVerdict, pairwise_exclusive, TermPartition
 from .errors import UnsatisfiableError
 from .model import (
     ALWAYS,
@@ -346,38 +341,54 @@ def _witness_text(witness: tuple[tuple[str, str], ...]) -> str:
     return ", ".join(f"{k}={v}" for k, v in witness) or "always"
 
 
-def _variant_findings(
-    check: str,
+def _check_variants(
     parent: Bundle,
     parent_condition: Condition,
     children: Sequence[tuple[Bundle, Condition]],
-) -> list[Finding]:
-    """The part ``check_specialization`` and ``check_substitution`` share:
-    the parent's condition and every child's must be pairwise exclusive.
-    Raises ValueError when there is no child."""
+    complete: bool,
+) -> CheckReport:
+    """The one body of ``check_specialization`` and ``check_substitution``.
+    The parent's condition and every child's must be pairwise exclusive,
+    and no child may offer a type the parent does not; a ``complete``
+    child must also offer every type the parent does.  Raises ValueError
+    when there is no child."""
     if not children:
+        check = "substitution" if complete else "specialization"
         raise ValueError(f"{check} needs at least one child")
-    named = [(f"bundle {parent.name}", parent_condition)] + [
-        (f"bundle {child.name}", cond) for child, cond in children
-    ]
-    refs = {f"bundle {parent.name}": _bundle_refs(parent)}
-    for child, _cond in children:
-        refs[f"bundle {child.name}"] = _bundle_refs(child)
-    report = pairwise_exclusive([cond for _, cond in named])
+    variants = [(parent, parent_condition), *children]
     findings = []
-    for i, j, witness in report.violations:
-        a, b = named[i][0], named[j][0]
+    for i, j, witness in pairwise_exclusive([cond for _, cond in variants]):
+        (a, cond_a), (b, cond_b) = variants[i], variants[j]
         findings.append(
             Finding(
                 Severity.PATTERN_ERROR,
                 "non-exclusive",
-                f"conditions of {a} ({format_condition(named[i][1])}) and {b} "
-                f"({format_condition(named[j][1])}) can hold together: "
+                f"conditions of bundle {a.name} ({format_condition(cond_a)}) and "
+                f"bundle {b.name} ({format_condition(cond_b)}) can hold together: "
                 f"{_witness_text(witness)}",
-                tuple(sorted(set(refs[a] + refs[b]))),
+                tuple(sorted(set(_bundle_refs(a) + _bundle_refs(b)))),
             )
         )
-    return findings
+    parent_types = _type_multiset(parent)
+    for child, _cond in children:
+        child_types = _type_multiset(child)
+        extra = child_types - parent_types
+        missing = parent_types - child_types
+        if extra:
+            verb = "introduces" if complete else "overrides"
+            code = "type-mismatch"
+            text = f"{verb} types {parent.name} does not offer: {_format_types(extra)}"
+        elif complete and missing:
+            code = "incomplete-replacement"
+            text = f"replaces only part of {parent.name}; missing: {_format_types(missing)}"
+        else:
+            continue
+        findings.append(
+            Finding(
+                Severity.PATTERN_ERROR, code, f"bundle {child.name} {text}", _bundle_refs(child)
+            )
+        )
+    return CheckReport(tuple(sorted(findings, key=finding_sort_key)))
 
 
 def check_specialization(
@@ -388,21 +399,7 @@ def check_specialization(
     """Children may each replace a subset of the parent's typed bodies, and
     the parent's own condition plus every child condition must be pairwise
     exclusive — at most one variant in force at a time."""
-    findings = _variant_findings("specialization", parent, base_condition, children)
-    parent_types = _type_multiset(parent)
-    for child, _cond in children:
-        extra = _type_multiset(child) - parent_types
-        if extra:
-            findings.append(
-                Finding(
-                    Severity.PATTERN_ERROR,
-                    "type-mismatch",
-                    f"bundle {child.name} overrides types {parent.name} does not "
-                    f"offer: {_format_types(extra)}",
-                    _bundle_refs(child),
-                )
-            )
-    return CheckReport(tuple(sorted(findings, key=finding_sort_key)))
+    return _check_variants(parent, base_condition, children, complete=False)
 
 
 def check_substitution(
@@ -415,33 +412,7 @@ def check_substitution(
     parent predicate defaults to whatever condition all its bodies share."""
     if parent_condition is None:
         parent_condition = _shared_condition(parent)
-    findings = _variant_findings("substitution", parent, parent_condition, children)
-    parent_types = _type_multiset(parent)
-    for child, _cond in children:
-        child_types = _type_multiset(child)
-        extra = child_types - parent_types
-        missing = parent_types - child_types
-        if extra:
-            findings.append(
-                Finding(
-                    Severity.PATTERN_ERROR,
-                    "type-mismatch",
-                    f"bundle {child.name} introduces types {parent.name} does not "
-                    f"offer: {_format_types(extra)}",
-                    _bundle_refs(child),
-                )
-            )
-        elif missing:
-            findings.append(
-                Finding(
-                    Severity.PATTERN_ERROR,
-                    "incomplete-replacement",
-                    f"bundle {child.name} replaces only part of {parent.name}; "
-                    f"missing: {_format_types(missing)}",
-                    _bundle_refs(child),
-                )
-            )
-    return CheckReport(tuple(sorted(findings, key=finding_sort_key)))
+    return _check_variants(parent, parent_condition, children, complete=True)
 
 
 def _shared_condition(bundle: Bundle) -> Condition:
@@ -664,10 +635,7 @@ def check_dispatch_pattern(
         if _mentions_flag(p.body.condition, discriminator):
             branches.setdefault((p.group, p.body.condition), []).append(p)
     keys = sorted(branches, key=lambda k: (k[0], format_condition(k[1])))
-    overlaps: tuple = ()
-    if len(keys) > 1:
-        overlaps = pairwise_exclusive([c for _, c in keys]).violations
-    for i, j, witness in overlaps:
+    for i, j, witness in pairwise_exclusive([c for _, c in keys]):
         cited = tuple(
             sorted({p.formatted() for key in (keys[i], keys[j]) for p in branches[key]})
         )
@@ -699,9 +667,8 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     """
     findings: dict[tuple, Finding] = {}
     # Channels that carry one bundle share its conditions: each distinct
-    # condition set gets its worlds, and each unordered condition pair its
-    # verdict, once per call.  Both depend on the conditions alone, and a
-    # pair's verdict on the set of its literals, not on their order.
+    # condition set gets its worlds from ``judge``, and each unordered
+    # condition pair its verdict from ``pairwise_exclusive``, once per call.
     world_memo: dict[frozenset[Condition], list[World]] = {}
     verdicts: dict[frozenset[Condition], ExclusivityVerdict] = {}
 
@@ -712,29 +679,26 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
         channel = f"{promiser} -> {promisee}"
 
         # Overlapping same-shape promises, regardless of scenario.
-        eligible = [p for p in promises if p.body.type != LINK_TYPE]
-        for p1, p2 in itertools.combinations(eligible, 2):
-            if (p1.body.polarity, p1.body.type) != (p2.body.polarity, p2.body.type):
-                continue
-            c1, c2 = p1.body.condition, p2.body.condition
-            if c1 == c2:
-                continue
-            pair = frozenset((c1, c2))
-            verdict = verdicts.get(pair)
-            if verdict is None:
-                verdict = verdicts[pair] = mutually_exclusive(c1, c2)
-            if verdict.exclusive:
-                continue
-            add(
-                Finding(
-                    Severity.POLICY_VIOLATION,
-                    "channel-overlap",
-                    f"{channel}: '{format_body(p1.body)}' and "
-                    f"'{format_body(p2.body)}' can both apply "
-                    f"(when {_witness_text(verdict.witness or ())})",
-                    tuple(sorted({p1.formatted(), p2.formatted()})),
+        shapes: dict[tuple[str, str], list[Promise]] = {}
+        for p in promises:
+            if p.body.type != LINK_TYPE:
+                shapes.setdefault((p.body.polarity, p.body.type), []).append(p)
+        for same_shape in shapes.values():
+            conditions = [p.body.condition for p in same_shape]
+            for i, j, witness in pairwise_exclusive(conditions, verdicts):
+                if conditions[i] == conditions[j]:
+                    continue
+                p1, p2 = same_shape[i], same_shape[j]
+                add(
+                    Finding(
+                        Severity.POLICY_VIOLATION,
+                        "channel-overlap",
+                        f"{channel}: '{format_body(p1.body)}' and "
+                        f"'{format_body(p2.body)}' can both apply "
+                        f"(when {_witness_text(witness)})",
+                        tuple(sorted({p1.formatted(), p2.formatted()})),
+                    )
                 )
-            )
 
         # World-by-world joint satisfiability and independence.  With no
         # constraints on the channel there is nothing to judge: a world's
@@ -849,28 +813,26 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
 
         conditions = sorted(groups, key=format_condition)
         overlapping: set[Condition] = set()
-        if len(conditions) >= 2:
-            report = pairwise_exclusive(conditions)
-            for i, j, witness in report.violations:
-                overlapping.update((conditions[i], conditions[j]))
-                findings.append(
-                    Finding(
-                        Severity.PATTERN_ERROR,
-                        "hierarchy-overlap",
-                        f"role '{role.label}': conditions "
-                        f"({format_condition(conditions[i])}) and "
-                        f"({format_condition(conditions[j])}) can hold together "
-                        f"(when {_witness_text(witness)}); their bodies stay in "
-                        f"the base class",
-                        tuple(
-                            sorted(
-                                citations[b]
-                                for c in (conditions[i], conditions[j])
-                                for b in groups[c]
-                            )
-                        ),
-                    )
+        for i, j, witness in pairwise_exclusive(conditions):
+            overlapping.update((conditions[i], conditions[j]))
+            findings.append(
+                Finding(
+                    Severity.PATTERN_ERROR,
+                    "hierarchy-overlap",
+                    f"role '{role.label}': conditions "
+                    f"({format_condition(conditions[i])}) and "
+                    f"({format_condition(conditions[j])}) can hold together "
+                    f"(when {_witness_text(witness)}); their bodies stay in "
+                    f"the base class",
+                    tuple(
+                        sorted(
+                            citations[b]
+                            for c in (conditions[i], conditions[j])
+                            for b in groups[c]
+                        )
+                    ),
                 )
+            )
 
         base_bodies = [format_body(b) for b in base]
         for cond in conditions:

@@ -8,7 +8,7 @@ congruence degenerates to transitive closure of the stated equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 from .errors import UnsatisfiableError
 from .model import (
@@ -336,22 +336,27 @@ def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
     return ExclusivityVerdict(exclusive=False, witness=_conjunction_witness(part, flags))
 
 
-@dataclass(frozen=True)
-class PairwiseReport:
-    """Pairwise exclusivity over a family of conditions."""
+def pairwise_exclusive(
+    conditions: Sequence[Condition],
+    verdicts: Union[dict[frozenset[Condition], ExclusivityVerdict], None] = None,
+) -> Iterator[tuple[int, int, tuple[tuple[str, str], ...]]]:
+    """Yield ``(i, j, witness)`` for each pair ``i < j`` of ``conditions``
+    that can hold together, in index order; a family of fewer than two
+    conditions has no pair.  This is the one loop that asks which of
+    several conditions overlap.
 
-    ok: bool
-    violations: tuple[tuple[int, int, tuple[tuple[str, str], ...]], ...] = ()
-
-
-def pairwise_exclusive(conditions: Sequence[Condition]) -> PairwiseReport:
-    """Check every unordered pair; a singleton family is a caller error."""
-    if len(conditions) < 2:
-        raise ValueError("pairwise exclusivity needs at least two conditions")
-    violations = []
-    for i in range(len(conditions)):
+    Cost: ``verdicts`` maps each unordered condition pair to its verdict.
+    A caller that asks about many families in one call, one per channel
+    say, passes one fresh dict to all of them, so each distinct pair is
+    judged once per call.  A verdict depends on the set of the two
+    conditions' literals alone, so a hit is exact."""
+    verdicts = {} if verdicts is None else verdicts
+    for i, a in enumerate(conditions):
         for j in range(i + 1, len(conditions)):
-            verdict = mutually_exclusive(conditions[i], conditions[j])
+            b = conditions[j]
+            pair = frozenset((a, b))
+            verdict = verdicts.get(pair)
+            if verdict is None:
+                verdict = verdicts[pair] = mutually_exclusive(a, b)
             if not verdict.exclusive:
-                violations.append((i, j, verdict.witness or ()))
-    return PairwiseReport(ok=not violations, violations=tuple(violations))
+                yield i, j, verdict.witness or ()

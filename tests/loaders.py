@@ -16,7 +16,7 @@ from promisekit.model import PromiseGraph
 CORPUS_DIR = Path(corpus.__file__).parent
 #: Small models that each show one diagnostic code, or one defect.
 INVALID_DIR = Path(__file__).parent / "golden" / "invalid"
-#: Models whose channels share one bundle, and so its conditions.
+#: Models whose channels share conditions: one bundle's, or one pair.
 SHARED_DIR = Path(__file__).parent / "golden" / "shared"
 
 #: Bundles of one model that ``pml isa`` judges, each ordered pair of them.
@@ -40,9 +40,10 @@ def load_corpus(name: str) -> PromiseGraph:
 
 
 def cli_invocations() -> list[tuple[Path, list[str]]]:
-    """Every ``pml`` command on every corpus model, and ``check`` on every
-    invalid model and every shared-bundle model, each with the directory it
-    runs in: file paths are relative to it."""
+    """Every ``pml`` command on every corpus model, ``check`` on every
+    invalid model, and ``check`` and ``classes`` on every shared-condition
+    model, each with the directory it runs in: file paths are relative to
+    it."""
     runs = []
     for name in corpus.names():
         argvs = []
@@ -53,10 +54,12 @@ def cli_invocations() -> list[tuple[Path, list[str]]]:
             isa = ["isa", name, child, parent]
             argvs += [isa, [*isa, "--json"]]
         runs += [(CORPUS_DIR, argv) for argv in argvs]
-    for directory in (INVALID_DIR, SHARED_DIR):
+    model_dirs = (INVALID_DIR, ("check",)), (SHARED_DIR, ("check", "classes"))
+    for directory, commands in model_dirs:
         for path in sorted(directory.glob("*.pml")):
-            check = ["check", path.name]
-            runs += [(directory, check), (directory, [*check, "--json"])]
+            for command in commands:
+                argv = [command, path.name]
+                runs += [(directory, argv), (directory, [*argv, "--json"])]
     return runs
 
 

@@ -343,6 +343,80 @@ class TestSubstitution:
         assert report.ok
 
 
+def variant_runs():
+    """The fixtures above, each with every finding it yields, in order:
+    (code, message, citations)."""
+    child = Bundle("Child", (use("render"),))
+    extra_child = Bundle("Child", (use("render"), use("extra")))
+    full = Bundle("Full", (use("ping"), use("render")))
+    partial = Bundle("Partial", (use("render"),))
+    extra = Bundle("Extra", (use("ping"), use("render"), use("zap")))
+    gated = Bundle("Gated", (use("ping", NOT_SUBTYPE), use("render", NOT_SUBTYPE)))
+    parent_refs = ("bundle Parent: U(ping)", "bundle Parent: U(render)")
+    return [
+        ("specialization-ok",
+         lambda: check_specialization(parent_api(), NOT_SUBTYPE, [(child, SUBTYPE)]),
+         []),
+        ("specialization-extra-type",
+         lambda: check_specialization(
+             parent_api(), NOT_SUBTYPE, [(extra_child, SUBTYPE)]
+         ),
+         [("type-mismatch",
+           "bundle Child overrides types Parent does not offer: extra",
+           ("bundle Child: U(extra)", "bundle Child: U(render)"))]),
+        ("specialization-overlapping-children",
+         lambda: check_specialization(
+             parent_api(), NOT_SUBTYPE, [(child, SUBTYPE), (child, SUBTYPE)]
+         ),
+         [("non-exclusive",
+           "conditions of bundle Child (subtype) and bundle Child (subtype) can hold "
+           "together: subtype=true",
+           ("bundle Child: U(render)",))]),
+        ("specialization-unconditioned-parent",
+         lambda: check_specialization(parent_api(), ALWAYS, [(child, SUBTYPE)]),
+         [("non-exclusive",
+           "conditions of bundle Parent () and bundle Child (subtype) can hold "
+           "together: subtype=true",
+           ("bundle Child: U(render)",) + parent_refs)]),
+        ("substitution-ok",
+         lambda: check_substitution(
+             parent_api(), [(full, SUBTYPE)], parent_condition=NOT_SUBTYPE
+         ),
+         []),
+        ("substitution-partial",
+         lambda: check_substitution(
+             parent_api(), [(partial, SUBTYPE)], parent_condition=NOT_SUBTYPE
+         ),
+         [("incomplete-replacement",
+           "bundle Partial replaces only part of Parent; missing: ping",
+           ("bundle Partial: U(render)",))]),
+        ("substitution-extra-type",
+         lambda: check_substitution(
+             parent_api(), [(extra, SUBTYPE)], parent_condition=NOT_SUBTYPE
+         ),
+         [("type-mismatch",
+           "bundle Extra introduces types Parent does not offer: zap",
+           ("bundle Extra: U(ping)", "bundle Extra: U(render)",
+            "bundle Extra: U(zap)"))]),
+        ("substitution-unconditioned",
+         lambda: check_substitution(parent_api(), [(full, ALWAYS)]),
+         [("non-exclusive",
+           "conditions of bundle Parent () and bundle Full () can hold together: always",
+           ("bundle Full: U(ping)", "bundle Full: U(render)") + parent_refs)]),
+        ("substitution-recovered-predicate",
+         lambda: check_substitution(gated, [(full, SUBTYPE)]),
+         []),
+    ]
+
+
+@pytest.mark.parametrize("run", variant_runs(), ids=lambda run: run[0])
+def test_variant_checks_keep_their_messages(run):
+    _, check, expected = run
+    findings = check().findings
+    assert [(f.code, f.message, f.promises) for f in findings] == expected
+    assert {f.severity for f in findings} <= {Severity.PATTERN_ERROR}
+
+
 # ---------------------------------------------------------------------------
 # Is-a
 # ---------------------------------------------------------------------------

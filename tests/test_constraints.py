@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import promisekit.constraints
 from promisekit.analysis import detect_conflicts, finding_sort_key
 from promisekit.constraints import (
     closure,
@@ -280,14 +282,13 @@ class TestConditions:
         assert not condition_satisfiable(broken)
 
     def test_pairwise_reports_the_offending_pair(self):
-        report = pairwise_exclusive([C_OWNER, C_STAFF, Condition.of(flag("vip"))])
-        assert not report.ok
-        offenders = {(i, j) for i, j, _ in report.violations}
+        overlaps = pairwise_exclusive([C_OWNER, C_STAFF, Condition.of(flag("vip"))])
+        offenders = {(i, j) for i, j, _ in overlaps}
         assert offenders == {(0, 2), (1, 2)}
 
-    def test_pairwise_requires_two_conditions(self):
-        with pytest.raises(ValueError):
-            pairwise_exclusive([C_OWNER])
+    def test_a_family_of_one_has_no_pair(self):
+        assert list(pairwise_exclusive([C_OWNER])) == []
+        assert list(pairwise_exclusive([])) == []
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +421,34 @@ def _disequalities(conds) -> int:
 @given(st.lists(condition_st, max_size=4).filter(lambda cs: _disequalities(cs) <= 2))
 def test_conjunction_of_several_conditions_matches_oracle(conds):
     assert condition_satisfiable(*conds) == oracle_conditions_satisfiable(conds)
+
+
+# Families repeat conditions now and then, as a channel's promises do.
+@settings(max_examples=200)
+@given(
+    st.lists(st.one_of(st.just(ALWAYS), condition_st), max_size=5).filter(
+        lambda cs: _disequalities(cs) <= 2
+    )
+)
+def test_pairwise_engine_matches_oracle_and_reuses_its_verdicts(conds):
+    verdicts: dict = {}
+    first = list(pairwise_exclusive(conds, verdicts))
+    assert first == [
+        (i, j, mutually_exclusive(conds[i], conds[j]).witness)
+        for i, j in itertools.combinations(range(len(conds)), 2)
+        if not oracle_mutually_exclusive(conds[i], conds[j])
+    ]
+    calls = []
+
+    def counting(c1, c2):
+        calls.append((c1, c2))
+        return mutually_exclusive(c1, c2)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(promisekit.constraints, "mutually_exclusive", counting)
+        again = list(pairwise_exclusive(conds, verdicts))
+    assert again == first
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no module
 defines a private name it never uses, no module imports another
 promisekit module's private name, only the lexer and the span module
-build tuples without their class's constructor, and no module-level
-container outlives a run.
+build tuples without their class's constructor, only ``constraints``
+judges a pair of conditions, and no module-level container outlives a
+run.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -140,6 +141,22 @@ def test_only_the_lexer_and_spans_skip_the_tuple_constructors():
             ):
                 users.add(path.relative_to(PACKAGE).as_posix())
     assert users == {"dsl/diagnostics.py", "dsl/lexer.py"}
+
+
+def test_only_the_constraints_module_names_mutually_exclusive():
+    """Every "can hold together" finding comes from
+    ``constraints.pairwise_exclusive``, so no other module binds, calls or
+    re-imports ``mutually_exclusive``; the package ``__init__`` re-exports
+    it."""
+    users = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            # An import alias, a name, an attribute or a definition.
+            names = {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}
+            if "mutually_exclusive" in names:
+                users.add(path.relative_to(PACKAGE).as_posix())
+    assert users == {"__init__.py", "constraints.py"}
 
 
 def test_spans_keep_their_checks():
