@@ -22,7 +22,7 @@ from .analysis import (
     RESTRICTED,
     Severity,
 )
-from .dsl import parse, resolve, ResolveResult
+from .dsl import parse, resolve
 from .errors import UnsatisfiableError
 from .model import PromiseGraph
 from .report import export_dot, FileEntry, format_text, Report, report_json
@@ -31,10 +31,6 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_USAGE = 3
-
-
-class _OutputError(Exception):
-    """An ``-o`` path that cannot be written; ``main`` reports it."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,60 +75,47 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(path: str) -> tuple[Union[ResolveResult, None], FileEntry, Union[str, None]]:
-    """Parse and resolve one file; the string is a hard I/O error, if any."""
+def _load(path: str) -> tuple[Union[PromiseGraph, None], FileEntry]:
+    """Read, parse and resolve one file: its graph, or None when the file
+    cannot be used, and its entry.  An unreadable file is reported on stderr
+    here, and its entry has no diagnostics."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        return None, FileEntry(path), f"pml: cannot read {path}: {reason}"
+        print(f"pml: cannot read {path}: {reason}", file=sys.stderr)
+        return None, FileEntry(path)
     parsed = parse(text, path)
     if not parsed.ok:
-        return None, FileEntry(path, tuple(parsed.diagnostics)), None
+        return None, FileEntry(path, tuple(parsed.diagnostics))
     resolved = resolve(parsed.ast)
     diagnostics = tuple(parsed.diagnostics) + tuple(resolved.diagnostics)
-    return resolved, FileEntry(path, diagnostics), None
+    return resolved.graph, FileEntry(path, diagnostics)
 
 
-def _load_graph(
-    args: argparse.Namespace, report_errors: bool = True
-) -> tuple[Union[PromiseGraph, None], FileEntry]:
-    """Load ``args.file`` for a one-file command: (graph, entry), or (None,
-    entry) once the failure is reported.  Diagnostics go out as a report, or
-    to stderr when ``report_errors`` is false."""
-    resolved, entry, io_error = _load(args.file)
-    if io_error:
-        print(io_error, file=sys.stderr)
-        return None, entry
-    if resolved is None or not resolved.ok:
-        if report_errors:
-            _emit(Report((entry,)), args.json, args.output)
-        else:
-            for d in entry.diagnostics:
-                print(d.formatted(), file=sys.stderr)
-        return None, entry
-    return resolved.graph, entry
+def _emit(args: argparse.Namespace, report: Report, text: Union[str, None] = None) -> int:
+    """Write ``text``, or else the report as text or JSON, to stdout or ``-o``.
 
-
-def _emit(report: Report, as_json: bool, output: Union[str, None]) -> None:
-    _write(report_json(report) if as_json else format_text(report), output)
-
-
-def _write(text: str, output: Union[str, None]) -> None:
-    if not output:
-        sys.stdout.write(text)
-        return
+    Returns 2 when the output cannot take the text (nothing is written then),
+    else 1 for a finding at policy-violation severity or worse, else 0.
+    """
+    if text is None:
+        text = report_json(report) if args.json else format_text(report)
     try:
-        with open(output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise _OutputError(f"pml: cannot write {output}: {exc.strerror or exc}") from None
-
-
-def _exit_for(findings: Sequence[Finding]) -> int:
-    worst = max((f.severity for f in findings), default=None)
-    if worst is not None and worst >= Severity.POLICY_VIOLATION:
+        if args.output:
+            # surrogateescape writes a path's undecodable bytes back as they were.
+            with open(
+                args.output, "w", encoding="utf-8", errors="surrogateescape", newline="\n"
+            ) as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (OSError, UnicodeEncodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"pml: cannot write {args.output or 'stdout'}: {reason}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    if any(f.severity >= Severity.POLICY_VIOLATION for f in report.findings):
         return EXIT_FINDINGS
     return EXIT_CLEAN
 
@@ -144,46 +127,28 @@ def _cmd_check(args: argparse.Namespace) -> int:
     failed = False
     multi = len(args.files) > 1
     for path in args.files:
-        resolved, entry, io_error = _load(path)
+        graph, entry = _load(path)
         entries.append(entry)
-        if io_error:
-            print(io_error, file=sys.stderr)
+        if graph is None:
             failed = True
             continue
-        if resolved is None or not resolved.ok:
-            failed = True
-            continue
-        graph = resolved.graph
         for f in detect_conflicts(graph):
             if multi:
                 f = Finding(f.severity, f.code, f"{path}: {f.message}", f.promises)
             findings.append(f)
         roles.extend(discover_roles(graph))
     findings.sort(key=finding_sort_key)
-    report = Report(tuple(entries), tuple(findings), tuple(roles))
-    _emit(report, args.json, args.output)
-    if failed:
-        return EXIT_INPUT_ERROR
-    return _exit_for(findings)
+    code = _emit(args, Report(tuple(entries), tuple(findings), tuple(roles)))
+    return EXIT_INPUT_ERROR if failed else code
 
 
-def _cmd_roles(args: argparse.Namespace) -> int:
-    graph, entry = _load_graph(args)
-    if graph is None:
-        return EXIT_INPUT_ERROR
-    report = Report((entry,), roles=tuple(discover_roles(graph)))
-    _emit(report, args.json, args.output)
-    return EXIT_CLEAN
+def _cmd_roles(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) -> int:
+    return _emit(args, Report((entry,), roles=tuple(discover_roles(graph))))
 
 
-def _cmd_classes(args: argparse.Namespace) -> int:
-    graph, entry = _load_graph(args)
-    if graph is None:
-        return EXIT_INPUT_ERROR
+def _cmd_classes(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) -> int:
     hierarchy = derive_class_hierarchy(graph)
-    report = Report((entry,), findings=hierarchy.findings, hierarchy=hierarchy)
-    _emit(report, args.json, args.output)
-    return _exit_for(hierarchy.findings)
+    return _emit(args, Report((entry,), findings=hierarchy.findings, hierarchy=hierarchy))
 
 
 _ISA_SEVERITY = {
@@ -206,10 +171,7 @@ def _isa_findings(verdict: IsAVerdict, child: str, parent: str) -> tuple[Finding
     )
 
 
-def _cmd_isa(args: argparse.Namespace) -> int:
-    graph, entry = _load_graph(args)
-    if graph is None:
-        return EXIT_INPUT_ERROR
+def _cmd_isa(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) -> int:
     missing = [
         name for name in (args.child, args.parent) if graph.bundle(name) is None
     ]
@@ -232,21 +194,14 @@ def _cmd_isa(args: argparse.Namespace) -> int:
         if verdict.is_a
         else f"{args.child} is not a {args.parent} ({verdict.outcome})"
     )
-    report = Report((entry,), findings=findings, notes=(note,))
-    _emit(report, args.json, args.output)
-    return _exit_for(findings)
+    return _emit(args, Report((entry,), findings=findings, notes=(note,)))
 
 
-def _cmd_dot(args: argparse.Namespace) -> int:
-    graph, _entry = _load_graph(args, report_errors=False)
-    if graph is None:
-        return EXIT_INPUT_ERROR
-    _write(export_dot(graph), args.output)
-    return EXIT_CLEAN
+def _cmd_dot(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) -> int:
+    return _emit(args, Report(), export_dot(graph))
 
 
 _COMMANDS = {
-    "check": _cmd_check,
     "roles": _cmd_roles,
     "classes": _cmd_classes,
     "isa": _cmd_isa,
@@ -260,11 +215,19 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except _OutputError as exc:
-        print(exc, file=sys.stderr)
+    if args.command == "check":
+        return _cmd_check(args)
+    # A one-file command: dot prints its file's diagnostics on stderr, warnings
+    # included; the others report them, and only them when the file is unusable.
+    graph, entry = _load(args.file)
+    if args.command == "dot":
+        for d in entry.diagnostics:
+            print(d.formatted(), file=sys.stderr)
+    elif graph is None and entry.diagnostics:
+        _emit(args, Report((entry,)))
+    if graph is None:
         return EXIT_INPUT_ERROR
+    return _COMMANDS[args.command](args, graph, entry)
 
 
 def entry() -> None:

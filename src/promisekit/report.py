@@ -6,7 +6,7 @@ formatting — so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from . import __version__
@@ -30,7 +30,6 @@ class Report:
     roles: tuple[Role, ...] = ()
     hierarchy: Union[ClassHierarchy, None] = None
     notes: tuple[str, ...] = ()
-    version: str = field(default=__version__)
 
 
 def _diagnostic_obj(d: Diagnostic) -> dict:
@@ -91,7 +90,7 @@ def _hierarchy_obj(h: Union[ClassHierarchy, None]) -> dict:
 
 def report_json(report: Report) -> str:
     obj = {
-        "version": report.version,
+        "version": __version__,
         "files": [
             {"path": fe.path, "diagnostics": [_diagnostic_obj(d) for d in fe.diagnostics]}
             for fe in report.files

@@ -41,9 +41,10 @@ def load_corpus(name: str) -> PromiseGraph:
 
 def cli_invocations() -> list[tuple[Path, list[str]]]:
     """Every ``pml`` command on every corpus model, ``check`` on every
-    invalid model, and ``check`` and ``classes`` on every shared-condition
-    model, each with the directory it runs in: file paths are relative to
-    it."""
+    invalid model, ``check`` and ``classes`` on every shared-condition
+    model, the one-file commands on a model that does not parse and on one
+    that does not resolve, and ``dot`` on a model with a warning, each with
+    the directory it runs in: file paths are relative to it."""
     runs = []
     for name in corpus.names():
         argvs = []
@@ -60,6 +61,10 @@ def cli_invocations() -> list[tuple[Path, list[str]]]:
             for command in commands:
                 argv = [command, path.name]
                 runs += [(directory, argv), (directory, [*argv, "--json"])]
+    for name in ("e-parse-001.pml", "e-resolve-001.pml"):
+        for argv in (["roles"], ["classes"], ["isa", "A", "B"], ["dot"]):
+            runs.append((INVALID_DIR, [argv[0], name, *argv[1:]]))
+    runs.append((INVALID_DIR, ["dot", "w-autonomy-001.pml"]))
     return runs
 
 

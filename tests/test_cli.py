@@ -17,6 +17,20 @@ from promisekit.dsl import parse
 CLEAN = str(corpus.path("web.pml"))
 GEOMETRY = str(corpus.path("geometry.pml"))
 BANK = str(corpus.path("bank.pml"))
+#: A model that resolves with one W-AUTONOMY-001 warning, at 4:1.
+WARNING_MODEL = "agent a, b;\ntype w: num;\nflag f;\na -> b: give w = 1 if f;\n"
+ACCENTED_MODEL = "agent \u00e9, b;\ntype w: num;\n\u00e9 -> b: give w = 1;\n"
+
+
+def run_module(argv: list, **env: str) -> subprocess.CompletedProcess:
+    """``python -m promisekit ARGV`` in a new process, output as bytes."""
+    src = str(Path(promisekit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "promisekit", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": pythonpath, **env},
+    )
 
 
 @pytest.fixture
@@ -122,6 +136,37 @@ class TestExitCodes:
         argv = [command, path] + (["Square", "Rectangle"] if command == "isa" else [])
         assert main(argv + ["-o", str(output)]) == 2
         assert capsys.readouterr() == ("", f"pml: cannot write {output}: {reason}\n")
+
+    def test_output_file_keeps_the_bytes_of_an_undecodable_name(self, tmp_path, capsys):
+        """A path byte that is not UTF-8 reaches the -o file as that byte."""
+        path = tmp_path / os.fsdecode(b"m\xff.pml")
+        path.write_text(WARNING_MODEL)
+        target = tmp_path / "out.txt"
+        assert main(["check", str(path), "-o", str(target)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert target.read_bytes().startswith(
+            os.fsencode(f"{path}:4:1: warning[W-AUTONOMY-001]: ")
+        )
+
+    @pytest.mark.parametrize(
+        "encoding, name, model, command",
+        [
+            ("utf-8", b"m\xff.pml", WARNING_MODEL, "check"),
+            ("ascii", b"e.pml", ACCENTED_MODEL, "check"),
+            ("ascii", b"e.pml", ACCENTED_MODEL, "dot"),
+        ],
+        ids=["undecodable-name", "ascii-check", "ascii-dot"],
+    )
+    def test_stdout_that_cannot_encode_the_text_exits_two(
+        self, encoding, name, model, command, tmp_path
+    ):
+        """Exit 2, one line on stderr and nothing on stdout."""
+        path = tmp_path / os.fsdecode(name)
+        path.write_text(model)
+        proc = run_module([command, os.fsencode(path)], PYTHONIOENCODING=encoding)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"pml: cannot write stdout: ")
+        assert proc.stderr.count(b"\n") == 1
 
     def test_superscript_digit_exits_two(self, tmp_path, capsys):
         path = tmp_path / "superscript.pml"
@@ -359,6 +404,17 @@ class TestDot:
         assert captured.out == ""
         assert "E-PARSE" in captured.err
 
+    def test_warnings_go_to_stderr_and_keep_exit_zero(self, tmp_path, capsys):
+        path = tmp_path / "warn.pml"
+        path.write_text(WARNING_MODEL)
+        assert main(["dot", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("digraph promises {")
+        assert captured.err == (
+            f"{path}:4:1: warning[W-AUTONOMY-001]: condition of a -> b: +w=1 if f "
+            "references 'f', which b never promises to a\n"
+        )
+
 
 class TestModuleEntry:
     @pytest.mark.parametrize(
@@ -369,12 +425,5 @@ class TestModuleEntry:
     def test_python_m_promisekit_matches_main(self, argv, capsys):
         code = main(argv)
         expected = capsys.readouterr().out
-        src = str(Path(promisekit.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "promisekit", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
-        assert (proc.returncode, proc.stdout) == (code, expected)
+        proc = run_module(argv)
+        assert (proc.returncode, proc.stdout.decode()) == (code, expected)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,11 @@ class TestJson:
         data = json.loads(report_json(bank_report()))
         assert sorted(data) == ["files", "findings", "hierarchy", "roles", "version"]
         assert data["version"] == __version__
+
+    def test_the_reported_version_is_the_packages(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
+        assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [__version__]
 
     def test_keys_are_sorted_everywhere(self):
         text = report_json(bank_report())

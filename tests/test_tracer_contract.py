@@ -13,6 +13,8 @@ import importlib.util
 import io
 from pathlib import Path
 
+import pytest
+
 from promisekit import cli, corpus
 from promisekit.model import PromiseGraph
 
@@ -58,3 +60,29 @@ def test_a_traced_check_times_the_front_end():
     assert values["dsl.lexer.tokens"] > 0
     for layer in ("dsl.lexer", "dsl.parser", "dsl.resolver", "model.build_graph", "cli"):
         assert values[f"{layer}.self_s"] > 0, layer
+
+
+@pytest.mark.parametrize(
+    "argv, analyzer",
+    [
+        (["roles", "bank.pml"], "analysis.discover_roles"),
+        (["classes", "bank.pml", "--json"], "analysis.derive_class_hierarchy"),
+        (["isa", "geometry.pml", "Square", "Rectangle"], "analysis.check_is_a"),
+        (["dot", "bank.pml"], None),
+    ],
+    ids=["roles", "classes-json", "isa", "dot"],
+)
+def test_each_one_file_command_times_its_analyzer_and_report(argv, analyzer):
+    tracer_module = load_tracer_module()
+    tracer = tracer_module.Tracer()
+    argv = [argv[0], str(corpus.path(argv[1])), *argv[2:]]
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) in (0, 1)
+    finally:
+        tracer.uninstall()
+    values = tracer_module.layer_values(tracer.take())
+    if analyzer is not None:
+        assert values[f"{analyzer}.self_s"] > 0
+    assert values["report.bytes"] > 0
