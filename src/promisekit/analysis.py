@@ -458,12 +458,6 @@ def _scope_params(body: PromiseBody, scope: str) -> frozenset[EqConstraint]:
     )
 
 
-def _bundle_satisfiable(bundle: Bundle) -> bool:
-    """Scoped as ``check_is_a`` scopes: apart from condition parameters."""
-    entries = [(b, b.condition, _scope_params(b, "bundle")) for b in bundle.bodies]
-    return all(part.admits(world.neqs) for world, _, part in judge(entries))
-
-
 def _clash_detail(part: TermPartition) -> str:
     clash = part.constant_clash()
     if clash is None:
@@ -479,18 +473,16 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     attributes and constants that the parent alone does not entail.
     Otherwise the child can genuinely stand in for the parent.
     """
-    for bundle in (parent, child):
-        if not _bundle_satisfiable(bundle):
-            raise UnsatisfiableError(
-                f"bundle {bundle.name} is unsatisfiable on its own"
-            )
-
-    entries = [
-        ((side, f"{side} {bundle.name}: {format_body(body)}"), body.condition,
-         _scope_params(body, side))
-        for side, bundle in (("parent", parent), ("child", child))
-        for body in bundle.bodies
-    ]
+    entries = []
+    for side, bundle in (("parent", parent), ("child", child)):
+        own = [
+            ((side, f"{side} {bundle.name}: {format_body(body)}"), body.condition,
+             _scope_params(body, side))
+            for body in bundle.bodies
+        ]
+        if not all(part.admits(world.neqs) for world, _, part in judge(own)):
+            raise UnsatisfiableError(f"bundle {bundle.name} is unsatisfiable on its own")
+        entries += own
     merged: set[str] = set()
     merged_involved: set[str] = set()
     for world, in_force, joint in judge(entries):

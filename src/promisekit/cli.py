@@ -1,8 +1,9 @@
-"""The ``pml`` command: parse, check, and summarize promise models.
+"""The pml command: parse, check, and summarize promise models.
 
 Exit codes: 0 clean; 1 findings at policy-violation severity or worse;
-2 parse/resolve failure, unreadable input or an unwritable ``-o`` path;
-3 usage error.
+2 parse/resolve failure, unreadable input, or an output that cannot take
+the text; 3 usage error.  pml isa exits 3 for an unknown bundle name and
+2 for a bundle that is unsatisfiable on its own.
 """
 from __future__ import annotations
 

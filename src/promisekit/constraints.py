@@ -8,6 +8,7 @@ congruence degenerates to transitive closure of the stated equalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence, Union
 
 from .errors import UnsatisfiableError
@@ -57,26 +58,17 @@ class UnionFind:
 
 
 class TermPartition:
-    """The equivalence classes induced by a constraint set.
+    """The equivalence classes of a closure, read off its union-find.
 
     Classes are tuples sorted by term order; the canonical representative of a
     class is its smallest member (constants before named constants before
     attributes before parameters).  Terms never mentioned are implicitly
-    singleton classes.
+    singleton classes.  The classes are sorted when first read; ``same_class``
+    and ``admits`` answer on the union-find's roots and never sort them.
     """
 
-    def __init__(self, classes: Iterable[Iterable[Term]]) -> None:
-        normalized = []
-        for cls in classes:
-            members = tuple(sorted(cls, key=term_key))
-            if members:
-                normalized.append(members)
-        normalized.sort(key=lambda c: term_key(c[0]))
-        self.classes: tuple[tuple[Term, ...], ...] = tuple(normalized)
-        self._class_of: dict[Term, tuple[Term, ...]] = {}
-        for cls in self.classes:
-            for t in cls:
-                self._class_of[t] = cls
+    def __init__(self, uf: UnionFind) -> None:
+        self._uf = uf
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TermPartition):
@@ -92,6 +84,22 @@ class TermPartition:
         )
         return f"TermPartition({body})"
 
+    @cached_property
+    def classes(self) -> tuple[tuple[Term, ...], ...]:
+        groups: dict[Term, list[Term]] = {}
+        for t in self._uf.parent:
+            groups.setdefault(self._uf.find(t), []).append(t)
+        return tuple(
+            sorted(
+                (tuple(sorted(cls, key=term_key)) for cls in groups.values()),
+                key=lambda c: term_key(c[0]),
+            )
+        )
+
+    @cached_property
+    def _class_of(self) -> dict[Term, tuple[Term, ...]]:
+        return {t: cls for cls in self.classes for t in cls}
+
     def as_sets(self) -> frozenset[frozenset[Term]]:
         return frozenset(frozenset(cls) for cls in self.classes)
 
@@ -103,23 +111,22 @@ class TermPartition:
         return self._class_of.get(t, (t,))
 
     def same_class(self, a: Term, b: Term) -> bool:
-        if a == b:
-            return True
-        cls = self._class_of.get(a)
-        return cls is not None and b in cls
+        parent, find = self._uf.parent, self._uf.find
+        return a == b or (a in parent and b in parent and find(a) is find(b))
 
     def constant_clash(self) -> Union[tuple[Term, Term], None]:
         """Two distinct literal constants forced together, if any."""
-        for cls in self.classes:
+        for cls in self.clashing_classes():
             consts = [t for t in cls if is_constant(t)]
-            if len(consts) > 1:
-                return (consts[0], consts[1])
+            return (consts[0], consts[1])
         return None
 
     def admits(self, disequalities: Iterable[tuple[Term, Term]] = ()) -> bool:
         """True iff no class holds two distinct constants and no disequality
-        pair falls inside one class."""
-        if self.constant_clash() is not None:
+        pair falls inside one class.  Decided on the roots (see ``UnionFind``)."""
+        find = self._uf.find
+        pinned = [id(find(t)) for t in self._uf.parent if is_constant(t)]
+        if len(set(pinned)) < len(pinned):
             return False
         return not any(self.same_class(a, b) for a, b in disequalities)
 
@@ -132,69 +139,41 @@ class TermPartition:
         clashing += [self.class_of(a) for a, b in disequalities if self.same_class(a, b)]
         return clashing
 
-    def merged_pairs(self, vocabulary: Iterable[Term]) -> tuple[tuple[Term, Term], ...]:
-        """All same-class pairs drawn from ``vocabulary``."""
-        vocab = set(vocabulary)
-        pairs = []
-        for cls in self.classes:
-            members = [t for t in cls if t in vocab]
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pairs.append((members[i], members[j]))
-        return tuple(sorted(pairs, key=lambda p: (term_key(p[0]), term_key(p[1]))))
-
     def new_pairs_over(
         self, baseline: "TermPartition", vocabulary: Iterable[Term]
     ) -> tuple[tuple[Term, Term], ...]:
         """Vocabulary pairs merged here but not in ``baseline``."""
-        return tuple(
-            (a, b)
-            for a, b in self.merged_pairs(vocabulary)
-            if not baseline.same_class(a, b)
-        )
-
-
-def _union_find(
-    constraints: Iterable[EqConstraint], extra_terms: Iterable[Term] = ()
-) -> UnionFind:
-    uf = UnionFind()
-    for t in extra_terms:
-        uf.add(t)
-    for c in constraints:
-        uf.union(c.lhs, c.rhs)
-    return uf
+        vocab = set(vocabulary)
+        pairs = []
+        for cls in self.classes:
+            members = [t for t in cls if t in vocab]
+            pairs += [
+                (a, b)
+                for i, a in enumerate(members)
+                for b in members[i + 1 :]
+                if not baseline.same_class(a, b)
+            ]
+        return tuple(sorted(pairs, key=lambda p: (term_key(p[0]), term_key(p[1]))))
 
 
 def closure(
     constraints: Iterable[EqConstraint], extra_terms: Iterable[Term] = ()
 ) -> TermPartition:
     """Least equivalence over the mentioned terms containing every equality."""
-    uf = _union_find(constraints, extra_terms)
-    groups: dict[Term, list[Term]] = {}
-    for t in uf.parent:
-        groups.setdefault(uf.find(t), []).append(t)
-    return TermPartition(groups.values())
+    uf = UnionFind()
+    for t in extra_terms:
+        uf.add(t)
+    for c in constraints:
+        uf.union(c.lhs, c.rhs)
+    return TermPartition(uf)
 
 
 def satisfiable(
     constraints: Iterable[EqConstraint],
     disequalities: Iterable[tuple[Term, Term]] = (),
 ) -> bool:
-    """True iff the closure of ``constraints`` admits ``disequalities``.
-
-    Decided on the union-find, with no sorted ``TermPartition``: the closure
-    fails to admit exactly when two distinct constants share a root, or the
-    two sides of a disequality are one term or share a root."""
-    uf = _union_find(constraints)
-    parent, find = uf.parent, uf.find
-    # Roots are stored keys, so their identities name the classes.
-    pinned = [id(find(t)) for t in parent if is_constant(t)]
-    if len(set(pinned)) < len(pinned):
-        return False
-    return not any(
-        a == b or (a in parent and b in parent and find(a) is find(b))
-        for a, b in disequalities
-    )
+    """True iff the closure of ``constraints`` admits ``disequalities``."""
+    return closure(constraints).admits(disequalities)
 
 
 def reduce(constraints: Iterable[EqConstraint]) -> frozenset[EqConstraint]:
@@ -288,7 +267,7 @@ def _conjunction(
 ) -> Union[tuple[list[EqConstraint], list[tuple[Term, Term]], dict[str, bool]], None]:
     """The conditions' literals split as one condition, or None when a flag
     is both required and forbidden.  The equalities and disequalities are
-    left to the caller's ``satisfiable``."""
+    left to the caller's closure."""
     try:
         return split_condition(Condition(frozenset().union(*(c.literals for c in conds))))
     except ValueError:
@@ -327,13 +306,15 @@ def _conjunction_witness(
 def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
     """Can ``c1`` and ``c2`` hold at the same time?  Exclusive iff their
     conjunction is unsatisfiable; otherwise the verdict carries a witness,
-    the one place that needs the conjunction's sorted partition."""
+    the one place that needs the conjunction's sorted partition.  One
+    closure decides both; the disequality terms join it as singletons."""
     conjunction = _conjunction((c1, c2))
-    if conjunction is None or not satisfiable(conjunction[0], conjunction[1]):
-        return ExclusivityVerdict(exclusive=True)
-    eqs, neqs, flags = conjunction
-    part = closure(eqs, [t for pair in neqs for t in pair])
-    return ExclusivityVerdict(exclusive=False, witness=_conjunction_witness(part, flags))
+    if conjunction is not None:
+        eqs, neqs, flags = conjunction
+        part = closure(eqs, [t for pair in neqs for t in pair])
+        if part.admits(neqs):
+            return ExclusivityVerdict(False, _conjunction_witness(part, flags))
+    return ExclusivityVerdict(exclusive=True)
 
 
 def pairwise_exclusive(

@@ -6,6 +6,7 @@ formatting — so identical inputs serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -44,11 +45,17 @@ def _diagnostic_obj(d: Diagnostic) -> dict:
     }
 
 
+def _unicode(text: str) -> str:
+    """``text`` with each lone surrogate (how ``surrogateescape`` reads an
+    undecodable file-name byte) as U+FFFD, so that the JSON is Unicode."""
+    return re.sub("[\ud800-\udfff]", "\ufffd", text)
+
+
 def _finding_obj(f: Finding) -> dict:
     return {
         "severity": f.severity.label,
         "code": f.code,
-        "message": f.message,
+        "message": _unicode(f.message),
         "promises": list(f.promises),
     }
 
@@ -92,7 +99,8 @@ def report_json(report: Report) -> str:
     obj = {
         "version": __version__,
         "files": [
-            {"path": fe.path, "diagnostics": [_diagnostic_obj(d) for d in fe.diagnostics]}
+            {"path": _unicode(fe.path),
+             "diagnostics": [_diagnostic_obj(d) for d in fe.diagnostics]}
             for fe in report.files
         ],
         "findings": [_finding_obj(f) for f in report.findings],

@@ -148,6 +148,29 @@ class TestExitCodes:
             os.fsencode(f"{path}:4:1: warning[W-AUTONOMY-001]: ")
         )
 
+    def test_json_writes_an_undecodable_name_as_the_replacement_character(
+        self, tmp_path, capsys
+    ):
+        """Every string of a JSON report is valid Unicode: the path, and the
+        path prefix of each finding when several files are checked."""
+        paths = []
+        for name in (b"m\xff.pml", b"n\xfe.pml"):
+            path = tmp_path / os.fsdecode(name)
+            path.write_text(WARNING_MODEL + "a -> b: give w = 1;\na -> b: give w = 2;\n")
+            paths.append(str(path))
+        assert main(["check", *paths, "--json"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        # Strict UTF-8 raises on a lone surrogate in any string of the report.
+        json.dumps(data, ensure_ascii=False).encode("utf-8")
+        assert [f["path"] for f in data["files"]] == [
+            str(tmp_path / "m\ufffd.pml"), str(tmp_path / "n\ufffd.pml")
+        ]
+        assert data["findings"] and all(
+            f["message"].startswith(str(tmp_path / "m\ufffd.pml: "))
+            or f["message"].startswith(str(tmp_path / "n\ufffd.pml: "))
+            for f in data["findings"]
+        )
+
     @pytest.mark.parametrize(
         "encoding, name, model, command",
         [
@@ -192,6 +215,21 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_help_names_every_exit_cause(self, capsys):
+        assert main(["--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for cause in (
+            "0 clean",
+            "1 findings at policy-violation severity or worse",
+            "2 parse/resolve failure, unreadable input, or an output that cannot take "
+            "the text",
+            "3 usage error",
+            "pml isa exits 3 for an unknown bundle name",
+            "2 for a bundle that is unsatisfiable on its own",
+        ):
+            assert cause in text
+        assert "``" not in text
 
     def test_empty_model_is_clean(self, tmp_path, capsys):
         path = tmp_path / "empty.pml"

@@ -472,7 +472,60 @@ copied_eqs_st = st.lists(
 @settings(max_examples=300)
 @given(st.one_of(eqs_st, copied_eqs_st), neqs_st)
 def test_satisfiable_agrees_with_the_partition(eqs, neqs):
-    assert satisfiable(eqs, neqs) == closure(eqs).admits(neqs)
+    """The roots decide as the sorted classes read: unsatisfiable iff a
+    class holds two constants or a disequality's sides share a class."""
+    part = closure(eqs)
+    class_of = {t: cls for cls in part.classes for t in cls}
+
+    def read_same(a, b) -> bool:
+        return a == b or b in class_of.get(a, ())
+
+    clash = any(sum(map(is_constant, cls)) > 1 for cls in part.classes)
+    clash = clash or any(read_same(a, b) for a, b in neqs)
+    assert satisfiable(eqs, neqs) == (not clash)
+    terms = TERM_POOL + [t for pair in neqs for t in pair]
+    for a, b in itertools.product(terms, repeat=2):
+        assert part.same_class(a, b) == read_same(a, b)
+
+
+@pytest.mark.parametrize(
+    "c1, c2, exclusive",
+    [
+        (Condition(frozenset({CmpLiteral(WIDTH, "eq", NumConst(1))})),
+         Condition(frozenset({CmpLiteral(HEIGHT, "neq", W)})), False),
+        (Condition(frozenset({CmpLiteral(WIDTH, "eq", NumConst(1))})),
+         Condition(frozenset({CmpLiteral(WIDTH, "eq", NumConst(2))})), True),
+        (Condition(frozenset({CmpLiteral(WIDTH, "eq", W)})),
+         Condition(frozenset({CmpLiteral(WIDTH, "neq", W)})), True),
+    ],
+    ids=["can-hold-together", "constant-clash", "violated-disequality"],
+)
+def test_one_union_find_per_satisfiable_call_and_exclusivity_verdict(
+    c1, c2, exclusive, monkeypatch
+):
+    built = []
+
+    class CountingUnionFind(promisekit.constraints.UnionFind):
+        def __init__(self) -> None:
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(promisekit.constraints, "UnionFind", CountingUnionFind)
+    assert mutually_exclusive(c1, c2).exclusive == exclusive
+    assert len(built) == 1
+    eqs, neqs, _ = split_condition(c1.conjoin(c2))
+    assert satisfiable(eqs, neqs) == (not exclusive)
+    assert len(built) == 2
+
+
+def test_root_questions_leave_the_classes_unsorted():
+    part = closure([eq(WIDTH, W), eq(W, NumConst(1)), eq(HEIGHT, H)], [DEPTH])
+    assert part.admits([(WIDTH, HEIGHT)])
+    assert not part.admits([(W, NumConst(1))])
+    assert part.same_class(WIDTH, NumConst(1)) and not part.same_class(DEPTH, H)
+    assert "classes" not in part.__dict__ and "_class_of" not in part.__dict__
+    assert part.class_of(W) == (NumConst(1), WIDTH, W)
+    assert "classes" in part.__dict__
 
 
 def partition_verdict(c1: Condition, c2: Condition):

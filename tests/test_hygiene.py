@@ -2,8 +2,8 @@
 defines a private name it never uses, no module imports another
 promisekit module's private name, only the lexer and the span module
 build tuples without their class's constructor, only ``constraints``
-judges a pair of conditions, and no module-level container outlives a
-run.
+judges a pair of conditions or builds a term partition, and no
+module-level container outlives a run.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -157,6 +157,21 @@ def test_only_the_constraints_module_names_mutually_exclusive():
             if "mutually_exclusive" in names:
                 users.add(path.relative_to(PACKAGE).as_posix())
     assert users == {"__init__.py", "constraints.py"}
+
+
+def test_only_the_constraints_module_builds_a_term_partition():
+    """A partition is read off the union-find that ``closure`` builds, so no
+    other module calls the ``TermPartition`` constructor."""
+    builders = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "TermPartition":
+                    builders.add(path.relative_to(PACKAGE).as_posix())
+    assert builders == {"constraints.py"}
 
 
 def test_spans_keep_their_checks():
