@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .constraints import ExclusivityVerdict, pairwise_exclusive, TermPartition
@@ -40,6 +39,7 @@ from .model import (
     Term,
     USE,
 )
+from .value import Value
 from .worlds import judge, World
 
 
@@ -64,29 +64,33 @@ _SEVERITY_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Value):
     """One detected problem, citing the promises (or bodies) involved."""
 
-    severity: Severity
-    code: str
-    message: str
-    promises: tuple[str, ...]
+    __slots__ = ("severity", "code", "message", "promises")
 
-    def __post_init__(self) -> None:
-        if not self.promises:
+    def __init__(
+        self, severity: Severity, code: str, message: str, promises: tuple[str, ...]
+    ) -> None:
+        if not promises:
             raise ValueError("a finding must cite at least one promise")
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "promises", promises)
 
 
 def finding_sort_key(f: Finding) -> tuple:
     return (-int(f.severity), f.code, f.promises, f.message)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     """Outcome of a structural check: fine iff there are no findings."""
 
-    findings: tuple[Finding, ...] = ()
+    __slots__ = ("findings",)
+
+    def __init__(self, findings: tuple[Finding, ...] = ()) -> None:
+        object.__setattr__(self, "findings", findings)
 
     @property
     def ok(self) -> bool:
@@ -219,13 +223,15 @@ IN = "in"
 RoleSignature = tuple  # sorted ((direction, polarity, type), count) pairs
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(Value):
     """A maximal set of agents with identical incident promise shapes."""
 
-    signature: RoleSignature
-    label: str
-    members: tuple[str, ...]
+    __slots__ = ("signature", "label", "members")
+
+    def __init__(self, signature: RoleSignature, label: str, members: tuple[str, ...]) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "members", members)
 
 
 def role_signature(graph: PromiseGraph, agent: str) -> RoleSignature:
@@ -274,13 +280,15 @@ def discover_roles(graph: PromiseGraph) -> list[Role]:
     ]
 
 
-@dataclass(frozen=True)
-class SpanningClass:
+class SpanningClass(Value):
     """One distinct bundle shape and everything that exhibits it."""
 
-    representative: str
-    members: tuple[str, ...]
-    signature: tuple
+    __slots__ = ("representative", "members", "signature")
+
+    def __init__(self, representative: str, members: tuple[str, ...], signature: tuple) -> None:
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "signature", signature)
 
 
 def extract_spanning_set(graph: PromiseGraph) -> tuple[SpanningClass, ...]:
@@ -433,13 +441,17 @@ RESTRICTED = "restricted"
 INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
-class IsAVerdict:
+class IsAVerdict(Value):
     """Can the child's promises ride along with the parent's unharmed?"""
 
-    outcome: str  # IS_A, RESTRICTED, or INCONSISTENT
-    details: tuple[str, ...] = ()
-    involved: tuple[str, ...] = ()
+    __slots__ = ("outcome", "details", "involved")
+
+    def __init__(
+        self, outcome: str, details: tuple[str, ...] = (), involved: tuple[str, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "outcome", outcome)  # IS_A, RESTRICTED, or INCONSISTENT
+        object.__setattr__(self, "details", details)
+        object.__setattr__(self, "involved", involved)
 
     @property
     def is_a(self) -> bool:
@@ -757,26 +769,34 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
 # Class-hierarchy derivation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassNode:
+class ClassNode(Value):
     """One class-like unit: a guard condition ('' for the base) and the
     bodies promised under it."""
 
-    condition: str
-    bodies: tuple[str, ...]
+    __slots__ = ("condition", "bodies")
+
+    def __init__(self, condition: str, bodies: tuple[str, ...]) -> None:
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "bodies", bodies)
 
 
-@dataclass(frozen=True)
-class RoleClasses:
-    role: Role
-    base: ClassNode
-    subtypes: tuple[ClassNode, ...]
+class RoleClasses(Value):
+    __slots__ = ("role", "base", "subtypes")
+
+    def __init__(self, role: Role, base: ClassNode, subtypes: tuple[ClassNode, ...]) -> None:
+        object.__setattr__(self, "role", role)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "subtypes", subtypes)
 
 
-@dataclass(frozen=True)
-class ClassHierarchy:
-    classes: tuple[RoleClasses, ...]
-    findings: tuple[Finding, ...] = ()
+class ClassHierarchy(Value):
+    __slots__ = ("classes", "findings")
+
+    def __init__(
+        self, classes: tuple[RoleClasses, ...], findings: tuple[Finding, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "findings", findings)
 
 
 def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:

@@ -43,6 +43,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _say(line: str) -> None:
+    """Write ``line`` to stderr, through its byte stream where it has one, so
+    that an undecodable path byte (a surrogate escape) reaches it as that
+    byte, as it reaches an ``-o`` file.  Text the stream's encoding cannot
+    hold goes through the text stream, which escapes it."""
+    stream = sys.stderr
+    buffer = getattr(stream, "buffer", None)
+    if buffer is not None:
+        try:
+            data = f"{line}\n".encode(stream.encoding, "surrogateescape")
+        except UnicodeEncodeError:
+            pass
+        else:
+            stream.flush()
+            buffer.write(data)
+            buffer.flush()
+            return
+    print(line, file=stream)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pml", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -85,7 +105,7 @@ def _load(path: str) -> tuple[Union[PromiseGraph, None], FileEntry]:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        print(f"pml: cannot read {path}: {reason}", file=sys.stderr)
+        _say(f"pml: cannot read {path}: {reason}")
         return None, FileEntry(path)
     parsed = parse(text, path)
     if not parsed.ok:
@@ -114,7 +134,7 @@ def _emit(args: argparse.Namespace, report: Report, text: Union[str, None] = Non
             sys.stdout.write(text)
     except (OSError, UnicodeEncodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        print(f"pml: cannot write {args.output or 'stdout'}: {reason}", file=sys.stderr)
+        _say(f"pml: cannot write {args.output or 'stdout'}: {reason}")
         return EXIT_INPUT_ERROR
     if any(f.severity >= Severity.POLICY_VIOLATION for f in report.findings):
         return EXIT_FINDINGS
@@ -178,16 +198,12 @@ def _cmd_isa(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) ->
     ]
     if missing:
         available = ", ".join(b.name for b in graph.bundles) or "(none)"
-        print(
-            f"pml isa: unknown bundle {', '.join(missing)}; "
-            f"{args.file} declares: {available}",
-            file=sys.stderr,
-        )
+        _say(f"pml isa: unknown bundle {', '.join(missing)}; {args.file} declares: {available}")
         return EXIT_USAGE
     try:
         verdict = check_is_a(graph.bundle(args.child), graph.bundle(args.parent))
     except UnsatisfiableError as exc:
-        print(f"pml isa: {exc}", file=sys.stderr)
+        _say(f"pml isa: {exc}")
         return EXIT_INPUT_ERROR
     findings = _isa_findings(verdict, args.child, args.parent)
     note = (
@@ -223,7 +239,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     graph, entry = _load(args.file)
     if args.command == "dot":
         for d in entry.diagnostics:
-            print(d.formatted(), file=sys.stderr)
+            _say(d.formatted())
     elif graph is None and entry.diagnostics:
         _emit(args, Report((entry,)))
     if graph is None:

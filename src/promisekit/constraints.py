@@ -7,7 +7,6 @@ congruence degenerates to transitive closure of the stated equalities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Sequence, Union
 
@@ -24,12 +23,13 @@ from .model import (
     is_constant,
     term_key,
 )
+from .value import Value
 
 
 class UnionFind:
     """Plain union-find with path halving over any hashable nodes.
 
-    ``find`` tests for a root by identity, not by ``==`` (a dataclass
+    ``find`` tests for a root by identity, not by ``==`` (a ``Value``
     ``__eq__`` per step on terms).  This is exact because every parent is a
     stored key: ``add`` makes a new key its own parent and ``union`` links
     roots that ``find`` returned, so a root's parent is the stored key
@@ -232,13 +232,17 @@ def entails(
 # Conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExclusivityVerdict:
+class ExclusivityVerdict(Value):
     """Outcome of a mutual-exclusivity test; carries a satisfying assignment
     sketch exactly when the conditions can hold together."""
 
-    exclusive: bool
-    witness: Union[tuple[tuple[str, str], ...], None] = None
+    __slots__ = ("exclusive", "witness")
+
+    def __init__(
+        self, exclusive: bool, witness: Union[tuple[tuple[str, str], ...], None] = None
+    ) -> None:
+        object.__setattr__(self, "exclusive", exclusive)
+        object.__setattr__(self, "witness", witness)
 
 
 def split_condition(

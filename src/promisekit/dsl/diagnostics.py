@@ -10,8 +10,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Literal
+
+from ..value import Value
 
 ERROR = "error"
 WARNING = "warning"
@@ -120,12 +121,16 @@ class SourceSpan(namedtuple("SourceSpan", "file start_offset end_offset lines"))
         return self.start_offset < end and start < self.end_offset
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: Literal["error", "warning"]
-    code: str
-    message: str
-    span: SourceSpan
+class Diagnostic(Value):
+    __slots__ = ("severity", "code", "message", "span")
+
+    def __init__(
+        self, severity: Literal["error", "warning"], code: str, message: str, span: SourceSpan
+    ) -> None:
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "span", span)
 
     def formatted(self) -> str:
         s = self.span

@@ -7,9 +7,9 @@ hide the rest of the file.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from ..value import Value
 from .ast_nodes import (
     AgentDecl,
     BodyNode,
@@ -51,10 +51,12 @@ class _ParseFailure(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass
-class ParseResult:
-    ast: ModelAst
-    diagnostics: list[Diagnostic]
+class ParseResult(Value):
+    __slots__ = ("ast", "diagnostics")
+
+    def __init__(self, ast: ModelAst, diagnostics: list[Diagnostic]) -> None:
+        object.__setattr__(self, "ast", ast)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     @property
     def ok(self) -> bool:

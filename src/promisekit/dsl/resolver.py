@@ -7,7 +7,6 @@ no constraints), expands bundle attachments, and attaches autonomy warnings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Union
 
 from ..constraints import UnionFind
@@ -45,6 +44,7 @@ from ..model import (
     validate_autonomy,
     VALUED_KINDS,
 )
+from ..value import Value
 from .ast_nodes import (
     AgentDecl,
     BodyNode,
@@ -107,10 +107,12 @@ class _Scope:
             self.kinds[self.classes.find(names[0])] = kind
 
 
-@dataclass
-class ResolveResult:
-    graph: Union[PromiseGraph, None]
-    diagnostics: list[Diagnostic]
+class ResolveResult(Value):
+    __slots__ = ("graph", "diagnostics")
+
+    def __init__(self, graph: Union[PromiseGraph, None], diagnostics: list[Diagnostic]) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     @property
     def ok(self) -> bool:

@@ -6,7 +6,7 @@ and, for valued types, equality constraints over attributes, parameters, and
 constants.  Bodies may be conditional on a conjunction of literals; groups of
 bodies can be declared once as a named bundle and attached to any agent pair.
 
-Everything here is a frozen dataclass: graphs compare structurally, and
+Everything here is an immutable ``Value``: graphs compare structurally, and
 construction sorts every collection so that identical declaration sets yield
 identical graphs regardless of declaration order.
 
@@ -18,7 +18,6 @@ than scans of ``promises``; ``channels`` hands out a read-only view.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from types import MappingProxyType
@@ -30,6 +29,7 @@ from .errors import (
     DuplicateNameError,
     InvalidBodyError,
 )
+from .value import Value
 
 GIVE = "give"
 USE = "use"
@@ -43,41 +43,51 @@ LINK_TYPE = "="
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(Value):
     """A promise type used as a value carrier, e.g. ``width``."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(Value):
     """A free value placeholder, written ``$w``.  ``scope`` is the group of
     the promise that makes it, set where analyses keep groups apart, else ""."""
 
-    name: str
-    scope: str = ""
+    __slots__ = ("name", "scope")
+
+    def __init__(self, name: str, scope: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "scope", scope)
 
 
-@dataclass(frozen=True)
-class NumConst:
-    value: Union[int, float]
+class NumConst(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Union[int, float]) -> None:
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class StrConst:
-    value: str
+class StrConst(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str) -> None:
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class NamedConst:
+class NamedConst(Value):
     """A bare identifier that is not a declared type.
 
     It stays a distinct symbolic constant, never looked up as an agent's
     private attribute; equating it with another constant is no clash.
     """
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
 Term = Union[Attribute, Parameter, NumConst, StrConst, NamedConst]
@@ -145,19 +155,17 @@ def is_constant(term: Term) -> bool:
 # Constraints and conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EqConstraint:
+class EqConstraint(Value):
     """An equality between two terms; stored order-normalized so the set
     {a=b} equals {b=a}."""
 
-    lhs: Term
-    rhs: Term
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if term_key(self.lhs) > term_key(self.rhs):
-            lhs = self.lhs
-            object.__setattr__(self, "lhs", self.rhs)
-            object.__setattr__(self, "rhs", lhs)
+    def __init__(self, lhs: Term, rhs: Term) -> None:
+        if term_key(lhs) > term_key(rhs):
+            lhs, rhs = rhs, lhs
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def terms(self) -> tuple[Term, Term]:
         return (self.lhs, self.rhs)
@@ -171,27 +179,28 @@ def format_constraint(c: EqConstraint) -> str:
     return f"{format_term(lhs)}={format_term(rhs)}"
 
 
-@dataclass(frozen=True)
-class CmpLiteral:
-    """``lhs == rhs`` or ``lhs != rhs`` inside a condition."""
+class CmpLiteral(Value):
+    """``lhs == rhs`` or ``lhs != rhs`` inside a condition; sides stored in
+    term order, as in ``EqConstraint``."""
 
-    lhs: Term
-    op: Literal["eq", "neq"]
-    rhs: Term
+    __slots__ = ("lhs", "op", "rhs")
 
-    def __post_init__(self) -> None:
-        if term_key(self.lhs) > term_key(self.rhs):
-            lhs = self.lhs
-            object.__setattr__(self, "lhs", self.rhs)
-            object.__setattr__(self, "rhs", lhs)
+    def __init__(self, lhs: Term, op: Literal["eq", "neq"], rhs: Term) -> None:
+        if term_key(lhs) > term_key(rhs):
+            lhs, rhs = rhs, lhs
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class FlagLiteral:
+class FlagLiteral(Value):
     """A boolean flag mention, possibly negated (``not employee``)."""
 
-    name: str
-    negated: bool = False
+    __slots__ = ("name", "negated")
+
+    def __init__(self, name: str, negated: bool = False) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "negated", negated)
 
 
 ConditionLiteral = Union[CmpLiteral, FlagLiteral]
@@ -214,11 +223,13 @@ def format_literal(lit: ConditionLiteral) -> str:
     return f"not {lit.name}" if lit.negated else lit.name
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Value):
     """A conjunction of literals; the empty condition is always true."""
 
-    literals: frozenset[ConditionLiteral] = frozenset()
+    __slots__ = ("literals",)
+
+    def __init__(self, literals: frozenset[ConditionLiteral] = frozenset()) -> None:
+        object.__setattr__(self, "literals", literals)
 
     @staticmethod
     def of(*literals: ConditionLiteral) -> "Condition":
@@ -248,26 +259,30 @@ def format_condition(cond: Condition) -> str:
 # Bodies, promises, bundles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PromiseBody:
+class PromiseBody(Value):
     """Polarity + type + constraints + condition.
 
     Use-bodies accept the counterpart's behaviour and carry no constraints of
     their own; constructing one with constraints raises.
     """
 
-    polarity: Literal["give", "use"]
-    type: str
-    constraints: frozenset[EqConstraint] = frozenset()
-    condition: Condition = ALWAYS
+    __slots__ = ("polarity", "type", "constraints", "condition", "__dict__")
 
-    def __post_init__(self) -> None:
-        if self.polarity not in (GIVE, USE):
-            raise InvalidBodyError(f"unknown polarity: {self.polarity!r}")
-        if self.polarity == USE and self.constraints:
-            raise InvalidBodyError(
-                f"use body for {self.type!r} must not carry constraints"
-            )
+    def __init__(
+        self,
+        polarity: Literal["give", "use"],
+        type: str,
+        constraints: frozenset[EqConstraint] = frozenset(),
+        condition: Condition = ALWAYS,
+    ) -> None:
+        if polarity not in (GIVE, USE):
+            raise InvalidBodyError(f"unknown polarity: {polarity!r}")
+        if polarity == USE and constraints:
+            raise InvalidBodyError(f"use body for {type!r} must not carry constraints")
+        object.__setattr__(self, "polarity", polarity)
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "condition", condition)
 
     @property
     def is_link(self) -> bool:
@@ -326,8 +341,7 @@ def body_key(body: PromiseBody) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class Promise:
+class Promise(Value):
     """A directed edge: ``promiser`` makes ``body`` toward ``promisee``.
 
     ``group`` identifies the enclosing parameter scope (one bundle attachment
@@ -335,34 +349,43 @@ class Promise:
     order-insensitive.
     """
 
-    promiser: str
-    promisee: str
-    body: PromiseBody
-    group: str = ""
+    __slots__ = ("promiser", "promisee", "body", "group")
+
+    def __init__(self, promiser: str, promisee: str, body: PromiseBody, group: str = "") -> None:
+        object.__setattr__(self, "promiser", promiser)
+        object.__setattr__(self, "promisee", promisee)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "group", group)
 
     def formatted(self) -> str:
         return f"{self.promiser} -> {self.promisee}: {format_body(self.body)}"
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Value):
     """A named, reusable collection of bodies, optionally extending another."""
 
-    name: str
-    bodies: tuple[PromiseBody, ...]
-    parent: Union[str, None] = None
+    __slots__ = ("name", "bodies", "parent")
+
+    def __init__(
+        self, name: str, bodies: tuple[PromiseBody, ...], parent: Union[str, None] = None
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "bodies", bodies)
+        object.__setattr__(self, "parent", parent)
 
     def sorted_bodies(self) -> tuple[PromiseBody, ...]:
         return tuple(sorted(self.bodies, key=body_key))
 
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(Value):
     """An autonomous party.  ``private_attrs`` bind names to constant terms
     visible only to analyses evaluating this agent's own conditions."""
 
-    name: str
-    private_attrs: tuple[tuple[str, Term], ...] = ()
+    __slots__ = ("name", "private_attrs")
+
+    def __init__(self, name: str, private_attrs: tuple[tuple[str, Term], ...] = ()) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "private_attrs", private_attrs)
 
     @staticmethod
     def make(name: str, attrs: Union[Mapping[str, Term], None] = None) -> "Agent":
@@ -378,34 +401,46 @@ KIND_SERVICE = "service"
 VALUED_KINDS = (KIND_NUM, KIND_STR)
 
 
-@dataclass(frozen=True)
-class PromiseTypeDecl:
+class PromiseTypeDecl(Value):
     """A registered promise type.  A dotted ``name`` such as ``bank.balance``
     is one name: ``.`` only groups types for the reader."""
 
-    name: str
-    kind: Literal["num", "str", "flag", "service"]
+    __slots__ = ("name", "kind")
+
+    def __init__(self, name: str, kind: Literal["num", "str", "flag", "service"]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class AutonomyFinding:
+class AutonomyFinding(Value):
     """A condition literal that leans on something never promised to the agent."""
 
-    promise: Promise
-    type_name: str
-    message: str
+    __slots__ = ("promise", "type_name", "message")
+
+    def __init__(self, promise: Promise, type_name: str, message: str) -> None:
+        object.__setattr__(self, "promise", promise)
+        object.__setattr__(self, "type_name", type_name)
+        object.__setattr__(self, "message", message)
 
 
 # ---------------------------------------------------------------------------
 # Graph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PromiseGraph:
-    agents: tuple[Agent, ...]
-    types: tuple[PromiseTypeDecl, ...]
-    bundles: tuple[Bundle, ...]
-    promises: tuple[Promise, ...]
+class PromiseGraph(Value):
+    __slots__ = ("agents", "types", "bundles", "promises", "__dict__")
+
+    def __init__(
+        self,
+        agents: tuple[Agent, ...],
+        types: tuple[PromiseTypeDecl, ...],
+        bundles: tuple[Bundle, ...],
+        promises: tuple[Promise, ...],
+    ) -> None:
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "bundles", bundles)
+        object.__setattr__(self, "promises", promises)
 
     @cached_property
     def _agent_map(self) -> dict[str, Agent]:

@@ -1,0 +1,63 @@
+"""Immutable value classes, written without ``dataclasses``.
+
+Importing ``dataclasses`` pulls in ``inspect``, and each class it builds has
+its methods generated and compiled when its module is imported: that cost a
+``pml`` process more than its analysis of a small model.  ``Value`` writes
+those methods once, for every class.
+
+A subclass lists its fields, in order, in ``__slots__``, followed by
+``"__dict__"`` where a ``functools.cached_property`` needs somewhere to keep
+its value.  Its own ``__init__`` writes each field with
+``object.__setattr__``, since assignment is refused.  In return it has:
+
+- ``==`` that holds between objects of the same class whose compared fields
+  are equal, and a ``hash`` that agrees with it;
+- a ``repr`` such as ``Parameter(name='w', scope='')``;
+- ``AttributeError`` on setting or deleting any attribute;
+- ``copy``, ``deepcopy`` and ``pickle``, through its constructor.
+
+Two class keywords leave fields out: ``hidden`` from equality, hash and
+repr, ``uncompared`` from equality and hash only.
+"""
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Value:
+    """Base of promisekit's immutable value classes."""
+
+    __slots__ = ()
+
+    def __init_subclass__(
+        cls, hidden: tuple[str, ...] = (), uncompared: tuple[str, ...] = ()
+    ) -> None:
+        super().__init_subclass__()
+        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls.__match_args__ = cls._fields = fields
+        cls._shown = tuple(name for name in fields if name not in hidden)
+        # One field gives the value itself, more give a tuple: either way
+        # equal keys hash alike.
+        cls._key = attrgetter(*(name for name in cls._shown if name not in uncompared))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)

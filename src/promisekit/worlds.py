@@ -7,7 +7,6 @@ closing their constraints together with the world's own equalities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .constraints import (
@@ -25,18 +24,26 @@ from .model import (
     is_constant,
     Term,
 )
+from .value import Value
 
 Item = TypeVar("Item")
 
 
-@dataclass(frozen=True)
-class World:
+class World(Value):
     """One maximal co-satisfiable set of conditions, with the equalities and
     disequalities those conditions impose."""
 
-    active: frozenset[Condition]
-    eqs: tuple[EqConstraint, ...]
-    neqs: tuple[tuple[Term, Term], ...]
+    __slots__ = ("active", "eqs", "neqs")
+
+    def __init__(
+        self,
+        active: frozenset[Condition],
+        eqs: tuple[EqConstraint, ...],
+        neqs: tuple[tuple[Term, Term], ...],
+    ) -> None:
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "eqs", eqs)
+        object.__setattr__(self, "neqs", neqs)
 
     @property
     def when(self) -> str:

@@ -171,6 +171,27 @@ class TestExitCodes:
             for f in data["findings"]
         )
 
+    @pytest.mark.parametrize("case", ["dot-warning", "cannot-read", "cannot-write", "isa"])
+    def test_stderr_keeps_the_bytes_of_an_undecodable_name(self, case, tmp_path):
+        """A path byte that is not UTF-8 reaches stderr as that byte, as it
+        reaches the -o file, not as the text \\udcff."""
+        path = tmp_path / os.fsdecode(b"m\xff.pml")
+        if case != "cannot-read":
+            path.write_text(WARNING_MODEL)
+        raw = os.fsencode(path)
+        argv, expected = {
+            "dot-warning": (["dot", raw], raw + b":4:1: warning[W-AUTONOMY-001]: "),
+            "cannot-read": (["check", raw], b"pml: cannot read " + raw + b": No such"),
+            "cannot-write": (
+                ["check", CLEAN, "-o", raw + b"/out.txt"],
+                b"pml: cannot write " + raw + b"/out.txt: Not a directory",
+            ),
+            "isa": (["isa", raw, "A", "B"], b"pml isa: unknown bundle A, B; " + raw),
+        }[case]
+        proc = run_module(argv, PYTHONIOENCODING="utf-8")
+        assert proc.stderr.startswith(expected), proc.stderr
+        assert proc.stderr.count(b"\n") == 1
+
     @pytest.mark.parametrize(
         "encoding, name, model, command",
         [

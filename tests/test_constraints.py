@@ -1,7 +1,7 @@
 """Constraint engine: hand-computed frozen cases, oracle agreement, properties."""
 from __future__ import annotations
 
-import dataclasses
+import copy
 import itertools
 
 import pytest
@@ -458,7 +458,7 @@ def test_pairwise_engine_matches_oracle_and_reuses_its_verdicts(conds):
 # Fresh objects equal to the pool's terms, and 1.0 beside 1: the union-find
 # must treat an equal copy as the stored term.
 copied_terms_st = st.one_of(
-    terms_st.map(dataclasses.replace), st.just(NumConst(1.0))
+    terms_st.map(copy.copy), st.just(NumConst(1.0))
 )
 neqs_st = st.lists(st.tuples(copied_terms_st, copied_terms_st), max_size=4)
 copied_eqs_st = st.lists(

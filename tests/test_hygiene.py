@@ -13,6 +13,8 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -172,6 +174,51 @@ def test_only_the_constraints_module_builds_a_term_partition():
                 if name == "TermPartition":
                     builders.add(path.relative_to(PACKAGE).as_posix())
     assert builders == {"constraints.py"}
+
+
+def test_no_module_uses_dataclasses_or_compiles_code():
+    """Value classes are plain ``promisekit.value.Value`` subclasses: no
+    module imports ``dataclasses`` or calls ``exec``, ``eval`` or
+    ``compile``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = [node.func.id] if node.func.id in ("exec", "eval", "compile") else []
+            else:
+                continue
+            found += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] in ("dataclasses", "exec", "eval", "compile")
+            ]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """In a fresh interpreter, ``import promisekit.cli`` leaves
+    ``dataclasses`` and ``inspect`` unloaded, and no promisekit class has
+    dataclass fields.  ``-S`` keeps ``site`` from loading anything first."""
+    code = (
+        "import sys, promisekit.cli\n"
+        "mods = [m for n, m in list(sys.modules.items()) if n.split('.')[0] == 'promisekit']\n"
+        "built = {f'{c.__module__}.{c.__name__}' for m in mods for c in vars(m).values()\n"
+        "         if isinstance(c, type) and hasattr(c, '__dataclass_fields__')}\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), sorted(built))\n"
+    )
+    src = str(PACKAGE.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "[] []\n"
 
 
 def test_spans_keep_their_checks():

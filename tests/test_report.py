@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from promisekit import __version__, corpus
 from promisekit.analysis import (
@@ -21,6 +22,7 @@ from promisekit.report import (
     export_dot,
     FileEntry,
     format_text,
+    indented_json,
     Report,
     report_json,
 )
@@ -116,6 +118,23 @@ class TestJson:
     def test_absent_hierarchy_serializes_empty(self):
         data = json.loads(report_json(Report(files=())))
         assert data["hierarchy"] == {}
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.text(), json_values, max_size=5) | json_values)
+@example({"files": [], "hierarchy": {}, "roles": [{"count": 2, "members": ["\u00e9", "b"]}]})
+@example({"a": [[], {}, [None, True, False, -1, 2.5, 1e300, "\u2603\n\"q\""]]})
+@example({"tuples": ((), ("a", ["b"]))})
+def test_indented_json_is_the_json_modules_layout(value):
+    assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 class TestText:

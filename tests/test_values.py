@@ -1,0 +1,409 @@
+"""Value classes: each keeps its fields, equality, hash, repr, immutability
+and copying.  The pinned reprs are those the classes printed when they were
+dataclasses; spans and ``ModelAst.file`` stay out of equality."""
+from __future__ import annotations
+
+import copy
+import inspect
+
+import pytest
+
+from promisekit.analysis import (
+    CheckReport,
+    ClassHierarchy,
+    ClassNode,
+    Finding,
+    IsAVerdict,
+    Role,
+    RoleClasses,
+    Severity,
+    SpanningClass,
+)
+from promisekit.constraints import ExclusivityVerdict
+from promisekit.dsl import Diagnostic, LineIndex, ParseResult, ResolveResult, SourceSpan
+from promisekit.dsl.ast_nodes import (
+    AgentDecl,
+    BodyNode,
+    BundleDecl,
+    BundleRef,
+    CmpLiteralNode,
+    ConditionNode,
+    FlagDecl,
+    FlagLiteralNode,
+    IdentTerm,
+    ModelAst,
+    Name,
+    NumberTerm,
+    ParamTerm,
+    PromiseDecl,
+    StringTerm,
+    TypeDecl,
+)
+from promisekit.errors import InvalidBodyError
+from promisekit.model import (
+    Agent,
+    Attribute,
+    AutonomyFinding,
+    Bundle,
+    CmpLiteral,
+    Condition,
+    EqConstraint,
+    FlagLiteral,
+    give,
+    NamedConst,
+    NumConst,
+    Parameter,
+    Promise,
+    PromiseBody,
+    PromiseGraph,
+    PromiseTypeDecl,
+    StrConst,
+    use,
+)
+from promisekit.report import FileEntry, Report
+from promisekit.worlds import World
+
+LINES = LineIndex("abc\ndef\n")
+SPAN = SourceSpan("m.pml", 0, 3, LINES)
+OTHER_SPAN = SourceSpan("n.pml", 4, 7, LineIndex("xyz\nuvw\n"))
+
+WIDTH, W = Attribute("width"), Parameter("w")
+READY = FlagLiteral("ready")
+EQ = EqConstraint(W, WIDTH)
+BODY = give("width", EQ)
+PROMISE = Promise("a", "b", BODY, "a->b|body:+width=$w")
+DIAGNOSTIC = Diagnostic("warning", "W-AUTONOMY-001", "m", SPAN)
+FINDING = Finding(Severity.RESTRICTED, "isa-restricted", "m", ("a -> b: +width=$w",))
+ROLE = Role(((("out", "give", "width"), 1),), "gives:width", ("a",))
+CLASS_NODE = ClassNode("ready", ("+width=$w",))
+ROLE_CLASSES = RoleClasses(ROLE, ClassNode("", ()), (CLASS_NODE,))
+
+
+def span_twins(cls, *fields):
+    """The node on SPAN and on OTHER_SPAN: equal, since spans are not compared."""
+    return lambda: cls(*fields, span=SPAN), lambda: cls(*fields, span=OTHER_SPAN)
+
+
+def twins(cls, *fields, **keywords):
+    """Two separately built, equal objects."""
+    return lambda: cls(*fields, **keywords), lambda: cls(*fields, **keywords)
+
+
+# Class name -> (make, make an equal object, the repr the dataclass printed).
+CASES = {
+    "Attribute": (*twins(Attribute, "width"), "Attribute(name='width')"),
+    "Parameter": (*twins(Parameter, "w", scope="g"), "Parameter(name='w', scope='g')"),
+    "NumConst": (*twins(NumConst, 1.5), "NumConst(value=1.5)"),
+    "StrConst": (*twins(StrConst, 'a"b'), "StrConst(value='a\"b')"),
+    "NamedConst": (*twins(NamedConst, "red"), "NamedConst(name='red')"),
+    "EqConstraint": (
+        *twins(EqConstraint, W, WIDTH),
+        "EqConstraint(lhs=Attribute(name='width'), rhs=Parameter(name='w', scope=''))",
+    ),
+    "CmpLiteral": (
+        *twins(CmpLiteral, W, "neq", NumConst(2)),
+        "CmpLiteral(lhs=NumConst(value=2), op='neq', rhs=Parameter(name='w', scope=''))",
+    ),
+    "FlagLiteral": (
+        *twins(FlagLiteral, "ready", negated=True),
+        "FlagLiteral(name='ready', negated=True)",
+    ),
+    "Condition": (
+        lambda: Condition.of(READY), lambda: Condition(frozenset({READY})),
+        "Condition(literals=frozenset({FlagLiteral(name='ready', negated=False)}))",
+    ),
+    "PromiseBody": (
+        lambda: give("width", EQ), lambda: PromiseBody("give", "width", frozenset({EQ})),
+        "PromiseBody(polarity='give', type='width', constraints=frozenset({"
+        "EqConstraint(lhs=Attribute(name='width'), rhs=Parameter(name='w', scope=''))}), "
+        "condition=Condition(literals=frozenset()))",
+    ),
+    "Promise": (
+        *twins(Promise, "a", "b", use("width"), group="g"),
+        "Promise(promiser='a', promisee='b', body=PromiseBody(polarity='use', type='width', "
+        "constraints=frozenset(), condition=Condition(literals=frozenset())), group='g')",
+    ),
+    "Bundle": (
+        *twins(Bundle, "Child", (use("width"),), parent="Base"),
+        "Bundle(name='Child', bodies=(PromiseBody(polarity='use', type='width', "
+        "constraints=frozenset(), condition=Condition(literals=frozenset())),), "
+        "parent='Base')",
+    ),
+    "Agent": (
+        lambda: Agent.make("a", {"x": NumConst(1)}), lambda: Agent("a", (("x", NumConst(1)),)),
+        "Agent(name='a', private_attrs=(('x', NumConst(value=1)),))",
+    ),
+    "PromiseTypeDecl": (
+        *twins(PromiseTypeDecl, "width", "num"),
+        "PromiseTypeDecl(name='width', kind='num')",
+    ),
+    "AutonomyFinding": (
+        *twins(AutonomyFinding, Promise("a", "b", use("w")), "f", "m"),
+        "AutonomyFinding(promise=Promise(promiser='a', promisee='b', body=PromiseBody("
+        "polarity='use', type='w', constraints=frozenset(), condition=Condition("
+        "literals=frozenset())), group=''), type_name='f', message='m')",
+    ),
+    "PromiseGraph": (
+        *twins(PromiseGraph, (Agent("a"),), (PromiseTypeDecl("w", "num"),), (), ()),
+        "PromiseGraph(agents=(Agent(name='a', private_attrs=()),), "
+        "types=(PromiseTypeDecl(name='w', kind='num'),), bundles=(), promises=())",
+    ),
+    "Name": (*span_twins(Name, "a"), "Name(text='a')"),
+    "IdentTerm": (*span_twins(IdentTerm, "x"), "IdentTerm(name='x')"),
+    "ParamTerm": (*span_twins(ParamTerm, "x"), "ParamTerm(name='x')"),
+    "NumberTerm": (*span_twins(NumberTerm, 2), "NumberTerm(value=2)"),
+    "StringTerm": (*span_twins(StringTerm, "s"), "StringTerm(value='s')"),
+    "CmpLiteralNode": (
+        *span_twins(CmpLiteralNode, IdentTerm("x", SPAN), "==", NumberTerm(1, OTHER_SPAN)),
+        "CmpLiteralNode(lhs=IdentTerm(name='x'), op='==', rhs=NumberTerm(value=1))",
+    ),
+    "FlagLiteralNode": (
+        *span_twins(FlagLiteralNode, Name("f"), True),
+        "FlagLiteralNode(name=Name(text='f'), negated=True)",
+    ),
+    "ConditionNode": (
+        *span_twins(ConditionNode, (FlagLiteralNode(Name("f")),)),
+        "ConditionNode(literals=(FlagLiteralNode(name=Name(text='f'), negated=False),))",
+    ),
+    "BodyNode": (
+        *span_twins(BodyNode, "give", IdentTerm("width"), ParamTerm("w"), None),
+        "BodyNode(polarity='give', subject=IdentTerm(name='width'), "
+        "value=ParamTerm(name='w'), condition=None)",
+    ),
+    "AgentDecl": (
+        *span_twins(AgentDecl, (Name("a"), Name("b"))),
+        "AgentDecl(names=(Name(text='a'), Name(text='b')))",
+    ),
+    "TypeDecl": (
+        *span_twins(TypeDecl, Name("w"), "num"), "TypeDecl(name=Name(text='w'), kind='num')"
+    ),
+    "FlagDecl": (*span_twins(FlagDecl, Name("f")), "FlagDecl(name=Name(text='f'))"),
+    "BundleDecl": (
+        *span_twins(BundleDecl, Name("B"), Name("A"), (BodyNode("use", IdentTerm("w")),)),
+        "BundleDecl(name=Name(text='B'), parent=Name(text='A'), bodies=(BodyNode("
+        "polarity='use', subject=IdentTerm(name='w'), value=None, condition=None),))",
+    ),
+    "BundleRef": (
+        *span_twins(BundleRef, Name("B"), ConditionNode(())),
+        "BundleRef(name=Name(text='B'), condition=ConditionNode(literals=()))",
+    ),
+    "PromiseDecl": (
+        *span_twins(PromiseDecl, Name("a"), Name("b"), BundleRef(Name("B"))),
+        "PromiseDecl(promiser=Name(text='a'), promisee=Name(text='b'), "
+        "item=BundleRef(name=Name(text='B'), condition=None))",
+    ),
+    "ModelAst": (
+        lambda: ModelAst((FlagDecl(Name("f")),), "m.pml"),
+        lambda: ModelAst((FlagDecl(Name("f", OTHER_SPAN)),), "n.pml"),
+        "ModelAst(decls=(FlagDecl(name=Name(text='f')),), file='m.pml')",
+    ),
+    "Finding": (
+        *twins(Finding, Severity.RESTRICTED, "c", "m", ("p",)),
+        "Finding(severity=<Severity.RESTRICTED: 3>, code='c', message='m', promises=('p',))",
+    ),
+    "CheckReport": (
+        *twins(CheckReport, (FINDING,)),
+        "CheckReport(findings=(Finding(severity=<Severity.RESTRICTED: 3>, "
+        "code='isa-restricted', message='m', promises=('a -> b: +width=$w',)),))",
+    ),
+    "Role": (
+        *twins(Role, ((("out", "give", "width"), 1),), "gives:width", ("a",)),
+        "Role(signature=((('out', 'give', 'width'), 1),), label='gives:width', members=('a',))",
+    ),
+    "SpanningClass": (
+        *twins(SpanningClass, "B", ("B", "C"), (("x",),)),
+        "SpanningClass(representative='B', members=('B', 'C'), signature=(('x',),))",
+    ),
+    "IsAVerdict": (
+        *twins(IsAVerdict, "restricted", ("d",), ("i",)),
+        "IsAVerdict(outcome='restricted', details=('d',), involved=('i',))",
+    ),
+    "ClassNode": (
+        *twins(ClassNode, "ready", ("+w",)), "ClassNode(condition='ready', bodies=('+w',))"
+    ),
+    "RoleClasses": (
+        *twins(RoleClasses, ROLE, ClassNode("", ()), (CLASS_NODE,)),
+        "RoleClasses(role=Role(signature=((('out', 'give', 'width'), 1),), "
+        "label='gives:width', members=('a',)), base=ClassNode(condition='', bodies=()), "
+        "subtypes=(ClassNode(condition='ready', bodies=('+width=$w',)),))",
+    ),
+    "ClassHierarchy": (
+        *twins(ClassHierarchy, (ROLE_CLASSES,)),
+        f"ClassHierarchy(classes=({ROLE_CLASSES!r},), findings=())",
+    ),
+    "FileEntry": (
+        *twins(FileEntry, "m.pml", (DIAGNOSTIC,)),
+        f"FileEntry(path='m.pml', diagnostics=({DIAGNOSTIC!r},))",
+    ),
+    "Report": (
+        *twins(Report, findings=(FINDING,), notes=("n",)),
+        f"Report(files=(), findings=({FINDING!r},), roles=(), hierarchy=None, notes=('n',))",
+    ),
+    "ExclusivityVerdict": (
+        *twins(ExclusivityVerdict, False, (("ready", "true"),)),
+        "ExclusivityVerdict(exclusive=False, witness=(('ready', 'true'),))",
+    ),
+    "World": (
+        *twins(World, frozenset({Condition.of(READY)}), (EQ,), ((W, NumConst(1)),)),
+        "World(active=frozenset({Condition(literals=frozenset({FlagLiteral(name='ready', "
+        "negated=False)}))}), eqs=(EqConstraint(lhs=Attribute(name='width'), "
+        "rhs=Parameter(name='w', scope='')),), neqs=((Parameter(name='w', scope=''), "
+        "NumConst(value=1)),))",
+    ),
+    "Diagnostic": (
+        *twins(Diagnostic, "warning", "W-AUTONOMY-001", "m", SPAN),
+        "Diagnostic(severity='warning', code='W-AUTONOMY-001', message='m', "
+        f"span=SourceSpan(file='m.pml', start_offset=0, end_offset=3, lines={LINES!r}))",
+    ),
+    "ParseResult": (
+        *twins(ParseResult, ModelAst(()), [DIAGNOSTIC]),
+        f"ParseResult(ast=ModelAst(decls=(), file='<model>'), diagnostics=[{DIAGNOSTIC!r}])",
+    ),
+    "ResolveResult": (
+        *twins(ResolveResult, None, []), "ResolveResult(graph=None, diagnostics=[])"
+    ),
+}
+
+
+
+# Class name -> its constructor"s parameters, as the dataclass had them.
+FIELDS = {
+    "Attribute": "name",
+    "Parameter": "name, scope=''",
+    "NumConst": "value",
+    "StrConst": "value",
+    "NamedConst": "name",
+    "EqConstraint": "lhs, rhs",
+    "CmpLiteral": "lhs, op, rhs",
+    "FlagLiteral": "name, negated=False",
+    "Condition": "literals=frozenset()",
+    "PromiseBody": (
+        "polarity, type, constraints=frozenset(), condition=Condition(literals=frozenset())"
+    ),
+    "Promise": "promiser, promisee, body, group=''",
+    "Bundle": "name, bodies, parent=None",
+    "Agent": "name, private_attrs=()",
+    "PromiseTypeDecl": "name, kind",
+    "AutonomyFinding": "promise, type_name, message",
+    "PromiseGraph": "agents, types, bundles, promises",
+    "Name": "text, span=<no span>",
+    "IdentTerm": "name, span=<no span>",
+    "ParamTerm": "name, span=<no span>",
+    "NumberTerm": "value, span=<no span>",
+    "StringTerm": "value, span=<no span>",
+    "CmpLiteralNode": "lhs, op, rhs, span=<no span>",
+    "FlagLiteralNode": "name, negated=False, span=<no span>",
+    "ConditionNode": "literals, span=<no span>",
+    "BodyNode": "polarity, subject, value=None, condition=None, span=<no span>",
+    "AgentDecl": "names, span=<no span>",
+    "TypeDecl": "name, kind, span=<no span>",
+    "FlagDecl": "name, span=<no span>",
+    "BundleDecl": "name, parent, bodies, span=<no span>",
+    "BundleRef": "name, condition=None, span=<no span>",
+    "PromiseDecl": "promiser, promisee, item, span=<no span>",
+    "ModelAst": "decls, file='<model>'",
+    "Finding": "severity, code, message, promises",
+    "CheckReport": "findings=()",
+    "Role": "signature, label, members",
+    "SpanningClass": "representative, members, signature",
+    "IsAVerdict": "outcome, details=(), involved=()",
+    "ClassNode": "condition, bodies",
+    "RoleClasses": "role, base, subtypes",
+    "ClassHierarchy": "classes, findings=()",
+    "FileEntry": "path, diagnostics=()",
+    "Report": "files=(), findings=(), roles=(), hierarchy=None, notes=()",
+    "ExclusivityVerdict": "exclusive, witness=None",
+    "World": "active, eqs, neqs",
+    "Diagnostic": "severity, code, message, span",
+    "ParseResult": "ast, diagnostics",
+    "ResolveResult": "graph, diagnostics",
+}
+
+
+def fields_of(cls) -> str:
+    """The constructor's parameters in order, each with its default, as in
+    ``name, scope=''``; a span's default reads ``<no span>``."""
+    out = []
+    for p in inspect.signature(cls).parameters.values():
+        if p.default is p.empty:
+            out.append(p.name)
+        else:
+            out.append(f"{p.name}=<no span>" if p.name == "span" else f"{p.name}={p.default!r}")
+    return ", ".join(out)
+
+
+def _hash(value):
+    """hash(value), or TypeError for a value that holds a list."""
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_class_contract(name):
+    make, make_equal, expected = CASES[name]
+    value, equal = make(), make_equal()
+    cls = type(value)
+    assert cls.__name__ == name
+    assert fields_of(cls) == FIELDS[name]
+    assert repr(value) == expected
+
+    # Equality over the compared fields only, and a hash that agrees.
+    assert value == equal and not value != equal and value is not equal
+    assert _hash(value) == _hash(equal)
+
+    # Every field is a keyword; a subclass with the same fields is not equal.
+    names = list(inspect.signature(cls).parameters)
+    keywords = {n: getattr(value, n) for n in names}
+    assert cls(**keywords) == value
+    twin = type("Twin", (cls,), {})(**keywords)
+    assert twin != value and value != twin
+
+    # Immutable: no field can be set or deleted, and no attribute added.
+    for attr in (*names, "no_such_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    assert value == equal
+
+    # A shallow copy is a distinct, equal object of the same class.
+    copied = copy.copy(value)
+    assert copied == value and copied is not value and type(copied) is cls
+
+
+def test_terms_of_different_kinds_are_never_equal():
+    assert IdentTerm("x") != ParamTerm("x")
+    assert Name("x") != IdentTerm("x")
+    assert Attribute("x") != NamedConst("x") and Attribute("x") != Parameter("x")
+    assert StrConst("1") != NumConst(1)
+    assert len({IdentTerm("x"), ParamTerm("x"), Name("x")}) == 3
+
+
+def test_sides_are_stored_in_term_order():
+    assert EqConstraint(W, WIDTH) == EqConstraint(WIDTH, W)
+    assert (EqConstraint(W, WIDTH).lhs, EqConstraint(W, WIDTH).rhs) == (WIDTH, W)
+    literal = CmpLiteral(W, "eq", NumConst(1))
+    assert (literal.lhs, literal.op, literal.rhs) == (NumConst(1), "eq", W)
+    assert literal == CmpLiteral(NumConst(1), "eq", W) != CmpLiteral(W, "neq", NumConst(1))
+
+
+def test_constructors_keep_their_checks():
+    with pytest.raises(InvalidBodyError, match="unknown polarity: 'take'"):
+        PromiseBody("take", "width")
+    with pytest.raises(InvalidBodyError, match="use body for 'width' must not carry"):
+        PromiseBody("use", "width", frozenset({EQ}))
+    with pytest.raises(ValueError, match="at least one promise"):
+        Finding(Severity.RESTRICTED, "c", "m", ())
+
+
+def test_cached_properties_are_made_once_per_object():
+    body = give("width", EQ)
+    assert body.text == "+width=$w" and body.text is body.text
+    assert vars(body)["text"] == "+width=$w"
+    graph = PromiseGraph((Agent("a"),), (), (), (PROMISE,))
+    assert graph.agent("a") == Agent("a") and graph.promises_from("a") == (PROMISE,)
+    assert {"_agent_map", "_outgoing"} <= set(vars(graph))
+    copied = copy.copy(graph)
+    assert copied == graph and copied.agent("a") == Agent("a")
