@@ -20,16 +20,20 @@ character, a line end included, is reported and kept as it is.
 
 The lexer makes one regular-expression match per token, and none for an
 illegal character inside a run of ``\\w`` characters that an earlier match
-has read already.  Tokens and spans are built as plain tuples, without a
-constructor call per token.
+has read already.
 
-Spans are character offsets; every span of one text shares that text's
-``LineIndex``, so the lexer keeps no line or column count.
+A token is one plain tuple of atoms, ``(type, value, text, start, end)``,
+where ``start`` and ``end`` are the character offsets of ``text``.  It holds
+no span, so the cyclic garbage collector stops tracking it at its first
+collection.  A ``SourceSpan`` is built only for a diagnostic, or through
+``make_span`` when the parser asks for the span of a syntax node.  Every
+span of one text shares that text's ``LineIndex``, so the lexer keeps no
+line or column count.
 """
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Union
+from typing import Union
 
 from .diagnostics import (
     Diagnostic,
@@ -70,19 +74,16 @@ KEYWORDS = frozenset(
 )
 
 
-class Token(NamedTuple):
-    """One token: its kind, its value, the text it was read from, and where."""
+# (type, value, text, start, end): what a token is, what it means, the text
+# it was read from, and the offsets of that text.
+Token = tuple[str, Union[str, int, float], str, int, int]
 
-    type: str
-    value: Union[str, int, float]
-    text: str
-    span: SourceSpan
 
-    def is_op(self, op: str) -> bool:
-        return self.type == OP and self.value == op
-
-    def is_kw(self, word: str) -> bool:
-        return self.type == KEYWORD and self.value == word
+def make_span(file: str, start: int, end: int, lines: LineIndex) -> SourceSpan:
+    """The span of ``[start, end)`` in the text that ``lines`` indexes."""
+    if end < start:
+        raise ValueError("span must not end before it starts")
+    return tuple.__new__(SourceSpan, (file, start, end, lines))
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
@@ -112,14 +113,20 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
 
-def tokenize(text: str, file: str = "<model>") -> tuple[list[Token], list[Diagnostic]]:
+def tokenize(
+    text: str, file: str = "<model>", lines: Union[LineIndex, None] = None
+) -> tuple[list[Token], list[Diagnostic]]:
+    """The tokens of ``text``, ending in one EOF token, and the diagnostics
+    of what could not be read.  Their spans share ``lines``, the text's
+    ``LineIndex``, which is made here when not given."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    lines = LineIndex(text)
+    if lines is None:
+        lines = LineIndex(text)
     i = 0
     run = 0  # where the last matched word run that starts on no letter ends
     match = _TOKEN.match
-    new = tuple.__new__
+    append = tokens.append
 
     while True:
         if i < run and not (text[i].isalpha() or text[i] == "_" or text[i].isdecimal()):
@@ -136,37 +143,37 @@ def tokenize(text: str, file: str = "<model>") -> tuple[list[Token], list[Diagno
                 head = text[i] if kind == "word" else text[i + 1]
                 if not (head.isalpha() or head == "_"):
                     run, kind, end = end, "other", i + 1
-        if end < i:
-            raise ValueError("span must not end before it starts")
         raw = text[i:end]
-        span = new(SourceSpan, (file, i, end, lines))
         if kind == "word":
-            tokens.append(new(Token, (KEYWORD if raw in KEYWORDS else IDENT, raw, raw, span)))
+            append((KEYWORD if raw in KEYWORDS else IDENT, raw, raw, i, end))
         elif kind == "op":
-            tokens.append(new(Token, (OP, raw, raw, span)))
+            append((OP, raw, raw, i, end))
         elif kind == "number":
             value = _number(raw)
             if value is None:
                 message = "number literal is too large to read"
+                span = make_span(file, i, end, lines)
                 diagnostics.append(Diagnostic(ERROR, E_LEX_NUMBER_RANGE, message, span))
             else:
-                tokens.append(new(Token, (NUMBER, value, raw, span)))
+                append((NUMBER, value, raw, i, end))
         elif kind == "param":
-            tokens.append(new(Token, (PARAM, raw[1:], raw, span)))
+            append((PARAM, raw[1:], raw, i, end))
         elif kind == "string":
             value = raw[1:-1]
             if "\\" in raw or len(raw) == 1 or raw[-1] != '"':
                 value = _string(text, i, end, file, lines, diagnostics)
-            tokens.append(new(Token, (STRING, value, raw, span)))
-        elif raw == "$":
-            message = "'$' must be followed by a parameter name"
-            diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_PARAM, message, span))
+            append((STRING, value, raw, i, end))
         else:
-            message = f"unexpected character {raw!r}"
-            diagnostics.append(Diagnostic(ERROR, E_LEX_ILLEGAL_CHAR, message, span))
+            span = make_span(file, i, end, lines)
+            if raw == "$":
+                message = "'$' must be followed by a parameter name"
+                diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_PARAM, message, span))
+            else:
+                message = f"unexpected character {raw!r}"
+                diagnostics.append(Diagnostic(ERROR, E_LEX_ILLEGAL_CHAR, message, span))
         i = end
 
-    tokens.append(Token(EOF, "", "", SourceSpan(file, i, i, lines)))
+    append((EOF, "", "", i, i))
     return tokens, diagnostics
 
 
@@ -199,7 +206,7 @@ def _string(
         if char in _ESCAPES:
             parts.append(_ESCAPES[char])
         else:
-            span = SourceSpan(file, i, escape.start() + 1, lines)
+            span = make_span(file, i, escape.start() + 1, lines)
             message = f"unknown escape '\\{char or '<eof>'}' in string"
             diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_ESCAPE, message, span))
             parts.append(char)
@@ -208,7 +215,7 @@ def _string(
     closed = pos < end and text[end - 1] == '"'
     parts.append(text[pos : end - 1 if closed else end])
     if not closed:
-        span = SourceSpan(file, i, end, lines)
+        span = make_span(file, i, end, lines)
         message = "string literal is never closed"
         diagnostics.append(Diagnostic(ERROR, E_LEX_UNTERMINATED_STRING, message, span))
     return "".join(parts)

@@ -4,6 +4,11 @@ Each declaration is parsed independently; on a syntax error the parser
 records one diagnostic and resynchronizes at the next ``;`` or ``}`` (or the
 start of an obvious new declaration), so a single broken statement does not
 hide the rest of the file.
+
+The parser reads the lexer's plain-tuple tokens by index and builds one
+``SourceSpan`` per syntax node, from the offsets of the node's first and
+last token, through the lexer's ``make_span``; lexer and parser share the
+text's one ``LineIndex``.
 """
 from __future__ import annotations
 
@@ -37,9 +42,10 @@ from .diagnostics import (
     E_PARSE_UNEXPECTED,
     ERROR,
     has_errors,
+    LineIndex,
     SourceSpan,
 )
-from .lexer import EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, STRING, Token, tokenize
+from .lexer import EOF, IDENT, KEYWORD, make_span, NUMBER, OP, PARAM, STRING, Token, tokenize
 
 _TOP_STARTERS = frozenset({"agent", "type", "flag", "bundle"})
 _BODY_STARTERS = frozenset({"give", "use"})
@@ -64,23 +70,29 @@ class ParseResult(Value):
 
 
 def _describe(tok: Token) -> str:
-    if tok.type == EOF:
+    kind, value, text, _, _ = tok
+    if kind == EOF:
         return "end of input"
-    if tok.type == KEYWORD:
-        return f"keyword '{tok.value}'"
-    if tok.type == OP:
-        return f"'{tok.value}'"
-    if tok.type == IDENT:
-        return f"identifier '{tok.value}'"
-    if tok.type == PARAM:
-        return f"parameter '${tok.value}'"
-    return f"{tok.type} {tok.text!r}"
+    if kind == KEYWORD:
+        return f"keyword '{value}'"
+    if kind == OP:
+        return f"'{value}'"
+    if kind == IDENT:
+        return f"identifier '{value}'"
+    if kind == PARAM:
+        return f"parameter '${value}'"
+    return f"{kind} {text!r}"
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], file: str) -> None:
+    """Reads ``(type, value, text, start, end)`` tokens.  A keyword or an
+    operator is told by its text alone (``tok[2] == ";"``): keywords are
+    reserved, and no other token's text spells one."""
+
+    def __init__(self, tokens: list[Token], file: str, lines: LineIndex) -> None:
         self.tokens = tokens
         self.file = file
+        self.lines = lines
         self.pos = 0
         self.current: Token = tokens[0]
         self.diagnostics: list[Diagnostic] = []
@@ -89,61 +101,69 @@ class Parser:
 
     def advance(self) -> Token:
         tok = self.current
-        if tok.type != EOF:
+        if tok[0] != EOF:
             self.pos += 1
             self.current = self.tokens[self.pos]
         return tok
 
+    def span_from(self, start: int) -> SourceSpan:
+        """From offset ``start`` to the end of the last token read."""
+        return make_span(self.file, start, self.tokens[self.pos - 1][4], self.lines)
+
+    def current_span(self) -> SourceSpan:
+        tok = self.current
+        return make_span(self.file, tok[3], tok[4], self.lines)
+
     def _fail(self, expected: str) -> _ParseFailure:
         tok = self.current
-        code = E_PARSE_EOF if tok.type == EOF else E_PARSE_UNEXPECTED
+        code = E_PARSE_EOF if tok[0] == EOF else E_PARSE_UNEXPECTED
         return _ParseFailure(
-            Diagnostic(ERROR, code, f"expected {expected}, found {_describe(tok)}", tok.span)
+            Diagnostic(
+                ERROR, code, f"expected {expected}, found {_describe(tok)}", self.current_span()
+            )
         )
 
-    def expect_op(self, op: str) -> Token:
-        tok = self.current
-        if tok.type == OP and tok.value == op:
+    def expect_op(self, op: str) -> None:
+        if self.current[2] == op:
             self.pos += 1
             self.current = self.tokens[self.pos]
-            return tok
+            return
         raise self._fail(f"'{op}'")
 
     def expect_ident(self, what: str = "an identifier") -> Name:
         tok = self.current
-        if tok.type == IDENT:
+        if tok[0] == IDENT:
             self.pos += 1
             self.current = self.tokens[self.pos]
-            return Name(tok.value, tok.span)
+            return Name(tok[1], self.span_from(tok[3]))
         raise self._fail(what)
 
     def expect_dotted(self, what: str = "an identifier") -> tuple[str, SourceSpan]:
         """Identifiers joined by '.', such as ``bank.balance``, as one name
         and the span that covers them."""
         tok = self.current
-        if tok.type != IDENT:
+        if tok[0] != IDENT:
             raise self._fail(what)
         self.advance()
-        if not self.current.is_op("."):
-            return tok.value, tok.span
-        parts = [tok.value]
-        while self.current.is_op("."):
+        if self.current[2] != ".":
+            return tok[1], self.span_from(tok[3])
+        parts = [tok[1]]
+        while self.current[2] == ".":
             self.advance()
-            segment = self.expect_ident("a path segment")
-            parts.append(segment.text)
-        return ".".join(parts), tok.span.merge(segment.span)
+            parts.append(self.expect_ident("a path segment").text)
+        return ".".join(parts), self.span_from(tok[3])
 
     # -- recovery -----------------------------------------------------------
 
     def _sync(self, starters: frozenset[str]) -> None:
-        while self.current.type != EOF:
+        while self.current[0] != EOF:
             tok = self.current
-            if tok.is_op(";"):
+            if tok[2] == ";":
                 self.advance()
                 return
-            if tok.is_op("}"):
+            if tok[2] == "}":
                 return
-            if tok.type == KEYWORD and tok.value in starters:
+            if tok[0] == KEYWORD and tok[1] in starters:
                 return
             self.advance()
 
@@ -163,12 +183,10 @@ class Parser:
 
     def parse_model(self) -> ModelAst:
         decls: list[Decl] = []
-        while self.current.type != EOF:
-            if self.current.is_op("}"):
+        while self.current[0] != EOF:
+            if self.current[2] == "}":
                 self.diagnostics.append(
-                    Diagnostic(
-                        ERROR, E_PARSE_UNEXPECTED, "unmatched '}'", self.current.span
-                    )
+                    Diagnostic(ERROR, E_PARSE_UNEXPECTED, "unmatched '}'", self.current_span())
                 )
                 self.advance()
                 continue
@@ -177,154 +195,157 @@ class Parser:
 
     def parse_decl(self) -> Decl:
         tok = self.current
-        if tok.type == IDENT:
+        if tok[0] == IDENT:
             return self.parse_promise()
-        if tok.is_kw("agent"):
+        text = tok[2]
+        if text == "agent":
             return self.parse_agent()
-        if tok.is_kw("type"):
+        if text == "type":
             return self.parse_type()
-        if tok.is_kw("flag"):
+        if text == "flag":
             return self.parse_flag()
-        if tok.is_kw("bundle"):
+        if text == "bundle":
             return self.parse_bundle_decl()
         raise self._fail("a declaration")
 
     def parse_agent(self) -> AgentDecl:
-        start = self.advance()
+        start = self.advance()[3]
         names = [self.expect_ident("an agent name")]
-        while self.current.is_op(","):
+        while self.current[2] == ",":
             self.advance()
             names.append(self.expect_ident("an agent name"))
-        end = self.expect_op(";")
-        return AgentDecl(tuple(names), start.span.merge(end.span))
+        self.expect_op(";")
+        return AgentDecl(tuple(names), self.span_from(start))
 
     def parse_type(self) -> TypeDecl:
-        start = self.advance()
+        start = self.advance()[3]
         name = Name(*self.expect_dotted("a type name"))
         self.expect_op(":")
         kind_tok = self.current
-        if kind_tok.type == KEYWORD and kind_tok.value in ("num", "str", "service"):
+        if kind_tok[0] == KEYWORD and kind_tok[1] in ("num", "str", "service"):
             self.advance()
         else:
             raise self._fail("'num', 'str', or 'service'")
-        end = self.expect_op(";")
-        return TypeDecl(name, kind_tok.value, start.span.merge(end.span))
+        self.expect_op(";")
+        return TypeDecl(name, kind_tok[1], self.span_from(start))
 
     def parse_flag(self) -> FlagDecl:
-        start = self.advance()
+        start = self.advance()[3]
         name = self.expect_ident("a flag name")
-        end = self.expect_op(";")
-        return FlagDecl(name, start.span.merge(end.span))
+        self.expect_op(";")
+        return FlagDecl(name, self.span_from(start))
 
     def parse_bundle_decl(self) -> BundleDecl:
-        start = self.advance()
+        start = self.advance()[3]
         name = self.expect_ident("a bundle name")
         parent = None
-        if self.current.is_kw("extends"):
+        if self.current[2] == "extends":
             self.advance()
             parent = self.expect_ident("a parent bundle name")
         self.expect_op("{")
         bodies: list[BodyNode] = []
-        while not self.current.is_op("}") and self.current.type != EOF:
+        while self.current[2] != "}" and self.current[0] != EOF:
             self._recover(self.parse_body, _BODY_STARTERS, bodies)
-        end = self.expect_op("}")
-        return BundleDecl(name, parent, tuple(bodies), start.span.merge(end.span))
+        self.expect_op("}")
+        return BundleDecl(name, parent, tuple(bodies), self.span_from(start))
 
     def parse_body(self) -> BodyNode:
         tok = self.current
-        if tok.is_kw("give") or tok.is_kw("use"):
-            start = self.advance()
+        if tok[2] == "give" or tok[2] == "use":
+            self.advance()
         else:
             raise self._fail("'give' or 'use'")
         subject: IdentTerm | ParamTerm
         value: TermNode | None = None
-        if self.current.type == PARAM:
+        kind = self.current[0]
+        if kind == PARAM:
             ptok = self.advance()
-            subject = ParamTerm(ptok.value, ptok.span)
+            subject = ParamTerm(ptok[1], self.span_from(ptok[3]))
             self.expect_op("=")
             value = self.parse_term()
-        elif self.current.type == IDENT:
+        elif kind == IDENT:
             subject = IdentTerm(*self.expect_dotted())
-            if self.current.is_op("="):
+            if self.current[2] == "=":
                 self.advance()
                 value = self.parse_term()
         else:
             raise self._fail("a type name or parameter")
         condition = None
-        if self.current.is_kw("if"):
+        if self.current[2] == "if":
             self.advance()
             condition = self.parse_condition()
-        end = self.expect_op(";")
-        return BodyNode(start.value, subject, value, condition, start.span.merge(end.span))
+        self.expect_op(";")
+        return BodyNode(tok[1], subject, value, condition, self.span_from(tok[3]))
 
     def parse_promise(self) -> PromiseDecl:
+        start = self.current[3]
         promiser = self.expect_ident("an agent name")
         self.expect_op("->")
         promisee = self.expect_ident("an agent name")
         self.expect_op(":")
-        if self.current.is_kw("bundle"):
-            ref_start = self.advance()
+        if self.current[2] == "bundle":
+            ref_start = self.advance()[3]
             name = self.expect_ident("a bundle name")
             condition = None
-            end_span = name.span
-            if self.current.is_kw("if"):
+            if self.current[2] == "if":
                 self.advance()
                 condition = self.parse_condition()
-                end_span = condition.span
             # The attachment form carries no ';' of its own; accept one anyway.
-            if self.current.is_op(";"):
-                end_span = self.advance().span
-            item: BodyNode | BundleRef = BundleRef(
-                name, condition, ref_start.span.merge(end_span)
-            )
+            if self.current[2] == ";":
+                self.advance()
+            item: BodyNode | BundleRef = BundleRef(name, condition, self.span_from(ref_start))
         else:
             item = self.parse_body()
-        return PromiseDecl(promiser, promisee, item, promiser.span.merge(item.span))
+        return PromiseDecl(promiser, promisee, item, self.span_from(start))
 
     def parse_condition(self) -> ConditionNode:
+        start = self.current[3]
         literals = [self.parse_literal()]
-        while self.current.is_kw("and"):
+        while self.current[2] == "and":
             self.advance()
             literals.append(self.parse_literal())
-        span = literals[0].span.merge(literals[-1].span)
-        return ConditionNode(tuple(literals), span)
+        return ConditionNode(tuple(literals), self.span_from(start))
 
     def parse_literal(self) -> CmpLiteralNode | FlagLiteralNode:
-        if self.current.is_kw("not"):
-            start = self.advance()
+        if self.current[2] == "not":
+            start = self.advance()[3]
             name = self.expect_ident("a flag name")
-            return FlagLiteralNode(name, True, start.span.merge(name.span))
+            return FlagLiteralNode(name, True, self.span_from(start))
+        start = self.current[3]
         lhs = self.parse_term()
-        if self.current.type == OP and self.current.value in ("==", "!="):
-            op = self.advance().value
+        op = self.current[2]
+        if op == "==" or op == "!=":
+            self.advance()
             rhs = self.parse_term()
-            return CmpLiteralNode(lhs, op, rhs, lhs.span.merge(rhs.span))
+            return CmpLiteralNode(lhs, op, rhs, self.span_from(start))
         if isinstance(lhs, IdentTerm):
             return FlagLiteralNode(Name(lhs.name, lhs.span), False, lhs.span)
         raise self._fail("'==' or '!='")
 
     def parse_term(self) -> TermNode:
         tok = self.current
-        if tok.type == IDENT:
+        kind = tok[0]
+        if kind == IDENT:
             return IdentTerm(*self.expect_dotted())
-        if tok.type == PARAM:
+        if kind == PARAM:
             self.advance()
-            return ParamTerm(tok.value, tok.span)
-        if tok.type == NUMBER:
+            return ParamTerm(tok[1], self.span_from(tok[3]))
+        if kind == NUMBER:
             self.advance()
-            assert isinstance(tok.value, (int, float))
-            return NumberTerm(tok.value, tok.span)
-        if tok.type == STRING:
+            assert isinstance(tok[1], (int, float))
+            return NumberTerm(tok[1], self.span_from(tok[3]))
+        if kind == STRING:
             self.advance()
-            return StringTerm(tok.value, tok.span)
+            return StringTerm(tok[1], self.span_from(tok[3]))
         raise self._fail("a term")
 
 
 def parse(text: str, file: str = "<model>") -> ParseResult:
     """Tokenize and parse; always returns a (possibly partial) tree together
     with every diagnostic found along the way."""
-    tokens, lex_diagnostics = tokenize(text, file)
-    parser = Parser(tokens, file)
+    lines = LineIndex(text)
+    tokens, lex_diagnostics = tokenize(text, file, lines)
+    parser = Parser(tokens, file, lines)
     ast = parser.parse_model()
     diagnostics = sorted(lex_diagnostics + parser.diagnostics, key=diagnostic_sort_key)
     return ParseResult(ast, diagnostics)

@@ -130,8 +130,6 @@ class _Resolver:
         self.flat_bundles: dict[str, Bundle] = {}
         self.promises: list[Promise] = []
         self.spans: list[SourceSpan] = []  # the declaration of each promise
-        # One object per distinct direct-promise body: equal bodies share a text.
-        self.bodies: dict[PromiseBody, PromiseBody] = {}
 
     def error(self, code: str, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(Diagnostic(ERROR, code, message, span))
@@ -361,6 +359,12 @@ class _Resolver:
         return agent.name
 
     def collect_promises(self) -> None:
+        # Each distinct direct-promise body node is resolved once, and equal
+        # bodies are one object, so they share a text.  Nodes compare without
+        # spans; a node that drew a diagnostic is resolved again at each of
+        # its declarations, so that each is reported.
+        resolved: dict[BodyNode, PromiseBody] = {}
+        bodies: dict[PromiseBody, PromiseBody] = {}
         for decl in self.ast.decls:
             if not isinstance(decl, PromiseDecl):
                 continue
@@ -395,10 +399,17 @@ class _Resolver:
                         )
                     self.add_promise(promiser, promisee, body, group, decl.span)
             else:
-                body = self.resolve_body(decl.item, _Scope())
+                node = decl.item
+                body = resolved.get(node)
+                if body is None:
+                    reported = len(self.diagnostics)
+                    body = self.resolve_body(node, _Scope())
+                    if body is not None:
+                        body = bodies.setdefault(body, body)
+                        if len(self.diagnostics) == reported:
+                            resolved[node] = body
                 if body is None or not ok:
                     continue
-                body = self.bodies.setdefault(body, body)
                 group = derive_group(promiser, promisee, body)
                 self.add_promise(promiser, promisee, body, group, decl.span)
 

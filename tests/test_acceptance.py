@@ -430,11 +430,7 @@ def mutation_sites():
         text = corpus.read(name)
         tokens, diags = tokenize(text, name)
         assert diags == []
-        spots = [
-            (name, text, t.span.start_offset, t.span.end_offset)
-            for t in tokens
-            if t.type != "eof"
-        ]
+        spots = [(name, text, start, end) for kind, _, _, start, end in tokens if kind != "eof"]
         per_file.append(spots)
     rng = random.Random(0xBAD)
     for spots in per_file:

@@ -1,6 +1,8 @@
 """Surface language: lexing, parsing, printing, and name resolution."""
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from promisekit.dsl import (
     Diagnostic,
     has_errors,
     LineIndex,
+    make_span,
     parse,
     print_model,
     resolve,
@@ -41,6 +44,25 @@ rect -> viewer: bundle Rectangle;
 """
 
 
+def ring_text(n: int) -> str:
+    """n agents in a ring, each making the same four promises: a bundle and
+    three direct bodies."""
+    agents = [f"a{i}" for i in range(n)]
+    lines = [
+        f"agent {', '.join(agents)};", "type token: num;", "type load: num;", "flag ready;",
+        "bundle Feed { give token = $t; give load = $t if ready; }",
+    ]
+    for i, a in enumerate(agents):
+        succ, pred = agents[(i + 1) % n], agents[i - 1]
+        lines += [
+            f"{a} -> {succ}: bundle Feed",
+            f"{a} -> {succ}: give load = $x;",
+            f"{a} -> {pred}: give ready;",
+            f"{a} -> {pred}: use token;",
+        ]
+    return "\n".join(lines) + "\n"
+
+
 def errors_of(diags) -> list[str]:
     return [d.code for d in diags if d.severity == "error"]
 
@@ -59,24 +81,24 @@ class TestLexer:
     def test_token_stream_shape(self):
         tokens, diags = tokenize("give width = $w; # noise\n", "t.pml")
         assert diags == []
-        assert [t.type for t in tokens] == [
+        assert [t[0] for t in tokens] == [
             "keyword", "ident", "op", "param", "op", "eof"
         ]
-        assert tokens[3].value == "w"
-        assert tokens[3].text == "$w"
+        assert tokens[3][1] == "w"
+        assert tokens[3][2] == "$w"
 
     def test_numbers_and_strings(self):
         tokens, diags = tokenize('x = 90; y = 2.5; z = "a\\"b";')
         assert diags == []
-        values = [t.value for t in tokens if t.type in ("number", "string")]
+        values = [t[1] for t in tokens if t[0] in ("number", "string")]
         assert values == [90, 2.5, 'a"b']
 
     def test_digit_runs_are_exact_integers(self):
         digits = "9007199254740993"  # 2**53 + 1, which no float holds
         tokens, diags = tokenize(f"{digits} 2.0 {'7' * 400}")
         assert diags == []
-        assert [t.value for t in tokens[:-1]] == [2**53 + 1, 2, int("7" * 400)]
-        assert [type(t.value) for t in tokens[:-1]] == [int, int, int]
+        assert [t[1] for t in tokens[:-1]] == [2**53 + 1, 2, int("7" * 400)]
+        assert [type(t[1]) for t in tokens[:-1]] == [int, int, int]
 
     @pytest.mark.parametrize(
         "literal", ["9" * 4301, "1" * 400 + ".5"], ids=["too-many-digits", "float-overflow"]
@@ -87,12 +109,14 @@ class TestLexer:
             ("E-LEX-004", "number literal is too large to read")
         ]
         assert (diags[0].span.start_offset, diags[0].span.end_offset) == (4, 4 + len(literal))
-        assert [t.type for t in tokens] == ["ident", "op", "op", "eof"]
+        assert [t[0] for t in tokens] == ["ident", "op", "op", "eof"]
 
     def test_spans_are_one_based(self):
-        tokens, _ = tokenize("agent a;\nagent b;")
-        second_agent = [t for t in tokens if t.text == "agent"][1]
-        assert (second_agent.span.start_line, second_agent.span.start_col) == (2, 1)
+        text = "agent a;\nagent b;"
+        tokens, _ = tokenize(text)
+        _, _, _, start, end = [t for t in tokens if t[2] == "agent"][1]
+        span = make_span("<model>", start, end, LineIndex(text))
+        assert (span.start_line, span.start_col) == (2, 1)
 
     def test_illegal_character(self):
         _, diags = tokenize("agent @;")
@@ -115,18 +139,18 @@ class TestLexer:
         tokens, diags = tokenize("width = ²;")
         assert errors_of(diags) == ["E-LEX-001"]
         assert diags[0].message == "unexpected character '²'"
-        assert [t.type for t in tokens] == ["ident", "op", "op", "eof"]
+        assert [t[0] for t in tokens] == ["ident", "op", "op", "eof"]
 
     def test_superscript_after_digits_ends_the_number(self):
         tokens, diags = tokenize("11²")
-        assert [(t.type, t.value) for t in tokens] == [("number", 11), ("eof", "")]
+        assert [(t[0], t[1]) for t in tokens] == [("number", 11), ("eof", "")]
         assert errors_of(diags) == ["E-LEX-001"]
         assert (diags[0].span.start_col, diags[0].span.end_col) == (3, 4)
 
     def test_non_ascii_letters_and_digits_continue_tokens(self):
         tokens, diags = tokenize("11é x١ 1١ 2.١ $pé")
         assert diags == []
-        assert [(t.type, t.value, t.text) for t in tokens[:-1]] == [
+        assert [t[:3] for t in tokens[:-1]] == [
             ("number", 11, "11"),
             ("ident", "é", "é"),
             ("ident", "x١", "x١"),
@@ -136,8 +160,13 @@ class TestLexer:
         ]
 
     def test_columns_count_characters_across_lines_and_comments(self):
-        tokens, _ = tokenize('# é comment\r\n\t"é" é;\n  x')
-        spans = [(t.text, t.span.start_line, t.span.start_col, t.span.end_col) for t in tokens]
+        text = '# é comment\r\n\t"é" é;\n  x'
+        tokens, _ = tokenize(text)
+        lines = LineIndex(text)
+        spans = []
+        for _, _, raw, start, end in tokens:
+            span = make_span("<model>", start, end, lines)
+            spans.append((raw, span.start_line, span.start_col, span.end_col))
         assert spans == [
             ('"é"', 2, 2, 5),
             ("é", 2, 6, 7),
@@ -171,6 +200,24 @@ class TestLexer:
         tokens, diags = tokenize(text)
         assert counting.calls <= len(tokens) + len(diags) + 1
         assert counting.consumed <= 2 * len(text)
+
+    def test_tokens_are_left_to_the_collector_untracked(self):
+        """A token is a tuple of atoms, which a collection stops tracking, and
+        a text that lexes cleanly makes no span at all."""
+        text = ring_text(20) + 'type s: str;\na0 -> a1: give s = "x";\na1 -> a2: give load = 2.5;\n'
+
+        def spans() -> int:
+            return sum(type(o) is SourceSpan for o in gc.get_objects())
+
+        gc.collect()
+        before = spans()
+        tokens, diags = tokenize(text)
+        assert diags == [] and spans() == before
+        gc.collect()
+        assert {t[0] for t in tokens} == {
+            "keyword", "ident", "op", "param", "number", "string", "eof"
+        }
+        assert [t for t in tokens if gc.is_tracked(t)] == []
 
     @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
     def test_unterminated_string_ends_at_any_line_end(self, line_end):
@@ -214,7 +261,11 @@ def test_lexer_matches_the_reference_lexer(text):
 
     tokens, diags = tokenize(text, "t.pml")
     expected_tokens, expected_diags = reference_tokenize(text, "t.pml")
-    assert [(t.type, t.value, type(t.value), t.text, place(t.span)) for t in tokens] == [
+    lines = LineIndex(text)
+    assert [
+        (type_, value, type(value), raw, place(make_span("t.pml", start, end, lines)))
+        for type_, value, raw, start, end in tokens
+    ] == [
         (type_, value, type(value), raw, where) for type_, value, raw, where in expected_tokens
     ]
     assert [(d.severity, d.code, d.message, place(d.span)) for d in diags] == expected_diags
@@ -386,8 +437,8 @@ class TestPrinterRoundTrip:
         text = f"agent a, b;\ntype width: num;\na -> b: give width = {literal};\n"
 
         def value(source: str):
-            (term,) = [t for t in tokenize(source)[0] if t.type == "number"]
-            return term.value
+            (term,) = [t for t in tokenize(source)[0] if t[0] == "number"]
+            return term[1]
 
         printed = normalize(text)
         assert normalize(printed) == printed
@@ -645,6 +696,39 @@ class TestResolver:
         ping = [p for p in graph.promises if p.body.type == "ping"]
         assert len(ping) == 1
         assert not ping[0].body.condition.is_empty
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_each_distinct_body_is_resolved_once(self, n, monkeypatch):
+        """The two bundle bodies and the three distinct direct bodies are
+        resolved once each, however many agents make them, and equal bodies
+        in the graph are one object."""
+        calls = []
+        resolve_body = resolver_module._Resolver.resolve_body
+
+        def counted(self, node, scope):
+            calls.append(node)
+            return resolve_body(self, node, scope)
+
+        monkeypatch.setattr(resolver_module._Resolver, "resolve_body", counted)
+        graph = resolve_text(ring_text(n)).graph
+        assert len(calls) == 2 + 3
+        assert len(graph.promises) == 5 * n
+        assert len({p.body for p in graph.promises}) == 5
+        assert len({id(p.body) for p in graph.promises}) == 5
+
+    @pytest.mark.parametrize(
+        "body, code",
+        [("use w = 1;", "E-RESOLVE-006"), ("give w = svc;", "E-RESOLVE-007")],
+    )
+    def test_a_repeated_invalid_body_is_reported_at_each_declaration(self, body, code):
+        text = (
+            "agent a, b, c;\ntype w: num;\ntype svc: service;\n"
+            f"a -> b: {body}\nb -> c: {body}\n"
+        )
+        result = resolve_text(text)
+        assert [(d.code, d.span.start_line) for d in result.diagnostics] == [
+            (code, 4), (code, 5)
+        ]
 
     def test_corpus_resolves_without_diagnostics(self):
         for name in corpus.names():

@@ -2,8 +2,8 @@
 defines a private name it never uses, no module imports another
 promisekit module's private name, only the lexer and the span module
 build tuples without their class's constructor, only ``constraints``
-judges a pair of conditions or builds a term partition, and no
-module-level container outlives a run.
+judges a pair of conditions or builds a term partition, no module imports
+``gc``, and no module-level container outlives a run.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -196,6 +196,27 @@ def test_no_module_uses_dataclasses_or_compiles_code():
                 f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}"
                 for name in names
                 if name.split(".")[0] in ("dataclasses", "exec", "eval", "compile")
+            ]
+    assert found == []
+
+
+def test_no_module_imports_gc():
+    """The program allocates less rather than tuning the collector: no
+    process-wide GC setting, so no module imports ``gc``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] == "gc"
             ]
     assert found == []
 
