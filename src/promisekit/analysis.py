@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter
-from typing import Iterable, Sequence, Union
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .constraints import ExclusivityVerdict, pairwise_exclusive, TermPartition
 from .errors import UnsatisfiableError
@@ -433,7 +433,7 @@ def _shared_condition(bundle: Bundle) -> Condition:
 
 
 # ---------------------------------------------------------------------------
-# The is-a verdict
+# Against a base: the is-a verdict and the override policy
 # ---------------------------------------------------------------------------
 
 IS_A = "is-a"
@@ -477,6 +477,51 @@ def _clash_detail(part: TermPartition) -> str:
     return f"{format_term(clash[0])} and {format_term(clash[1])} are forced equal"
 
 
+def _against_base(
+    base: Sequence[tuple[str, Condition, Collection[EqConstraint]]],
+    other: Sequence[tuple[str, Condition, Collection[EqConstraint]]],
+) -> Iterator[tuple[World, list, TermPartition, list, tuple[tuple[Term, Term], ...]]]:
+    """The restriction engine of is-a and the override policy: promise the
+    base's entries, each (reference, condition, constraints), and the other's
+    at once.  Per world, in ``judge`` order, yield the world, the entries in
+    force tagged ((is_base, reference), condition, constraints), their joint
+    closure, its clashing classes, and, when none clashes, the pairs of base
+    terms that the joint closure merges and the base's entries in force alone
+    do not.  A parameter with a non-empty scope belongs to its own side and
+    is never a base term.  With no other entries nothing can be narrowed, so
+    judging one side alone makes one closure per world and sorts no classes
+    unless they clash."""
+    entries = [((True, r), c, k) for r, c, k in base]
+    entries += [((False, r), c, k) for r, c, k in other]
+    for world, in_force, joint in judge(entries):
+        clashing = [] if joint.admits(world.neqs) else joint.clashing_classes(world.neqs)
+        pairs = ()
+        if other and not clashing:
+            cons = [c for (is_base, _), _, k in in_force if is_base for c in k]
+            terms = {
+                t for c in cons for t in c.terms() if not (isinstance(t, Parameter) and t.scope)
+            }
+            pairs = joint.new_pairs_over(world.closure(cons), terms)
+        yield world, in_force, joint, clashing, pairs
+
+
+def _refs_touching(
+    in_force: Sequence[tuple[tuple[bool, str], Condition, Collection[EqConstraint]]],
+    classes: Sequence[tuple[Term, ...]],
+) -> tuple[str, ...]:
+    """The references of the entries in force whose terms meet ``classes``.
+    Over all the entries in force it is never empty: a world's premises hold
+    together, so a clashing class was joined by a body constraint, whose
+    terms lie in it; and a restricted pair's class holds base terms, each
+    from a base entry in force."""
+    touching = set()
+    for (_, ref), _, scoped in in_force:
+        terms = {t for c in scoped for t in c.terms()}
+        if any(not terms.isdisjoint(cls) for cls in classes):
+            touching.add(ref)
+    return tuple(sorted(touching))
+
+
 def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     """Promise both bundles at once and see what breaks.
 
@@ -485,61 +530,26 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     attributes and constants that the parent alone does not entail.
     Otherwise the child can genuinely stand in for the parent.
     """
-    entries = []
-    for side, bundle in (("parent", parent), ("child", child)):
-        own = [
-            ((side, f"{side} {bundle.name}: {format_body(body)}"), body.condition,
-             _scope_params(body, side))
-            for body in bundle.bodies
-        ]
-        if not all(part.admits(world.neqs) for world, _, part in judge(own)):
+    sides = [
+        [(f"{side} {b.name}: {format_body(body)}", body.condition, _scope_params(body, side))
+         for body in b.bodies]
+        for side, b in (("parent", parent), ("child", child))
+    ]
+    for bundle, own in zip((parent, child), sides):
+        if any(clashing for _, _, _, clashing, _ in _against_base(own, ())):
             raise UnsatisfiableError(f"bundle {bundle.name} is unsatisfiable on its own")
-        entries += own
     merged: set[str] = set()
-    merged_involved: set[str] = set()
-    for world, in_force, joint in judge(entries):
-        if not joint.admits(world.neqs):
-            return IsAVerdict(
-                INCONSISTENT,
-                (_clash_detail(joint) + world.when,),
-                _refs_touching(in_force, joint.clashing_classes(world.neqs)),
-            )
-
-        parent_cons = [
-            c for (side, _), _, scoped in in_force if side == "parent" for c in scoped
-        ]
-        baseline = world.closure(parent_cons)
-        vocabulary = {
-            t for c in parent_cons for t in c.terms() if not isinstance(t, Parameter)
-        }
-        for a, b in joint.new_pairs_over(baseline, vocabulary):
+    involved: set[str] = set()
+    for world, in_force, joint, clashing, pairs in _against_base(*sides):
+        if clashing:
+            detail = _clash_detail(joint) + world.when
+            return IsAVerdict(INCONSISTENT, (detail,), _refs_touching(in_force, clashing))
+        for a, b in pairs:
             merged.add(f"{format_term(a)} ~ {format_term(b)}{world.when}")
-            merged_involved.update(_refs_touching(in_force, [joint.class_of(a)]))
+            involved.update(_refs_touching(in_force, [joint.class_of(a)]))
+    outcome = RESTRICTED if merged else IS_A
+    return IsAVerdict(outcome, tuple(sorted(merged)), tuple(sorted(involved)))
 
-    if merged:
-        return IsAVerdict(
-            RESTRICTED, tuple(sorted(merged)), tuple(sorted(merged_involved))
-        )
-    return IsAVerdict(IS_A)
-
-
-def _refs_touching(
-    in_force: Sequence[tuple[tuple[str, str], Condition, frozenset[EqConstraint]]],
-    classes: Sequence[tuple[Term, ...]],
-) -> tuple[str, ...]:
-    """The body references whose terms sit in one of ``classes``; every
-    reference when none does."""
-    touching = set()
-    for (_, ref), _, scoped in in_force:
-        terms = {t for c in scoped for t in c.terms()}
-        if any(not terms.isdisjoint(cls) for cls in classes):
-            touching.add(ref)
-    return tuple(sorted(touching or {ref for (_, ref), _, _ in in_force}))
-
-
-# ---------------------------------------------------------------------------
-# Override policy
-# ---------------------------------------------------------------------------
 
 def check_override_policy(base: Bundle, child: Bundle) -> list[Finding]:
     """The base bundle's bodies are not to be overridden: in every world of
@@ -547,41 +557,30 @@ def check_override_policy(base: Bundle, child: Bundle) -> list[Finding]:
     neither contradict nor narrow a base body in force.  Parameters are a
     shared namespace here — the child is editing the base's own variables."""
     findings: list[Finding] = []
-    entries = [
-        ((side, body), body.condition, body.constraints)
-        for side, bodies in (("base", base.sorted_bodies()), ("child", child.bodies))
-        for body in bodies
-    ]
-    for world, in_force, joint in judge(entries):
-        base_bodies = [body for (side, body), _, _ in in_force if side == "base"]
-        base_cons = [c for b in base_bodies for c in b.constraints]
-        clashing = joint.clashing_classes(world.neqs)
-        new_pairs = () if clashing else joint.new_pairs_over(
-            world.closure(base_cons), {t for c in base_cons for t in c.terms()}
-        )
-        for body in base_bodies:
-            terms = {t for c in body.constraints for t in c.terms()}
-            if clashing:
-                if all(terms.isdisjoint(cls) for cls in clashing):
-                    continue
-                code = "override-contradiction"
+    for world, in_force, _, clashing, pairs in _against_base(
+        [(format_body(b), b.condition, b.constraints) for b in base.sorted_bodies()],
+        [(format_body(b), b.condition, b.constraints) for b in child.bodies],
+    ):
+        for entry in in_force:
+            (is_base, text), _, _ = entry
+            if not is_base:
+                continue
+            touching = [
+                f"{format_term(a)} ~ {format_term(b)}"
+                for a, b in pairs if _refs_touching([entry], [(a, b)])
+            ]
+            if clashing and _refs_touching([entry], clashing):
                 effect = f"contradicted by {child.name}{world.when}"
-            else:
-                touching = [
-                    f"{format_term(a)} ~ {format_term(b)}"
-                    for a, b in new_pairs
-                    if a in terms or b in terms
-                ]
-                if not touching:
-                    continue
-                code = "override-restriction"
+            elif touching:
                 effect = f"narrowed by {child.name}{world.when}: {', '.join(touching)}"
+            else:
+                continue
             findings.append(
                 Finding(
                     Severity.POLICY_VIOLATION,
-                    code,
-                    f"base body '{format_body(body)}' of {base.name} is {effect}",
-                    _bundle_refs(child) + (f"bundle {base.name}: {format_body(body)}",),
+                    "override-contradiction" if clashing else "override-restriction",
+                    f"base body '{text}' of {base.name} is {effect}",
+                    _bundle_refs(child) + (f"bundle {base.name}: {text}",),
                 )
             )
     return sorted(findings, key=finding_sort_key)

@@ -1,9 +1,10 @@
 """Slow, obviously correct oracles for cross-checking the fast code.
 
-Four families live here: finite-domain enumeration for the constraint
+Five families live here: finite-domain enumeration for the constraint
 engine, the sweep over every subset of conditions that the analyzers' world
-enumeration replaced, a character-by-character reference lexer, and linear
-scans standing in for the ``PromiseGraph`` indexes.
+enumeration replaced, the is-a and override verdicts of unconditional
+bundles decided from their definitions, a character-by-character reference
+lexer, and linear scans standing in for the ``PromiseGraph`` indexes.
 
 The constraint oracles decide satisfiability and entailment the slow,
 obviously correct way: enumerate every assignment of domain values to the free terms
@@ -44,6 +45,7 @@ from promisekit.dsl.lexer import (
     STRING,
 )
 from promisekit.model import (
+    Bundle,
     CmpLiteral,
     Condition,
     EqConstraint,
@@ -51,7 +53,9 @@ from promisekit.model import (
     format_condition,
     GIVE,
     is_constant,
+    Parameter,
     Promise,
+    PromiseBody,
     PromiseGraph,
     Term,
 )
@@ -258,6 +262,68 @@ def reference_scenarios(conditions: Iterable[Condition]) -> list[World]:
             neqs.extend(cn)
         scenarios.append(World(chosen, tuple(eqs), tuple(neqs)))
     return scenarios
+
+
+# ---------------------------------------------------------------------------
+# Is-a and the override policy on unconditional bundles
+# ---------------------------------------------------------------------------
+
+def _constraints(bundle: Bundle, scope: Union[str, None] = None) -> list[EqConstraint]:
+    """Every constraint of the bundle; with a ``scope``, each parameter is
+    renamed into it, apart from any other side's parameters."""
+
+    def place(term: Term) -> Term:
+        if scope is not None and isinstance(term, Parameter):
+            return Parameter(term.name, scope)
+        return term
+
+    if any(not body.condition.is_empty for body in bundle.bodies):
+        raise ValueError("the oracle judges unconditional bundles only")
+    return [
+        EqConstraint(place(c.lhs), place(c.rhs)) for b in bundle.bodies for c in b.constraints
+    ]
+
+
+def _narrowed_pairs(
+    base: Sequence[EqConstraint], union: Sequence[EqConstraint], vocabulary: set[Term]
+) -> set[frozenset[Term]]:
+    """Pairs of ``vocabulary`` terms equal in every model of ``union`` but
+    not in every model of ``base``; both must be satisfiable."""
+    forced = {p for p in oracle_same_class_pairs(union) if p <= vocabulary}
+    return forced - oracle_same_class_pairs(base)
+
+
+def oracle_is_a(child: Bundle, parent: Bundle) -> tuple[str, set[frozenset[Term]]]:
+    """The is-a outcome from its definition, each side's parameters its own:
+    ``"unsatisfiable"`` when either bundle alone has no model,
+    ``"inconsistent"`` when their union has none, else ``"restricted"`` with
+    the pairs of the parent's attributes and constants that the union forces
+    equal and the parent alone does not, or ``"is-a"`` when there are none."""
+    theirs, ours = _constraints(parent, "parent"), _constraints(child, "child")
+    if not (oracle_satisfiable(theirs) and oracle_satisfiable(ours)):
+        return "unsatisfiable", set()
+    if not oracle_satisfiable(theirs + ours):
+        return "inconsistent", set()
+    vocabulary = {t for c in theirs for t in c.terms() if not isinstance(t, Parameter)}
+    pairs = _narrowed_pairs(theirs, theirs + ours, vocabulary)
+    return ("restricted" if pairs else "is-a"), pairs
+
+
+def oracle_override(
+    base: Bundle, child: Bundle
+) -> Union[list[tuple[PromiseBody, set[frozenset[Term]]]], None]:
+    """The override policy from its definition, parameters shared: None when
+    the union of the two bundles has no model; else, for each base body in
+    ``sorted_bodies`` order, the pairs of base terms that the union forces
+    equal and the base alone does not, and that hold a term of that body."""
+    theirs, ours = _constraints(base), _constraints(child)
+    if not oracle_satisfiable(theirs + ours):
+        return None
+    pairs = _narrowed_pairs(theirs, theirs + ours, {t for c in theirs for t in c.terms()})
+    return [
+        (body, {p for p in pairs if p & {t for c in body.constraints for t in c.terms()}})
+        for body in base.sorted_bodies()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ from promisekit.model import (
     Condition,
     EqConstraint,
     FlagLiteral,
+    format_body,
+    format_term,
     give,
     link,
     NumConst,
@@ -51,10 +53,11 @@ from promisekit.model import (
     Promise,
     PromiseBody,
     PromiseTypeDecl,
+    term_key,
     use,
 )
 
-from bruteforce import reference_scenarios
+from bruteforce import oracle_is_a, oracle_override, oracle_satisfiable, reference_scenarios
 from loaders import load_corpus, load_text
 
 WIDTH, HEIGHT, ANGLE = Attribute("width"), Attribute("height"), Attribute("angle")
@@ -595,6 +598,139 @@ class TestOverridePolicy:
         findings = check_override_policy(base, child)
         assert [f.code for f in findings] == ["override-contradiction"]
         assert findings[0].message.endswith("(when height != width)")
+
+
+# ---------------------------------------------------------------------------
+# Is-a and override policy against their oracles, on unconditional bundles
+# ---------------------------------------------------------------------------
+
+ORACLE_TERMS = [WIDTH, HEIGHT, P("a"), P("b"), P("c"), NumConst(1), NumConst(2)]
+
+oracle_body_st = st.one_of(
+    st.builds(
+        lambda attr, term: give(attr.name, EqConstraint(attr, term)),
+        st.sampled_from([WIDTH, HEIGHT]),
+        st.sampled_from(ORACLE_TERMS),
+    ),
+    st.builds(link, st.sampled_from(ORACLE_TERMS), st.sampled_from(ORACLE_TERMS)),
+)
+
+
+def oracle_bundle_st(name: str):
+    return st.builds(
+        lambda bodies: Bundle(name, tuple(bodies)), st.lists(oracle_body_st, max_size=3)
+    )
+
+
+def pair_text(pair) -> str:
+    a, b = sorted(pair, key=term_key)
+    return f"{format_term(a)} ~ {format_term(b)}"
+
+
+@settings(max_examples=200, deadline=None)
+@example(square(), rectangle())
+@given(oracle_bundle_st("C"), oracle_bundle_st("P"))
+def test_is_a_matches_its_oracle(child, parent):
+    outcome, pairs = oracle_is_a(child, parent)
+    if outcome == "unsatisfiable":
+        with pytest.raises(UnsatisfiableError):
+            check_is_a(child, parent)
+        return
+    verdict = check_is_a(child, parent)
+    assert verdict.outcome == outcome
+    if outcome != INCONSISTENT:
+        assert verdict.details == tuple(sorted(pair_text(p) for p in pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    Bundle("Base", (give("width", EqConstraint(WIDTH, P("a"))),
+                    give("height", EqConstraint(HEIGHT, P("b"))))),
+    Bundle("Child", (link(P("a"), P("b")),)),
+)
+@given(oracle_bundle_st("Base"), oracle_bundle_st("Child"))
+def test_override_policy_matches_its_oracle(base, child):
+    findings = check_override_policy(base, child)
+    expected = oracle_override(base, child)
+    if expected is None:
+        alone = [[c for b in x.bodies for c in b.constraints] for x in (base, child)]
+        if all(oracle_satisfiable(cons) for cons in alone):
+            assert findings
+            assert {f.code for f in findings} == {"override-contradiction"}
+        return
+    assert {f.code for f in findings} <= {"override-restriction"}
+    narrowed = f"narrowed by {child.name}: "
+    assert sorted(
+        (f.promises[-1], tuple(sorted(f.message.split(narrowed, 1)[1].split(", "))))
+        for f in findings
+    ) == sorted(
+        (f"bundle {base.name}: {format_body(body)}", tuple(sorted(map(pair_text, pairs))))
+        for body, pairs in expected
+        if pairs
+    )
+
+
+def flags_text(k: int) -> str:
+    """The shape of the ``flags`` benchmark model: k gates, the last four a
+    flag and its negation twice over.  P and C make the same gated bodies;
+    SP adds width and height, RP also ties them under the first gate, and
+    RC ties them outright."""
+    flags = [f"g{i}" for i in range(k - 4)]
+    gates = [(g, f"v{i}") for i, g in enumerate(flags)]
+    gates += [("fa", "ma"), ("not fa", "ma"), ("fb", "mb"), ("not fb", "mb")]
+
+    def gated(prefix: str, skip_first: bool = False) -> str:
+        return " ".join(
+            f"give {typ} = ${prefix}{i} if {cond};"
+            for i, (cond, typ) in enumerate(gates)
+            if i or not skip_first
+        )
+
+    types = [typ for _, typ in gates[: k - 4]] + ["ma", "mb", "width", "height"]
+    lines = [
+        "agent x, y;",
+        *(f"flag {f};" for f in flags + ["fa", "fb"]),
+        *(f"type {t}: num;" for t in types),
+        f"bundle P {{ {gated('p')} }}",
+        f"bundle C {{ {gated('c')} }}",
+        f"bundle SP {{ give width = $w; give height = $h; {gated('s')} }}",
+        f"bundle RP {{ give width = $w; give height = $h; give $w = $h if g0; "
+        f"{gated('r', skip_first=True)} }}",
+        "bundle RC { give width = $a; give height = $a; }",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_restriction_engine_closes_only_what_its_caller_reads(monkeypatch):
+    # Four worlds: g0 and g1 always, fa or not, fb or not.  is-a closes each
+    # side alone once per world of its own conditions (RC has one world),
+    # then the joint and the parent alone once per joint world; the override
+    # policy judges no side alone.
+    graph = load_text(flags_text(6))
+    calls = Counter()
+    real = promisekit.worlds.closure
+
+    def counting(*args):
+        calls["closure"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(promisekit.worlds, "closure", counting)
+    counts = {}
+    for child, parent in (("C", "P"), ("RC", "SP"), ("RC", "RP")):
+        calls.clear()
+        check_is_a(graph.bundle(child), graph.bundle(parent))
+        counts["is-a", child, parent] = calls["closure"]
+        calls.clear()
+        check_override_policy(graph.bundle(parent), graph.bundle(child))
+        counts["override", parent, child] = calls["closure"]
+    assert counts == {
+        ("is-a", "C", "P"): 16,
+        ("is-a", "RC", "SP"): 13,
+        ("is-a", "RC", "RP"): 13,
+        ("override", "P", "C"): 8,
+        ("override", "SP", "RC"): 8,
+        ("override", "RP", "RC"): 8,
+    }
 
 
 # ---------------------------------------------------------------------------
