@@ -659,6 +659,67 @@ def check_dispatch_pattern(
 # Conflict detection
 # ---------------------------------------------------------------------------
 
+def _channel_verdicts(
+    shape: tuple[tuple[PromiseBody, str], ...],
+    world_memo: dict[frozenset[Condition], list[World]],
+    verdicts: dict[frozenset[Condition], ExclusivityVerdict],
+) -> list[tuple[Severity, str, str, list[int], list[tuple[str, str]]]]:
+    """The findings of a channel of ``shape``, its (body, scope) pairs in
+    channel order, before the channel names them: each is (severity, code,
+    message after the channel, indices of the promises cited, scopes).  A
+    restriction's message ends before its scopes, which come as (scope,
+    formatted terms) pairs, and its indices are those of every promise in
+    force; the others have no scopes."""
+    found: list = []
+    by_type: dict[tuple[str, str], list[int]] = {}
+    for i, (body, _) in enumerate(shape):
+        if body.type != LINK_TYPE:
+            by_type.setdefault((body.polarity, body.type), []).append(i)
+    for same_type in by_type.values():
+        conditions = [shape[i][0].condition for i in same_type]
+        for i, j, witness in pairwise_exclusive(conditions, verdicts):
+            if conditions[i] != conditions[j]:
+                a, b = same_type[i], same_type[j]
+                found.append((
+                    Severity.POLICY_VIOLATION, "channel-overlap",
+                    f"'{format_body(shape[a][0])}' and '{format_body(shape[b][0])}' "
+                    f"can both apply (when {_witness_text(witness)})", [a, b], [],
+                ))
+
+    # World-by-world joint satisfiability and independence.  With no
+    # constraints on the channel there is nothing to judge: a world's
+    # conditions hold together by construction, and their parameters keep
+    # scope "" (see Parameter), so no world is inconsistent or restricted.
+    if not any(body.constraints for body, _ in shape):
+        return found
+    entries = [
+        (i, body.condition, _scope_params(body, scope)) for i, (body, scope) in enumerate(shape)
+    ]
+    for world, in_force, part in judge(entries, world_memo):
+        if not part.admits(world.neqs):
+            # The world's conditions hold together, so the clash needs the
+            # constraints of some promise in force.
+            found.append((
+                Severity.INCONSISTENT, "channel-inconsistent",
+                f"promises cannot all hold{world.when}: {_clash_detail(part)}",
+                [i for i, _, scoped in in_force if scoped], [],
+            ))
+            continue
+        for cls in part.classes:
+            by_scope: dict[str, list[str]] = {}
+            for t in cls:  # a class is in term_key order
+                if isinstance(t, Parameter) and t.scope:
+                    by_scope.setdefault(t.scope, []).append(format_term(t))
+            if len(by_scope) > 1:
+                found.append((
+                    Severity.RESTRICTED, "channel-restricted",
+                    f"independent declarations are forced to share one value{world.when}: ",
+                    [i for i, _, _ in in_force],
+                    [(scope, ", ".join(terms)) for scope, terms in by_scope.items()],
+                ))
+    return found
+
+
 def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     """Per channel, conjoin everything that can be in force at once.
 
@@ -667,100 +728,47 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     forced together — one declaration quietly tightens another.
     Policy violation: two promises of the same polarity and type whose
     conditions can overlap, leaving it ambiguous which one applies.
+
+    Cost: a channel's shape is its (body, scope) pairs in channel order,
+    where group "" keeps scope "" and any other group becomes the index of
+    its first promise on the channel.  ``_channel_verdicts`` judges each
+    distinct shape once per call, and each channel only formats findings.
+    That is exact, because a group is read in three ways only: by scope
+    equality inside closures, which an injective renaming keeps (condition
+    parameters keep scope "", and no renamed scope is ""); in the label and
+    the order of a restriction's scopes; and in the choice of the promises
+    a restriction involves.  The last two are done per channel on the real
+    group strings.  Bodies are compared by value.  A clash detail does not
+    depend on scope names either: a clashing class holds a constant, which
+    ``term_key`` ranks first.  Each distinct condition set likewise gets its
+    worlds once per call, and each condition pair its exclusivity verdict.
     """
     findings: dict[tuple, Finding] = {}
-    # Channels that carry one bundle share its conditions: each distinct
-    # condition set gets its worlds from ``judge``, and each unordered
-    # condition pair its verdict from ``pairwise_exclusive``, once per call.
     world_memo: dict[frozenset[Condition], list[World]] = {}
     verdicts: dict[frozenset[Condition], ExclusivityVerdict] = {}
-
-    def add(f: Finding) -> None:
-        findings.setdefault((f.severity, f.code, f.promises, f.message), f)
-
+    shape_memo: dict[tuple, list] = {}
     for (promiser, promisee), promises in graph.channels().items():
-        channel = f"{promiser} -> {promisee}"
-
-        # Overlapping same-shape promises, regardless of scenario.
-        shapes: dict[tuple[str, str], list[Promise]] = {}
-        for p in promises:
-            if p.body.type != LINK_TYPE:
-                shapes.setdefault((p.body.polarity, p.body.type), []).append(p)
-        for same_shape in shapes.values():
-            conditions = [p.body.condition for p in same_shape]
-            for i, j, witness in pairwise_exclusive(conditions, verdicts):
-                if conditions[i] == conditions[j]:
-                    continue
-                p1, p2 = same_shape[i], same_shape[j]
-                add(
-                    Finding(
-                        Severity.POLICY_VIOLATION,
-                        "channel-overlap",
-                        f"{channel}: '{format_body(p1.body)}' and "
-                        f"'{format_body(p2.body)}' can both apply "
-                        f"(when {_witness_text(witness)})",
-                        tuple(sorted({p1.formatted(), p2.formatted()})),
-                    )
+        scopes = {"": ""}
+        shape = tuple(
+            (p.body, scopes.setdefault(p.group, str(i))) for i, p in enumerate(promises)
+        )
+        shared = shape_memo.get(shape)
+        if shared is None:
+            shared = shape_memo[shape] = _channel_verdicts(shape, world_memo, verdicts)
+        for severity, code, text, cited, scoped in shared:
+            if scoped:
+                # A scope is the index of its group's first promise.
+                named = sorted((promises[int(s)].group, terms) for s, terms in scoped)
+                text += " = ".join(
+                    f"{group_label(promiser, promisee, g)} {{{terms}}}" for g, terms in named
                 )
-
-        # World-by-world joint satisfiability and independence.  With no
-        # constraints on the channel there is nothing to judge: a world's
-        # conditions hold together by construction, and their parameters
-        # keep scope "" (see Parameter), so no world is inconsistent or
-        # restricted.
-        if not any(p.body.constraints for p in promises):
-            continue
-        entries = [
-            (p, p.body.condition, _scope_params(p.body, p.group)) for p in promises
-        ]
-        for world, in_force, part in judge(entries, world_memo):
-            active = [p for p, _, _ in in_force]
-            if not part.admits(world.neqs):
-                # The world's conditions hold together, so the clash needs
-                # the constraints of some promise in force.
-                contributors = [p for p, _, scoped in in_force if scoped]
-                add(
-                    Finding(
-                        Severity.INCONSISTENT,
-                        "channel-inconsistent",
-                        f"{channel}: promises cannot all hold{world.when}: "
-                        f"{_clash_detail(part)}",
-                        tuple(sorted({p.formatted() for p in contributors})),
-                    )
-                )
-                continue
-
-            for cls in part.classes:
-                by_scope: dict[str, list[Term]] = {}
-                for t in cls:
-                    if isinstance(t, Parameter) and t.scope:
-                        by_scope.setdefault(t.scope, []).append(t)
-                if len(by_scope) < 2:
-                    continue
-                shared = " = ".join(
-                    f"{group_label(promiser, promisee, scope)} "
-                    f"{{{', '.join(format_term(t) for t in sorted(terms, key=term_key))}}}"
-                    for scope, terms in sorted(by_scope.items())
-                )
-                involved = tuple(
-                    sorted(
-                        {
-                            p.formatted()
-                            for p in active
-                            if p.group in by_scope
-                        }
-                    )
-                )
-                add(
-                    Finding(
-                        Severity.RESTRICTED,
-                        "channel-restricted",
-                        f"{channel}: independent declarations are forced to "
-                        f"share one value{world.when}: {shared}",
-                        involved,
-                    )
-                )
-
+                groups = {g for g, _ in named}
+                cited = [i for i in cited if promises[i].group in groups]
+            refs = tuple(sorted({promises[i].formatted() for i in cited}))
+            message = f"{promiser} -> {promisee}: {text}"
+            findings.setdefault(
+                (severity, code, refs, message), Finding(severity, code, message, refs)
+            )
     return sorted(findings.values(), key=finding_sort_key)
 
 

@@ -177,7 +177,8 @@ def judge(
     passes one fresh dict to all of them, so worlds are computed once per
     distinct condition set per call.  ``worlds`` depends on that set alone
     and sorts it, so a memo hit is exact.  Closures stay per list and per
-    world."""
+    world; ``detect_conflicts`` judges one list per distinct channel shape,
+    so channels of one shape share them."""
     entries = list(entries)
     memo = {} if memo is None else memo
     conditions = frozenset(c for _, c, _ in entries if not c.is_empty)

@@ -52,6 +52,7 @@ from promisekit.model import (
     Parameter,
     Promise,
     PromiseBody,
+    PromiseGraph,
     PromiseTypeDecl,
     term_key,
     use,
@@ -858,6 +859,27 @@ class TestDetectConflicts:
         assert finding.code == "channel-restricted"
         assert finding.message.endswith(": g2 {$y} = g3 {$z}")
 
+    def test_the_empty_group_shares_its_conditions_parameters(self):
+        # In group "" (which build_graph never leaves) a body's $u is its
+        # condition's $u; in any other group the body's $u is its own.
+        gated = give(
+            "y", EqConstraint(Attribute("y"), P("u")),
+            condition=Condition.of(CmpLiteral(P("u"), "neq", NumConst(1))),
+        )
+        codes = {}
+        for group in ("", "h"):
+            graph = PromiseGraph(
+                (Agent("a"), Agent("b")),
+                (PromiseTypeDecl("y", "num"),),
+                (),
+                (
+                    Promise("a", "b", gated, group),
+                    Promise("a", "b", give("y", EqConstraint(Attribute("y"), NumConst(1))), "g"),
+                ),
+            )
+            codes[group] = [f.code for f in detect_conflicts(graph)]
+        assert codes == {"": ["channel-inconsistent", "channel-overlap"], "h": ["channel-overlap"]}
+
 
 # One channel of direct promises, each a body and a gate; "{m}" marks where a
 # string constant takes characters that the report's own formats use.
@@ -1206,3 +1228,94 @@ def test_conflict_detection_judges_each_condition_set_once(monkeypatch):
     assert counts[25]["worlds"] == 1
     assert counts[25]["mutually_exclusive"] == 1
     assert counts[25]["condition_satisfiable"] > 0
+
+
+def closures_per_call(monkeypatch, graph) -> int:
+    """The world closures one ``detect_conflicts`` call makes."""
+    real, calls = promisekit.worlds.closure, []
+    with monkeypatch.context() as patch:
+        patch.setattr(promisekit.worlds, "closure", lambda *args: calls.append(1) or real(*args))
+        detect_conflicts(graph)
+    return len(calls)
+
+
+def test_conflict_detection_judges_each_channel_shape_once(monkeypatch):
+    # Every successor channel of the ring holds the same bodies in the same
+    # scopes: one shape, one world, one closure, whatever the ring's size.
+    assert [closures_per_call(monkeypatch, load_text(ring_text(n))) for n in (10, 40)] == [1, 1]
+    # A distinct constant per direct body makes every channel's shape its
+    # own: one closure per world (only {ready}) per channel.
+    distinct = load_text(
+        "".join(
+            line.replace("give load = $x;", f"give load = {i};")
+            for i, line in enumerate(ring_text(10).splitlines(keepends=True))
+        )
+    )
+    assert len({p.body for p in distinct.promises if p.body.type == "load"}) == 11
+    assert closures_per_call(monkeypatch, distinct) == 10
+
+
+# Library-built channels that share bodies and scopes, or share bodies and
+# split them into scopes differently.  Each promise gets a fresh body object,
+# so equal bodies on different channels are equal values, not one object.
+LIB_BODIES = [
+    lambda: give("x", EqConstraint(Attribute("x"), P("t"))),
+    lambda: give("y", EqConstraint(Attribute("y"), P("t")),
+                 condition=Condition.of(FlagLiteral("f"))),
+    lambda: give("x", EqConstraint(Attribute("x"), P("u"))),
+    lambda: give("y", EqConstraint(Attribute("y"), NumConst(1))),
+    lambda: give("x", EqConstraint(Attribute("x"), NumConst(2)),
+                 condition=Condition.of(FlagLiteral("f", negated=True))),
+    lambda: link(P("t"), P("u")),
+    lambda: use("x"),
+    lambda: give("y", EqConstraint(Attribute("y"), P("u")),
+                 condition=Condition.of(CmpLiteral(P("u"), "neq", NumConst(1)))),
+]
+# "bundle B" is also the label of the group "{p}->{q}|bundle:B" on p -> q.
+LIB_GROUPS = ["", "g", "h", "bundle B", "{p}->{q}|bundle:B"]
+LIB_CHANNELS = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]
+
+
+@st.composite
+def shared_channels(draw) -> list[Promise]:
+    bodies = draw(st.lists(st.integers(0, len(LIB_BODIES) - 1), min_size=1, max_size=4))
+    groups = st.lists(st.sampled_from(LIB_GROUPS), min_size=len(bodies), max_size=len(bodies))
+    shared_groups = draw(groups)
+    promises = []
+    for p, q in draw(st.lists(st.sampled_from(LIB_CHANNELS), min_size=1, max_size=4, unique=True)):
+        own = draw(st.one_of(st.just(shared_groups), groups))
+        promises += [
+            Promise(p, q, LIB_BODIES[b](), g.format(p=p, q=q)) for b, g in zip(bodies, own)
+        ]
+    return promises
+
+
+def lib_channels(*channels) -> list[Promise]:
+    return [
+        Promise(p, q, LIB_BODIES[b](), g.format(p=p, q=q))
+        for (p, q), entries in channels
+        for b, g in entries
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+# The empty group shares scope "" with the condition's parameters.
+@example(lib_channels((("a", "b"), [(7, ""), (2, "")]), (("a", "c"), [(7, ""), (2, "g")])))
+# A group named like another group's label on the same channel.
+@example(lib_channels(
+    (("a", "b"), [(0, "bundle B"), (2, "{p}->{q}|bundle:B")]),
+    (("a", "c"), [(0, "bundle B"), (2, "{p}->{q}|bundle:B")]),
+))
+# The same bodies in one scope on one channel and in two on the next.
+@example(lib_channels((("a", "b"), [(0, "g"), (2, "g")]), (("a", "c"), [(0, "g"), (2, "h")])))
+@given(shared_channels())
+def test_shared_channel_verdicts_match_judging_each_channel_alone(promises):
+    agents = tuple(Agent(name) for name in "abc")
+    types = (PromiseTypeDecl("x", "num"), PromiseTypeDecl("y", "num"))
+    graph = PromiseGraph(agents, types, (), tuple(promises))
+    alone = [
+        finding
+        for channel_promises in graph.channels().values()
+        for finding in detect_conflicts(PromiseGraph(agents, types, (), channel_promises))
+    ]
+    assert detect_conflicts(graph) == sorted(alone, key=finding_sort_key)

@@ -22,7 +22,8 @@ import pytest
 
 import promisekit
 from promisekit import cli, corpus
-from promisekit.dsl import LineIndex, SourceSpan
+from promisekit.analysis import detect_conflicts
+from promisekit.dsl import LineIndex, parse, resolve, SourceSpan
 
 PACKAGE = Path(promisekit.__file__).resolve().parent
 
@@ -286,6 +287,34 @@ def test_no_module_level_container_outlives_a_run(tmp_path):
         for _ in range(2):
             for path in paths:
                 assert cli.main(["check", path]) in (0, 1)
+    after = _module_container_sizes()
+    assert {k: (v, after.get(k)) for k, v in before.items() if after.get(k) != v} == {}
+    assert sorted(set(after) - set(before)) == []
+
+
+def test_conflict_detection_keeps_no_memo_between_calls():
+    """``detect_conflicts`` shares verdicts per channel shape within one
+    call only: two ring models under names of their own leave every
+    module-level container as it was."""
+
+    def ring(tag: str) -> str:
+        agents = [f"{tag}{i}" for i in range(4)]
+        lines = [
+            f"agent {', '.join(agents)};", f"type {tag}_token: num;",
+            f"type {tag}_load: num;", f"flag {tag}_ready;",
+            f"bundle {tag}_Feed {{ give {tag}_token = $t; give {tag}_load = $t if {tag}_ready; }}",
+        ]
+        for a, b in zip(agents, agents[1:] + agents[:1]):
+            lines += [
+                f"{a} -> {b}: bundle {tag}_Feed", f"{a} -> {b}: give {tag}_load = $x;",
+                f"{b} -> {a}: give {tag}_ready;",
+            ]
+        return "\n".join(lines) + "\n"
+
+    graphs = [resolve(parse(ring(tag), f"{tag}.pml").ast).graph for tag in ("mem_p", "mem_q")]
+    before = _module_container_sizes()
+    for graph in graphs:
+        assert [f.code for f in detect_conflicts(graph)].count("channel-restricted") == 4
     after = _module_container_sizes()
     assert {k: (v, after.get(k)) for k, v in before.items() if after.get(k) != v} == {}
     assert sorted(set(after) - set(before)) == []
