@@ -1,97 +1,115 @@
 """Syntax tree for the modeling language.
 
-Nodes compare structurally with spans excluded, so ``parse(print(ast))``
-round-trips to an equal tree even though every span moved.
+A node keeps where it was read as hidden ``int`` fields: ``start`` and
+``end`` are the character offsets of its first and last token, half-open as
+in a ``SourceSpan``.  A name in a node is a plain ``str``.  Where a
+diagnostic needs the position of a name that the node's offsets do not give,
+the node keeps that name's start offset too (``name_start``,
+``promisee_start``, ...); a name of one identifier ends ``len(name)`` past
+its start.  Nodes hold no ``SourceSpan``: ``ModelAst.span`` builds one from
+two offsets, against the text's one ``LineIndex``, when a diagnostic needs
+it.
+
+Nodes compare structurally with positions excluded, so
+``parse(print(ast))`` round-trips to an equal tree even though every offset
+moved.
 """
 from __future__ import annotations
 
 from typing import Union
 
 from ..value import Value
-from .diagnostics import LineIndex, SourceSpan
-
-_NO_SPAN = SourceSpan("<none>", 0, 0, LineIndex(""))
+from .diagnostics import LineIndex, make_span, SourceSpan
 
 
-class Name(Value, hidden=("span",)):
-    __slots__ = ("text", "span")
+class IdentTerm(Value, hidden=("start", "end")):
+    __slots__ = ("name", "start", "end")
 
-    def __init__(self, text: str, span: SourceSpan = _NO_SPAN) -> None:
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "span", span)
-
-
-class IdentTerm(Value, hidden=("span",)):
-    __slots__ = ("name", "span")
-
-    def __init__(self, name: str, span: SourceSpan = _NO_SPAN) -> None:
+    def __init__(self, name: str, start: int = 0, end: int = 0) -> None:
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
-class ParamTerm(Value, hidden=("span",)):
-    __slots__ = ("name", "span")
+class ParamTerm(Value, hidden=("start", "end")):
+    __slots__ = ("name", "start", "end")
 
-    def __init__(self, name: str, span: SourceSpan = _NO_SPAN) -> None:
+    def __init__(self, name: str, start: int = 0, end: int = 0) -> None:
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
-class NumberTerm(Value, hidden=("span",)):
-    __slots__ = ("value", "span")
+class NumberTerm(Value, hidden=("start", "end")):
+    __slots__ = ("value", "start", "end")
 
-    def __init__(self, value: Union[int, float], span: SourceSpan = _NO_SPAN) -> None:
+    def __init__(self, value: Union[int, float], start: int = 0, end: int = 0) -> None:
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
-class StringTerm(Value, hidden=("span",)):
-    __slots__ = ("value", "span")
+class StringTerm(Value, hidden=("start", "end")):
+    __slots__ = ("value", "start", "end")
 
-    def __init__(self, value: str, span: SourceSpan = _NO_SPAN) -> None:
+    def __init__(self, value: str, start: int = 0, end: int = 0) -> None:
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
 TermNode = Union[IdentTerm, ParamTerm, NumberTerm, StringTerm]
 
 
-class CmpLiteralNode(Value, hidden=("span",)):
-    __slots__ = ("lhs", "op", "rhs", "span")
+class CmpLiteralNode(Value, hidden=("start", "end")):
+    __slots__ = ("lhs", "op", "rhs", "start", "end")
 
     def __init__(
-        self, lhs: TermNode, op: str, rhs: TermNode, span: SourceSpan = _NO_SPAN
+        self, lhs: TermNode, op: str, rhs: TermNode, start: int = 0, end: int = 0
     ) -> None:
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "op", op)  # "==" or "!="
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
-class FlagLiteralNode(Value, hidden=("span",)):
-    __slots__ = ("name", "negated", "span")
+class FlagLiteralNode(Value, hidden=("start", "end", "name_start")):
+    """``name`` or ``not name``; the name ends where the literal does."""
 
-    def __init__(self, name: Name, negated: bool = False, span: SourceSpan = _NO_SPAN) -> None:
+    __slots__ = ("name", "negated", "start", "end", "name_start")
+
+    def __init__(
+        self,
+        name: str,
+        negated: bool = False,
+        start: int = 0,
+        end: int = 0,
+        name_start: int = 0,
+    ) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "negated", negated)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "name_start", name_start)
 
 
 LiteralNode = Union[CmpLiteralNode, FlagLiteralNode]
 
 
-class ConditionNode(Value, hidden=("span",)):
-    __slots__ = ("literals", "span")
+class ConditionNode(Value, hidden=("start", "end")):
+    __slots__ = ("literals", "start", "end")
 
-    def __init__(self, literals: tuple[LiteralNode, ...], span: SourceSpan = _NO_SPAN) -> None:
+    def __init__(self, literals: tuple[LiteralNode, ...], start: int = 0, end: int = 0) -> None:
         object.__setattr__(self, "literals", literals)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
-class BodyNode(Value, hidden=("span",)):
+class BodyNode(Value, hidden=("start", "end")):
     """``give``/``use`` + subject (type name or parameter) + optional value."""
 
-    __slots__ = ("polarity", "subject", "value", "condition", "span")
+    __slots__ = ("polarity", "subject", "value", "condition", "start", "end")
 
     def __init__(
         self,
@@ -99,90 +117,153 @@ class BodyNode(Value, hidden=("span",)):
         subject: Union[IdentTerm, ParamTerm],
         value: Union[TermNode, None] = None,
         condition: Union[ConditionNode, None] = None,
-        span: SourceSpan = _NO_SPAN,
+        start: int = 0,
+        end: int = 0,
     ) -> None:
         object.__setattr__(self, "polarity", polarity)
         object.__setattr__(self, "subject", subject)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
-class AgentDecl(Value, hidden=("span",)):
-    __slots__ = ("names", "span")
+class AgentDecl(Value, hidden=("start", "end", "name_starts")):
+    """``agent a, b;``: ``name_starts`` holds where each name starts, and is
+    all zeros when not given."""
 
-    def __init__(self, names: tuple[Name, ...], span: SourceSpan = _NO_SPAN) -> None:
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "span", span)
-
-
-class TypeDecl(Value, hidden=("span",)):
-    __slots__ = ("name", "kind", "span")
-
-    def __init__(self, name: Name, kind: str, span: SourceSpan = _NO_SPAN) -> None:
-        # A dotted name such as ``bank.balance`` is one name.
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)  # "num" | "str" | "service"
-        object.__setattr__(self, "span", span)
-
-
-class FlagDecl(Value, hidden=("span",)):
-    __slots__ = ("name", "span")
-
-    def __init__(self, name: Name, span: SourceSpan = _NO_SPAN) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "span", span)
-
-
-class BundleDecl(Value, hidden=("span",)):
-    __slots__ = ("name", "parent", "bodies", "span")
+    __slots__ = ("names", "start", "end", "name_starts")
 
     def __init__(
         self,
-        name: Name,
-        parent: Union[Name, None],
+        names: tuple[str, ...],
+        start: int = 0,
+        end: int = 0,
+        name_starts: Union[tuple[int, ...], None] = None,
+    ) -> None:
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(
+            self, "name_starts", (0,) * len(names) if name_starts is None else name_starts
+        )
+
+
+class TypeDecl(Value, hidden=("start", "end", "name_start", "name_end")):
+    """``type name: kind;``.  A dotted name such as ``bank.balance`` is one
+    name, and may span comments and line ends, so its end is kept too."""
+
+    __slots__ = ("name", "kind", "start", "end", "name_start", "name_end")
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,  # "num" | "str" | "service"
+        start: int = 0,
+        end: int = 0,
+        name_start: int = 0,
+        name_end: int = 0,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "name_start", name_start)
+        object.__setattr__(self, "name_end", name_end)
+
+
+class FlagDecl(Value, hidden=("start", "end", "name_start")):
+    __slots__ = ("name", "start", "end", "name_start")
+
+    def __init__(self, name: str, start: int = 0, end: int = 0, name_start: int = 0) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "name_start", name_start)
+
+
+class BundleDecl(Value, hidden=("start", "end", "name_start", "parent_start")):
+    __slots__ = ("name", "parent", "bodies", "start", "end", "name_start", "parent_start")
+
+    def __init__(
+        self,
+        name: str,
+        parent: Union[str, None],
         bodies: tuple[BodyNode, ...],
-        span: SourceSpan = _NO_SPAN,
+        start: int = 0,
+        end: int = 0,
+        name_start: int = 0,
+        parent_start: int = 0,
     ) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "bodies", bodies)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "name_start", name_start)
+        object.__setattr__(self, "parent_start", parent_start)
 
 
-class BundleRef(Value, hidden=("span",)):
-    __slots__ = ("name", "condition", "span")
-
-    def __init__(
-        self, name: Name, condition: Union[ConditionNode, None] = None, span: SourceSpan = _NO_SPAN
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "span", span)
-
-
-class PromiseDecl(Value, hidden=("span",)):
-    __slots__ = ("promiser", "promisee", "item", "span")
+class BundleRef(Value, hidden=("start", "end", "name_start")):
+    __slots__ = ("name", "condition", "start", "end", "name_start")
 
     def __init__(
         self,
-        promiser: Name,
-        promisee: Name,
+        name: str,
+        condition: Union[ConditionNode, None] = None,
+        start: int = 0,
+        end: int = 0,
+        name_start: int = 0,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "name_start", name_start)
+
+
+class PromiseDecl(Value, hidden=("start", "end", "promisee_start")):
+    """``promiser -> promisee: item``; the promiser starts where the
+    declaration does."""
+
+    __slots__ = ("promiser", "promisee", "item", "start", "end", "promisee_start")
+
+    def __init__(
+        self,
+        promiser: str,
+        promisee: str,
         item: Union[BodyNode, BundleRef],
-        span: SourceSpan = _NO_SPAN,
+        start: int = 0,
+        end: int = 0,
+        promisee_start: int = 0,
     ) -> None:
         object.__setattr__(self, "promiser", promiser)
         object.__setattr__(self, "promisee", promisee)
         object.__setattr__(self, "item", item)
-        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "promisee_start", promisee_start)
 
 
 Decl = Union[AgentDecl, TypeDecl, FlagDecl, BundleDecl, PromiseDecl]
 
 
-class ModelAst(Value, uncompared=("file",)):
-    __slots__ = ("decls", "file")
+class ModelAst(Value, hidden=("lines",), uncompared=("file",)):
+    """The declarations of one text, with the text's ``LineIndex``
+    (``LineIndex("")`` when not given), which every span of it shares."""
 
-    def __init__(self, decls: tuple[Decl, ...], file: str = "<model>") -> None:
+    __slots__ = ("decls", "file", "lines")
+
+    def __init__(
+        self,
+        decls: tuple[Decl, ...],
+        file: str = "<model>",
+        lines: Union[LineIndex, None] = None,
+    ) -> None:
         object.__setattr__(self, "decls", decls)
         object.__setattr__(self, "file", file)
+        object.__setattr__(self, "lines", LineIndex("") if lines is None else lines)
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        """The span of ``[start, end)`` in this tree's file."""
+        return make_span(self.file, start, end, self.lines)

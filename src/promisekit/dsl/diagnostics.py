@@ -121,6 +121,13 @@ class SourceSpan(namedtuple("SourceSpan", "file start_offset end_offset lines"))
         return self.start_offset < end and start < self.end_offset
 
 
+def make_span(file: str, start: int, end: int, lines: LineIndex) -> SourceSpan:
+    """The span of ``[start, end)`` in the text that ``lines`` indexes."""
+    if end < start:
+        raise ValueError("span must not end before it starts")
+    return tuple.__new__(SourceSpan, (file, start, end, lines))
+
+
 class Diagnostic(Value):
     __slots__ = ("severity", "code", "message", "span")
 

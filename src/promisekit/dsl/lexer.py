@@ -25,10 +25,9 @@ has read already.
 A token is one plain tuple of atoms, ``(type, value, text, start, end)``,
 where ``start`` and ``end`` are the character offsets of ``text``.  It holds
 no span, so the cyclic garbage collector stops tracking it at its first
-collection.  A ``SourceSpan`` is built only for a diagnostic, or through
-``make_span`` when the parser asks for the span of a syntax node.  Every
-span of one text shares that text's ``LineIndex``, so the lexer keeps no
-line or column count.
+collection.  A ``SourceSpan`` is built only for a diagnostic.  Every span
+of one text shares that text's ``LineIndex``, so the lexer keeps no line or
+column count.
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ from .diagnostics import (
     E_LEX_UNTERMINATED_STRING,
     ERROR,
     LineIndex,
-    SourceSpan,
+    make_span,
 )
 
 IDENT = "ident"
@@ -77,13 +76,6 @@ KEYWORDS = frozenset(
 # (type, value, text, start, end): what a token is, what it means, the text
 # it was read from, and the offsets of that text.
 Token = tuple[str, Union[str, int, float], str, int, int]
-
-
-def make_span(file: str, start: int, end: int, lines: LineIndex) -> SourceSpan:
-    """The span of ``[start, end)`` in the text that ``lines`` indexes."""
-    if end < start:
-        raise ValueError("span must not end before it starts")
-    return tuple.__new__(SourceSpan, (file, start, end, lines))
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}

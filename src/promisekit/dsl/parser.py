@@ -5,10 +5,12 @@ records one diagnostic and resynchronizes at the next ``;`` or ``}`` (or the
 start of an obvious new declaration), so a single broken statement does not
 hide the rest of the file.
 
-The parser reads the lexer's plain-tuple tokens by index and builds one
-``SourceSpan`` per syntax node, from the offsets of the node's first and
-last token, through the lexer's ``make_span``; lexer and parser share the
-text's one ``LineIndex``.
+The parser reads the lexer's plain-tuple tokens by index.  Each syntax node
+keeps the offsets of its first and last token, and of any name inside it
+whose position a diagnostic may need, as plain ints; names are strings.  A
+``SourceSpan`` is built only for a syntax diagnostic.  The tree keeps the
+text's one ``LineIndex``, which the lexer's spans share, so that a later
+diagnostic can build a span from two offsets (``ModelAst.span``).
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .ast_nodes import (
     FlagLiteralNode,
     IdentTerm,
     ModelAst,
-    Name,
     NumberTerm,
     ParamTerm,
     PromiseDecl,
@@ -43,9 +44,10 @@ from .diagnostics import (
     ERROR,
     has_errors,
     LineIndex,
+    make_span,
     SourceSpan,
 )
-from .lexer import EOF, IDENT, KEYWORD, make_span, NUMBER, OP, PARAM, STRING, Token, tokenize
+from .lexer import EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, STRING, Token, tokenize
 
 _TOP_STARTERS = frozenset({"agent", "type", "flag", "bundle"})
 _BODY_STARTERS = frozenset({"give", "use"})
@@ -106,9 +108,9 @@ class Parser:
             self.current = self.tokens[self.pos]
         return tok
 
-    def span_from(self, start: int) -> SourceSpan:
-        """From offset ``start`` to the end of the last token read."""
-        return make_span(self.file, start, self.tokens[self.pos - 1][4], self.lines)
+    def last_end(self) -> int:
+        """The end offset of the last token read."""
+        return self.tokens[self.pos - 1][4]
 
     def current_span(self) -> SourceSpan:
         tok = self.current
@@ -130,28 +132,28 @@ class Parser:
             return
         raise self._fail(f"'{op}'")
 
-    def expect_ident(self, what: str = "an identifier") -> Name:
+    def expect_ident(self, what: str = "an identifier") -> str:
         tok = self.current
         if tok[0] == IDENT:
             self.pos += 1
             self.current = self.tokens[self.pos]
-            return Name(tok[1], self.span_from(tok[3]))
+            return tok[1]
         raise self._fail(what)
 
-    def expect_dotted(self, what: str = "an identifier") -> tuple[str, SourceSpan]:
+    def expect_dotted(self, what: str = "an identifier") -> tuple[str, int, int]:
         """Identifiers joined by '.', such as ``bank.balance``, as one name
-        and the span that covers them."""
+        with the start and end offsets that cover them."""
         tok = self.current
         if tok[0] != IDENT:
             raise self._fail(what)
         self.advance()
         if self.current[2] != ".":
-            return tok[1], self.span_from(tok[3])
+            return tok[1], tok[3], tok[4]
         parts = [tok[1]]
         while self.current[2] == ".":
             self.advance()
-            parts.append(self.expect_ident("a path segment").text)
-        return ".".join(parts), self.span_from(tok[3])
+            parts.append(self.expect_ident("a path segment"))
+        return ".".join(parts), tok[3], self.last_end()
 
     # -- recovery -----------------------------------------------------------
 
@@ -191,7 +193,7 @@ class Parser:
                 self.advance()
                 continue
             self._recover(self.parse_decl, _TOP_STARTERS, decls)
-        return ModelAst(tuple(decls), self.file)
+        return ModelAst(tuple(decls), self.file, self.lines)
 
     def parse_decl(self) -> Decl:
         tok = self.current
@@ -210,16 +212,18 @@ class Parser:
 
     def parse_agent(self) -> AgentDecl:
         start = self.advance()[3]
+        starts = [self.current[3]]
         names = [self.expect_ident("an agent name")]
         while self.current[2] == ",":
             self.advance()
+            starts.append(self.current[3])
             names.append(self.expect_ident("an agent name"))
         self.expect_op(";")
-        return AgentDecl(tuple(names), self.span_from(start))
+        return AgentDecl(tuple(names), start, self.last_end(), tuple(starts))
 
     def parse_type(self) -> TypeDecl:
         start = self.advance()[3]
-        name = Name(*self.expect_dotted("a type name"))
+        name, name_start, name_end = self.expect_dotted("a type name")
         self.expect_op(":")
         kind_tok = self.current
         if kind_tok[0] == KEYWORD and kind_tok[1] in ("num", "str", "service"):
@@ -227,27 +231,33 @@ class Parser:
         else:
             raise self._fail("'num', 'str', or 'service'")
         self.expect_op(";")
-        return TypeDecl(name, kind_tok[1], self.span_from(start))
+        return TypeDecl(name, kind_tok[1], start, self.last_end(), name_start, name_end)
 
     def parse_flag(self) -> FlagDecl:
         start = self.advance()[3]
+        name_start = self.current[3]
         name = self.expect_ident("a flag name")
         self.expect_op(";")
-        return FlagDecl(name, self.span_from(start))
+        return FlagDecl(name, start, self.last_end(), name_start)
 
     def parse_bundle_decl(self) -> BundleDecl:
         start = self.advance()[3]
+        name_start = self.current[3]
         name = self.expect_ident("a bundle name")
         parent = None
+        parent_start = 0
         if self.current[2] == "extends":
             self.advance()
+            parent_start = self.current[3]
             parent = self.expect_ident("a parent bundle name")
         self.expect_op("{")
         bodies: list[BodyNode] = []
         while self.current[2] != "}" and self.current[0] != EOF:
             self._recover(self.parse_body, _BODY_STARTERS, bodies)
         self.expect_op("}")
-        return BundleDecl(name, parent, tuple(bodies), self.span_from(start))
+        return BundleDecl(
+            name, parent, tuple(bodies), start, self.last_end(), name_start, parent_start
+        )
 
     def parse_body(self) -> BodyNode:
         tok = self.current
@@ -260,7 +270,7 @@ class Parser:
         kind = self.current[0]
         if kind == PARAM:
             ptok = self.advance()
-            subject = ParamTerm(ptok[1], self.span_from(ptok[3]))
+            subject = ParamTerm(ptok[1], ptok[3], ptok[4])
             self.expect_op("=")
             value = self.parse_term()
         elif kind == IDENT:
@@ -275,16 +285,18 @@ class Parser:
             self.advance()
             condition = self.parse_condition()
         self.expect_op(";")
-        return BodyNode(tok[1], subject, value, condition, self.span_from(tok[3]))
+        return BodyNode(tok[1], subject, value, condition, tok[3], self.last_end())
 
     def parse_promise(self) -> PromiseDecl:
         start = self.current[3]
         promiser = self.expect_ident("an agent name")
         self.expect_op("->")
+        promisee_start = self.current[3]
         promisee = self.expect_ident("an agent name")
         self.expect_op(":")
         if self.current[2] == "bundle":
             ref_start = self.advance()[3]
+            name_start = self.current[3]
             name = self.expect_ident("a bundle name")
             condition = None
             if self.current[2] == "if":
@@ -293,10 +305,12 @@ class Parser:
             # The attachment form carries no ';' of its own; accept one anyway.
             if self.current[2] == ";":
                 self.advance()
-            item: BodyNode | BundleRef = BundleRef(name, condition, self.span_from(ref_start))
+            item: BodyNode | BundleRef = BundleRef(
+                name, condition, ref_start, self.last_end(), name_start
+            )
         else:
             item = self.parse_body()
-        return PromiseDecl(promiser, promisee, item, self.span_from(start))
+        return PromiseDecl(promiser, promisee, item, start, self.last_end(), promisee_start)
 
     def parse_condition(self) -> ConditionNode:
         start = self.current[3]
@@ -304,22 +318,22 @@ class Parser:
         while self.current[2] == "and":
             self.advance()
             literals.append(self.parse_literal())
-        return ConditionNode(tuple(literals), self.span_from(start))
+        return ConditionNode(tuple(literals), start, self.last_end())
 
     def parse_literal(self) -> CmpLiteralNode | FlagLiteralNode:
         if self.current[2] == "not":
             start = self.advance()[3]
-            name = self.expect_ident("a flag name")
-            return FlagLiteralNode(name, True, self.span_from(start))
+            name, name_start, end = self.expect_dotted("a flag name")
+            return FlagLiteralNode(name, True, start, end, name_start)
         start = self.current[3]
         lhs = self.parse_term()
         op = self.current[2]
         if op == "==" or op == "!=":
             self.advance()
             rhs = self.parse_term()
-            return CmpLiteralNode(lhs, op, rhs, self.span_from(start))
+            return CmpLiteralNode(lhs, op, rhs, start, self.last_end())
         if isinstance(lhs, IdentTerm):
-            return FlagLiteralNode(Name(lhs.name, lhs.span), False, lhs.span)
+            return FlagLiteralNode(lhs.name, False, start, lhs.end, start)
         raise self._fail("'==' or '!='")
 
     def parse_term(self) -> TermNode:
@@ -329,14 +343,14 @@ class Parser:
             return IdentTerm(*self.expect_dotted())
         if kind == PARAM:
             self.advance()
-            return ParamTerm(tok[1], self.span_from(tok[3]))
+            return ParamTerm(tok[1], tok[3], tok[4])
         if kind == NUMBER:
             self.advance()
             assert isinstance(tok[1], (int, float))
-            return NumberTerm(tok[1], self.span_from(tok[3]))
+            return NumberTerm(tok[1], tok[3], tok[4])
         if kind == STRING:
             self.advance()
-            return StringTerm(tok[1], self.span_from(tok[3]))
+            return StringTerm(tok[1], tok[3], tok[4])
         raise self._fail("a term")
 
 

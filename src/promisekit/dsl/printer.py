@@ -44,7 +44,7 @@ def _condition(node: ConditionNode) -> str:
     parts = []
     for lit in node.literals:
         if isinstance(lit, FlagLiteralNode):
-            parts.append(f"not {lit.name.text}" if lit.negated else lit.name.text)
+            parts.append(f"not {lit.name}" if lit.negated else lit.name)
         elif isinstance(lit, CmpLiteralNode):
             parts.append(f"{_term(lit.lhs)} {lit.op} {_term(lit.rhs)}")
         else:
@@ -63,23 +63,23 @@ def _body(node: BodyNode) -> str:
 
 def _decl(node: Decl) -> str:
     if isinstance(node, AgentDecl):
-        return "agent " + ", ".join(n.text for n in node.names) + ";"
+        return "agent " + ", ".join(node.names) + ";"
     if isinstance(node, TypeDecl):
-        return f"type {node.name.text}: {node.kind};"
+        return f"type {node.name}: {node.kind};"
     if isinstance(node, FlagDecl):
-        return f"flag {node.name.text};"
+        return f"flag {node.name};"
     if isinstance(node, BundleDecl):
-        header = f"bundle {node.name.text}"
+        header = f"bundle {node.name}"
         if node.parent is not None:
-            header += f" extends {node.parent.text}"
+            header += f" extends {node.parent}"
         lines = [header + " {"]
         lines.extend(f"  {_body(b)}" for b in node.bodies)
         lines.append("}")
         return "\n".join(lines)
     if isinstance(node, PromiseDecl):
-        head = f"{node.promiser.text} -> {node.promisee.text}: "
+        head = f"{node.promiser} -> {node.promisee}: "
         if isinstance(node.item, BundleRef):
-            out = head + f"bundle {node.item.name.text}"
+            out = head + f"bundle {node.item.name}"
             if node.item.condition is not None:
                 out += f" if {_condition(node.item.condition)}"
             return out

@@ -4,6 +4,8 @@ Turns a syntax tree into an immutable promise graph: checks declarations,
 resolves identifiers into typed terms, enforces kind discipline (numbers
 don't mix with strings, services and flags take no values, use-bodies take
 no constraints), expands bundle attachments, and attaches autonomy warnings.
+A diagnostic is placed by offsets that the syntax nodes keep, and its span
+is built through ``ModelAst.span`` only when it is reported.
 """
 from __future__ import annotations
 
@@ -77,8 +79,6 @@ from .diagnostics import (
     E_RESOLVE_VALUELESS_TYPE,
     ERROR,
     has_errors,
-    LineIndex,
-    SourceSpan,
     W_AUTONOMY,
     WARNING,
 )
@@ -129,48 +129,47 @@ class _Resolver:
         self.bundles: dict[str, Bundle] = {}
         self.flat_bundles: dict[str, Bundle] = {}
         self.promises: list[Promise] = []
-        self.spans: list[SourceSpan] = []  # the declaration of each promise
+        self.decls: list[PromiseDecl] = []  # the declaration of each promise
 
-    def error(self, code: str, message: str, span: SourceSpan) -> None:
-        self.diagnostics.append(Diagnostic(ERROR, code, message, span))
-
-    def file_start(self) -> SourceSpan:
-        """An empty span at line 1, column 1, which offset 0 is in any text."""
-        return SourceSpan(self.ast.file, 0, 0, LineIndex(""))
+    def error(self, code: str, message: str, start: int, end: int) -> None:
+        """Report at ``[start, end)``; ``(0, 0)``, the start of the file, is
+        line 1, column 1 of any text."""
+        self.diagnostics.append(Diagnostic(ERROR, code, message, self.ast.span(start, end)))
 
     # -- declaration collection --------------------------------------------
 
     def declare(
-        self, table: dict, name: str, value: object, span: SourceSpan, message: str
+        self, table: dict, name: str, value: object, start: int, end: int, message: str
     ) -> None:
-        """Enter ``name`` in ``table``, or report it as declared already;
-        ``message`` takes the name at ``{}``."""
+        """Enter ``name``, read at ``[start, end)``, in ``table``, or report it
+        as declared already; ``message`` takes the name at ``{}``."""
         if name in table:
-            self.error(E_RESOLVE_DUPLICATE, message.format(name), span)
+            self.error(E_RESOLVE_DUPLICATE, message.format(name), start, end)
         else:
             table[name] = value
 
     def collect_agents(self) -> None:
         for decl in self.ast.decls:
             if isinstance(decl, AgentDecl):
-                for name in decl.names:
+                for name, start in zip(decl.names, decl.name_starts):
                     self.declare(
-                        self.agents, name.text, Agent.make(name.text), name.span,
+                        self.agents, name, Agent.make(name), start, start + len(name),
                         "agent '{}' is already declared",
                     )
 
     def collect_types(self) -> None:
         for decl in self.ast.decls:
             if isinstance(decl, TypeDecl):
-                name = decl.name.text
+                name = decl.name
                 self.declare(
                     self.types, name, PromiseTypeDecl(name, decl.kind),  # type: ignore[arg-type]
-                    decl.name.span, "type '{}' is already declared",
+                    decl.name_start, decl.name_end, "type '{}' is already declared",
                 )
             elif isinstance(decl, FlagDecl):
-                name = decl.name.text
+                name = decl.name
                 self.declare(
-                    self.types, name, PromiseTypeDecl(name, KIND_FLAG), decl.name.span,
+                    self.types, name, PromiseTypeDecl(name, KIND_FLAG),
+                    decl.name_start, decl.name_start + len(name),
                     "'{}' is already declared (types and flags share one namespace)",
                 )
 
@@ -192,14 +191,16 @@ class _Resolver:
                 self.error(
                     E_RESOLVE_NOT_A_FLAG,
                     f"flag '{node.name}' cannot be compared to a value",
-                    node.span,
+                    node.start,
+                    node.end,
                 )
                 return NamedConst(node.name), _UNKNOWN
             if decl.kind == KIND_SERVICE:
                 self.error(
                     E_RESOLVE_VALUELESS_TYPE,
                     f"service type '{node.name}' carries no value",
-                    node.span,
+                    node.start,
+                    node.end,
                 )
                 return NamedConst(node.name), _UNKNOWN
             return Attribute(node.name), decl.kind
@@ -210,16 +211,18 @@ class _Resolver:
         left: tuple[Term, str],
         right: tuple[Term, str],
         scope: _Scope,
-        span: SourceSpan,
+        node: Union[CmpLiteralNode, BodyNode],
     ) -> None:
-        """Relate two terms by '=' or a comparison: report a num related to a
-        str, else put their parameters in one class of the known kind."""
+        """Relate two terms by '=' or a comparison in ``node``: report a num
+        related to a str, else put their parameters in one class of the known
+        kind."""
         (lterm, lkind), (rterm, rkind) = left, right
         if _UNKNOWN not in (lkind, rkind) and lkind != rkind:
             self.error(
                 E_RESOLVE_KIND_CONFLICT,
                 f"cannot relate a {lkind} value to a {rkind} value",
-                span,
+                node.start,
+                node.end,
             )
             return
         scope.join((lterm, rterm), rkind if lkind == _UNKNOWN else lkind)
@@ -232,26 +235,28 @@ class _Resolver:
         literals: list[ConditionLiteral] = []
         for lit in node.literals:
             if isinstance(lit, FlagLiteralNode):
-                decl = self.types.get(lit.name.text)
+                decl = self.types.get(lit.name)
                 if decl is None:
                     self.error(
                         E_RESOLVE_UNKNOWN_TYPE,
-                        f"unknown flag '{lit.name.text}'",
-                        lit.name.span,
+                        f"unknown flag '{lit.name}'",
+                        lit.name_start,
+                        lit.end,
                     )
                     continue
                 if decl.kind != KIND_FLAG:
                     self.error(
                         E_RESOLVE_NOT_A_FLAG,
-                        f"'{lit.name.text}' is a {decl.kind} type, not a flag",
-                        lit.name.span,
+                        f"'{lit.name}' is a {decl.kind} type, not a flag",
+                        lit.name_start,
+                        lit.end,
                     )
                     continue
-                literals.append(FlagLiteral(lit.name.text, lit.negated))
+                literals.append(FlagLiteral(lit.name, lit.negated))
             elif isinstance(lit, CmpLiteralNode):
                 left = self.resolve_term(lit.lhs, scope)
                 right = self.resolve_term(lit.rhs, scope)
-                self.unify_kinds(left, right, scope, lit.span)
+                self.unify_kinds(left, right, scope, lit)
                 op = "eq" if lit.op == "==" else "neq"
                 literals.append(CmpLiteral(left[0], op, right[0]))  # type: ignore[arg-type]
         return Condition(frozenset(literals))
@@ -267,7 +272,8 @@ class _Resolver:
                 self.error(
                     E_RESOLVE_USE_CONSTRAINT,
                     "a use body accepts behaviour and cannot carry constraints",
-                    node.span,
+                    node.start,
+                    node.end,
                 )
                 return None
             type_name = LINK_TYPE
@@ -279,7 +285,8 @@ class _Resolver:
                 self.error(
                     E_RESOLVE_UNKNOWN_TYPE,
                     f"unknown type or flag '{type_name}'",
-                    node.subject.span,
+                    node.subject.start,
+                    node.subject.end,
                 )
                 return None
             if node.value is None:
@@ -290,7 +297,8 @@ class _Resolver:
                 self.error(
                     E_RESOLVE_USE_CONSTRAINT,
                     f"a use body accepts '{type_name}' as promised and cannot constrain it",
-                    node.span,
+                    node.start,
+                    node.end,
                 )
                 return None
             if decl.kind not in VALUED_KINDS:
@@ -298,13 +306,14 @@ class _Resolver:
                 self.error(
                     E_RESOLVE_VALUELESS_TYPE,
                     f"{what} '{type_name}' takes no value",
-                    node.span,
+                    node.start,
+                    node.end,
                 )
                 return None
             left = (Attribute(type_name), decl.kind)
         assert node.value is not None  # the grammar gives a parameter subject "= term"
         right = self.resolve_term(node.value, scope)
-        self.unify_kinds(left, right, scope, node.span)
+        self.unify_kinds(left, right, scope, node)
         return PromiseBody(
             GIVE, type_name, frozenset({EqConstraint(left[0], right[0])}), condition
         )
@@ -315,17 +324,19 @@ class _Resolver:
         for decl in self.ast.decls:
             if isinstance(decl, BundleDecl):
                 self.declare(
-                    self.bundle_decls, decl.name.text, decl, decl.name.span,
+                    self.bundle_decls, decl.name, decl,
+                    decl.name_start, decl.name_start + len(decl.name),
                     "bundle '{}' is already declared",
                 )
 
         for name, decl in self.bundle_decls.items():
-            parent = decl.parent.text if decl.parent else None
+            parent = decl.parent
             if parent is not None and parent not in self.bundle_decls:
                 self.error(
                     E_RESOLVE_UNKNOWN_BUNDLE,
                     f"unknown parent bundle '{parent}'",
-                    decl.parent.span,
+                    decl.parent_start,
+                    decl.parent_start + len(parent),
                 )
                 parent = None
             scope = _Scope()  # one parameter scope per bundle
@@ -342,18 +353,21 @@ class _Resolver:
             flat = flatten_bundles(self.bundles.values())
         except BundleCycleError as exc:
             first = self.bundle_decls[exc.cycle[0]]
-            self.error(E_RESOLVE_CYCLE, str(exc), first.name.span)
+            self.error(
+                E_RESOLVE_CYCLE, str(exc), first.name_start, first.name_start + len(first.name)
+            )
             return
         self.flat_bundles = {b.name: b for b in flat}
 
     # -- promises ------------------------------------------------------------
 
-    def check_agent(self, name) -> Union[str, None]:
-        """The declared agent's own name string, or None when it is unknown."""
-        agent = self.agents.get(name.text)
+    def check_agent(self, name: str, start: int) -> Union[str, None]:
+        """The declared agent's own name string, or None when it is unknown;
+        ``start`` is where ``name`` was read."""
+        agent = self.agents.get(name)
         if agent is None:
             self.error(
-                E_RESOLVE_UNKNOWN_AGENT, f"unknown agent '{name.text}'", name.span
+                E_RESOLVE_UNKNOWN_AGENT, f"unknown agent '{name}'", start, start + len(name)
             )
             return None
         return agent.name
@@ -368,18 +382,19 @@ class _Resolver:
         for decl in self.ast.decls:
             if not isinstance(decl, PromiseDecl):
                 continue
-            promiser = self.check_agent(decl.promiser)
-            promisee = self.check_agent(decl.promisee)
+            promiser = self.check_agent(decl.promiser, decl.start)
+            promisee = self.check_agent(decl.promisee, decl.promisee_start)
             ok = promiser is not None and promisee is not None
 
             if isinstance(decl.item, BundleRef):
                 ref = decl.item
-                bundle = self.bundles.get(ref.name.text)
+                bundle = self.bundles.get(ref.name)
                 if bundle is None:
                     self.error(
                         E_RESOLVE_UNKNOWN_BUNDLE,
-                        f"unknown bundle '{ref.name.text}'",
-                        ref.name.span,
+                        f"unknown bundle '{ref.name}'",
+                        ref.name_start,
+                        ref.name_start + len(ref.name),
                     )
                     continue
                 attach_cond = ALWAYS
@@ -397,7 +412,7 @@ class _Resolver:
                             body.constraints,
                             body.condition.conjoin(attach_cond),
                         )
-                    self.add_promise(promiser, promisee, body, group, decl.span)
+                    self.add_promise(promiser, promisee, body, group, decl)
             else:
                 node = decl.item
                 body = resolved.get(node)
@@ -411,7 +426,7 @@ class _Resolver:
                 if body is None or not ok:
                     continue
                 group = derive_group(promiser, promisee, body)
-                self.add_promise(promiser, promisee, body, group, decl.span)
+                self.add_promise(promiser, promisee, body, group, decl)
 
     def add_promise(
         self,
@@ -419,10 +434,10 @@ class _Resolver:
         promisee: str,
         body: PromiseBody,
         group: str,
-        span: SourceSpan,
+        decl: PromiseDecl,
     ) -> None:
         self.promises.append(Promise(promiser, promisee, body, group))
-        self.spans.append(span)
+        self.decls.append(decl)
 
     # -- entry ---------------------------------------------------------------
 
@@ -442,21 +457,22 @@ class _Resolver:
                 self.promises,
             )
         except PromiseModelError as exc:  # pragma: no cover - prevalidated
-            self.error(E_RESOLVE_DUPLICATE, str(exc), self.file_start())
+            self.error(E_RESOLVE_DUPLICATE, str(exc), 0, 0)
             return ResolveResult(None, sorted(self.diagnostics, key=diagnostic_sort_key))
 
         findings = validate_autonomy(graph)
         if findings:
             # Each promise at its first declaration.
-            first_spans: dict[tuple, SourceSpan] = {}
-            for p, span in zip(self.promises, self.spans):
-                first_spans.setdefault((p.promiser, p.promisee, p.group, p.body), span)
+            first_decls: dict[tuple, PromiseDecl] = {}
+            for p, decl in zip(self.promises, self.decls):
+                first_decls.setdefault((p.promiser, p.promisee, p.group, p.body), decl)
             for finding in findings:
                 p = finding.promise
                 key = (p.promiser, p.promisee, p.group, p.body)
-                span = first_spans.get(key) or self.file_start()
+                first = first_decls.get(key)
+                start, end = (first.start, first.end) if first else (0, 0)
                 self.diagnostics.append(
-                    Diagnostic(WARNING, W_AUTONOMY, finding.message, span)
+                    Diagnostic(WARNING, W_AUTONOMY, finding.message, self.ast.span(start, end))
                 )
         return ResolveResult(graph, sorted(self.diagnostics, key=diagnostic_sort_key))
 

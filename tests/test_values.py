@@ -1,6 +1,7 @@
 """Value classes: each keeps its fields, equality, hash, repr, immutability
 and copying.  The pinned reprs are those the classes printed when they were
-dataclasses; spans and ``ModelAst.file`` stay out of equality."""
+dataclasses; syntax-tree positions and ``ModelAst.file`` stay out of
+equality."""
 from __future__ import annotations
 
 import copy
@@ -32,7 +33,6 @@ from promisekit.dsl.ast_nodes import (
     FlagLiteralNode,
     IdentTerm,
     ModelAst,
-    Name,
     NumberTerm,
     ParamTerm,
     PromiseDecl,
@@ -65,7 +65,6 @@ from promisekit.worlds import World
 
 LINES = LineIndex("abc\ndef\n")
 SPAN = SourceSpan("m.pml", 0, 3, LINES)
-OTHER_SPAN = SourceSpan("n.pml", 4, 7, LineIndex("xyz\nuvw\n"))
 
 WIDTH, W = Attribute("width"), Parameter("w")
 READY = FlagLiteral("ready")
@@ -79,9 +78,13 @@ CLASS_NODE = ClassNode("ready", ("+width=$w",))
 ROLE_CLASSES = RoleClasses(ROLE, ClassNode("", ()), (CLASS_NODE,))
 
 
-def span_twins(cls, *fields):
-    """The node on SPAN and on OTHER_SPAN: equal, since spans are not compared."""
-    return lambda: cls(*fields, span=SPAN), lambda: cls(*fields, span=OTHER_SPAN)
+def offset_twins(cls, *fields, **names):
+    """The node read at two places, with the names it places at two places
+    too: equal, since positions are not compared.  ``names`` maps each field
+    that places a name to its value in either twin."""
+    here = {"start": 0, "end": 3, **{field: pair[0] for field, pair in names.items()}}
+    there = {"start": 4, "end": 9, **{field: pair[1] for field, pair in names.items()}}
+    return lambda: cls(*fields, **here), lambda: cls(*fields, **there)
 
 
 def twins(cls, *fields, **keywords):
@@ -148,54 +151,59 @@ CASES = {
         "PromiseGraph(agents=(Agent(name='a', private_attrs=()),), "
         "types=(PromiseTypeDecl(name='w', kind='num'),), bundles=(), promises=())",
     ),
-    "Name": (*span_twins(Name, "a"), "Name(text='a')"),
-    "IdentTerm": (*span_twins(IdentTerm, "x"), "IdentTerm(name='x')"),
-    "ParamTerm": (*span_twins(ParamTerm, "x"), "ParamTerm(name='x')"),
-    "NumberTerm": (*span_twins(NumberTerm, 2), "NumberTerm(value=2)"),
-    "StringTerm": (*span_twins(StringTerm, "s"), "StringTerm(value='s')"),
+    "IdentTerm": (*offset_twins(IdentTerm, "x"), "IdentTerm(name='x')"),
+    "ParamTerm": (*offset_twins(ParamTerm, "x"), "ParamTerm(name='x')"),
+    "NumberTerm": (*offset_twins(NumberTerm, 2), "NumberTerm(value=2)"),
+    "StringTerm": (*offset_twins(StringTerm, "s"), "StringTerm(value='s')"),
     "CmpLiteralNode": (
-        *span_twins(CmpLiteralNode, IdentTerm("x", SPAN), "==", NumberTerm(1, OTHER_SPAN)),
+        *offset_twins(CmpLiteralNode, IdentTerm("x", 0, 1), "==", NumberTerm(1, 5, 6)),
         "CmpLiteralNode(lhs=IdentTerm(name='x'), op='==', rhs=NumberTerm(value=1))",
     ),
     "FlagLiteralNode": (
-        *span_twins(FlagLiteralNode, Name("f"), True),
-        "FlagLiteralNode(name=Name(text='f'), negated=True)",
+        *offset_twins(FlagLiteralNode, "f", True, name_start=(2, 8)),
+        "FlagLiteralNode(name='f', negated=True)",
     ),
     "ConditionNode": (
-        *span_twins(ConditionNode, (FlagLiteralNode(Name("f")),)),
-        "ConditionNode(literals=(FlagLiteralNode(name=Name(text='f'), negated=False),))",
+        *offset_twins(ConditionNode, (FlagLiteralNode("f"),)),
+        "ConditionNode(literals=(FlagLiteralNode(name='f', negated=False),))",
     ),
     "BodyNode": (
-        *span_twins(BodyNode, "give", IdentTerm("width"), ParamTerm("w"), None),
+        *offset_twins(BodyNode, "give", IdentTerm("width"), ParamTerm("w"), None),
         "BodyNode(polarity='give', subject=IdentTerm(name='width'), "
         "value=ParamTerm(name='w'), condition=None)",
     ),
     "AgentDecl": (
-        *span_twins(AgentDecl, (Name("a"), Name("b"))),
-        "AgentDecl(names=(Name(text='a'), Name(text='b')))",
+        *offset_twins(AgentDecl, ("a", "b"), name_starts=((0, 2), (5, 7))),
+        "AgentDecl(names=('a', 'b'))",
     ),
     "TypeDecl": (
-        *span_twins(TypeDecl, Name("w"), "num"), "TypeDecl(name=Name(text='w'), kind='num')"
+        *offset_twins(TypeDecl, "w", "num", name_start=(1, 5), name_end=(2, 6)),
+        "TypeDecl(name='w', kind='num')",
     ),
-    "FlagDecl": (*span_twins(FlagDecl, Name("f")), "FlagDecl(name=Name(text='f'))"),
+    "FlagDecl": (
+        *offset_twins(FlagDecl, "f", name_start=(1, 5)), "FlagDecl(name='f')"
+    ),
     "BundleDecl": (
-        *span_twins(BundleDecl, Name("B"), Name("A"), (BodyNode("use", IdentTerm("w")),)),
-        "BundleDecl(name=Name(text='B'), parent=Name(text='A'), bodies=(BodyNode("
+        *offset_twins(
+            BundleDecl, "B", "A", (BodyNode("use", IdentTerm("w")),),
+            name_start=(1, 5), parent_start=(2, 6),
+        ),
+        "BundleDecl(name='B', parent='A', bodies=(BodyNode("
         "polarity='use', subject=IdentTerm(name='w'), value=None, condition=None),))",
     ),
     "BundleRef": (
-        *span_twins(BundleRef, Name("B"), ConditionNode(())),
-        "BundleRef(name=Name(text='B'), condition=ConditionNode(literals=()))",
+        *offset_twins(BundleRef, "B", ConditionNode(()), name_start=(1, 5)),
+        "BundleRef(name='B', condition=ConditionNode(literals=()))",
     ),
     "PromiseDecl": (
-        *span_twins(PromiseDecl, Name("a"), Name("b"), BundleRef(Name("B"))),
-        "PromiseDecl(promiser=Name(text='a'), promisee=Name(text='b'), "
-        "item=BundleRef(name=Name(text='B'), condition=None))",
+        *offset_twins(PromiseDecl, "a", "b", BundleRef("B"), promisee_start=(1, 5)),
+        "PromiseDecl(promiser='a', promisee='b', "
+        "item=BundleRef(name='B', condition=None))",
     ),
     "ModelAst": (
-        lambda: ModelAst((FlagDecl(Name("f")),), "m.pml"),
-        lambda: ModelAst((FlagDecl(Name("f", OTHER_SPAN)),), "n.pml"),
-        "ModelAst(decls=(FlagDecl(name=Name(text='f')),), file='m.pml')",
+        lambda: ModelAst((FlagDecl("f"),), "m.pml"),
+        lambda: ModelAst((FlagDecl("f", 4, 9, 6),), "n.pml", LineIndex("\n\n\n\nflag f;")),
+        "ModelAst(decls=(FlagDecl(name='f'),), file='m.pml')",
     ),
     "Finding": (
         *twins(Finding, Severity.RESTRICTED, "c", "m", ("p",)),
@@ -286,22 +294,21 @@ FIELDS = {
     "PromiseTypeDecl": "name, kind",
     "AutonomyFinding": "promise, type_name, message",
     "PromiseGraph": "agents, types, bundles, promises",
-    "Name": "text, span=<no span>",
-    "IdentTerm": "name, span=<no span>",
-    "ParamTerm": "name, span=<no span>",
-    "NumberTerm": "value, span=<no span>",
-    "StringTerm": "value, span=<no span>",
-    "CmpLiteralNode": "lhs, op, rhs, span=<no span>",
-    "FlagLiteralNode": "name, negated=False, span=<no span>",
-    "ConditionNode": "literals, span=<no span>",
-    "BodyNode": "polarity, subject, value=None, condition=None, span=<no span>",
-    "AgentDecl": "names, span=<no span>",
-    "TypeDecl": "name, kind, span=<no span>",
-    "FlagDecl": "name, span=<no span>",
-    "BundleDecl": "name, parent, bodies, span=<no span>",
-    "BundleRef": "name, condition=None, span=<no span>",
-    "PromiseDecl": "promiser, promisee, item, span=<no span>",
-    "ModelAst": "decls, file='<model>'",
+    "IdentTerm": "name, start=0, end=0",
+    "ParamTerm": "name, start=0, end=0",
+    "NumberTerm": "value, start=0, end=0",
+    "StringTerm": "value, start=0, end=0",
+    "CmpLiteralNode": "lhs, op, rhs, start=0, end=0",
+    "FlagLiteralNode": "name, negated=False, start=0, end=0, name_start=0",
+    "ConditionNode": "literals, start=0, end=0",
+    "BodyNode": "polarity, subject, value=None, condition=None, start=0, end=0",
+    "AgentDecl": "names, start=0, end=0, name_starts=None",
+    "TypeDecl": "name, kind, start=0, end=0, name_start=0, name_end=0",
+    "FlagDecl": "name, start=0, end=0, name_start=0",
+    "BundleDecl": "name, parent, bodies, start=0, end=0, name_start=0, parent_start=0",
+    "BundleRef": "name, condition=None, start=0, end=0, name_start=0",
+    "PromiseDecl": "promiser, promisee, item, start=0, end=0, promisee_start=0",
+    "ModelAst": "decls, file='<model>', lines=None",
     "Finding": "severity, code, message, promises",
     "CheckReport": "findings=()",
     "Role": "signature, label, members",
@@ -322,14 +329,11 @@ FIELDS = {
 
 def fields_of(cls) -> str:
     """The constructor's parameters in order, each with its default, as in
-    ``name, scope=''``; a span's default reads ``<no span>``."""
-    out = []
-    for p in inspect.signature(cls).parameters.values():
-        if p.default is p.empty:
-            out.append(p.name)
-        else:
-            out.append(f"{p.name}=<no span>" if p.name == "span" else f"{p.name}={p.default!r}")
-    return ", ".join(out)
+    ``name, scope=''``."""
+    return ", ".join(
+        p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+        for p in inspect.signature(cls).parameters.values()
+    )
 
 
 def _hash(value):
@@ -375,10 +379,10 @@ def test_value_class_contract(name):
 
 def test_terms_of_different_kinds_are_never_equal():
     assert IdentTerm("x") != ParamTerm("x")
-    assert Name("x") != IdentTerm("x")
+    assert FlagDecl("x") != IdentTerm("x")
     assert Attribute("x") != NamedConst("x") and Attribute("x") != Parameter("x")
     assert StrConst("1") != NumConst(1)
-    assert len({IdentTerm("x"), ParamTerm("x"), Name("x")}) == 3
+    assert len({IdentTerm("x"), ParamTerm("x"), FlagDecl("x")}) == 3
 
 
 def test_sides_are_stored_in_term_order():
