@@ -39,7 +39,7 @@ from .model import (
     Term,
     USE,
 )
-from .value import Value
+from .value import set_field, Value
 from .worlds import judge, World
 
 
@@ -74,10 +74,10 @@ class Finding(Value):
     ) -> None:
         if not promises:
             raise ValueError("a finding must cite at least one promise")
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "promises", promises)
+        set_field(self, "severity", severity)
+        set_field(self, "code", code)
+        set_field(self, "message", message)
+        set_field(self, "promises", promises)
 
 
 def finding_sort_key(f: Finding) -> tuple:
@@ -90,7 +90,7 @@ class CheckReport(Value):
     __slots__ = ("findings",)
 
     def __init__(self, findings: tuple[Finding, ...] = ()) -> None:
-        object.__setattr__(self, "findings", findings)
+        set_field(self, "findings", findings)
 
     @property
     def ok(self) -> bool:
@@ -229,9 +229,9 @@ class Role(Value):
     __slots__ = ("signature", "label", "members")
 
     def __init__(self, signature: RoleSignature, label: str, members: tuple[str, ...]) -> None:
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "members", members)
+        set_field(self, "signature", signature)
+        set_field(self, "label", label)
+        set_field(self, "members", members)
 
 
 def role_signature(graph: PromiseGraph, agent: str) -> RoleSignature:
@@ -286,9 +286,9 @@ class SpanningClass(Value):
     __slots__ = ("representative", "members", "signature")
 
     def __init__(self, representative: str, members: tuple[str, ...], signature: tuple) -> None:
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "signature", signature)
+        set_field(self, "representative", representative)
+        set_field(self, "members", members)
+        set_field(self, "signature", signature)
 
 
 def extract_spanning_set(graph: PromiseGraph) -> tuple[SpanningClass, ...]:
@@ -449,9 +449,9 @@ class IsAVerdict(Value):
     def __init__(
         self, outcome: str, details: tuple[str, ...] = (), involved: tuple[str, ...] = ()
     ) -> None:
-        object.__setattr__(self, "outcome", outcome)  # IS_A, RESTRICTED, or INCONSISTENT
-        object.__setattr__(self, "details", details)
-        object.__setattr__(self, "involved", involved)
+        set_field(self, "outcome", outcome)  # IS_A, RESTRICTED, or INCONSISTENT
+        set_field(self, "details", details)
+        set_field(self, "involved", involved)
 
     @property
     def is_a(self) -> bool:
@@ -783,17 +783,17 @@ class ClassNode(Value):
     __slots__ = ("condition", "bodies")
 
     def __init__(self, condition: str, bodies: tuple[str, ...]) -> None:
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "bodies", bodies)
+        set_field(self, "condition", condition)
+        set_field(self, "bodies", bodies)
 
 
 class RoleClasses(Value):
     __slots__ = ("role", "base", "subtypes")
 
     def __init__(self, role: Role, base: ClassNode, subtypes: tuple[ClassNode, ...]) -> None:
-        object.__setattr__(self, "role", role)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "subtypes", subtypes)
+        set_field(self, "role", role)
+        set_field(self, "base", base)
+        set_field(self, "subtypes", subtypes)
 
 
 class ClassHierarchy(Value):
@@ -802,8 +802,8 @@ class ClassHierarchy(Value):
     def __init__(
         self, classes: tuple[RoleClasses, ...], findings: tuple[Finding, ...] = ()
     ) -> None:
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "findings", findings)
+        set_field(self, "classes", classes)
+        set_field(self, "findings", findings)
 
 
 def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:

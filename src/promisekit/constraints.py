@@ -23,7 +23,7 @@ from .model import (
     is_constant,
     term_key,
 )
-from .value import Value
+from .value import set_field, Value
 
 
 class UnionFind:
@@ -241,8 +241,8 @@ class ExclusivityVerdict(Value):
     def __init__(
         self, exclusive: bool, witness: Union[tuple[tuple[str, str], ...], None] = None
     ) -> None:
-        object.__setattr__(self, "exclusive", exclusive)
-        object.__setattr__(self, "witness", witness)
+        set_field(self, "exclusive", exclusive)
+        set_field(self, "witness", witness)
 
 
 def split_condition(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from ..value import Value
+from ..value import set_field, Value
 from .diagnostics import LineIndex, make_span, SourceSpan
 
 
@@ -26,36 +26,36 @@ class IdentTerm(Value, hidden=("start", "end")):
     __slots__ = ("name", "start", "end")
 
     def __init__(self, name: str, start: int = 0, end: int = 0) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        set_field(self, "name", name)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
 
 
 class ParamTerm(Value, hidden=("start", "end")):
     __slots__ = ("name", "start", "end")
 
     def __init__(self, name: str, start: int = 0, end: int = 0) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        set_field(self, "name", name)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
 
 
 class NumberTerm(Value, hidden=("start", "end")):
     __slots__ = ("value", "start", "end")
 
     def __init__(self, value: Union[int, float], start: int = 0, end: int = 0) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        set_field(self, "value", value)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
 
 
 class StringTerm(Value, hidden=("start", "end")):
     __slots__ = ("value", "start", "end")
 
     def __init__(self, value: str, start: int = 0, end: int = 0) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        set_field(self, "value", value)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
 
 
 TermNode = Union[IdentTerm, ParamTerm, NumberTerm, StringTerm]
@@ -67,11 +67,11 @@ class CmpLiteralNode(Value, hidden=("start", "end")):
     def __init__(
         self, lhs: TermNode, op: str, rhs: TermNode, start: int = 0, end: int = 0
     ) -> None:
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "op", op)  # "==" or "!="
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        set_field(self, "lhs", lhs)
+        set_field(self, "op", op)  # "==" or "!="
+        set_field(self, "rhs", rhs)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
 
 
 class FlagLiteralNode(Value, hidden=("start", "end", "name_start")):
@@ -87,11 +87,11 @@ class FlagLiteralNode(Value, hidden=("start", "end", "name_start")):
         end: int = 0,
         name_start: int = 0,
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "negated", negated)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "name_start", name_start)
+        set_field(self, "name", name)
+        set_field(self, "negated", negated)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "name_start", name_start)
 
 
 LiteralNode = Union[CmpLiteralNode, FlagLiteralNode]
@@ -101,9 +101,9 @@ class ConditionNode(Value, hidden=("start", "end")):
     __slots__ = ("literals", "start", "end")
 
     def __init__(self, literals: tuple[LiteralNode, ...], start: int = 0, end: int = 0) -> None:
-        object.__setattr__(self, "literals", literals)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        set_field(self, "literals", literals)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
 
 
 class BodyNode(Value, hidden=("start", "end")):
@@ -120,12 +120,12 @@ class BodyNode(Value, hidden=("start", "end")):
         start: int = 0,
         end: int = 0,
     ) -> None:
-        object.__setattr__(self, "polarity", polarity)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        set_field(self, "polarity", polarity)
+        set_field(self, "subject", subject)
+        set_field(self, "value", value)
+        set_field(self, "condition", condition)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
 
 
 class AgentDecl(Value, hidden=("start", "end", "name_starts")):
@@ -141,12 +141,10 @@ class AgentDecl(Value, hidden=("start", "end", "name_starts")):
         end: int = 0,
         name_starts: Union[tuple[int, ...], None] = None,
     ) -> None:
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(
-            self, "name_starts", (0,) * len(names) if name_starts is None else name_starts
-        )
+        set_field(self, "names", names)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "name_starts", (0,) * len(names) if name_starts is None else name_starts)
 
 
 class TypeDecl(Value, hidden=("start", "end", "name_start", "name_end")):
@@ -164,22 +162,22 @@ class TypeDecl(Value, hidden=("start", "end", "name_start", "name_end")):
         name_start: int = 0,
         name_end: int = 0,
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "name_start", name_start)
-        object.__setattr__(self, "name_end", name_end)
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "name_start", name_start)
+        set_field(self, "name_end", name_end)
 
 
 class FlagDecl(Value, hidden=("start", "end", "name_start")):
     __slots__ = ("name", "start", "end", "name_start")
 
     def __init__(self, name: str, start: int = 0, end: int = 0, name_start: int = 0) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "name_start", name_start)
+        set_field(self, "name", name)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "name_start", name_start)
 
 
 class BundleDecl(Value, hidden=("start", "end", "name_start", "parent_start")):
@@ -195,13 +193,13 @@ class BundleDecl(Value, hidden=("start", "end", "name_start", "parent_start")):
         name_start: int = 0,
         parent_start: int = 0,
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "bodies", bodies)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "name_start", name_start)
-        object.__setattr__(self, "parent_start", parent_start)
+        set_field(self, "name", name)
+        set_field(self, "parent", parent)
+        set_field(self, "bodies", bodies)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "name_start", name_start)
+        set_field(self, "parent_start", parent_start)
 
 
 class BundleRef(Value, hidden=("start", "end", "name_start")):
@@ -215,11 +213,11 @@ class BundleRef(Value, hidden=("start", "end", "name_start")):
         end: int = 0,
         name_start: int = 0,
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "condition", condition)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "name_start", name_start)
+        set_field(self, "name", name)
+        set_field(self, "condition", condition)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "name_start", name_start)
 
 
 class PromiseDecl(Value, hidden=("start", "end", "promisee_start")):
@@ -237,12 +235,12 @@ class PromiseDecl(Value, hidden=("start", "end", "promisee_start")):
         end: int = 0,
         promisee_start: int = 0,
     ) -> None:
-        object.__setattr__(self, "promiser", promiser)
-        object.__setattr__(self, "promisee", promisee)
-        object.__setattr__(self, "item", item)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "promisee_start", promisee_start)
+        set_field(self, "promiser", promiser)
+        set_field(self, "promisee", promisee)
+        set_field(self, "item", item)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
+        set_field(self, "promisee_start", promisee_start)
 
 
 Decl = Union[AgentDecl, TypeDecl, FlagDecl, BundleDecl, PromiseDecl]
@@ -260,9 +258,9 @@ class ModelAst(Value, hidden=("lines",), uncompared=("file",)):
         file: str = "<model>",
         lines: Union[LineIndex, None] = None,
     ) -> None:
-        object.__setattr__(self, "decls", decls)
-        object.__setattr__(self, "file", file)
-        object.__setattr__(self, "lines", LineIndex("") if lines is None else lines)
+        set_field(self, "decls", decls)
+        set_field(self, "file", file)
+        set_field(self, "lines", LineIndex("") if lines is None else lines)
 
     def span(self, start: int, end: int) -> SourceSpan:
         """The span of ``[start, end)`` in this tree's file."""

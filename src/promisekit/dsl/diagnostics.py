@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from typing import Literal
 
-from ..value import Value
+from ..value import set_field, Value
 
 ERROR = "error"
 WARNING = "warning"
@@ -134,10 +134,10 @@ class Diagnostic(Value):
     def __init__(
         self, severity: Literal["error", "warning"], code: str, message: str, span: SourceSpan
     ) -> None:
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "span", span)
+        set_field(self, "severity", severity)
+        set_field(self, "code", code)
+        set_field(self, "message", message)
+        set_field(self, "span", span)
 
     def formatted(self) -> str:
         s = self.span

@@ -18,9 +18,15 @@ unterminated, before a carriage return or newline or at the end of the
 text; its escapes are ``\\\\ \\" \\n \\t``, and any other escaped
 character, a line end included, is reported and kept as it is.
 
-The lexer makes one regular-expression match per token, and none for an
-illegal character inside a run of ``\\w`` characters that an earlier match
-has read already.
+The lexer reads a text with one ``findall`` of its pattern, which gives each
+token's text with the whitespace and comments before it; offsets come from
+the running length.  A keyword or an operator takes its type from one dict
+of fixed texts, any other token from its first character.  Only a run of
+``\\w`` characters that starts on a numeral that is no letter costs more: a
+number inside it is matched once more, and when that number takes a fraction
+past the run, the pairs after it no longer line up and the rest of the text
+is read by one match per token.  So the pattern reads a character at most
+twice, or three times for a digit of such a run after such a fraction.
 
 A token is one plain tuple of atoms, ``(type, value, text, start, end)``,
 where ``start`` and ``end`` are the character offsets of ``text``.  It holds
@@ -32,7 +38,7 @@ column count.
 from __future__ import annotations
 
 import re
-from typing import Union
+from typing import Iterator, Union
 
 from .diagnostics import (
     Diagnostic,
@@ -81,26 +87,30 @@ Token = tuple[str, Union[str, int, float], str, int, int]
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 _INFINITY = float("inf")
 
-# One match takes the whitespace and comments before a token, then the token;
-# at the end of the text it takes only the former.  On str patterns \w is
-# exactly ``isalnum() or "_"`` and \d is ``isdecimal()``.  A word or a
-# parameter takes a whole run of \w, so a name is one match.  But [^\W\d] also
-# takes characters that are numerals and not letters ('²', 'Ⅻ', '①'), and a
-# run that starts on one is no name: each of its characters up to the first
-# letter, '_' or decimal digit is illegal, and a name there runs to the end of
-# the run.  ``tokenize`` reports those characters from the run it has matched
-# already, in one pass, and matches again only where a name or a number
-# starts; matching the run again after each illegal character would read it
-# once per character.  A string takes in escapes, a backslash-newline and a
-# missing closing quote.  The last alternative is any single character.
+_OPERATORS = ("->", "==", "!=", ";", ",", ":", ".", "{", "}", "=")
+
+# The type of each token whose text fixes it.
+_FIXED = {**dict.fromkeys(KEYWORDS, KEYWORD), **dict.fromkeys(_OPERATORS, OP)}
+
+# One match takes the whitespace and comments before a token, as group 1, then
+# the token, as group 2; at the end of the text it takes only the former.  On
+# str patterns \w is exactly ``isalnum() or "_"`` and \d is ``isdecimal()``.
+# A word or a parameter takes a whole run of \w, so a name is one match.  But
+# [^\W\d] also takes characters that are numerals and not letters ('²', 'Ⅻ',
+# '①'), and a run that starts on one is no name: each of its characters up to
+# the first letter, '_' or decimal digit is illegal, and a name there runs to
+# the end of the run.  ``tokenize`` reports those characters from the run it
+# has read already, and matches again only where a number starts.  A string
+# takes in escapes, a backslash-newline and a missing closing quote.  The last
+# alternative is any single character.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|#[^\r\n]*)*"
-    r"(?:(?P<word>[^\W\d]\w*)"
-    r"|(?P<number>\d+(?:\.\d+)?)"
-    r"|(?P<param>\$[^\W\d]\w*)"
-    r'|(?P<string>"(?:[^"\\\r\n]|\\[\s\S]?)*"?)'
-    r"|(?P<op>->|==|!=|[;,:.{}=])"
-    r"|(?P<other>[\s\S]))?"
+    r"((?:[ \t\r\n]+|#[^\r\n]*)*)"
+    r"([^\W\d]\w*"
+    r"|\d+(?:\.\d+)?"
+    r"|\$[^\W\d]\w*"
+    r'|"(?:[^"\\\r\n]|\\[\s\S]?)*"?'
+    r"|" + "|".join(map(re.escape, _OPERATORS)) +
+    r"|[\s\S])?"
 )
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
@@ -115,58 +125,117 @@ def tokenize(
     diagnostics: list[Diagnostic] = []
     if lines is None:
         lines = LineIndex(text)
-    i = 0
-    run = 0  # where the last matched word run that starts on no letter ends
-    match = _TOKEN.match
     append = tokens.append
-
-    while True:
-        if i < run and not (text[i].isalpha() or text[i] == "_" or text[i].isdecimal()):
-            kind, end = "other", i + 1
-        else:
-            m = match(text, i)
-            kind = m.lastgroup
-            end = m.end()
+    fixed = _FIXED.get
+    # Each (skipped, token) pair starts where the one before it ends; the
+    # last pair has no token.
+    pairs = _TOKEN.findall(text)
+    pos = 0
+    while pairs is not None:
+        for skip, raw in pairs:
+            start = pos + len(skip)
+            pos = start + len(raw)
+            kind = fixed(raw)
             if kind is None:
-                i = end
-                break
-            i = m.start(kind)
-            if kind == "word" or kind == "param":
-                head = text[i] if kind == "word" else text[i + 1]
-                if not (head.isalpha() or head == "_"):
-                    run, kind, end = end, "other", i + 1
-        raw = text[i:end]
-        if kind == "word":
-            append((KEYWORD if raw in KEYWORDS else IDENT, raw, raw, i, end))
-        elif kind == "op":
-            append((OP, raw, raw, i, end))
-        elif kind == "number":
-            value = _number(raw)
-            if value is None:
-                message = "number literal is too large to read"
-                span = make_span(file, i, end, lines)
-                diagnostics.append(Diagnostic(ERROR, E_LEX_NUMBER_RANGE, message, span))
-            else:
-                append((NUMBER, value, raw, i, end))
-        elif kind == "param":
-            append((PARAM, raw[1:], raw, i, end))
-        elif kind == "string":
-            value = raw[1:-1]
-            if "\\" in raw or len(raw) == 1 or raw[-1] != '"':
-                value = _string(text, i, end, file, lines, diagnostics)
-            append((STRING, value, raw, i, end))
-        else:
-            span = make_span(file, i, end, lines)
-            if raw == "$":
-                message = "'$' must be followed by a parameter name"
-                diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_PARAM, message, span))
-            else:
-                message = f"unexpected character {raw!r}"
-                diagnostics.append(Diagnostic(ERROR, E_LEX_ILLEGAL_CHAR, message, span))
-        i = end
+                head = raw[:1]
+                if head.isalpha() or head == "_":
+                    kind = IDENT
+                elif head.isdecimal():
+                    _read_number(raw, start, file, lines, tokens, diagnostics)
+                    continue
+                elif head == '"':
+                    value = raw[1:-1]
+                    if "\\" in raw or len(raw) == 1 or raw[-1] != '"':
+                        value = _string(text, start, pos, file, lines, diagnostics)
+                    append((STRING, value, raw, start, pos))
+                    continue
+                elif head == "$" and (raw[1:2].isalpha() or raw[1:2] == "_"):
+                    append((PARAM, raw[1:], raw, start, pos))
+                    continue
+                elif head:
+                    end = pos
+                    pos = _read_illegal(text, start, end, file, lines, tokens, diagnostics)
+                    if pos > end:
+                        # A number took a fraction past the run, so the pairs
+                        # after it no longer line up: match from there on.
+                        pairs = _matched_pairs(text, pos)
+                        break
+                    continue
+                else:
+                    pairs = None
+                    break
+            append((kind, raw, raw, start, pos))
 
-    append((EOF, "", "", i, i))
+    append((EOF, "", "", pos, pos))
     return tokens, diagnostics
+
+
+def _matched_pairs(text: str, pos: int) -> Iterator[tuple[str, str]]:
+    """The (skipped, token) pairs of ``text`` from ``pos`` on, one match
+    each; the last one has no token."""
+    match = _TOKEN.match
+    while True:
+        skip, raw = match(text, pos).groups("")
+        yield skip, raw
+        pos += len(skip) + len(raw)
+
+
+def _read_illegal(
+    text: str,
+    start: int,
+    end: int,
+    file: str,
+    lines: LineIndex,
+    tokens: list[Token],
+    diagnostics: list[Diagnostic],
+) -> int:
+    """Reads ``text[start:end]``: one character no token starts on, a '$'
+    with no name, or a run of \\w that starts on a numeral and not on a
+    letter, possibly after a '$'.  Reports each character up to the first
+    letter, '_' or decimal digit, and reads a name from there to ``end`` and
+    a number by one more match.  Returns where it stopped reading, which is
+    past ``end`` when a number there has a fraction."""
+    i = start
+    while i < end:
+        char = text[i]
+        if char.isalpha() or char == "_":
+            name = text[i:end]
+            tokens.append((_FIXED.get(name, IDENT), name, name, i, end))
+            return end
+        if char.isdecimal():
+            raw = _TOKEN.match(text, i).group(2)
+            _read_number(raw, i, file, lines, tokens, diagnostics)
+            i += len(raw)
+            continue
+        span = make_span(file, i, i + 1, lines)
+        if char == "$":
+            message = "'$' must be followed by a parameter name"
+            diagnostics.append(Diagnostic(ERROR, E_LEX_BAD_PARAM, message, span))
+        else:
+            message = f"unexpected character {char!r}"
+            diagnostics.append(Diagnostic(ERROR, E_LEX_ILLEGAL_CHAR, message, span))
+        i += 1
+    return i
+
+
+def _read_number(
+    raw: str,
+    start: int,
+    file: str,
+    lines: LineIndex,
+    tokens: list[Token],
+    diagnostics: list[Diagnostic],
+) -> None:
+    """Adds the number token ``raw`` at ``start``, or reports that no number
+    type holds it."""
+    value = _number(raw)
+    end = start + len(raw)
+    if value is None:
+        message = "number literal is too large to read"
+        span = make_span(file, start, end, lines)
+        diagnostics.append(Diagnostic(ERROR, E_LEX_NUMBER_RANGE, message, span))
+    else:
+        tokens.append((NUMBER, value, raw, start, end))
 
 
 def _number(raw: str) -> Union[int, float, None]:

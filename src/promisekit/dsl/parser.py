@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..value import Value
+from ..value import set_field, Value
 from .ast_nodes import (
     AgentDecl,
     BodyNode,
@@ -63,8 +63,8 @@ class ParseResult(Value):
     __slots__ = ("ast", "diagnostics")
 
     def __init__(self, ast: ModelAst, diagnostics: list[Diagnostic]) -> None:
-        object.__setattr__(self, "ast", ast)
-        object.__setattr__(self, "diagnostics", diagnostics)
+        set_field(self, "ast", ast)
+        set_field(self, "diagnostics", diagnostics)
 
     @property
     def ok(self) -> bool:

@@ -46,7 +46,7 @@ from ..model import (
     validate_autonomy,
     VALUED_KINDS,
 )
-from ..value import Value
+from ..value import set_field, Value
 from .ast_nodes import (
     AgentDecl,
     BodyNode,
@@ -111,8 +111,8 @@ class ResolveResult(Value):
     __slots__ = ("graph", "diagnostics")
 
     def __init__(self, graph: Union[PromiseGraph, None], diagnostics: list[Diagnostic]) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "diagnostics", diagnostics)
+        set_field(self, "graph", graph)
+        set_field(self, "diagnostics", diagnostics)
 
     @property
     def ok(self) -> bool:

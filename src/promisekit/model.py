@@ -29,7 +29,7 @@ from .errors import (
     DuplicateNameError,
     InvalidBodyError,
 )
-from .value import Value
+from .value import set_field, Value
 
 GIVE = "give"
 USE = "use"
@@ -49,7 +49,7 @@ class Attribute(Value):
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
+        set_field(self, "name", name)
 
 
 class Parameter(Value):
@@ -59,22 +59,22 @@ class Parameter(Value):
     __slots__ = ("name", "scope")
 
     def __init__(self, name: str, scope: str = "") -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "scope", scope)
+        set_field(self, "name", name)
+        set_field(self, "scope", scope)
 
 
 class NumConst(Value):
     __slots__ = ("value",)
 
     def __init__(self, value: Union[int, float]) -> None:
-        object.__setattr__(self, "value", value)
+        set_field(self, "value", value)
 
 
 class StrConst(Value):
     __slots__ = ("value",)
 
     def __init__(self, value: str) -> None:
-        object.__setattr__(self, "value", value)
+        set_field(self, "value", value)
 
 
 class NamedConst(Value):
@@ -87,7 +87,7 @@ class NamedConst(Value):
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
+        set_field(self, "name", name)
 
 
 Term = Union[Attribute, Parameter, NumConst, StrConst, NamedConst]
@@ -164,8 +164,8 @@ class EqConstraint(Value):
     def __init__(self, lhs: Term, rhs: Term) -> None:
         if term_key(lhs) > term_key(rhs):
             lhs, rhs = rhs, lhs
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
     def terms(self) -> tuple[Term, Term]:
         return (self.lhs, self.rhs)
@@ -188,9 +188,9 @@ class CmpLiteral(Value):
     def __init__(self, lhs: Term, op: Literal["eq", "neq"], rhs: Term) -> None:
         if term_key(lhs) > term_key(rhs):
             lhs, rhs = rhs, lhs
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "rhs", rhs)
+        set_field(self, "lhs", lhs)
+        set_field(self, "op", op)
+        set_field(self, "rhs", rhs)
 
 
 class FlagLiteral(Value):
@@ -199,8 +199,8 @@ class FlagLiteral(Value):
     __slots__ = ("name", "negated")
 
     def __init__(self, name: str, negated: bool = False) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "negated", negated)
+        set_field(self, "name", name)
+        set_field(self, "negated", negated)
 
 
 ConditionLiteral = Union[CmpLiteral, FlagLiteral]
@@ -229,7 +229,7 @@ class Condition(Value):
     __slots__ = ("literals",)
 
     def __init__(self, literals: frozenset[ConditionLiteral] = frozenset()) -> None:
-        object.__setattr__(self, "literals", literals)
+        set_field(self, "literals", literals)
 
     @staticmethod
     def of(*literals: ConditionLiteral) -> "Condition":
@@ -279,10 +279,10 @@ class PromiseBody(Value):
             raise InvalidBodyError(f"unknown polarity: {polarity!r}")
         if polarity == USE and constraints:
             raise InvalidBodyError(f"use body for {type!r} must not carry constraints")
-        object.__setattr__(self, "polarity", polarity)
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "condition", condition)
+        set_field(self, "polarity", polarity)
+        set_field(self, "type", type)
+        set_field(self, "constraints", constraints)
+        set_field(self, "condition", condition)
 
     @property
     def is_link(self) -> bool:
@@ -352,10 +352,10 @@ class Promise(Value):
     __slots__ = ("promiser", "promisee", "body", "group")
 
     def __init__(self, promiser: str, promisee: str, body: PromiseBody, group: str = "") -> None:
-        object.__setattr__(self, "promiser", promiser)
-        object.__setattr__(self, "promisee", promisee)
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "group", group)
+        set_field(self, "promiser", promiser)
+        set_field(self, "promisee", promisee)
+        set_field(self, "body", body)
+        set_field(self, "group", group)
 
     def formatted(self) -> str:
         return f"{self.promiser} -> {self.promisee}: {format_body(self.body)}"
@@ -369,9 +369,9 @@ class Bundle(Value):
     def __init__(
         self, name: str, bodies: tuple[PromiseBody, ...], parent: Union[str, None] = None
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "bodies", bodies)
-        object.__setattr__(self, "parent", parent)
+        set_field(self, "name", name)
+        set_field(self, "bodies", bodies)
+        set_field(self, "parent", parent)
 
     def sorted_bodies(self) -> tuple[PromiseBody, ...]:
         return tuple(sorted(self.bodies, key=body_key))
@@ -384,8 +384,8 @@ class Agent(Value):
     __slots__ = ("name", "private_attrs")
 
     def __init__(self, name: str, private_attrs: tuple[tuple[str, Term], ...] = ()) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "private_attrs", private_attrs)
+        set_field(self, "name", name)
+        set_field(self, "private_attrs", private_attrs)
 
     @staticmethod
     def make(name: str, attrs: Union[Mapping[str, Term], None] = None) -> "Agent":
@@ -408,8 +408,8 @@ class PromiseTypeDecl(Value):
     __slots__ = ("name", "kind")
 
     def __init__(self, name: str, kind: Literal["num", "str", "flag", "service"]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
+        set_field(self, "name", name)
+        set_field(self, "kind", kind)
 
 
 class AutonomyFinding(Value):
@@ -418,9 +418,9 @@ class AutonomyFinding(Value):
     __slots__ = ("promise", "type_name", "message")
 
     def __init__(self, promise: Promise, type_name: str, message: str) -> None:
-        object.__setattr__(self, "promise", promise)
-        object.__setattr__(self, "type_name", type_name)
-        object.__setattr__(self, "message", message)
+        set_field(self, "promise", promise)
+        set_field(self, "type_name", type_name)
+        set_field(self, "message", message)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +437,10 @@ class PromiseGraph(Value):
         bundles: tuple[Bundle, ...],
         promises: tuple[Promise, ...],
     ) -> None:
-        object.__setattr__(self, "agents", agents)
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "bundles", bundles)
-        object.__setattr__(self, "promises", promises)
+        set_field(self, "agents", agents)
+        set_field(self, "types", types)
+        set_field(self, "bundles", bundles)
+        set_field(self, "promises", promises)
 
     @cached_property
     def _agent_map(self) -> dict[str, Agent]:

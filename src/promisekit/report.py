@@ -14,15 +14,15 @@ from . import __version__
 from .analysis import ClassHierarchy, Finding, Role
 from .dsl import Diagnostic
 from .model import format_body, PromiseGraph
-from .value import Value
+from .value import set_field, Value
 
 
 class FileEntry(Value):
     __slots__ = ("path", "diagnostics")
 
     def __init__(self, path: str, diagnostics: tuple[Diagnostic, ...] = ()) -> None:
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "diagnostics", diagnostics)
+        set_field(self, "path", path)
+        set_field(self, "diagnostics", diagnostics)
 
 
 class Report(Value):
@@ -38,11 +38,11 @@ class Report(Value):
         hierarchy: Union[ClassHierarchy, None] = None,
         notes: tuple[str, ...] = (),
     ) -> None:
-        object.__setattr__(self, "files", files)
-        object.__setattr__(self, "findings", findings)
-        object.__setattr__(self, "roles", roles)
-        object.__setattr__(self, "hierarchy", hierarchy)
-        object.__setattr__(self, "notes", notes)
+        set_field(self, "files", files)
+        set_field(self, "findings", findings)
+        set_field(self, "roles", roles)
+        set_field(self, "hierarchy", hierarchy)
+        set_field(self, "notes", notes)
 
 
 def _diagnostic_obj(d: Diagnostic) -> dict:

@@ -7,8 +7,9 @@ those methods once, for every class.
 
 A subclass lists its fields, in order, in ``__slots__``, followed by
 ``"__dict__"`` where a ``functools.cached_property`` needs somewhere to keep
-its value.  Its own ``__init__`` writes each field with
-``object.__setattr__``, since assignment is refused.  In return it has:
+its value.  Its own ``__init__`` writes each field with ``set_field``, this
+module's one binding of ``object.__setattr__``, since assignment is refused.
+In return it has:
 
 - ``==`` that holds between objects of the same class whose compared fields
   are equal, and a ``hash`` that agrees with it;
@@ -22,6 +23,9 @@ repr, ``uncompared`` from equality and hash only.
 from __future__ import annotations
 
 from operator import attrgetter
+
+# Looked up once, not in every constructor call.
+set_field = object.__setattr__
 
 
 class Value:

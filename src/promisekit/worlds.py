@@ -24,7 +24,7 @@ from .model import (
     is_constant,
     Term,
 )
-from .value import Value
+from .value import set_field, Value
 
 Item = TypeVar("Item")
 
@@ -41,9 +41,9 @@ class World(Value):
         eqs: tuple[EqConstraint, ...],
         neqs: tuple[tuple[Term, Term], ...],
     ) -> None:
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "eqs", eqs)
-        object.__setattr__(self, "neqs", neqs)
+        set_field(self, "active", active)
+        set_field(self, "eqs", eqs)
+        set_field(self, "neqs", neqs)
 
     @property
     def when(self) -> str:

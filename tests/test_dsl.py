@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import gc
+import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +26,8 @@ from promisekit.errors import PromiseModelError
 from promisekit.model import Attribute, CmpLiteral, NamedConst, NumConst, Parameter, StrConst
 
 from bruteforce import reference_tokenize
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 GEOMETRY = """\
 agent rect;
@@ -77,6 +81,31 @@ def resolve_text(text: str):
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
+
+class CountingPattern:
+    """The lexer's pattern, counting its calls and the characters each one
+    reads: a match reads from ``pos`` to its end, a ``findall`` from ``pos``
+    to the end of the text."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.findalls = self.matches = self.consumed = 0
+
+    @property
+    def calls(self) -> int:
+        return self.findalls + self.matches
+
+    def match(self, text, pos=0):
+        m = self.pattern.match(text, pos)
+        self.matches += 1
+        self.consumed += m.end() - pos
+        return m
+
+    def findall(self, text, pos=0):
+        self.findalls += 1
+        self.consumed += len(text) - pos
+        return self.pattern.findall(text, pos)
+
 
 class TestLexer:
     def test_token_stream_shape(self):
@@ -182,25 +211,24 @@ class TestLexer:
         ids=["numerals", "numerals-then-a-name", "dollar-numeral"],
     )
     def test_a_run_of_numerals_is_read_in_linear_time(self, text, monkeypatch):
-        """A count, not a timing: one match per token or diagnostic, and each
-        character read by at most two matches."""
-
-        class CountingPattern:
-            def __init__(self, pattern):
-                self.pattern = pattern
-                self.calls = self.consumed = 0
-
-            def match(self, text, pos=0):
-                m = self.pattern.match(text, pos)
-                self.calls += 1
-                self.consumed += m.end() - pos
-                return m
-
+        """A count, not a timing: one pass or match per token or diagnostic,
+        and each character read by at most two of them."""
         counting = CountingPattern(lexer_module._TOKEN)
         monkeypatch.setattr(lexer_module, "_TOKEN", counting)
         tokens, diags = tokenize(text)
         assert counting.calls <= len(tokens) + len(diags) + 1
         assert counting.consumed <= 2 * len(text)
+
+    @pytest.mark.parametrize("name", [*corpus.names(), "ring"])
+    def test_a_clean_text_is_read_in_one_pass(self, name, monkeypatch):
+        """A text with no numeral run is read by one ``findall`` and no
+        ``match``."""
+        text = ring_text(20) if name == "ring" else corpus.read(name)
+        counting = CountingPattern(lexer_module._TOKEN)
+        monkeypatch.setattr(lexer_module, "_TOKEN", counting)
+        tokens, diags = tokenize(text)
+        assert diags == [] and len(tokens) > 50
+        assert (counting.findalls, counting.matches) == (1, 0)
 
     def test_tokens_are_left_to_the_collector_untracked(self):
         """A token is a tuple of atoms, which a collection stops tracking, and
@@ -244,13 +272,7 @@ LEX_PIECES = [
 ]
 
 
-@settings(max_examples=400)
-@given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
-@example('x = "a\\\nb";')
-@example("Ⅻ1 aⅫ $Ⅻ")
-@example("²Ⅻ①5" * 1249 + "²a²5")
-@example("x\r\n\t𝐀 😀 \"é\r\n" + "9" * 4301 + " " + "1" * 400 + ".5")
-def test_lexer_matches_the_reference_lexer(text):
+def assert_lexes_like_the_reference(text: str) -> None:
     """Every token and diagnostic, with the lines and columns that the
     spans derive from offsets against those the reference counts."""
 
@@ -270,6 +292,38 @@ def test_lexer_matches_the_reference_lexer(text):
         (type_, value, type(value), raw, where) for type_, value, raw, where in expected_tokens
     ]
     assert [(d.severity, d.code, d.message, place(d.span)) for d in diags] == expected_diags
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=40).map("".join))
+@example('x = "a\\\nb";')
+@example("Ⅻ1 aⅫ $Ⅻ")
+@example("²Ⅻ①5" * 1249 + "²a²5")
+@example("x\r\n\t𝐀 😀 \"é\r\n" + "9" * 4301 + " " + "1" * 400 + ".5")
+@example("²5.5.7 ²a ²5²x.5 $²9.0e ²if")
+def test_lexer_matches_the_reference_lexer(text):
+    assert_lexes_like_the_reference(text)
+
+
+MODEL_TEXTS = {
+    **{name: corpus.read(name) for name in corpus.names()},
+    **{
+        f"invalid/{path.name}": path.read_text(encoding="utf-8")
+        for path in sorted((GOLDEN / "invalid").glob("*.pml"))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_TEXTS))
+def test_whole_models_lex_like_the_reference(name):
+    """Each shipped and golden model, then 140 seeded copies of it with one
+    ``LEX_PIECES`` entry inserted at a random offset."""
+    text = MODEL_TEXTS[name]
+    assert_lexes_like_the_reference(text)
+    rng = random.Random(name)
+    for _ in range(140):
+        at = rng.randrange(len(text) + 1)
+        assert_lexes_like_the_reference(text[:at] + rng.choice(LEX_PIECES) + text[at:])
 
 
 # ---------------------------------------------------------------------------

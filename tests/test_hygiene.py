@@ -1,9 +1,10 @@
 """Source hygiene: no module imports a name it never uses, no module
 defines a private name it never uses, no module imports another
 promisekit module's private name, only the span module builds tuples
-without their class's constructor, only ``constraints``
-judges a pair of conditions or builds a term partition, no module imports
-``gc``, and no module-level container outlives a run.
+without their class's constructor, only ``value`` names
+``object.__setattr__``, only ``constraints`` judges a pair of conditions
+or builds a term partition, no module imports ``gc``, and no module-level
+container outlives a run.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -129,23 +130,34 @@ def test_no_module_imports_a_private_name_of_another_module():
     assert private == []
 
 
-def test_only_the_span_module_skips_the_tuple_constructors():
-    """``tuple.__new__`` skips the check in ``SourceSpan.__new__``; only the
-    span module uses it, in ``make_span`` and ``SourceSpan.merge``, which
-    check ``end < start`` themselves.  The lexer, the parser and
-    ``ModelAst.span`` build spans through ``make_span``."""
+def _modules_naming(owner: str, attr: str) -> set[str]:
+    """The modules whose code reads ``owner.attr``."""
     users = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Attribute)
-                and node.attr == "__new__"
+                and node.attr == attr
                 and isinstance(node.value, ast.Name)
-                and node.value.id == "tuple"
+                and node.value.id == owner
             ):
                 users.add(path.relative_to(PACKAGE).as_posix())
-    assert users == {"dsl/diagnostics.py"}
+    return users
+
+
+def test_only_the_span_module_skips_the_tuple_constructors():
+    """``tuple.__new__`` skips the check in ``SourceSpan.__new__``; only the
+    span module uses it, in ``make_span`` and ``SourceSpan.merge``, which
+    check ``end < start`` themselves.  The lexer, the parser and
+    ``ModelAst.span`` build spans through ``make_span``."""
+    assert _modules_naming("tuple", "__new__") == {"dsl/diagnostics.py"}
+
+
+def test_only_the_value_module_names_object_setattr():
+    """Constructors write their fields through ``value.set_field``, the one
+    binding of ``object.__setattr__``."""
+    assert _modules_naming("object", "__setattr__") == {"value.py"}
 
 
 def test_only_the_constraints_module_names_mutually_exclusive():
