@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from typing import Collection, Iterable, Iterator, Sequence, Union
 
-from .constraints import ExclusivityVerdict, pairwise_exclusive, TermPartition
+from .constraints import ConditionTable, ExclusivityVerdict, pairwise_exclusive, TermPartition
 from .errors import UnsatisfiableError
 from .model import (
     ALWAYS,
@@ -480,6 +480,7 @@ def _clash_detail(part: TermPartition) -> str:
 def _against_base(
     base: Sequence[tuple[str, Condition, Collection[EqConstraint]]],
     other: Sequence[tuple[str, Condition, Collection[EqConstraint]]],
+    memo: Union[dict[frozenset[Condition], list[World]], None] = None,
 ) -> Iterator[tuple[World, list, TermPartition, list, tuple[tuple[Term, Term], ...]]]:
     """The restriction engine of is-a and the override policy: promise the
     base's entries, each (reference, condition, constraints), and the other's
@@ -490,10 +491,11 @@ def _against_base(
     do not.  A parameter with a non-empty scope belongs to its own side and
     is never a base term.  With no other entries nothing can be narrowed, so
     judging one side alone makes one closure per world and sorts no classes
-    unless they clash."""
+    unless they clash.  ``memo`` is ``judge``'s world memo: a caller that
+    judges several entry lists passes one to all of them."""
     entries = [((True, r), c, k) for r, c, k in base]
     entries += [((False, r), c, k) for r, c, k in other]
-    for world, in_force, joint in judge(entries):
+    for world, in_force, joint in judge(entries, memo):
         clashing = [] if joint.admits(world.neqs) else joint.clashing_classes(world.neqs)
         pairs = ()
         if other and not clashing:
@@ -529,18 +531,22 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     Restricted: the union forces an equality among the parent's own
     attributes and constants that the parent alone does not entail.
     Otherwise the child can genuinely stand in for the parent.
+
+    Each side alone and the two together are judged on one world memo, so
+    each distinct condition set gets its worlds once per call.
     """
     sides = [
         [(f"{side} {b.name}: {format_body(body)}", body.condition, _scope_params(body, side))
          for body in b.bodies]
         for side, b in (("parent", parent), ("child", child))
     ]
+    memo: dict[frozenset[Condition], list[World]] = {}
     for bundle, own in zip((parent, child), sides):
-        if any(clashing for _, _, _, clashing, _ in _against_base(own, ())):
+        if any(clashing for _, _, _, clashing, _ in _against_base(own, (), memo)):
             raise UnsatisfiableError(f"bundle {bundle.name} is unsatisfiable on its own")
     merged: set[str] = set()
     involved: set[str] = set()
-    for world, in_force, joint, clashing, pairs in _against_base(*sides):
+    for world, in_force, joint, clashing, pairs in _against_base(*sides, memo):
         if clashing:
             detail = _clash_detail(joint) + world.when
             return IsAVerdict(INCONSISTENT, (detail,), _refs_touching(in_force, clashing))
@@ -663,6 +669,7 @@ def _channel_verdicts(
     shape: tuple[tuple[PromiseBody, str], ...],
     world_memo: dict[frozenset[Condition], list[World]],
     verdicts: dict[frozenset[Condition], ExclusivityVerdict],
+    table: ConditionTable,
 ) -> list[tuple[Severity, str, str, list[int], list[tuple[str, str]]]]:
     """The findings of a channel of ``shape``, its (body, scope) pairs in
     channel order, before the channel names them: each is (severity, code,
@@ -677,7 +684,7 @@ def _channel_verdicts(
             by_type.setdefault((body.polarity, body.type), []).append(i)
     for same_type in by_type.values():
         conditions = [shape[i][0].condition for i in same_type]
-        for i, j, witness in pairwise_exclusive(conditions, verdicts):
+        for i, j, witness in pairwise_exclusive(conditions, verdicts, table):
             if conditions[i] != conditions[j]:
                 a, b = same_type[i], same_type[j]
                 found.append((
@@ -695,7 +702,7 @@ def _channel_verdicts(
     entries = [
         (i, body.condition, _scope_params(body, scope)) for i, (body, scope) in enumerate(shape)
     ]
-    for world, in_force, part in judge(entries, world_memo):
+    for world, in_force, part in judge(entries, world_memo, table):
         if not part.admits(world.neqs):
             # The world's conditions hold together, so the clash needs the
             # constraints of some promise in force.
@@ -741,11 +748,13 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     group strings.  Bodies are compared by value.  A clash detail does not
     depend on scope names either: a clashing class holds a constant, which
     ``term_key`` ranks first.  Each distinct condition set likewise gets its
-    worlds once per call, and each condition pair its exclusivity verdict.
+    worlds once per call, each condition pair its exclusivity verdict, and
+    each condition its compiled form.
     """
     findings: dict[tuple, Finding] = {}
     world_memo: dict[frozenset[Condition], list[World]] = {}
     verdicts: dict[frozenset[Condition], ExclusivityVerdict] = {}
+    table = ConditionTable()
     shape_memo: dict[tuple, list] = {}
     for (promiser, promisee), promises in graph.channels().items():
         scopes = {"": ""}
@@ -754,7 +763,7 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
         )
         shared = shape_memo.get(shape)
         if shared is None:
-            shared = shape_memo[shape] = _channel_verdicts(shape, world_memo, verdicts)
+            shared = shape_memo[shape] = _channel_verdicts(shape, world_memo, verdicts, table)
         for severity, code, text, cited, scoped in shared:
             if scoped:
                 # A scope is the index of its group's first promise.
@@ -811,9 +820,14 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
 
     Unconditional bodies form the base class.  Conditional bodies group by
     condition; groups whose conditions are pairwise exclusive become subtype
-    nodes, anything overlapping stays in the base and is reported."""
+    nodes, anything overlapping stays in the base and is reported.  The
+    roles share one verdict per condition pair, one compiled form and one
+    text per condition."""
     findings: list[Finding] = []
     entries: list[RoleClasses] = []
+    verdicts: dict[frozenset[Condition], ExclusivityVerdict] = {}
+    table = ConditionTable()
+    texts: dict[Condition, str] = {}
     for role in discover_roles(graph):
         rep = role.members[0]
         bodies: list[PromiseBody] = []
@@ -826,30 +840,29 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
 
         base = [b for b in bodies if b.condition.is_empty]
         groups: dict[Condition, list[PromiseBody]] = {}
+        cited: dict[Condition, list[str]] = {}
         for b in bodies:
             if not b.condition.is_empty:
                 groups.setdefault(b.condition, []).append(b)
+                cited.setdefault(b.condition, []).append(citations[b])
 
-        conditions = sorted(groups, key=format_condition)
+        for cond in groups:
+            if cond not in texts:
+                texts[cond] = format_condition(cond)
+        conditions = sorted(groups, key=texts.__getitem__)
         overlapping: set[Condition] = set()
-        for i, j, witness in pairwise_exclusive(conditions):
+        for i, j, witness in pairwise_exclusive(conditions, verdicts, table):
             overlapping.update((conditions[i], conditions[j]))
             findings.append(
                 Finding(
                     Severity.PATTERN_ERROR,
                     "hierarchy-overlap",
                     f"role '{role.label}': conditions "
-                    f"({format_condition(conditions[i])}) and "
-                    f"({format_condition(conditions[j])}) can hold together "
+                    f"({texts[conditions[i]]}) and "
+                    f"({texts[conditions[j]]}) can hold together "
                     f"(when {_witness_text(witness)}); their bodies stay in "
                     f"the base class",
-                    tuple(
-                        sorted(
-                            citations[b]
-                            for c in (conditions[i], conditions[j])
-                            for b in groups[c]
-                        )
-                    ),
+                    tuple(sorted(cited[conditions[i]] + cited[conditions[j]])),
                 )
             )
 
@@ -859,7 +872,7 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
                 base_bodies.extend(format_body(b) for b in groups[cond])
         subtypes = tuple(
             ClassNode(
-                format_condition(cond),
+                texts[cond],
                 tuple(
                     format_body(
                         PromiseBody(b.polarity, b.type, b.constraints, ALWAYS)

@@ -4,11 +4,18 @@ The heart of the analyzer: a union-find closure over equality constraints,
 plus satisfiability with disequalities, canonical reduction, entailment, and
 mutual exclusivity of conditions.  Terms are atomic (no function symbols), so
 congruence degenerates to transitive closure of the stated equalities.
+
+Conditions are compiled once per analyzer call (``ConditionTable``): flags
+become two bit masks over a numbering the call owns, and one conjunction
+decides every question about conditions (``condition_satisfiable``,
+``mutually_exclusive``, ``pairwise_exclusive`` and ``worlds``).  It ORs the
+masks, so a flag clash is one ``&``, and closes only conjunctions that hold
+an equality or a disequality.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 from .errors import UnsatisfiableError
 from .model import (
@@ -245,6 +252,50 @@ class ExclusivityVerdict(Value):
         set_field(self, "witness", witness)
 
 
+class ConditionTable(dict):
+    """The conditions of one analyzer call, each compiled once into numbered
+    literals: ``table[cond]`` is (required, forbidden, equalities,
+    disequalities), the flags as bit masks over the table's own numbering
+    (``bits``, name to bit; ``names``, bit index to name), the rest in
+    sorted-literal order.  A caller that asks about many condition sets
+    passes one table to all of them, as it does its world memo."""
+
+    __slots__ = ("bits", "names")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.bits: dict[str, int] = {}
+        self.names: list[str] = []
+
+    def __missing__(self, cond: Condition) -> tuple:
+        required = forbidden = 0
+        eqs: list[EqConstraint] = []
+        neqs: list[tuple[Term, Term]] = []
+        bits = self.bits
+        for lit in cond.sorted_literals():
+            if isinstance(lit, FlagLiteral):
+                bit = bits.get(lit.name)
+                if bit is None:
+                    bit = bits[lit.name] = 1 << len(self.names)
+                    self.names.append(lit.name)
+                if lit.negated:
+                    forbidden |= bit
+                else:
+                    required |= bit
+            elif lit.op == "eq":
+                eqs.append(EqConstraint(lit.lhs, lit.rhs))
+            else:
+                neqs.append((lit.lhs, lit.rhs))
+        compiled = self[cond] = (required, forbidden, tuple(eqs), tuple(neqs))
+        return compiled
+
+    def subset_test(self, conditions: Sequence[Condition]) -> Callable[[Iterable[int]], bool]:
+        """A test of which of ``conditions`` can hold at once: called with
+        indices into ``conditions``, it tells whether theirs can."""
+        compiled = [self[c] for c in conditions]
+        return lambda indices: _conjoin([compiled[i] for i in indices]) is not None
+
+
 def split_condition(
     cond: Condition,
 ) -> tuple[list[EqConstraint], list[tuple[Term, Term]], dict[str, bool]]:
@@ -266,33 +317,51 @@ def split_condition(
     return eqs, neqs, flags
 
 
-def _conjunction(
-    conds: Iterable[Condition],
-) -> Union[tuple[list[EqConstraint], list[tuple[Term, Term]], dict[str, bool]], None]:
-    """The conditions' literals split as one condition, or None when a flag
-    is both required and forbidden.  The equalities and disequalities are
-    left to the caller's closure."""
-    try:
-        return split_condition(Condition(frozenset().union(*(c.literals for c in conds))))
-    except ValueError:
+def _conjoin(
+    compiled: Iterable[tuple],
+) -> Union[tuple[int, int, Union[TermPartition, None]], None]:
+    """The one conjunction of compiled conditions: None when it cannot hold,
+    else its required and forbidden masks and its closure.  The masks are
+    ORed, so a flag clash is ``required & forbidden``, and the rest
+    concatenated.  With no equality or disequality it holds and is not
+    closed (None for the closure); else its closure, with the disequality
+    terms as singletons, must admit the disequalities."""
+    required = forbidden = 0
+    eqs: list[EqConstraint] = []
+    neqs: list[tuple[Term, Term]] = []
+    for r, f, e, n in compiled:
+        required |= r
+        forbidden |= f
+        eqs += e
+        neqs += n
+    if required & forbidden:
         return None
+    if not (eqs or neqs):
+        return required, forbidden, None
+    part = closure(eqs, [t for pair in neqs for t in pair])
+    return (required, forbidden, part) if part.admits(neqs) else None
 
 
 def condition_satisfiable(*conds: Condition) -> bool:
     """Can all these conditions hold at once?"""
-    conjunction = _conjunction(conds)
-    return conjunction is not None and satisfiable(conjunction[0], conjunction[1])
+    table = ConditionTable()
+    return _conjoin([table[c] for c in conds]) is not None
 
 
-def _conjunction_witness(
-    part: TermPartition, flags: dict[str, bool]
-) -> tuple[tuple[str, str], ...]:
-    """A satisfying assignment sketch: one value per class of ``part``, flags
-    as booleans.  Distinct classes get distinct synthetic values, so every
-    disequality between two classes holds."""
+def _exclusivity(table: ConditionTable, c1: Condition, c2: Condition) -> ExclusivityVerdict:
+    """The verdict on ``c1`` and ``c2``, compiled in ``table``.  Its witness
+    gives one value per class of the conjunction's closure, distinct
+    classes distinct synthetic values, so every disequality between two
+    classes holds; and each flag of the conjunction as a boolean, read off
+    the set bits of its masks, so a witness costs what the pair holds, not
+    every flag the table numbers."""
+    conjunction = _conjoin((table[c1], table[c2]))
+    if conjunction is None:
+        return ExclusivityVerdict(exclusive=True)
+    required, forbidden, part = conjunction
     entries: list[tuple[str, str]] = []
     fresh = 0
-    for cls in part.classes:
+    for cls in part.classes if part is not None else ():
         consts = [t for t in cls if is_constant(t)]
         if consts:
             value = format_term(consts[0])
@@ -302,46 +371,48 @@ def _conjunction_witness(
         for t in cls:
             if not is_constant(t):
                 entries.append((format_term(t), value))
-    for name in sorted(flags):
-        entries.append((name, "true" if flags[name] else "false"))
-    return tuple(sorted(entries))
+    flags = required | forbidden
+    while flags:
+        bit = flags & -flags
+        flags ^= bit
+        entries.append((table.names[bit.bit_length() - 1], "true" if bit & required else "false"))
+    return ExclusivityVerdict(False, tuple(sorted(entries)))
 
 
 def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
     """Can ``c1`` and ``c2`` hold at the same time?  Exclusive iff their
     conjunction is unsatisfiable; otherwise the verdict carries a witness,
     the one place that needs the conjunction's sorted partition.  One
-    closure decides both; the disequality terms join it as singletons."""
-    conjunction = _conjunction((c1, c2))
-    if conjunction is not None:
-        eqs, neqs, flags = conjunction
-        part = closure(eqs, [t for pair in neqs for t in pair])
-        if part.admits(neqs):
-            return ExclusivityVerdict(False, _conjunction_witness(part, flags))
-    return ExclusivityVerdict(exclusive=True)
+    closure decides both, and none when the conjunction holds no equality
+    or disequality."""
+    return _exclusivity(ConditionTable(), c1, c2)
 
 
 def pairwise_exclusive(
     conditions: Sequence[Condition],
     verdicts: Union[dict[frozenset[Condition], ExclusivityVerdict], None] = None,
+    table: Union[ConditionTable, None] = None,
 ) -> Iterator[tuple[int, int, tuple[tuple[str, str], ...]]]:
     """Yield ``(i, j, witness)`` for each pair ``i < j`` of ``conditions``
     that can hold together, in index order; a family of fewer than two
     conditions has no pair.  This is the one loop that asks which of
     several conditions overlap.
 
-    Cost: ``verdicts`` maps each unordered condition pair to its verdict.
-    A caller that asks about many families in one call, one per channel
-    say, passes one fresh dict to all of them, so each distinct pair is
-    judged once per call.  A verdict depends on the set of the two
-    conditions' literals alone, so a hit is exact."""
+    Cost: ``verdicts`` maps each unordered condition pair to its verdict,
+    and ``table`` compiles each condition once.  A caller that asks about
+    many families in one call, one per channel say, passes one fresh dict
+    and one table to all of them, so each distinct pair is judged once per
+    call.  A verdict depends on the set of the two conditions' literals
+    alone, so a hit is exact.  A pair of flag-only conditions is decided
+    on its masks, with no closure."""
     verdicts = {} if verdicts is None else verdicts
+    table = ConditionTable() if table is None else table
     for i, a in enumerate(conditions):
         for j in range(i + 1, len(conditions)):
             b = conditions[j]
             pair = frozenset((a, b))
             verdict = verdicts.get(pair)
             if verdict is None:
-                verdict = verdicts[pair] = mutually_exclusive(a, b)
+                verdict = verdicts[pair] = _exclusivity(table, a, b)
             if not verdict.exclusive:
                 yield i, j, verdict.witness or ()

@@ -7,15 +7,9 @@ closing their constraints together with the world's own equalities.
 """
 from __future__ import annotations
 
-from typing import Collection, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from .constraints import (
-    closure,
-    condition_satisfiable,
-    split_condition,
-    TermPartition,
-    UnionFind,
-)
+from .constraints import closure, ConditionTable, TermPartition, UnionFind
 from .model import (
     Condition,
     EqConstraint,
@@ -58,9 +52,10 @@ class World(Value):
         return closure([*self.eqs, *extra])
 
 
-def _components(conditions: Sequence[Condition]) -> list[list[int]]:
-    """Indices of ``conditions`` grouped so that no two groups share a flag
-    name or a non-constant term, each group in ascending order.
+def _components(conditions: Sequence[Condition], members: Sequence[int]) -> list[list[int]]:
+    """``members`` (indices into ``conditions``) grouped so that no two
+    groups share a flag name or a non-constant term, each group in
+    ascending order.
 
     Conditions in different groups never clash.  A clash joins two distinct
     constants, or the two sides of one disequality, by a chain of
@@ -69,9 +64,9 @@ def _components(conditions: Sequence[Condition]) -> list[list[int]]:
     and then both halves touch the disequality's own terms.  So each clash
     lies inside one group."""
     uf = UnionFind()
-    for i, cond in enumerate(conditions):
+    for i in members:
         uf.add(i)
-        for lit in cond.literals:
+        for lit in conditions[i].literals:
             if isinstance(lit, FlagLiteral):
                 keys: tuple = (("flag", lit.name),)
             else:
@@ -79,41 +74,42 @@ def _components(conditions: Sequence[Condition]) -> list[list[int]]:
             for key in keys:
                 uf.union(key, i)
     groups: dict[object, list[int]] = {}
-    for i in range(len(conditions)):
+    for i in members:
         groups.setdefault(uf.find(i), []).append(i)
     return list(groups.values())
 
 
 def _maximal_subsets(
-    conditions: Sequence[Condition], members: Sequence[int]
+    fits: Callable[[tuple[int, ...]], bool], members: Sequence[int]
 ) -> list[tuple[int, ...]]:
-    """The maximal satisfiable subsets of ``members`` (indices into
-    ``conditions``), by include/exclude backtracking in member order."""
+    """The maximal subsets of ``members`` that ``fits``, by include/exclude
+    backtracking in member order."""
     found: list[tuple[int, ...]] = []
     # (next position, chosen indices, indices left out although they fit)
     stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), ())]
     while stack:
         pos, chosen, skipped = stack.pop()
         if pos == len(members):
-            held = [conditions[i] for i in chosen]
-            if not any(condition_satisfiable(*held, conditions[i]) for i in skipped):
+            if not any(fits(chosen + (i,)) for i in skipped):
                 found.append(chosen)
             continue
         i = members[pos]
-        held = [conditions[j] for j in chosen + (i,)]
-        rest = [conditions[j] for j in members[pos + 1 :]]
-        if condition_satisfiable(*held, *rest):
+        held = chosen + (i,)
+        rest = tuple(members[pos + 1 :])
+        if fits(held + rest):
             # Every set that leaves i out still fits i: none is maximal.
-            stack.append((pos + 1, chosen + (i,), skipped))
-        elif rest and condition_satisfiable(*held):
+            stack.append((pos + 1, held, skipped))
+        elif rest and fits(held):
             stack.append((pos + 1, chosen, skipped + (i,)))
-            stack.append((pos + 1, chosen + (i,), skipped))
+            stack.append((pos + 1, held, skipped))
         else:
             stack.append((pos + 1, chosen, skipped))
     return found
 
 
-def worlds(conditions: Iterable[Condition]) -> list[World]:
+def worlds(
+    conditions: Iterable[Condition], table: Optional[ConditionTable] = None
+) -> list[World]:
     """Maximal co-satisfiable combinations of the distinct conditions seen.
 
     Each world carries the equality/disequality premises its conditions
@@ -125,8 +121,11 @@ def worlds(conditions: Iterable[Condition]) -> list[World]:
     result is exact, with no cap.  Worlds come largest first, then in order
     of the sorted indices of their conditions.
 
-    Cost: each backtracking step runs at most two satisfiability tests, and
-    each leaf one more per condition it left out although it fit.  The
+    Cost: each distinct condition is compiled once into ``table`` (one per
+    call when not given), and every satisfiability test ORs the flag masks
+    of a tuple of indices; only a tuple whose conditions hold an equality or
+    a disequality is closed.  Each backtracking step runs at most two tests,
+    and each leaf one more per condition it left out although it fit.  The
     exclude branch of a condition is cut when everything after it still
     fits beside it, so compatible conditions and separate components cost
     one step each, and the work grows with the number of worlds times the
@@ -136,14 +135,16 @@ def worlds(conditions: Iterable[Condition]) -> list[World]:
     that its maximality test refutes.  An analyzer that judges many entry
     lists pays this once per distinct condition set per call (see
     ``judge``), not once per list."""
+    table = ConditionTable() if table is None else table
     distinct = sorted(
         {c for c in conditions if not c.is_empty},
         key=lambda c: format_condition(c),
     )
-    viable = [c for c in distinct if condition_satisfiable(c)]
+    fits = table.subset_test(distinct)
+    viable = [i for i in range(len(distinct)) if fits((i,))]
     chosen: list[tuple[int, ...]] = [()]
-    for members in _components(viable):
-        subsets = _maximal_subsets(viable, members)
+    for members in _components(distinct, viable):
+        subsets = _maximal_subsets(fits, members)
         chosen = [world + subset for world in chosen for subset in subsets]
     ordered = sorted((tuple(sorted(w)) for w in chosen), key=lambda w: (-len(w), w))
     out = []
@@ -151,16 +152,17 @@ def worlds(conditions: Iterable[Condition]) -> list[World]:
         eqs: list[EqConstraint] = []
         neqs: list[tuple[Term, Term]] = []
         for i in world:
-            ce, cn, _ = split_condition(viable[i])
-            eqs.extend(ce)
-            neqs.extend(cn)
-        out.append(World(frozenset(viable[i] for i in world), tuple(eqs), tuple(neqs)))
+            _, _, ce, cn = table[distinct[i]]
+            eqs += ce
+            neqs += cn
+        out.append(World(frozenset(distinct[i] for i in world), tuple(eqs), tuple(neqs)))
     return out
 
 
 def judge(
     entries: Iterable[tuple[Item, Condition, Collection[EqConstraint]]],
     memo: Optional[dict[frozenset[Condition], list[World]]] = None,
+    table: Optional[ConditionTable] = None,
 ) -> Iterator[
     tuple[World, list[tuple[Item, Condition, Collection[EqConstraint]]], TermPartition]
 ]:
@@ -172,18 +174,19 @@ def judge(
     constraints with the world's equalities.  The closure of a world is
     made only when the caller asks for that world.
 
-    Cost: ``memo`` maps each set of non-empty conditions to its worlds.  A
-    caller that judges many entry lists in one call, one per channel say,
-    passes one fresh dict to all of them, so worlds are computed once per
-    distinct condition set per call.  ``worlds`` depends on that set alone
-    and sorts it, so a memo hit is exact.  Closures stay per list and per
-    world; ``detect_conflicts`` judges one list per distinct channel shape,
-    so channels of one shape share them."""
+    Cost: ``memo`` maps each set of non-empty conditions to its worlds, and
+    ``table`` compiles their conditions.  A caller that judges many entry
+    lists in one call, one per channel say, passes one fresh dict and one
+    table to all of them, so worlds are computed once per distinct
+    condition set per call, and each condition compiled once.  ``worlds``
+    depends on that set alone and sorts it, so a memo hit is exact.
+    Closures stay per list and per world; ``detect_conflicts`` judges one
+    list per distinct channel shape, so channels of one shape share them."""
     entries = list(entries)
     memo = {} if memo is None else memo
     conditions = frozenset(c for _, c, _ in entries if not c.is_empty)
     if conditions not in memo:
-        memo[conditions] = worlds(conditions)
+        memo[conditions] = worlds(conditions, table)
     for world in memo[conditions]:
         in_force = [
             entry

@@ -1,6 +1,7 @@
 """Graph analyses: signatures, roles, structural checks, conflicts, classes."""
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import Counter
 
@@ -31,7 +32,11 @@ from promisekit.analysis import (
     role_signature,
     Severity,
 )
-from promisekit.constraints import mutually_exclusive
+from promisekit.constraints import (
+    condition_satisfiable,
+    mutually_exclusive,
+    pairwise_exclusive,
+)
 from promisekit.dsl import parse, resolve
 from promisekit.errors import UnsatisfiableError
 from promisekit.model import (
@@ -58,7 +63,14 @@ from promisekit.model import (
     use,
 )
 
-from bruteforce import oracle_is_a, oracle_override, oracle_satisfiable, reference_scenarios
+from bruteforce import (
+    oracle_conditions_satisfiable,
+    oracle_is_a,
+    oracle_mutually_exclusive,
+    oracle_override,
+    oracle_satisfiable,
+    reference_scenarios,
+)
 from loaders import load_corpus, load_text
 
 WIDTH, HEIGHT, ANGLE = Attribute("width"), Attribute("height"), Attribute("angle")
@@ -1135,16 +1147,50 @@ def test_scenarios_match_the_subset_sweep(family):
     assert worlds(promisekit.worlds.worlds(family)) == worlds(reference_scenarios(family))
 
 
+# Flag-only families over six flags: the masks number more flags than the
+# three of ``condition_st``, and decide every conjunction without a closure.
+flag_condition_st = st.builds(
+    Condition,
+    st.frozensets(
+        st.builds(FlagLiteral, st.sampled_from(["a", "b", "c", "d", "e", "f"]), st.booleans()),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(flag_condition_st, max_size=10))
+def test_flag_masks_match_the_oracles(family):
+    # reference_scenarios picks its subsets with condition_satisfiable, so
+    # that is checked against the oracle as well, on every prefix.
+    for n in range(len(family) + 1):
+        assert condition_satisfiable(*family[:n]) == oracle_conditions_satisfiable(family[:n])
+    assert worlds(promisekit.worlds.worlds(family)) == worlds(reference_scenarios(family))
+    assert list(pairwise_exclusive(family)) == [
+        (i, j, mutually_exclusive(family[i], family[j]).witness)
+        for i, j in itertools.combinations(range(len(family)), 2)
+        if not oracle_mutually_exclusive(family[i], family[j])
+    ]
+
+
 def test_world_count_not_subset_count_sets_the_cost(monkeypatch):
+    # Count every call of the compiled satisfiability test that ``worlds``
+    # makes, whichever function of it asks.
     calls = 0
-    real = promisekit.worlds.condition_satisfiable
+    make_test = promisekit.constraints.ConditionTable.subset_test
 
-    def counting(*conds):
-        nonlocal calls
-        calls += 1
-        return real(*conds)
+    def counting_test(table, conditions):
+        fits = make_test(table, conditions)
 
-    monkeypatch.setattr(promisekit.worlds, "condition_satisfiable", counting)
+        def counting(indices):
+            nonlocal calls
+            calls += 1
+            return fits(indices)
+
+        return counting
+
+    monkeypatch.setattr(promisekit.constraints.ConditionTable, "subset_test", counting_test)
+    closures = count_calls(monkeypatch, promisekit.constraints, "closure")
     family = [Condition.of(FlagLiteral(f"g{i}")) for i in range(20)] + [
         Condition.of(FlagLiteral(name, negated))
         for name in ("a", "b")
@@ -1154,7 +1200,9 @@ def test_world_count_not_subset_count_sets_the_cost(monkeypatch):
     assert len(scenarios) == 4
     assert all(len(s.active) == 22 for s in scenarios)
     # The subset sweep needed 2^24 tests here; k^2 bounds the enumeration.
-    assert calls <= len(family) ** 2
+    assert 0 < calls <= len(family) ** 2
+    # Flag-only conditions are decided on their masks.
+    assert closures["calls"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1209,12 +1257,9 @@ def test_conflict_detection_judges_each_condition_set_once(monkeypatch):
     for n, graph in graphs.items():
         with monkeypatch.context() as patch:
             counters = {
-                "condition_satisfiable": count_calls(
-                    patch, promisekit.constraints, "condition_satisfiable"
-                ),
-                "mutually_exclusive": count_calls(
-                    patch, promisekit.constraints, "mutually_exclusive"
-                ),
+                "closure": count_calls(patch, promisekit.constraints, "closure"),
+                "compile": count_compiles(patch),
+                "verdict": count_calls(patch, promisekit.constraints, "_exclusivity"),
                 "worlds": count_calls(patch, promisekit.worlds, "worlds"),
             }
             findings[n] = detect_conflicts(graph)
@@ -1224,10 +1269,111 @@ def test_conflict_detection_judges_each_condition_set_once(monkeypatch):
     }
     assert len(findings[50]) == 2 * len(findings[25])
     assert counts[25] == counts[50]
-    # One distinct non-empty condition set, one distinct condition pair.
+    # One distinct non-empty condition set, and one distinct condition pair,
+    # `ready` with the empty condition: two conditions to compile.  The one
+    # closure is that of the one world of the one channel shape: the
+    # flag-only pair and the world search are decided on masks.
     assert counts[25]["worlds"] == 1
-    assert counts[25]["mutually_exclusive"] == 1
-    assert counts[25]["condition_satisfiable"] > 0
+    assert counts[25]["verdict"] == 1
+    assert counts[25]["compile"] == 2
+    assert counts[25]["closure"] == 1
+
+
+def test_overlap_verdicts_are_shared_across_shapes_and_roles(monkeypatch):
+    # Two channels of different shapes, whose promisers are two roles, hold
+    # the same pair of overlapping conditions: one verdict serves each call.
+    graph = load_text(
+        "agent a, b, c, d;\n"
+        "type t: num;\n"
+        "type u: num;\n"
+        "flag p;\n"
+        "flag q;\n"
+        "a -> b: give t = 1 if p;\n"
+        "a -> b: give t = 2 if q;\n"
+        "c -> d: give t = 1 if p;\n"
+        "c -> d: give t = 2 if q;\n"
+        "c -> d: give u = 3;\n"
+    )
+    verdicts = count_calls(monkeypatch, promisekit.constraints, "_exclusivity")
+    overlaps = [f for f in detect_conflicts(graph) if f.code == "channel-overlap"]
+    assert len(overlaps) == 2
+    assert verdicts["calls"] == 1
+    hierarchy = derive_class_hierarchy(graph)
+    assert [f.code for f in hierarchy.findings] == ["hierarchy-overlap"] * 2
+    assert verdicts["calls"] == 2
+
+
+def count_compiles(monkeypatch) -> Counter:
+    """Count each condition that a ``ConditionTable`` compiles."""
+    table_class = promisekit.constraints.ConditionTable
+    real = table_class.__missing__
+    counter: Counter = Counter()
+
+    def counting(table, cond):
+        counter["calls"] += 1
+        return real(table, cond)
+
+    monkeypatch.setattr(table_class, "__missing__", counting)
+    return counter
+
+
+def dispatch_text(n: int) -> str:
+    """One channel of n promises, each gated on its own value of ``kind``."""
+    lines = ["agent r, s;", "type h: num;", "type kind: str;", "r -> s: give kind;"]
+    lines += [f's -> r: give h = {i} if kind == "v{i}";' for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_conflict_detection_compiles_each_condition_once(monkeypatch):
+    # The n conditions are pairwise exclusive: n(n-1)/2 verdicts and the
+    # world search ask about them, and each is compiled once.
+    graph = load_text(dispatch_text(50))
+    compiles = count_compiles(monkeypatch)
+    assert detect_conflicts(graph) == []
+    assert compiles["calls"] <= 50
+
+
+def flags_channel_text(k: int) -> str:
+    """``flags_text(k)`` with the channel promises of the ``flags``
+    benchmark model: y gives x every flag, and x gives y each gated type
+    under its gate, a constant per gate."""
+    flags = [f"g{i}" for i in range(k - 4)] + ["fa", "fb"]
+    lines = [f"y -> x: give {f};" for f in flags]
+    lines += [f"x -> y: give v{i} = {i + 1} if g{i};" for i in range(k - 4)]
+    lines += [
+        "x -> y: give ma = 1 if fa;", "x -> y: give ma = 2 if not fa;",
+        "x -> y: give mb = 1 if fb;", "x -> y: give mb = 2 if not fb;",
+    ]
+    return flags_text(k) + "\n".join(lines) + "\n"
+
+
+def test_is_a_searches_its_worlds_once(monkeypatch):
+    # Both sides alone and the two together share one world memo; P and C
+    # hold the same conditions, so one search serves all three passes.
+    # The world closures are those that test_restriction_engine pins, and
+    # flag-only conditions add none.
+    graph = load_text(flags_text(12))
+    counts = {}
+    for child, parent in (("C", "P"), ("RC", "SP"), ("RC", "RP")):
+        with monkeypatch.context() as patch:
+            searches = count_calls(patch, promisekit.worlds, "worlds")
+            closures = count_calls(patch, promisekit.constraints, "closure")
+            check_is_a(graph.bundle(child), graph.bundle(parent))
+        counts[child, parent] = (searches["calls"], closures["calls"])
+    # RC holds no condition: its own search is of the empty set.
+    assert counts == {("C", "P"): (1, 16), ("RC", "SP"): (2, 13), ("RC", "RP"): (2, 13)}
+
+
+def test_flag_only_conditions_need_no_closure(monkeypatch):
+    graph = load_text(flags_channel_text(12))
+    closures = count_calls(monkeypatch, promisekit.constraints, "closure")
+    hierarchy = derive_class_hierarchy(graph)
+    # C(12, 2) gate pairs, less the two pairs of a flag and its negation.
+    assert len(hierarchy.findings) == 64
+    assert closures["calls"] == 0
+    # The conflicts close one world per world of x -> y: four.
+    assert detect_conflicts(graph) == []
+    assert closures["calls"] == 4
 
 
 def closures_per_call(monkeypatch, graph) -> int:

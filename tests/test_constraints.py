@@ -12,6 +12,7 @@ from promisekit.analysis import detect_conflicts, finding_sort_key
 from promisekit.constraints import (
     closure,
     condition_satisfiable,
+    ConditionTable,
     entails,
     mutually_exclusive,
     pairwise_exclusive,
@@ -438,17 +439,53 @@ def test_pairwise_engine_matches_oracle_and_reuses_its_verdicts(conds):
         for i, j in itertools.combinations(range(len(conds)), 2)
         if not oracle_mutually_exclusive(conds[i], conds[j])
     ]
+    # A second pass over the same verdicts judges no pair again.
     calls = []
+    judge = promisekit.constraints._exclusivity
 
-    def counting(c1, c2):
+    def counting(table, c1, c2):
         calls.append((c1, c2))
-        return mutually_exclusive(c1, c2)
+        return judge(table, c1, c2)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(promisekit.constraints, "mutually_exclusive", counting)
+        patch.setattr(promisekit.constraints, "_exclusivity", counting)
         again = list(pairwise_exclusive(conds, verdicts))
     assert again == first
     assert calls == []
+
+
+def test_a_witness_reads_only_its_pairs_flags():
+    """A table shared by a whole analyzer call numbers every flag of the
+    call.  A witness reads the set bits of its pair's masks, one name per
+    flag, and never walks the numbering: n compatible conditions on
+    distinct flags cost n(n-1)/2 two-flag witnesses, whatever the table
+    holds."""
+
+    class Unwalked(dict):
+        def __iter__(self):
+            raise AssertionError("a witness walked the flag numbering")
+
+        items = keys = values = __iter__
+
+    class CountedNames(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            CountedNames.reads += 1
+            return super().__getitem__(index)
+
+        def __iter__(self):
+            raise AssertionError("a witness walked the flag names")
+
+    table = ConditionTable()
+    table.bits, table.names = Unwalked(), CountedNames()
+    n = 200
+    conds = [Condition.of(FlagLiteral(f"f{i:03}", i % 2 == 1)) for i in range(n)]
+    found = list(pairwise_exclusive(conds, table=table))
+    assert len(found) == n * (n - 1) // 2
+    assert found[0] == (0, 1, (("f000", "true"), ("f001", "false")))
+    assert all(len(witness) == 2 for _, _, witness in found)
+    assert CountedNames.reads == 2 * len(found)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 defines a private name it never uses, no module imports another
 promisekit module's private name, only the span module builds tuples
 without their class's constructor, only ``value`` names
-``object.__setattr__``, only ``constraints`` judges a pair of conditions
-or builds a term partition, no module imports ``gc``, and no module-level
-container outlives a run.
+``object.__setattr__``, only ``constraints`` judges a pair of conditions,
+conjoins conditions or builds a term partition, no module imports ``gc``,
+and no module-level container outlives a run.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -160,20 +160,33 @@ def test_only_the_value_module_names_object_setattr():
     assert _modules_naming("object", "__setattr__") == {"value.py"}
 
 
+def _modules_binding(*names: str) -> set[str]:
+    """The modules that name any of ``names``: as an import alias, a name,
+    an attribute or a definition."""
+    users = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            bound = {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}
+            if not bound.isdisjoint(names):
+                users.add(path.relative_to(PACKAGE).as_posix())
+    return users
+
+
 def test_only_the_constraints_module_names_mutually_exclusive():
     """Every "can hold together" finding comes from
     ``constraints.pairwise_exclusive``, so no other module binds, calls or
     re-imports ``mutually_exclusive``; the package ``__init__`` re-exports
     it."""
-    users = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in ast.walk(tree):
-            # An import alias, a name, an attribute or a definition.
-            names = {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}
-            if "mutually_exclusive" in names:
-                users.add(path.relative_to(PACKAGE).as_posix())
-    assert users == {"__init__.py", "constraints.py"}
+    assert _modules_binding("mutually_exclusive") == {"__init__.py", "constraints.py"}
+
+
+def test_only_the_constraints_module_conjoins_conditions():
+    """Every question about conditions goes through one conjunction of
+    compiled conditions, ``constraints._conjoin``: no other module splits a
+    condition or conjoins compiled ones.  ``worlds`` reads compiled
+    conditions off a ``ConditionTable`` and tests them through the table."""
+    assert _modules_binding("split_condition", "_conjoin") == {"constraints.py"}
 
 
 def test_only_the_constraints_module_builds_a_term_partition():
