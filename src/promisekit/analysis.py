@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from typing import Collection, Iterable, Iterator, Sequence, Union
 
-from .constraints import ConditionTable, ExclusivityVerdict, pairwise_exclusive, TermPartition
+from .constraints import ConditionTable, pairwise_exclusive, TermPartition
 from .errors import UnsatisfiableError
 from .model import (
     ALWAYS,
@@ -480,7 +480,7 @@ def _clash_detail(part: TermPartition) -> str:
 def _against_base(
     base: Sequence[tuple[str, Condition, Collection[EqConstraint]]],
     other: Sequence[tuple[str, Condition, Collection[EqConstraint]]],
-    memo: Union[dict[frozenset[Condition], list[World]], None] = None,
+    table: Union[ConditionTable, None] = None,
 ) -> Iterator[tuple[World, list, TermPartition, list, tuple[tuple[Term, Term], ...]]]:
     """The restriction engine of is-a and the override policy: promise the
     base's entries, each (reference, condition, constraints), and the other's
@@ -491,11 +491,10 @@ def _against_base(
     do not.  A parameter with a non-empty scope belongs to its own side and
     is never a base term.  With no other entries nothing can be narrowed, so
     judging one side alone makes one closure per world and sorts no classes
-    unless they clash.  ``memo`` is ``judge``'s world memo: a caller that
-    judges several entry lists passes one to all of them."""
+    unless they clash."""
     entries = [((True, r), c, k) for r, c, k in base]
     entries += [((False, r), c, k) for r, c, k in other]
-    for world, in_force, joint in judge(entries, memo):
+    for world, in_force, joint in judge(entries, table):
         clashing = [] if joint.admits(world.neqs) else joint.clashing_classes(world.neqs)
         pairs = ()
         if other and not clashing:
@@ -532,21 +531,21 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     attributes and constants that the parent alone does not entail.
     Otherwise the child can genuinely stand in for the parent.
 
-    Each side alone and the two together are judged on one world memo, so
-    each distinct condition set gets its worlds once per call.
+    Each side alone and the two together are judged on one
+    ``ConditionTable``.
     """
     sides = [
         [(f"{side} {b.name}: {format_body(body)}", body.condition, _scope_params(body, side))
          for body in b.bodies]
         for side, b in (("parent", parent), ("child", child))
     ]
-    memo: dict[frozenset[Condition], list[World]] = {}
+    table = ConditionTable()
     for bundle, own in zip((parent, child), sides):
-        if any(clashing for _, _, _, clashing, _ in _against_base(own, (), memo)):
+        if any(clashing for _, _, _, clashing, _ in _against_base(own, (), table)):
             raise UnsatisfiableError(f"bundle {bundle.name} is unsatisfiable on its own")
     merged: set[str] = set()
     involved: set[str] = set()
-    for world, in_force, joint, clashing, pairs in _against_base(*sides, memo):
+    for world, in_force, joint, clashing, pairs in _against_base(*sides, table):
         if clashing:
             detail = _clash_detail(joint) + world.when
             return IsAVerdict(INCONSISTENT, (detail,), _refs_touching(in_force, clashing))
@@ -666,10 +665,7 @@ def check_dispatch_pattern(
 # ---------------------------------------------------------------------------
 
 def _channel_verdicts(
-    shape: tuple[tuple[PromiseBody, str], ...],
-    world_memo: dict[frozenset[Condition], list[World]],
-    verdicts: dict[frozenset[Condition], ExclusivityVerdict],
-    table: ConditionTable,
+    shape: tuple[tuple[PromiseBody, str], ...], table: ConditionTable
 ) -> list[tuple[Severity, str, str, list[int], list[tuple[str, str]]]]:
     """The findings of a channel of ``shape``, its (body, scope) pairs in
     channel order, before the channel names them: each is (severity, code,
@@ -684,7 +680,7 @@ def _channel_verdicts(
             by_type.setdefault((body.polarity, body.type), []).append(i)
     for same_type in by_type.values():
         conditions = [shape[i][0].condition for i in same_type]
-        for i, j, witness in pairwise_exclusive(conditions, verdicts, table):
+        for i, j, witness in pairwise_exclusive(conditions, table):
             if conditions[i] != conditions[j]:
                 a, b = same_type[i], same_type[j]
                 found.append((
@@ -702,7 +698,7 @@ def _channel_verdicts(
     entries = [
         (i, body.condition, _scope_params(body, scope)) for i, (body, scope) in enumerate(shape)
     ]
-    for world, in_force, part in judge(entries, world_memo, table):
+    for world, in_force, part in judge(entries, table):
         if not part.admits(world.neqs):
             # The world's conditions hold together, so the clash needs the
             # constraints of some promise in force.
@@ -747,13 +743,9 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     a restriction involves.  The last two are done per channel on the real
     group strings.  Bodies are compared by value.  A clash detail does not
     depend on scope names either: a clashing class holds a constant, which
-    ``term_key`` ranks first.  Each distinct condition set likewise gets its
-    worlds once per call, each condition pair its exclusivity verdict, and
-    each condition its compiled form.
+    ``term_key`` ranks first.  The shapes share one ``ConditionTable``.
     """
     findings: dict[tuple, Finding] = {}
-    world_memo: dict[frozenset[Condition], list[World]] = {}
-    verdicts: dict[frozenset[Condition], ExclusivityVerdict] = {}
     table = ConditionTable()
     shape_memo: dict[tuple, list] = {}
     for (promiser, promisee), promises in graph.channels().items():
@@ -763,7 +755,7 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
         )
         shared = shape_memo.get(shape)
         if shared is None:
-            shared = shape_memo[shape] = _channel_verdicts(shape, world_memo, verdicts, table)
+            shared = shape_memo[shape] = _channel_verdicts(shape, table)
         for severity, code, text, cited, scoped in shared:
             if scoped:
                 # A scope is the index of its group's first promise.
@@ -821,11 +813,9 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
     Unconditional bodies form the base class.  Conditional bodies group by
     condition; groups whose conditions are pairwise exclusive become subtype
     nodes, anything overlapping stays in the base and is reported.  The
-    roles share one verdict per condition pair, one compiled form and one
-    text per condition."""
+    roles share one ``ConditionTable`` and one text per condition."""
     findings: list[Finding] = []
     entries: list[RoleClasses] = []
-    verdicts: dict[frozenset[Condition], ExclusivityVerdict] = {}
     table = ConditionTable()
     texts: dict[Condition, str] = {}
     for role in discover_roles(graph):
@@ -851,7 +841,7 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
                 texts[cond] = format_condition(cond)
         conditions = sorted(groups, key=texts.__getitem__)
         overlapping: set[Condition] = set()
-        for i, j, witness in pairwise_exclusive(conditions, verdicts, table):
+        for i, j, witness in pairwise_exclusive(conditions, table):
             overlapping.update((conditions[i], conditions[j]))
             findings.append(
                 Finding(

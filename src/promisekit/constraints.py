@@ -5,12 +5,13 @@ plus satisfiability with disequalities, canonical reduction, entailment, and
 mutual exclusivity of conditions.  Terms are atomic (no function symbols), so
 congruence degenerates to transitive closure of the stated equalities.
 
-Conditions are compiled once per analyzer call (``ConditionTable``): flags
-become two bit masks over a numbering the call owns, and one conjunction
-decides every question about conditions (``condition_satisfiable``,
-``mutually_exclusive``, ``pairwise_exclusive`` and ``worlds``).  It ORs the
-masks, so a flag clash is one ``&``, and closes only conjunctions that hold
-an equality or a disequality.
+An analyzer call keeps its condition work in one ``ConditionTable``: each
+condition compiled once (flags become two bit masks over a numbering the
+call owns), the worlds of each condition set and the verdict of each
+condition pair.  One conjunction decides every question about conditions
+(``condition_satisfiable``, ``mutually_exclusive``, ``pairwise_exclusive``
+and ``worlds``).  It ORs the masks, so a flag clash is one ``&``, and
+closes only conjunctions that hold an equality or a disequality.
 """
 from __future__ import annotations
 
@@ -77,14 +78,6 @@ class TermPartition:
     def __init__(self, uf: UnionFind) -> None:
         self._uf = uf
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TermPartition):
-            return NotImplemented
-        return self.as_sets() == other.as_sets()
-
-    def __hash__(self) -> int:
-        return hash(self.as_sets())
-
     def __repr__(self) -> str:
         body = "; ".join(
             "{" + ", ".join(format_term(t) for t in cls) + "}" for cls in self.classes
@@ -106,13 +99,6 @@ class TermPartition:
     @cached_property
     def _class_of(self) -> dict[Term, tuple[Term, ...]]:
         return {t: cls for cls in self.classes for t in cls}
-
-    def as_sets(self) -> frozenset[frozenset[Term]]:
-        return frozenset(frozenset(cls) for cls in self.classes)
-
-    @property
-    def terms(self) -> tuple[Term, ...]:
-        return tuple(t for cls in self.classes for t in cls)
 
     def class_of(self, t: Term) -> tuple[Term, ...]:
         return self._class_of.get(t, (t,))
@@ -253,19 +239,30 @@ class ExclusivityVerdict(Value):
 
 
 class ConditionTable(dict):
-    """The conditions of one analyzer call, each compiled once into numbered
-    literals: ``table[cond]`` is (required, forbidden, equalities,
-    disequalities), the flags as bit masks over the table's own numbering
-    (``bits``, name to bit; ``names``, bit index to name), the rest in
-    sorted-literal order.  A caller that asks about many condition sets
-    passes one table to all of them, as it does its world memo."""
+    """The condition work of one analyzer call.  ``table[cond]`` is the
+    condition compiled once into numbered literals: (required, forbidden,
+    equalities, disequalities), the flags as bit masks over the table's own
+    numbering (``bits``, name to bit; ``names``, bit index to name), the
+    rest in sorted-literal order.  ``worlds`` maps each set of non-empty
+    conditions to its worlds (kept by ``worlds.judge``), and ``verdicts``
+    each unordered condition pair to its verdict (kept by
+    ``pairwise_exclusive``).
 
-    __slots__ = ("bits", "names")
+    Cost: an analyzer builds one table per call and passes it to every
+    question it asks, one per channel or role say, so each condition is
+    compiled once, each distinct condition set gets its worlds once, and
+    each distinct pair its verdict once per call.  Worlds depend on the
+    set alone and a verdict on the two conditions alone, so a hit is
+    exact.  Nothing outlives the call."""
+
+    __slots__ = ("bits", "names", "worlds", "verdicts")
 
     def __init__(self) -> None:
         super().__init__()
         self.bits: dict[str, int] = {}
         self.names: list[str] = []
+        self.worlds: dict[frozenset[Condition], list] = {}
+        self.verdicts: dict[frozenset[Condition], ExclusivityVerdict] = {}
 
     def __missing__(self, cond: Condition) -> tuple:
         required = forbidden = 0
@@ -389,24 +386,16 @@ def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
 
 
 def pairwise_exclusive(
-    conditions: Sequence[Condition],
-    verdicts: Union[dict[frozenset[Condition], ExclusivityVerdict], None] = None,
-    table: Union[ConditionTable, None] = None,
+    conditions: Sequence[Condition], table: Union[ConditionTable, None] = None
 ) -> Iterator[tuple[int, int, tuple[tuple[str, str], ...]]]:
     """Yield ``(i, j, witness)`` for each pair ``i < j`` of ``conditions``
     that can hold together, in index order; a family of fewer than two
     conditions has no pair.  This is the one loop that asks which of
-    several conditions overlap.
-
-    Cost: ``verdicts`` maps each unordered condition pair to its verdict,
-    and ``table`` compiles each condition once.  A caller that asks about
-    many families in one call, one per channel say, passes one fresh dict
-    and one table to all of them, so each distinct pair is judged once per
-    call.  A verdict depends on the set of the two conditions' literals
-    alone, so a hit is exact.  A pair of flag-only conditions is decided
-    on its masks, with no closure."""
-    verdicts = {} if verdicts is None else verdicts
+    several conditions overlap.  Each pair's verdict is kept in ``table``,
+    and a pair of flag-only conditions is decided on its masks, with no
+    closure."""
     table = ConditionTable() if table is None else table
+    verdicts = table.verdicts
     for i, a in enumerate(conditions):
         for j in range(i + 1, len(conditions)):
             b = conditions[j]

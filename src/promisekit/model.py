@@ -293,12 +293,6 @@ class PromiseBody(Value):
             sorted(self.constraints, key=lambda c: (term_key(c.lhs), term_key(c.rhs)))
         )
 
-    def terms(self) -> tuple[Term, ...]:
-        out: list[Term] = []
-        for c in self.sorted_constraints():
-            out.extend(c.terms())
-        return tuple(out)
-
     @cached_property
     def text(self) -> str:
         """The printed body, made once per body object: ``+width=$w``,
@@ -447,21 +441,11 @@ class PromiseGraph(Value):
         return {a.name: a for a in self.agents}
 
     @cached_property
-    def _type_map(self) -> dict[str, PromiseTypeDecl]:
-        return {t.name: t for t in self.types}
-
-    @cached_property
     def _bundle_map(self) -> dict[str, Bundle]:
         return {b.name: b for b in self.bundles}
 
     def agent(self, name: str) -> Agent:
         return self._agent_map[name]
-
-    def has_agent(self, name: str) -> bool:
-        return name in self._agent_map
-
-    def type_decl(self, name: str) -> Union[PromiseTypeDecl, None]:
-        return self._type_map.get(name)
 
     def bundle(self, name: str) -> Union[Bundle, None]:
         return self._bundle_map.get(name)

@@ -121,20 +121,17 @@ def worlds(
     result is exact, with no cap.  Worlds come largest first, then in order
     of the sorted indices of their conditions.
 
-    Cost: each distinct condition is compiled once into ``table`` (one per
-    call when not given), and every satisfiability test ORs the flag masks
-    of a tuple of indices; only a tuple whose conditions hold an equality or
-    a disequality is closed.  Each backtracking step runs at most two tests,
-    and each leaf one more per condition it left out although it fit.  The
-    exclude branch of a condition is cut when everything after it still
-    fits beside it, so compatible conditions and separate components cost
-    one step each, and the work grows with the number of worlds times the
-    number of conditions, not with 2^k.  Inside one component, a clash
-    among its last conditions keeps that cut from firing for the ones
-    before it; the backtracking can then visit exponentially many leaves
-    that its maximality test refutes.  An analyzer that judges many entry
-    lists pays this once per distinct condition set per call (see
-    ``judge``), not once per list."""
+    Cost: every satisfiability test ORs the flag masks of a tuple of
+    indices, compiled in ``table``; only a tuple whose conditions hold an
+    equality or a disequality is closed.  Each backtracking step runs at
+    most two tests, and each leaf one more per condition it left out
+    although it fit.  The exclude branch of a condition is cut when
+    everything after it still fits beside it, so compatible conditions and
+    separate components cost one step each, and the work grows with the
+    number of worlds times the number of conditions, not with 2^k.  Inside
+    one component, a clash among its last conditions keeps that cut from
+    firing for the ones before it; the backtracking can then visit
+    exponentially many leaves that its maximality test refutes."""
     table = ConditionTable() if table is None else table
     distinct = sorted(
         {c for c in conditions if not c.is_empty},
@@ -161,7 +158,6 @@ def worlds(
 
 def judge(
     entries: Iterable[tuple[Item, Condition, Collection[EqConstraint]]],
-    memo: Optional[dict[frozenset[Condition], list[World]]] = None,
     table: Optional[ConditionTable] = None,
 ) -> Iterator[
     tuple[World, list[tuple[Item, Condition, Collection[EqConstraint]]], TermPartition]
@@ -172,22 +168,16 @@ def judge(
     yields the world, the entries in force in it (unconditional, or with a
     condition of the world) in input order, and the closure of their
     constraints with the world's equalities.  The closure of a world is
-    made only when the caller asks for that world.
-
-    Cost: ``memo`` maps each set of non-empty conditions to its worlds, and
-    ``table`` compiles their conditions.  A caller that judges many entry
-    lists in one call, one per channel say, passes one fresh dict and one
-    table to all of them, so worlds are computed once per distinct
-    condition set per call, and each condition compiled once.  ``worlds``
-    depends on that set alone and sorts it, so a memo hit is exact.
-    Closures stay per list and per world; ``detect_conflicts`` judges one
-    list per distinct channel shape, so channels of one shape share them."""
+    made only when the caller asks for that world.  The worlds of each
+    condition set are kept in ``table``; closures stay per list and per
+    world."""
     entries = list(entries)
-    memo = {} if memo is None else memo
+    table = ConditionTable() if table is None else table
     conditions = frozenset(c for _, c, _ in entries if not c.is_empty)
-    if conditions not in memo:
-        memo[conditions] = worlds(conditions, table)
-    for world in memo[conditions]:
+    found = table.worlds.get(conditions)
+    if found is None:
+        found = table.worlds[conditions] = worlds(conditions, table)
+    for world in found:
         in_force = [
             entry
             for entry in entries

@@ -259,7 +259,7 @@ def test_criterion_4_oracle_agreement():
 
         if satisfiable(eqs):
             part = closure(eqs)
-            mentioned = list(part.terms)
+            mentioned = [t for cls in part.classes for t in cls]
             got = {
                 frozenset((s, t))
                 for i, s in enumerate(mentioned)

@@ -1364,6 +1364,23 @@ def test_is_a_searches_its_worlds_once(monkeypatch):
     assert counts == {("C", "P"): (1, 16), ("RC", "SP"): (2, 13), ("RC", "RP"): (2, 13)}
 
 
+def test_is_a_compiles_each_condition_once(monkeypatch):
+    # The parent alone, the child alone and the two together share one
+    # table: the child's own pass asks about g again, and f and g are each
+    # compiled once.
+    graph = load_text(
+        "flag f;\n"
+        "flag g;\n"
+        "type width: num;\n"
+        "type height: num;\n"
+        "bundle P { give width = $a if f; give height = $b if g; }\n"
+        "bundle C { give width = $x if g; }\n"
+    )
+    compiles = count_compiles(monkeypatch)
+    assert check_is_a(graph.bundle("C"), graph.bundle("P")).outcome == IS_A
+    assert compiles["calls"] == 2
+
+
 def test_flag_only_conditions_need_no_closure(monkeypatch):
     graph = load_text(flags_channel_text(12))
     closures = count_calls(monkeypatch, promisekit.constraints, "closure")

@@ -100,7 +100,7 @@ class TestClosure:
 
     def test_insertion_order_does_not_matter(self):
         forward = [eq(WIDTH, W), eq(W, H), eq(DEPTH, NumConst(2))]
-        assert closure(forward).as_sets() == closure(forward[::-1]).as_sets()
+        assert closure(forward).classes == closure(forward[::-1]).classes
 
 
 class TestSatisfiable:
@@ -317,15 +317,14 @@ eqs_st = st.lists(pairs_st.map(lambda p: EqConstraint(*p)), max_size=5)
 def test_closure_ignores_input_order(eqs, rng):
     shuffled = list(eqs)
     rng.shuffle(shuffled)
-    assert closure(eqs).as_sets() == closure(shuffled).as_sets()
+    assert closure(eqs).classes == closure(shuffled).classes
 
 
 @given(eqs_st, pairs_st)
 def test_closure_grows_monotonically(eqs, extra):
     before = closure(eqs)
     after = closure(eqs + [EqConstraint(*extra)])
-    for group in before.as_sets():
-        members = list(group)
+    for members in before.classes:
         anchor = members[0]
         for other in members[1:]:
             assert after.same_class(anchor, other)
@@ -335,7 +334,7 @@ def test_closure_grows_monotonically(eqs, extra):
 def test_closure_matches_oracle_pair_for_pair(eqs):
     part = closure(eqs)
     expected = oracle_same_class_pairs(eqs, domain=(0, 1, 2))
-    terms = list(part.terms)
+    terms = [t for cls in part.classes for t in cls]
     got = {
         frozenset((s, t))
         for i, s in enumerate(terms)
@@ -432,14 +431,14 @@ def test_conjunction_of_several_conditions_matches_oracle(conds):
     )
 )
 def test_pairwise_engine_matches_oracle_and_reuses_its_verdicts(conds):
-    verdicts: dict = {}
-    first = list(pairwise_exclusive(conds, verdicts))
+    table = ConditionTable()
+    first = list(pairwise_exclusive(conds, table))
     assert first == [
         (i, j, mutually_exclusive(conds[i], conds[j]).witness)
         for i, j in itertools.combinations(range(len(conds)), 2)
         if not oracle_mutually_exclusive(conds[i], conds[j])
     ]
-    # A second pass over the same verdicts judges no pair again.
+    # A second pass over the same table judges no pair again.
     calls = []
     judge = promisekit.constraints._exclusivity
 
@@ -449,7 +448,7 @@ def test_pairwise_engine_matches_oracle_and_reuses_its_verdicts(conds):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(promisekit.constraints, "_exclusivity", counting)
-        again = list(pairwise_exclusive(conds, verdicts))
+        again = list(pairwise_exclusive(conds, table))
     assert again == first
     assert calls == []
 

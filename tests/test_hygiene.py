@@ -293,9 +293,11 @@ def _module_container_sizes() -> dict[str, int]:
 
 
 def test_no_module_level_container_outlives_a_run(tmp_path):
-    """Memos belong to one call: two rounds of ``pml check`` leave every
-    module-level container as it was.  The ring model's names are this
-    test's own, so a memo that earlier tests filled would still grow."""
+    """Memos belong to one call: two rounds of ``pml check`` and
+    ``pml classes`` on every model, and of ``pml isa`` on geometry and on
+    the ring's gated bundle, leave every module-level container as it was.
+    The ring model's names are this test's own, so a memo that earlier
+    tests filled would still grow."""
     ring = tmp_path / "ring.pml"
     ring.write_text(
         "agent hyg_a, hyg_b, hyg_c;\ntype hyg_token: num;\ntype hyg_load: num;\n"
@@ -314,6 +316,10 @@ def test_no_module_level_container_outlives_a_run(tmp_path):
         for _ in range(2):
             for path in paths:
                 assert cli.main(["check", path]) in (0, 1)
+                assert cli.main(["classes", path]) in (0, 1)
+            geometry = str(corpus.path("geometry.pml"))
+            assert cli.main(["isa", geometry, "Square", "Rectangle"]) == 1
+            assert cli.main(["isa", str(ring), "HygFeed", "HygFeed"]) == 0
     after = _module_container_sizes()
     assert {k: (v, after.get(k)) for k, v in before.items() if after.get(k) != v} == {}
     assert sorted(set(after) - set(before)) == []

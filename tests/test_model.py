@@ -136,11 +136,6 @@ class TestBodies:
         cond = Condition.of(FlagLiteral("employee"))
         assert format_body(use("priv", cond)) == "U(priv) if employee"
 
-    def test_terms_come_from_constraints_only(self):
-        cond = Condition.of(CmpLiteral(Attribute("name"), "eq", NamedConst("o")))
-        body = give("width", EqConstraint(WIDTH, W), condition=cond)
-        assert set(body.terms()) == {WIDTH, W}
-
 
 # ---------------------------------------------------------------------------
 # Bundles
@@ -208,8 +203,7 @@ class TestTypes:
 
     def test_dotted_name_is_one_name(self):
         graph = build_graph([], [PromiseTypeDecl("a.b", KIND_NUM)])
-        assert graph.type_decl("a.b") == PromiseTypeDecl("a.b", KIND_NUM)
-        assert graph.type_decl("a") is None
+        assert graph.types == (PromiseTypeDecl("a.b", KIND_NUM),)
 
     def test_duplicate_type_rejected(self):
         decls = [PromiseTypeDecl("w", KIND_NUM), PromiseTypeDecl("w", KIND_NUM)]
@@ -233,10 +227,8 @@ class TestBuildGraph:
     def test_round_trip_accessors(self):
         graph = build_graph(AGENTS, TYPES, [rect_bundle()], [width_promise()])
         assert graph.agent("rect").name == "rect"
-        assert graph.has_agent("viewer")
-        assert not graph.has_agent("ghost")
-        assert graph.type_decl("width").kind == KIND_NUM
-        assert graph.type_decl("ghost") is None
+        assert [a.name for a in graph.agents] == ["rect", "viewer"]
+        assert {t.name: t.kind for t in graph.types} == {"width": KIND_NUM, "height": KIND_NUM}
         assert graph.bundle("Rectangle") is not None
         assert graph.bundle("Ghost") is None
 
