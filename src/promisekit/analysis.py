@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .constraints import ConditionTable, pairwise_exclusive, TermPartition
@@ -268,12 +268,21 @@ def _role_label(signature: RoleSignature) -> str:
 
 
 def discover_roles(graph: PromiseGraph) -> list[Role]:
-    """Partition every agent by role signature, ordered by signature."""
+    """Partition every agent by role signature, ordered by signature.
+
+    One pass over the promises collects every agent's (direction,
+    polarity, type) entries at once, so each agent's signature is
+    ``role_signature(graph, agent)`` without a per-agent index."""
+    shapes: defaultdict[str, list[tuple[str, str, str]]] = defaultdict(list)
+    for p in graph.promises:
+        body = p.body
+        if body.type != LINK_TYPE:
+            shapes[p.promiser].append((OUT, body.polarity, body.type))
+            shapes[p.promisee].append((IN, body.polarity, body.type))
     by_signature: dict[RoleSignature, list[str]] = {}
     for agent in graph.agents:
-        by_signature.setdefault(role_signature(graph, agent.name), []).append(
-            agent.name
-        )
+        signature = tuple(sorted(Counter(shapes.get(agent.name, ())).items()))
+        by_signature.setdefault(signature, []).append(agent.name)
     return [
         Role(sig, _role_label(sig), tuple(sorted(members)))
         for sig, members in sorted(by_signature.items())
@@ -756,6 +765,7 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
         shared = shape_memo.get(shape)
         if shared is None:
             shared = shape_memo[shape] = _channel_verdicts(shape, table)
+        formatted: dict[int, str] = {}  # each cited promise, formatted once
         for severity, code, text, cited, scoped in shared:
             if scoped:
                 # A scope is the index of its group's first promise.
@@ -765,11 +775,14 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
                 )
                 groups = {g for g, _ in named}
                 cited = [i for i in cited if promises[i].group in groups]
-            refs = tuple(sorted({promises[i].formatted() for i in cited}))
+            for i in cited:
+                if i not in formatted:
+                    formatted[i] = promises[i].formatted()
+            refs = tuple(sorted({formatted[i] for i in cited}))
             message = f"{promiser} -> {promisee}: {text}"
-            findings.setdefault(
-                (severity, code, refs, message), Finding(severity, code, message, refs)
-            )
+            key = (int(severity), code, refs, message)
+            if key not in findings:
+                findings[key] = Finding(severity, code, message, refs)
     return sorted(findings.values(), key=finding_sort_key)
 
 

@@ -46,35 +46,39 @@ LINK_TYPE = "="
 class Attribute(Value):
     """A promise type used as a value carrier, e.g. ``width``."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str) -> None:
         set_field(self, "name", name)
+        set_field(self, "_hash", hash(self._key(self)))
 
 
 class Parameter(Value):
     """A free value placeholder, written ``$w``.  ``scope`` is the group of
     the promise that makes it, set where analyses keep groups apart, else ""."""
 
-    __slots__ = ("name", "scope")
+    __slots__ = ("name", "scope", "_hash")
 
     def __init__(self, name: str, scope: str = "") -> None:
         set_field(self, "name", name)
         set_field(self, "scope", scope)
+        set_field(self, "_hash", hash(self._key(self)))
 
 
 class NumConst(Value):
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: Union[int, float]) -> None:
         set_field(self, "value", value)
+        set_field(self, "_hash", hash(self._key(self)))
 
 
 class StrConst(Value):
-    __slots__ = ("value",)
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: str) -> None:
         set_field(self, "value", value)
+        set_field(self, "_hash", hash(self._key(self)))
 
 
 class NamedConst(Value):
@@ -84,10 +88,11 @@ class NamedConst(Value):
     private attribute; equating it with another constant is no clash.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str) -> None:
         set_field(self, "name", name)
+        set_field(self, "_hash", hash(self._key(self)))
 
 
 Term = Union[Attribute, Parameter, NumConst, StrConst, NamedConst]
@@ -159,13 +164,14 @@ class EqConstraint(Value):
     """An equality between two terms; stored order-normalized so the set
     {a=b} equals {b=a}."""
 
-    __slots__ = ("lhs", "rhs")
+    __slots__ = ("lhs", "rhs", "_hash")
 
     def __init__(self, lhs: Term, rhs: Term) -> None:
         if term_key(lhs) > term_key(rhs):
             lhs, rhs = rhs, lhs
         set_field(self, "lhs", lhs)
         set_field(self, "rhs", rhs)
+        set_field(self, "_hash", hash(self._key(self)))
 
     def terms(self) -> tuple[Term, Term]:
         return (self.lhs, self.rhs)
@@ -183,7 +189,7 @@ class CmpLiteral(Value):
     """``lhs == rhs`` or ``lhs != rhs`` inside a condition; sides stored in
     term order, as in ``EqConstraint``."""
 
-    __slots__ = ("lhs", "op", "rhs")
+    __slots__ = ("lhs", "op", "rhs", "_hash")
 
     def __init__(self, lhs: Term, op: Literal["eq", "neq"], rhs: Term) -> None:
         if term_key(lhs) > term_key(rhs):
@@ -191,16 +197,18 @@ class CmpLiteral(Value):
         set_field(self, "lhs", lhs)
         set_field(self, "op", op)
         set_field(self, "rhs", rhs)
+        set_field(self, "_hash", hash(self._key(self)))
 
 
 class FlagLiteral(Value):
     """A boolean flag mention, possibly negated (``not employee``)."""
 
-    __slots__ = ("name", "negated")
+    __slots__ = ("name", "negated", "_hash")
 
     def __init__(self, name: str, negated: bool = False) -> None:
         set_field(self, "name", name)
         set_field(self, "negated", negated)
+        set_field(self, "_hash", hash(self._key(self)))
 
 
 ConditionLiteral = Union[CmpLiteral, FlagLiteral]
@@ -226,10 +234,11 @@ def format_literal(lit: ConditionLiteral) -> str:
 class Condition(Value):
     """A conjunction of literals; the empty condition is always true."""
 
-    __slots__ = ("literals",)
+    __slots__ = ("literals", "_hash")
 
     def __init__(self, literals: frozenset[ConditionLiteral] = frozenset()) -> None:
         set_field(self, "literals", literals)
+        set_field(self, "_hash", hash(self._key(self)))
 
     @staticmethod
     def of(*literals: ConditionLiteral) -> "Condition":
@@ -266,7 +275,7 @@ class PromiseBody(Value):
     their own; constructing one with constraints raises.
     """
 
-    __slots__ = ("polarity", "type", "constraints", "condition", "__dict__")
+    __slots__ = ("polarity", "type", "constraints", "condition", "_hash", "__dict__")
 
     def __init__(
         self,
@@ -283,6 +292,7 @@ class PromiseBody(Value):
         set_field(self, "type", type)
         set_field(self, "constraints", constraints)
         set_field(self, "condition", condition)
+        set_field(self, "_hash", hash(self._key(self)))
 
     @property
     def is_link(self) -> bool:

@@ -6,10 +6,11 @@ its methods generated and compiled when its module is imported: that cost a
 those methods once, for every class.
 
 A subclass lists its fields, in order, in ``__slots__``, followed by
-``"__dict__"`` where a ``functools.cached_property`` needs somewhere to keep
-its value.  Its own ``__init__`` writes each field with ``set_field``, this
-module's one binding of ``object.__setattr__``, since assignment is refused.
-In return it has:
+``"_hash"`` (below) and by ``"__dict__"`` where a
+``functools.cached_property`` needs somewhere to keep its value; neither
+holds a field.  Its own ``__init__`` writes each slot with ``set_field``,
+this module's one binding of ``object.__setattr__``, since assignment is
+refused.  In return it has:
 
 - ``==`` that holds between objects of the same class whose compared fields
   are equal, and a ``hash`` that agrees with it;
@@ -19,6 +20,15 @@ In return it has:
 
 Two class keywords leave fields out: ``hidden`` from equality, hash and
 repr, ``uncompared`` from equality and hash only.
+
+A value shared across a request, such as a term, a condition or a body, is
+hashed again and again.  Such a class declares the slot ``"_hash"``, and its
+constructor ends with ``set_field(self, "_hash", hash(self._key(self)))``:
+the hash is computed once, and ``hash()`` only reads the slot.  So a field
+that cannot be hashed is refused at construction.  A copy or an unpickled
+value goes through the constructor and computes its own hash, so no hash
+crosses processes.  The other classes, hashed once or never, compute the
+hash on each call.
 """
 from __future__ import annotations
 
@@ -37,12 +47,14 @@ class Value:
         cls, hidden: tuple[str, ...] = (), uncompared: tuple[str, ...] = ()
     ) -> None:
         super().__init_subclass__()
-        fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        fields = tuple(name for name in cls.__slots__ if name not in ("_hash", "__dict__"))
         cls.__match_args__ = cls._fields = fields
         cls._shown = tuple(name for name in fields if name not in hidden)
         # One field gives the value itself, more give a tuple: either way
         # equal keys hash alike.
         cls._key = attrgetter(*(name for name in cls._shown if name not in uncompared))
+        if "_hash" in cls.__slots__:
+            cls.__hash__ = Value._stored_hash
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -52,6 +64,9 @@ class Value:
 
     def __hash__(self) -> int:
         return hash(self._key(self))
+
+    def _stored_hash(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)

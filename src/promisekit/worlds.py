@@ -7,6 +7,7 @@ closing their constraints together with the world's own equalities.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .constraints import closure, ConditionTable, TermPartition, UnionFind
@@ -27,7 +28,7 @@ class World(Value):
     """One maximal co-satisfiable set of conditions, with the equalities and
     disequalities those conditions impose."""
 
-    __slots__ = ("active", "eqs", "neqs")
+    __slots__ = ("active", "eqs", "neqs", "__dict__")
 
     def __init__(
         self,
@@ -39,10 +40,11 @@ class World(Value):
         set_field(self, "eqs", eqs)
         set_field(self, "neqs", neqs)
 
-    @property
+    @cached_property
     def when(self) -> str:
         """The suffix naming the world in a finding: ``" (when a & b)"``, or
-        ``""`` for the world of no conditions."""
+        ``""`` for the world of no conditions.  Made once per world, on the
+        first read."""
         if not self.active:
             return ""
         return f" (when {' & '.join(sorted(format_condition(c) for c in self.active))})"

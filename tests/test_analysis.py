@@ -222,6 +222,50 @@ class TestRoles:
         assert [r.label for r in roles] == ["isolated"]
 
 
+ROLE_AGENTS = ["a", "b", "c", "d"]
+ROLE_ATTRS, ROLE_PARAMS = ["width", "height"], ["p", "q", "r"]
+ROLE_TYPES = [PromiseTypeDecl(t, "num") for t in ROLE_ATTRS] + [PromiseTypeDecl("ready", "flag")]
+
+role_body_st = st.one_of(
+    st.builds(
+        lambda t, p: give(t, EqConstraint(Attribute(t), Parameter(p))),
+        st.sampled_from(ROLE_ATTRS),
+        st.sampled_from(ROLE_PARAMS),
+    ),
+    st.builds(lambda t: give(t, condition=Condition.of(FlagLiteral("ready"))),
+              st.sampled_from(ROLE_ATTRS)),
+    st.builds(use, st.sampled_from([*ROLE_ATTRS, "ready"])),
+    st.just(give("ready")),
+    st.builds(
+        lambda p, q: link(Parameter(p), Parameter(q)),
+        st.sampled_from(ROLE_PARAMS),
+        st.sampled_from(ROLE_PARAMS),
+    ).filter(lambda b: len({t for c in b.constraints for t in c.terms()}) == 2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(3, [(0, 0, link(Parameter("p"), Parameter("q"))), (0, 0, use("width")),
+             (0, 2, link(Parameter("p"), Parameter("r")))])
+@given(
+    st.integers(1, len(ROLE_AGENTS)),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), role_body_st), max_size=12),
+)
+def test_discover_roles_groups_agents_by_role_signature(n, edges):
+    """The one-pass ``discover_roles`` equals grouping the agents by their
+    ``role_signature``, with self-promises, link-only bodies and agents
+    that promise nothing."""
+    names = ROLE_AGENTS[:n]
+    promises = [Promise(names[i % n], names[j % n], body) for i, j, body in edges]
+    graph = build_graph([Agent(a) for a in names], ROLE_TYPES, promises=promises)
+    grouped: dict = {}
+    for agent in graph.agents:
+        grouped.setdefault(role_signature(graph, agent.name), []).append(agent.name)
+    assert [(r.signature, r.members) for r in discover_roles(graph)] == sorted(
+        (signature, tuple(sorted(members))) for signature, members in grouped.items()
+    )
+
+
 class TestSpanningSet:
     def test_bank_collapses_to_two_shapes(self):
         spanning = extract_spanning_set(load_corpus("bank.pml"))

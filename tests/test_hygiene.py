@@ -2,9 +2,10 @@
 defines a private name it never uses, no module imports another
 promisekit module's private name, only the span module builds tuples
 without their class's constructor, only ``value`` names
-``object.__setattr__``, only ``constraints`` judges a pair of conditions,
-conjoins conditions or builds a term partition, no module imports ``gc``,
-and no module-level container outlives a run.
+``object.__setattr__``, only ``value`` and ``LineIndex`` name
+``__hash__``, only ``constraints`` judges a pair of conditions, conjoins
+conditions or builds a term partition, no module imports ``gc``, and no
+module-level container outlives a run.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -171,6 +172,14 @@ def _modules_binding(*names: str) -> set[str]:
             if not bound.isdisjoint(names):
                 users.add(path.relative_to(PACKAGE).as_posix())
     return users
+
+
+def test_only_the_value_module_names_hash():
+    """How a value hashes is written once: ``Value`` computes the hash of
+    its compared key, or reads the one a shared class stored at
+    construction.  The only other ``__hash__`` is ``LineIndex``'s, which is
+    no value class."""
+    assert _modules_binding("__hash__") == {"dsl/diagnostics.py", "value.py"}
 
 
 def test_only_the_constraints_module_names_mutually_exclusive():

@@ -6,9 +6,14 @@ from __future__ import annotations
 
 import copy
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import promisekit
 from promisekit.analysis import (
     CheckReport,
     ClassHierarchy,
@@ -400,6 +405,8 @@ def test_constructors_keep_their_checks():
         PromiseBody("use", "width", frozenset({EQ}))
     with pytest.raises(ValueError, match="at least one promise"):
         Finding(Severity.RESTRICTED, "c", "m", ())
+    with pytest.raises(TypeError, match="unhashable"):
+        Condition({READY})  # a shared value hashes at construction
 
 
 def test_cached_properties_are_made_once_per_object():
@@ -411,3 +418,80 @@ def test_cached_properties_are_made_once_per_object():
     assert {"_agent_map", "_outgoing"} <= set(vars(graph))
     copied = copy.copy(graph)
     assert copied == graph and copied.agent("a") == Agent("a")
+    world = World(frozenset({Condition.of(READY), Condition.of(FlagLiteral("go"))}), (), ())
+    assert world.when == " (when go & ready)" and world.when is world.when
+    assert vars(world)["when"] == " (when go & ready)"
+    assert World(frozenset(), (), ()).when == ""
+
+
+# The classes shared across a request, which compute their hash once.
+STORED_HASH = (
+    "Attribute", "Parameter", "NumConst", "StrConst", "NamedConst",
+    "EqConstraint", "CmpLiteral", "FlagLiteral", "Condition", "PromiseBody",
+)
+
+
+def test_only_shared_values_store_their_hash():
+    stored = {name for name, (make, _, _) in CASES.items() if "_hash" in type(make()).__slots__}
+    assert stored == set(STORED_HASH)
+
+
+@pytest.mark.parametrize("name", STORED_HASH)
+def test_a_shared_value_computes_its_key_once(name, monkeypatch):
+    """However often a shared value is hashed, its compared key is computed
+    once, by the constructor, and the hash is that of the key."""
+    make, _, _ = CASES[name]
+    cls = type(make())
+    key, computed = cls._key, []
+    monkeypatch.setattr(cls, "_key", staticmethod(lambda obj: computed.append(obj) or key(obj)))
+    values = [make() for _ in range(3)]
+    assert len(computed) == 3
+    for value in values:
+        for _ in range(4):
+            assert hash(value) == hash(key(value))
+        assert {value: 1}[value] == 1 and value in {value}
+    assert len(computed) == 3 and all(a is b for a, b in zip(computed, values))
+
+
+@pytest.mark.parametrize("name", STORED_HASH)
+def test_the_stored_hash_is_not_a_field(name):
+    make, _, _ = CASES[name]
+    value = make()
+    cls = type(value)
+    assert "_hash" not in repr(value)
+    assert cls.__match_args__ == cls._fields == tuple(inspect.signature(cls).parameters)
+    assert value.__reduce__() == (cls, tuple(getattr(value, f) for f in cls._fields))
+
+
+def test_an_unpickled_value_hashes_as_one_built_in_its_process():
+    """A value pickled under one ``PYTHONHASHSEED`` and loaded under another
+    hashes equal to an equal value built there, so no stored hash crosses
+    processes.  String hashes differ between the two seeds, so a stale hash
+    would show."""
+    build = (
+        "from promisekit.model import *\n"
+        "body = give('width', EqConstraint(Attribute('width'), Parameter('w', 'g')),"
+        " condition=Condition.of(FlagLiteral('ready'),"
+        " CmpLiteral(NamedConst('red'), 'neq', StrConst('s')),"
+        " CmpLiteral(Attribute('h'), 'eq', NumConst(2))))\n"
+    )
+    dump = build + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(body))\n"
+    load = (
+        build + "import pickle, sys\nloaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(loaded == body, hash(loaded) == hash(body), hash(body))\n"
+    )
+    src = str(Path(promisekit.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(code: str, seed: str, data: bytes = b"") -> bytes:
+        env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": seed}
+        return subprocess.run(
+            [sys.executable, "-c", code], input=data, env=env,
+            capture_output=True, check=True, timeout=60,
+        ).stdout
+
+    pickled = run(dump, "1")
+    equal, same_hash, there = run(load, "2", pickled).split()
+    assert (equal, same_hash) == (b"True", b"True")
+    here = run(build + "print(hash(body))\n", "1").strip()
+    assert int(there) != int(here)
