@@ -39,7 +39,7 @@ from .model import (
     Term,
     USE,
 )
-from .value import set_field, Value
+from .value import Value
 from .worlds import judge, World
 
 
@@ -74,10 +74,11 @@ class Finding(Value):
     ) -> None:
         if not promises:
             raise ValueError("a finding must cite at least one promise")
-        set_field(self, "severity", severity)
-        set_field(self, "code", code)
-        set_field(self, "message", message)
-        set_field(self, "promises", promises)
+        set_severity, set_code, set_message, set_promises = self._setters
+        set_severity(self, severity)
+        set_code(self, code)
+        set_message(self, message)
+        set_promises(self, promises)
 
 
 def finding_sort_key(f: Finding) -> tuple:
@@ -90,7 +91,8 @@ class CheckReport(Value):
     __slots__ = ("findings",)
 
     def __init__(self, findings: tuple[Finding, ...] = ()) -> None:
-        set_field(self, "findings", findings)
+        set_findings, = self._setters
+        set_findings(self, findings)
 
     @property
     def ok(self) -> bool:
@@ -229,9 +231,10 @@ class Role(Value):
     __slots__ = ("signature", "label", "members")
 
     def __init__(self, signature: RoleSignature, label: str, members: tuple[str, ...]) -> None:
-        set_field(self, "signature", signature)
-        set_field(self, "label", label)
-        set_field(self, "members", members)
+        set_signature, set_label, set_members = self._setters
+        set_signature(self, signature)
+        set_label(self, label)
+        set_members(self, members)
 
 
 def role_signature(graph: PromiseGraph, agent: str) -> RoleSignature:
@@ -295,9 +298,10 @@ class SpanningClass(Value):
     __slots__ = ("representative", "members", "signature")
 
     def __init__(self, representative: str, members: tuple[str, ...], signature: tuple) -> None:
-        set_field(self, "representative", representative)
-        set_field(self, "members", members)
-        set_field(self, "signature", signature)
+        set_representative, set_members, set_signature = self._setters
+        set_representative(self, representative)
+        set_members(self, members)
+        set_signature(self, signature)
 
 
 def extract_spanning_set(graph: PromiseGraph) -> tuple[SpanningClass, ...]:
@@ -458,9 +462,10 @@ class IsAVerdict(Value):
     def __init__(
         self, outcome: str, details: tuple[str, ...] = (), involved: tuple[str, ...] = ()
     ) -> None:
-        set_field(self, "outcome", outcome)  # IS_A, RESTRICTED, or INCONSISTENT
-        set_field(self, "details", details)
-        set_field(self, "involved", involved)
+        set_outcome, set_details, set_involved = self._setters
+        set_outcome(self, outcome)  # IS_A, RESTRICTED, or INCONSISTENT
+        set_details(self, details)
+        set_involved(self, involved)
 
     @property
     def is_a(self) -> bool:
@@ -797,17 +802,19 @@ class ClassNode(Value):
     __slots__ = ("condition", "bodies")
 
     def __init__(self, condition: str, bodies: tuple[str, ...]) -> None:
-        set_field(self, "condition", condition)
-        set_field(self, "bodies", bodies)
+        set_condition, set_bodies = self._setters
+        set_condition(self, condition)
+        set_bodies(self, bodies)
 
 
 class RoleClasses(Value):
     __slots__ = ("role", "base", "subtypes")
 
     def __init__(self, role: Role, base: ClassNode, subtypes: tuple[ClassNode, ...]) -> None:
-        set_field(self, "role", role)
-        set_field(self, "base", base)
-        set_field(self, "subtypes", subtypes)
+        set_role, set_base, set_subtypes = self._setters
+        set_role(self, role)
+        set_base(self, base)
+        set_subtypes(self, subtypes)
 
 
 class ClassHierarchy(Value):
@@ -816,8 +823,9 @@ class ClassHierarchy(Value):
     def __init__(
         self, classes: tuple[RoleClasses, ...], findings: tuple[Finding, ...] = ()
     ) -> None:
-        set_field(self, "classes", classes)
-        set_field(self, "findings", findings)
+        set_classes, set_findings = self._setters
+        set_classes(self, classes)
+        set_findings(self, findings)
 
 
 def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:

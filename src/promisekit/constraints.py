@@ -31,7 +31,7 @@ from .model import (
     is_constant,
     term_key,
 )
-from .value import set_field, Value
+from .value import Value
 
 
 class UnionFind:
@@ -234,8 +234,9 @@ class ExclusivityVerdict(Value):
     def __init__(
         self, exclusive: bool, witness: Union[tuple[tuple[str, str], ...], None] = None
     ) -> None:
-        set_field(self, "exclusive", exclusive)
-        set_field(self, "witness", witness)
+        set_exclusive, set_witness = self._setters
+        set_exclusive(self, exclusive)
+        set_witness(self, witness)
 
 
 class ConditionTable(dict):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from ..value import set_field, Value
+from ..value import Value
 from .diagnostics import LineIndex, make_span, SourceSpan
 
 
@@ -26,36 +26,40 @@ class IdentTerm(Value, hidden=("start", "end")):
     __slots__ = ("name", "start", "end")
 
     def __init__(self, name: str, start: int = 0, end: int = 0) -> None:
-        set_field(self, "name", name)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
+        set_name, set_start, set_end = self._setters
+        set_name(self, name)
+        set_start(self, start)
+        set_end(self, end)
 
 
 class ParamTerm(Value, hidden=("start", "end")):
     __slots__ = ("name", "start", "end")
 
     def __init__(self, name: str, start: int = 0, end: int = 0) -> None:
-        set_field(self, "name", name)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
+        set_name, set_start, set_end = self._setters
+        set_name(self, name)
+        set_start(self, start)
+        set_end(self, end)
 
 
 class NumberTerm(Value, hidden=("start", "end")):
     __slots__ = ("value", "start", "end")
 
     def __init__(self, value: Union[int, float], start: int = 0, end: int = 0) -> None:
-        set_field(self, "value", value)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
+        set_value, set_start, set_end = self._setters
+        set_value(self, value)
+        set_start(self, start)
+        set_end(self, end)
 
 
 class StringTerm(Value, hidden=("start", "end")):
     __slots__ = ("value", "start", "end")
 
     def __init__(self, value: str, start: int = 0, end: int = 0) -> None:
-        set_field(self, "value", value)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
+        set_value, set_start, set_end = self._setters
+        set_value(self, value)
+        set_start(self, start)
+        set_end(self, end)
 
 
 TermNode = Union[IdentTerm, ParamTerm, NumberTerm, StringTerm]
@@ -67,11 +71,12 @@ class CmpLiteralNode(Value, hidden=("start", "end")):
     def __init__(
         self, lhs: TermNode, op: str, rhs: TermNode, start: int = 0, end: int = 0
     ) -> None:
-        set_field(self, "lhs", lhs)
-        set_field(self, "op", op)  # "==" or "!="
-        set_field(self, "rhs", rhs)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
+        set_lhs, set_op, set_rhs, set_start, set_end = self._setters
+        set_lhs(self, lhs)
+        set_op(self, op)  # "==" or "!="
+        set_rhs(self, rhs)
+        set_start(self, start)
+        set_end(self, end)
 
 
 class FlagLiteralNode(Value, hidden=("start", "end", "name_start")):
@@ -87,11 +92,12 @@ class FlagLiteralNode(Value, hidden=("start", "end", "name_start")):
         end: int = 0,
         name_start: int = 0,
     ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "negated", negated)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "name_start", name_start)
+        set_name, set_negated, set_start, set_end, set_name_start = self._setters
+        set_name(self, name)
+        set_negated(self, negated)
+        set_start(self, start)
+        set_end(self, end)
+        set_name_start(self, name_start)
 
 
 LiteralNode = Union[CmpLiteralNode, FlagLiteralNode]
@@ -101,9 +107,10 @@ class ConditionNode(Value, hidden=("start", "end")):
     __slots__ = ("literals", "start", "end")
 
     def __init__(self, literals: tuple[LiteralNode, ...], start: int = 0, end: int = 0) -> None:
-        set_field(self, "literals", literals)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
+        set_literals, set_start, set_end = self._setters
+        set_literals(self, literals)
+        set_start(self, start)
+        set_end(self, end)
 
 
 class BodyNode(Value, hidden=("start", "end")):
@@ -120,12 +127,13 @@ class BodyNode(Value, hidden=("start", "end")):
         start: int = 0,
         end: int = 0,
     ) -> None:
-        set_field(self, "polarity", polarity)
-        set_field(self, "subject", subject)
-        set_field(self, "value", value)
-        set_field(self, "condition", condition)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
+        set_polarity, set_subject, set_value, set_condition, set_start, set_end = self._setters
+        set_polarity(self, polarity)
+        set_subject(self, subject)
+        set_value(self, value)
+        set_condition(self, condition)
+        set_start(self, start)
+        set_end(self, end)
 
 
 class AgentDecl(Value, hidden=("start", "end", "name_starts")):
@@ -141,10 +149,11 @@ class AgentDecl(Value, hidden=("start", "end", "name_starts")):
         end: int = 0,
         name_starts: Union[tuple[int, ...], None] = None,
     ) -> None:
-        set_field(self, "names", names)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "name_starts", (0,) * len(names) if name_starts is None else name_starts)
+        set_names, set_start, set_end, set_name_starts = self._setters
+        set_names(self, names)
+        set_start(self, start)
+        set_end(self, end)
+        set_name_starts(self, (0,) * len(names) if name_starts is None else name_starts)
 
 
 class TypeDecl(Value, hidden=("start", "end", "name_start", "name_end")):
@@ -162,22 +171,24 @@ class TypeDecl(Value, hidden=("start", "end", "name_start", "name_end")):
         name_start: int = 0,
         name_end: int = 0,
     ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "kind", kind)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "name_start", name_start)
-        set_field(self, "name_end", name_end)
+        set_name, set_kind, set_start, set_end, set_name_start, set_name_end = self._setters
+        set_name(self, name)
+        set_kind(self, kind)
+        set_start(self, start)
+        set_end(self, end)
+        set_name_start(self, name_start)
+        set_name_end(self, name_end)
 
 
 class FlagDecl(Value, hidden=("start", "end", "name_start")):
     __slots__ = ("name", "start", "end", "name_start")
 
     def __init__(self, name: str, start: int = 0, end: int = 0, name_start: int = 0) -> None:
-        set_field(self, "name", name)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "name_start", name_start)
+        set_name, set_start, set_end, set_name_start = self._setters
+        set_name(self, name)
+        set_start(self, start)
+        set_end(self, end)
+        set_name_start(self, name_start)
 
 
 class BundleDecl(Value, hidden=("start", "end", "name_start", "parent_start")):
@@ -193,13 +204,16 @@ class BundleDecl(Value, hidden=("start", "end", "name_start", "parent_start")):
         name_start: int = 0,
         parent_start: int = 0,
     ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "parent", parent)
-        set_field(self, "bodies", bodies)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "name_start", name_start)
-        set_field(self, "parent_start", parent_start)
+        (
+            set_name, set_parent, set_bodies, set_start, set_end, set_name_start, set_parent_start,
+        ) = self._setters
+        set_name(self, name)
+        set_parent(self, parent)
+        set_bodies(self, bodies)
+        set_start(self, start)
+        set_end(self, end)
+        set_name_start(self, name_start)
+        set_parent_start(self, parent_start)
 
 
 class BundleRef(Value, hidden=("start", "end", "name_start")):
@@ -213,11 +227,12 @@ class BundleRef(Value, hidden=("start", "end", "name_start")):
         end: int = 0,
         name_start: int = 0,
     ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "condition", condition)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "name_start", name_start)
+        set_name, set_condition, set_start, set_end, set_name_start = self._setters
+        set_name(self, name)
+        set_condition(self, condition)
+        set_start(self, start)
+        set_end(self, end)
+        set_name_start(self, name_start)
 
 
 class PromiseDecl(Value, hidden=("start", "end", "promisee_start")):
@@ -235,12 +250,13 @@ class PromiseDecl(Value, hidden=("start", "end", "promisee_start")):
         end: int = 0,
         promisee_start: int = 0,
     ) -> None:
-        set_field(self, "promiser", promiser)
-        set_field(self, "promisee", promisee)
-        set_field(self, "item", item)
-        set_field(self, "start", start)
-        set_field(self, "end", end)
-        set_field(self, "promisee_start", promisee_start)
+        set_promiser, set_promisee, set_item, set_start, set_end, set_promisee_start = self._setters
+        set_promiser(self, promiser)
+        set_promisee(self, promisee)
+        set_item(self, item)
+        set_start(self, start)
+        set_end(self, end)
+        set_promisee_start(self, promisee_start)
 
 
 Decl = Union[AgentDecl, TypeDecl, FlagDecl, BundleDecl, PromiseDecl]
@@ -258,9 +274,10 @@ class ModelAst(Value, hidden=("lines",), uncompared=("file",)):
         file: str = "<model>",
         lines: Union[LineIndex, None] = None,
     ) -> None:
-        set_field(self, "decls", decls)
-        set_field(self, "file", file)
-        set_field(self, "lines", LineIndex("") if lines is None else lines)
+        set_decls, set_file, set_lines = self._setters
+        set_decls(self, decls)
+        set_file(self, file)
+        set_lines(self, LineIndex("") if lines is None else lines)
 
     def span(self, start: int, end: int) -> SourceSpan:
         """The span of ``[start, end)`` in this tree's file."""

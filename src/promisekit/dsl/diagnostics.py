@@ -12,7 +12,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from typing import Literal
 
-from ..value import set_field, Value
+from ..value import Value
 
 ERROR = "error"
 WARNING = "warning"
@@ -134,10 +134,11 @@ class Diagnostic(Value):
     def __init__(
         self, severity: Literal["error", "warning"], code: str, message: str, span: SourceSpan
     ) -> None:
-        set_field(self, "severity", severity)
-        set_field(self, "code", code)
-        set_field(self, "message", message)
-        set_field(self, "span", span)
+        set_severity, set_code, set_message, set_span = self._setters
+        set_severity(self, severity)
+        set_code(self, code)
+        set_message(self, message)
+        set_span(self, span)
 
     def formatted(self) -> str:
         s = self.span

@@ -18,15 +18,19 @@ unterminated, before a carriage return or newline or at the end of the
 text; its escapes are ``\\\\ \\" \\n \\t``, and any other escaped
 character, a line end included, is reported and kept as it is.
 
-The lexer reads a text with one ``findall`` of its pattern, which gives each
+The lexer reads a text with one ``split`` of its pattern, which gives each
 token's text with the whitespace and comments before it; offsets come from
-the running length.  A keyword or an operator takes its type from one dict
-of fixed texts, any other token from its first character.  Only a run of
-``\\w`` characters that starts on a numeral that is no letter costs more: a
-number inside it is matched once more, and when that number takes a fraction
-past the run, the pairs after it no longer line up and the rest of the text
-is read by one match per token.  So the pattern reads a character at most
-twice, or three times for a digit of such a run after such a fraction.
+the running length.  The pattern is unrolled, ``normal* (special normal*)*``:
+each pass of an outer repeat starts on a character that the run before it
+cannot take, and no group is optional.  It has no possessive quantifier or
+atomic group, since Python 3.10 rejects both.  A keyword or an operator
+takes its type from one dict of fixed texts, any other token from its first
+character.  Only a run of ``\\w`` characters that starts on a numeral that
+is no letter costs more: a number inside it is matched once more, and when
+that number takes a fraction past the run, the pairs after it no longer line
+up and the rest of the text is read by one match per token.  So the pattern
+reads a character at most twice, or three times for a digit of such a run
+after such a fraction.
 
 A token is one plain tuple of atoms, ``(type, value, text, start, end)``,
 where ``start`` and ``end`` are the character offsets of ``text``.  It holds
@@ -93,24 +97,29 @@ _OPERATORS = ("->", "==", "!=", ";", ",", ":", ".", "{", "}", "=")
 _FIXED = {**dict.fromkeys(KEYWORDS, KEYWORD), **dict.fromkeys(_OPERATORS, OP)}
 
 # One match takes the whitespace and comments before a token, as group 1, then
-# the token, as group 2; at the end of the text it takes only the former.  On
-# str patterns \w is exactly ``isalnum() or "_"`` and \d is ``isdecimal()``.
-# A word or a parameter takes a whole run of \w, so a name is one match.  But
-# [^\W\d] also takes characters that are numerals and not letters ('²', 'Ⅻ',
-# '①'), and a run that starts on one is no name: each of its characters up to
-# the first letter, '_' or decimal digit is illegal, and a name there runs to
-# the end of the run.  ``tokenize`` reports those characters from the run it
-# has read already, and matches again only where a number starts.  A string
-# takes in escapes, a backslash-newline and a missing closing quote.  The last
-# alternative is any single character.
+# the token, as group 2; at the end of the text it takes only the former, and
+# group 2 its empty last alternative.  The operators come first, as the most
+# common tokens; no other alternative starts on their first characters.  The
+# skip and a string are unrolled: a run of plain characters, then any number
+# of a comment or an escape each followed by such a run, so each character
+# can be read in one way only.  On str patterns \w is exactly
+# ``isalnum() or "_"`` and \d is ``isdecimal()``.  A word or a parameter
+# takes a whole run of \w, so a name is one match.  But [^\W\d] also takes
+# characters that are numerals and not letters ('²', 'Ⅻ', '①'), and a run
+# that starts on one is no name: each of its characters up to the first
+# letter, '_' or decimal digit is illegal, and a name there runs to the end of
+# the run.  ``tokenize`` reports those characters from the run it has read
+# already, and matches again only where a number starts.  A string takes in
+# escapes, a backslash-newline and a missing closing quote.  The alternative
+# before the empty one is any single character.
 _TOKEN = re.compile(
-    r"((?:[ \t\r\n]+|#[^\r\n]*)*)"
-    r"([^\W\d]\w*"
-    r"|\d+(?:\.\d+)?"
+    r"([ \t\r\n]*(?:#[^\r\n]*[ \t\r\n]*)*)"
+    r"(->|[=!]=|[;,:.{}=]"
+    r"|[^\W\d]\w*"
+    r"|\d+(?:\.\d+|)"
     r"|\$[^\W\d]\w*"
-    r'|"(?:[^"\\\r\n]|\\[\s\S]?)*"?'
-    r"|" + "|".join(map(re.escape, _OPERATORS)) +
-    r"|[\s\S])?"
+    r'|"[^"\\\r\n]*(?:\\[\s\S]?[^"\\\r\n]*)*"?'
+    r"|[\s\S]|)"
 )
 _ESCAPE = re.compile(r"\\([\s\S]?)")
 
@@ -127,9 +136,11 @@ def tokenize(
         lines = LineIndex(text)
     append = tokens.append
     fixed = _FIXED.get
-    # Each (skipped, token) pair starts where the one before it ends; the
-    # last pair has no token.
-    pairs = _TOKEN.findall(text)
+    # The split gives, after an empty head, (skipped, token, gap) per
+    # match, the gap always empty: each match starts where the one before it
+    # ends, and the last one has no token.
+    parts = _TOKEN.split(text)
+    pairs = zip(parts[1::3], parts[2::3])
     pos = 0
     while pairs is not None:
         for skip, raw in pairs:
@@ -175,7 +186,7 @@ def _matched_pairs(text: str, pos: int) -> Iterator[tuple[str, str]]:
     each; the last one has no token."""
     match = _TOKEN.match
     while True:
-        skip, raw = match(text, pos).groups("")
+        skip, raw = match(text, pos).groups()
         yield skip, raw
         pos += len(skip) + len(raw)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..value import set_field, Value
+from ..value import Value
 from .ast_nodes import (
     AgentDecl,
     BodyNode,
@@ -63,8 +63,9 @@ class ParseResult(Value):
     __slots__ = ("ast", "diagnostics")
 
     def __init__(self, ast: ModelAst, diagnostics: list[Diagnostic]) -> None:
-        set_field(self, "ast", ast)
-        set_field(self, "diagnostics", diagnostics)
+        set_ast, set_diagnostics = self._setters
+        set_ast(self, ast)
+        set_diagnostics(self, diagnostics)
 
     @property
     def ok(self) -> bool:

@@ -46,7 +46,7 @@ from ..model import (
     validate_autonomy,
     VALUED_KINDS,
 )
-from ..value import set_field, Value
+from ..value import Value
 from .ast_nodes import (
     AgentDecl,
     BodyNode,
@@ -111,8 +111,9 @@ class ResolveResult(Value):
     __slots__ = ("graph", "diagnostics")
 
     def __init__(self, graph: Union[PromiseGraph, None], diagnostics: list[Diagnostic]) -> None:
-        set_field(self, "graph", graph)
-        set_field(self, "diagnostics", diagnostics)
+        set_graph, set_diagnostics = self._setters
+        set_graph(self, graph)
+        set_diagnostics(self, diagnostics)
 
     @property
     def ok(self) -> bool:

@@ -29,7 +29,7 @@ from .errors import (
     DuplicateNameError,
     InvalidBodyError,
 )
-from .value import set_field, Value
+from .value import Value
 
 GIVE = "give"
 USE = "use"
@@ -49,8 +49,9 @@ class Attribute(Value):
     __slots__ = ("name", "_hash")
 
     def __init__(self, name: str) -> None:
-        set_field(self, "name", name)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_name, set_hash = self._setters
+        set_name(self, name)
+        set_hash(self, hash(self._key(self)))
 
 
 class Parameter(Value):
@@ -60,25 +61,28 @@ class Parameter(Value):
     __slots__ = ("name", "scope", "_hash")
 
     def __init__(self, name: str, scope: str = "") -> None:
-        set_field(self, "name", name)
-        set_field(self, "scope", scope)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_name, set_scope, set_hash = self._setters
+        set_name(self, name)
+        set_scope(self, scope)
+        set_hash(self, hash(self._key(self)))
 
 
 class NumConst(Value):
     __slots__ = ("value", "_hash")
 
     def __init__(self, value: Union[int, float]) -> None:
-        set_field(self, "value", value)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_value, set_hash = self._setters
+        set_value(self, value)
+        set_hash(self, hash(self._key(self)))
 
 
 class StrConst(Value):
     __slots__ = ("value", "_hash")
 
     def __init__(self, value: str) -> None:
-        set_field(self, "value", value)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_value, set_hash = self._setters
+        set_value(self, value)
+        set_hash(self, hash(self._key(self)))
 
 
 class NamedConst(Value):
@@ -91,8 +95,9 @@ class NamedConst(Value):
     __slots__ = ("name", "_hash")
 
     def __init__(self, name: str) -> None:
-        set_field(self, "name", name)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_name, set_hash = self._setters
+        set_name(self, name)
+        set_hash(self, hash(self._key(self)))
 
 
 Term = Union[Attribute, Parameter, NumConst, StrConst, NamedConst]
@@ -169,9 +174,10 @@ class EqConstraint(Value):
     def __init__(self, lhs: Term, rhs: Term) -> None:
         if term_key(lhs) > term_key(rhs):
             lhs, rhs = rhs, lhs
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_lhs, set_rhs, set_hash = self._setters
+        set_lhs(self, lhs)
+        set_rhs(self, rhs)
+        set_hash(self, hash(self._key(self)))
 
     def terms(self) -> tuple[Term, Term]:
         return (self.lhs, self.rhs)
@@ -194,10 +200,11 @@ class CmpLiteral(Value):
     def __init__(self, lhs: Term, op: Literal["eq", "neq"], rhs: Term) -> None:
         if term_key(lhs) > term_key(rhs):
             lhs, rhs = rhs, lhs
-        set_field(self, "lhs", lhs)
-        set_field(self, "op", op)
-        set_field(self, "rhs", rhs)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_lhs, set_op, set_rhs, set_hash = self._setters
+        set_lhs(self, lhs)
+        set_op(self, op)
+        set_rhs(self, rhs)
+        set_hash(self, hash(self._key(self)))
 
 
 class FlagLiteral(Value):
@@ -206,9 +213,10 @@ class FlagLiteral(Value):
     __slots__ = ("name", "negated", "_hash")
 
     def __init__(self, name: str, negated: bool = False) -> None:
-        set_field(self, "name", name)
-        set_field(self, "negated", negated)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_name, set_negated, set_hash = self._setters
+        set_name(self, name)
+        set_negated(self, negated)
+        set_hash(self, hash(self._key(self)))
 
 
 ConditionLiteral = Union[CmpLiteral, FlagLiteral]
@@ -237,8 +245,9 @@ class Condition(Value):
     __slots__ = ("literals", "_hash")
 
     def __init__(self, literals: frozenset[ConditionLiteral] = frozenset()) -> None:
-        set_field(self, "literals", literals)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_literals, set_hash = self._setters
+        set_literals(self, literals)
+        set_hash(self, hash(self._key(self)))
 
     @staticmethod
     def of(*literals: ConditionLiteral) -> "Condition":
@@ -288,11 +297,12 @@ class PromiseBody(Value):
             raise InvalidBodyError(f"unknown polarity: {polarity!r}")
         if polarity == USE and constraints:
             raise InvalidBodyError(f"use body for {type!r} must not carry constraints")
-        set_field(self, "polarity", polarity)
-        set_field(self, "type", type)
-        set_field(self, "constraints", constraints)
-        set_field(self, "condition", condition)
-        set_field(self, "_hash", hash(self._key(self)))
+        set_polarity, set_type, set_constraints, set_condition, set_hash = self._setters
+        set_polarity(self, polarity)
+        set_type(self, type)
+        set_constraints(self, constraints)
+        set_condition(self, condition)
+        set_hash(self, hash(self._key(self)))
 
     @property
     def is_link(self) -> bool:
@@ -356,10 +366,11 @@ class Promise(Value):
     __slots__ = ("promiser", "promisee", "body", "group")
 
     def __init__(self, promiser: str, promisee: str, body: PromiseBody, group: str = "") -> None:
-        set_field(self, "promiser", promiser)
-        set_field(self, "promisee", promisee)
-        set_field(self, "body", body)
-        set_field(self, "group", group)
+        set_promiser, set_promisee, set_body, set_group = self._setters
+        set_promiser(self, promiser)
+        set_promisee(self, promisee)
+        set_body(self, body)
+        set_group(self, group)
 
     def formatted(self) -> str:
         return f"{self.promiser} -> {self.promisee}: {format_body(self.body)}"
@@ -373,9 +384,10 @@ class Bundle(Value):
     def __init__(
         self, name: str, bodies: tuple[PromiseBody, ...], parent: Union[str, None] = None
     ) -> None:
-        set_field(self, "name", name)
-        set_field(self, "bodies", bodies)
-        set_field(self, "parent", parent)
+        set_name, set_bodies, set_parent = self._setters
+        set_name(self, name)
+        set_bodies(self, bodies)
+        set_parent(self, parent)
 
     def sorted_bodies(self) -> tuple[PromiseBody, ...]:
         return tuple(sorted(self.bodies, key=body_key))
@@ -388,8 +400,9 @@ class Agent(Value):
     __slots__ = ("name", "private_attrs")
 
     def __init__(self, name: str, private_attrs: tuple[tuple[str, Term], ...] = ()) -> None:
-        set_field(self, "name", name)
-        set_field(self, "private_attrs", private_attrs)
+        set_name, set_private_attrs = self._setters
+        set_name(self, name)
+        set_private_attrs(self, private_attrs)
 
     @staticmethod
     def make(name: str, attrs: Union[Mapping[str, Term], None] = None) -> "Agent":
@@ -412,8 +425,9 @@ class PromiseTypeDecl(Value):
     __slots__ = ("name", "kind")
 
     def __init__(self, name: str, kind: Literal["num", "str", "flag", "service"]) -> None:
-        set_field(self, "name", name)
-        set_field(self, "kind", kind)
+        set_name, set_kind = self._setters
+        set_name(self, name)
+        set_kind(self, kind)
 
 
 class AutonomyFinding(Value):
@@ -422,9 +436,10 @@ class AutonomyFinding(Value):
     __slots__ = ("promise", "type_name", "message")
 
     def __init__(self, promise: Promise, type_name: str, message: str) -> None:
-        set_field(self, "promise", promise)
-        set_field(self, "type_name", type_name)
-        set_field(self, "message", message)
+        set_promise, set_type_name, set_message = self._setters
+        set_promise(self, promise)
+        set_type_name(self, type_name)
+        set_message(self, message)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +456,11 @@ class PromiseGraph(Value):
         bundles: tuple[Bundle, ...],
         promises: tuple[Promise, ...],
     ) -> None:
-        set_field(self, "agents", agents)
-        set_field(self, "types", types)
-        set_field(self, "bundles", bundles)
-        set_field(self, "promises", promises)
+        set_agents, set_types, set_bundles, set_promises = self._setters
+        set_agents(self, agents)
+        set_types(self, types)
+        set_bundles(self, bundles)
+        set_promises(self, promises)
 
     @cached_property
     def _agent_map(self) -> dict[str, Agent]:
@@ -667,6 +683,7 @@ def validate_autonomy(graph: PromiseGraph) -> list[AutonomyFinding]:
     offending reference."""
     findings: list[AutonomyFinding] = []
     referenced: dict[Condition, tuple[str, ...]] = {}  # per distinct condition
+    private_of: dict[str, set[str]] = {}  # per promiser, once a name is not visible
     for p in graph.promises:
         condition = p.body.condition
         if condition.is_empty:
@@ -675,9 +692,14 @@ def validate_autonomy(graph: PromiseGraph) -> list[AutonomyFinding]:
         if names is None:
             names = referenced[condition] = _condition_names(condition)
         visible = graph.given_types(p.promisee, p.promiser)
-        private = {name for name, _ in graph.agent(p.promiser).private_attrs}
         for name in names:
-            if name in visible or name in private:
+            if name in visible:
+                continue
+            private = private_of.get(p.promiser)
+            if private is None:
+                attrs = graph.agent(p.promiser).private_attrs
+                private = private_of[p.promiser] = {attr for attr, _ in attrs}
+            if name in private:
                 continue
             findings.append(
                 AutonomyFinding(

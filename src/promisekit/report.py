@@ -14,15 +14,16 @@ from . import __version__
 from .analysis import ClassHierarchy, Finding, Role
 from .dsl import Diagnostic
 from .model import format_body, PromiseGraph
-from .value import set_field, Value
+from .value import Value
 
 
 class FileEntry(Value):
     __slots__ = ("path", "diagnostics")
 
     def __init__(self, path: str, diagnostics: tuple[Diagnostic, ...] = ()) -> None:
-        set_field(self, "path", path)
-        set_field(self, "diagnostics", diagnostics)
+        set_path, set_diagnostics = self._setters
+        set_path(self, path)
+        set_diagnostics(self, diagnostics)
 
 
 class Report(Value):
@@ -38,11 +39,12 @@ class Report(Value):
         hierarchy: Union[ClassHierarchy, None] = None,
         notes: tuple[str, ...] = (),
     ) -> None:
-        set_field(self, "files", files)
-        set_field(self, "findings", findings)
-        set_field(self, "roles", roles)
-        set_field(self, "hierarchy", hierarchy)
-        set_field(self, "notes", notes)
+        set_files, set_findings, set_roles, set_hierarchy, set_notes = self._setters
+        set_files(self, files)
+        set_findings(self, findings)
+        set_roles(self, roles)
+        set_hierarchy(self, hierarchy)
+        set_notes(self, notes)
 
 
 def _diagnostic_obj(d: Diagnostic) -> dict:

@@ -8,9 +8,13 @@ those methods once, for every class.
 A subclass lists its fields, in order, in ``__slots__``, followed by
 ``"_hash"`` (below) and by ``"__dict__"`` where a
 ``functools.cached_property`` needs somewhere to keep its value; neither
-holds a field.  Its own ``__init__`` writes each slot with ``set_field``,
-this module's one binding of ``object.__setattr__``, since assignment is
-refused.  In return it has:
+holds a field.  Assignment is refused, so its own ``__init__`` writes each
+slot through the slot's own descriptor: ``_setters`` holds the ``__set__``
+of each slot but ``__dict__``, in ``__slots__`` order, and the constructor
+unpacks it once, as in ``set_name, set_scope, set_hash = self._setters``,
+then calls ``set_name(self, name)``.  That skips the checks and the
+argument tuple of ``object.__setattr__``.  A subclass that declares no
+``__slots__`` of its own gets the same descriptors.  In return it has:
 
 - ``==`` that holds between objects of the same class whose compared fields
   are equal, and a ``hash`` that agrees with it;
@@ -23,9 +27,9 @@ repr, ``uncompared`` from equality and hash only.
 
 A value shared across a request, such as a term, a condition or a body, is
 hashed again and again.  Such a class declares the slot ``"_hash"``, and its
-constructor ends with ``set_field(self, "_hash", hash(self._key(self)))``:
-the hash is computed once, and ``hash()`` only reads the slot.  So a field
-that cannot be hashed is refused at construction.  A copy or an unpickled
+constructor ends with ``set_hash(self, hash(self._key(self)))``: the hash
+is computed once, and ``hash()`` only reads the slot.  So a field that
+cannot be hashed is refused at construction.  A copy or an unpickled
 value goes through the constructor and computes its own hash, so no hash
 crosses processes.  The other classes, hashed once or never, compute the
 hash on each call.
@@ -33,9 +37,6 @@ hash on each call.
 from __future__ import annotations
 
 from operator import attrgetter
-
-# Looked up once, not in every constructor call.
-set_field = object.__setattr__
 
 
 class Value:
@@ -49,6 +50,9 @@ class Value:
         super().__init_subclass__()
         fields = tuple(name for name in cls.__slots__ if name not in ("_hash", "__dict__"))
         cls.__match_args__ = cls._fields = fields
+        cls._setters = tuple(
+            getattr(cls, name).__set__ for name in cls.__slots__ if name != "__dict__"
+        )
         cls._shown = tuple(name for name in fields if name not in hidden)
         # One field gives the value itself, more give a tuple: either way
         # equal keys hash alike.

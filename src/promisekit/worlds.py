@@ -19,7 +19,7 @@ from .model import (
     is_constant,
     Term,
 )
-from .value import set_field, Value
+from .value import Value
 
 Item = TypeVar("Item")
 
@@ -36,9 +36,10 @@ class World(Value):
         eqs: tuple[EqConstraint, ...],
         neqs: tuple[tuple[Term, Term], ...],
     ) -> None:
-        set_field(self, "active", active)
-        set_field(self, "eqs", eqs)
-        set_field(self, "neqs", neqs)
+        set_active, set_eqs, set_neqs = self._setters
+        set_active(self, active)
+        set_eqs(self, eqs)
+        set_neqs(self, neqs)
 
     @cached_property
     def when(self) -> str:

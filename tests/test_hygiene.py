@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no module
 defines a private name it never uses, no module imports another
 promisekit module's private name, only the span module builds tuples
-without their class's constructor, only ``value`` names
-``object.__setattr__``, only ``value`` and ``LineIndex`` name
+without their class's constructor, no module names
+``object.__setattr__``, no regular expression needs a newer Python than
+3.10, only ``value`` and ``LineIndex`` name
 ``__hash__``, only ``constraints`` judges a pair of conditions, conjoins
 conditions or builds a term partition, no module imports ``gc``, and no
 module-level container outlives a run.
@@ -16,6 +17,7 @@ import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -156,9 +158,39 @@ def test_only_the_span_module_skips_the_tuple_constructors():
 
 
 def test_only_the_value_module_names_object_setattr():
-    """Constructors write their fields through ``value.set_field``, the one
-    binding of ``object.__setattr__``."""
-    assert _modules_naming("object", "__setattr__") == {"value.py"}
+    """No module names ``object.__setattr__``, ``value`` included: a
+    constructor writes its fields through each slot's own descriptor, from
+    ``Value._setters``, which skips the checks and the argument tuple of
+    ``object.__setattr__``."""
+    assert _modules_naming("object", "__setattr__") == set()
+
+
+# Possessive quantifiers and atomic groups, which Python 3.10 rejects.
+_NEWER_REGEX_SYNTAX = ("*+", "++", "?+", "}+", "(?>")
+
+
+def test_no_pattern_needs_a_newer_re():
+    """Every ``re.compile`` in the package takes a literal pattern that
+    Python 3.10, the oldest supported version, can read: with an escaped
+    character taken out, it holds no possessive quantifier and no atomic
+    group."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "compile"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "re"
+            ):
+                where = f"{path.relative_to(PACKAGE)}:{node.lineno}"
+                pattern = node.args[0]
+                assert isinstance(pattern, ast.Constant), f"{where}: pattern is not a literal"
+                bare = re.sub(r"\\[\s\S]", "", pattern.value)
+                found += [f"{where}: {s}" for s in _NEWER_REGEX_SYNTAX if s in bare]
+    assert found == []
 
 
 def _modules_binding(*names: str) -> set[str]:

@@ -327,9 +327,12 @@ class TestAutonomy:
         assert "never promises" in findings[0].message
 
     def test_private_attribute_satisfies_the_condition(self):
+        """Only for the agent that holds it: ``c`` watches the same name and
+        is flagged."""
         agents = [
             Agent.make("a", {"threshold": NumConst(3)}),
             Agent.make("b"),
+            Agent.make("c"),
         ]
         types = [
             PromiseTypeDecl("threshold", KIND_NUM),
@@ -338,6 +341,9 @@ class TestAutonomy:
         cond = Condition.of(CmpLiteral(Attribute("threshold"), "eq", NumConst(3)))
         graph = build_graph(agents, types, [], [Promise("a", "b", use("svc", cond))])
         assert validate_autonomy(graph) == []
+        promises = [Promise(name, "b", use("svc", cond)) for name in "ac"]
+        findings = validate_autonomy(build_graph(agents, types, [], promises))
+        assert [(f.promise.promiser, f.type_name) for f in findings] == [("c", "threshold")]
 
     def test_named_constants_in_conditions_are_not_policed(self):
         agents = [Agent.make("a"), Agent.make("b")]

@@ -5,8 +5,10 @@ equality."""
 from __future__ import annotations
 
 import copy
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +68,7 @@ from promisekit.model import (
     use,
 )
 from promisekit.report import FileEntry, Report
+from promisekit.value import Value
 from promisekit.worlds import World
 
 LINES = LineIndex("abc\ndef\n")
@@ -380,6 +383,31 @@ def test_value_class_contract(name):
     # A shallow copy is a distinct, equal object of the same class.
     copied = copy.copy(value)
     assert copied == value and copied is not value and type(copied) is cls
+
+
+def _value_classes() -> list[type]:
+    """Every ``Value`` subclass that a module of the package defines."""
+    for module in pkgutil.walk_packages(promisekit.__path__, "promisekit."):
+        if not module.name.endswith(".__main__"):
+            importlib.import_module(module.name)
+    found, bases = [], [Value]
+    while bases:
+        for cls in bases.pop().__subclasses__():
+            bases.append(cls)
+            if cls.__module__.startswith("promisekit."):
+                found.append(cls)
+    return found
+
+
+def test_each_slot_is_written_through_its_own_descriptor():
+    """A class's ``_setters`` holds the ``__set__`` of each of its slots but
+    ``__dict__``, in ``__slots__`` order, so a constructor that unpacks it
+    names its writers in the order the slots are listed."""
+    classes = _value_classes()
+    assert sorted(cls.__name__ for cls in classes) == sorted(CASES)
+    for cls in classes:
+        slots = [name for name in cls.__slots__ if name != "__dict__"]
+        assert [setter.__self__ for setter in cls._setters] == [cls.__dict__[n] for n in slots]
 
 
 def test_terms_of_different_kinds_are_never_equal():
