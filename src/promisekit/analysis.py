@@ -237,21 +237,6 @@ class Role(Value):
         set_members(self, members)
 
 
-def role_signature(graph: PromiseGraph, agent: str) -> RoleSignature:
-    """Multiset of (direction, polarity, type) over the agent's promises.
-
-    Constraints and conditions are deliberately invisible, and so are
-    constraint-only link bodies: an extra equation never changes the role."""
-    counts: Counter = Counter()
-    for p in graph.promises_from(agent):
-        if not p.body.is_link:
-            counts[(OUT, p.body.polarity, p.body.type)] += 1
-    for p in graph.promises_to(agent):
-        if not p.body.is_link:
-            counts[(IN, p.body.polarity, p.body.type)] += 1
-    return tuple(sorted(counts.items()))
-
-
 def _role_label(signature: RoleSignature) -> str:
     for direction, polarity in ((OUT, GIVE), (OUT, USE), (IN, GIVE), (IN, USE)):
         types = sorted(
@@ -273,9 +258,12 @@ def _role_label(signature: RoleSignature) -> str:
 def discover_roles(graph: PromiseGraph) -> list[Role]:
     """Partition every agent by role signature, ordered by signature.
 
-    One pass over the promises collects every agent's (direction,
-    polarity, type) entries at once, so each agent's signature is
-    ``role_signature(graph, agent)`` without a per-agent index."""
+    An agent's role signature is the multiset of (direction, polarity,
+    type) over the promises it gives (``out``) and receives (``in``), as
+    sorted (entry, count) pairs.  Constraints and conditions are
+    deliberately invisible, and so are constraint-only link bodies: an
+    extra equation never changes the role.  One pass over the promises
+    collects every agent's entries at once, with no per-agent index."""
     shapes: defaultdict[str, list[tuple[str, str, str]]] = defaultdict(list)
     for p in graph.promises:
         body = p.body

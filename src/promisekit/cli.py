@@ -99,9 +99,10 @@ def _build_parser() -> _Parser:
 def _load(path: str) -> tuple[Union[PromiseGraph, None], FileEntry]:
     """Read, parse and resolve one file: its graph, or None when the file
     cannot be used, and its entry.  An unreadable file is reported on stderr
-    here, and its entry has no diagnostics."""
+    here, and its entry has no diagnostics.  One leading byte-order mark is
+    dropped, as Python drops one from its own source."""
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc

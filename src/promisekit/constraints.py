@@ -7,11 +7,11 @@ congruence degenerates to transitive closure of the stated equalities.
 
 An analyzer call keeps its condition work in one ``ConditionTable``: each
 condition compiled once (flags become two bit masks over a numbering the
-call owns), the worlds of each condition set and the verdict of each
-condition pair.  One conjunction decides every question about conditions
-(``condition_satisfiable``, ``mutually_exclusive``, ``pairwise_exclusive``
-and ``worlds``).  It ORs the masks, so a flag clash is one ``&``, and
-closes only conjunctions that hold an equality or a disequality.
+call owns) and the worlds of each condition set.  One conjunction decides
+every question about conditions (``condition_satisfiable``,
+``mutually_exclusive``, ``pairwise_exclusive`` and ``worlds``).  It ORs
+the masks, so a flag clash is one ``&``, and closes only conjunctions that
+hold an equality or a disequality.
 """
 from __future__ import annotations
 
@@ -77,12 +77,6 @@ class TermPartition:
 
     def __init__(self, uf: UnionFind) -> None:
         self._uf = uf
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            "{" + ", ".join(format_term(t) for t in cls) + "}" for cls in self.classes
-        )
-        return f"TermPartition({body})"
 
     @cached_property
     def classes(self) -> tuple[tuple[Term, ...], ...]:
@@ -245,25 +239,21 @@ class ConditionTable(dict):
     equalities, disequalities), the flags as bit masks over the table's own
     numbering (``bits``, name to bit; ``names``, bit index to name), the
     rest in sorted-literal order.  ``worlds`` maps each set of non-empty
-    conditions to its worlds (kept by ``worlds.judge``), and ``verdicts``
-    each unordered condition pair to its verdict (kept by
-    ``pairwise_exclusive``).
+    conditions to its worlds (kept by ``worlds.judge``).
 
     Cost: an analyzer builds one table per call and passes it to every
     question it asks, one per channel or role say, so each condition is
-    compiled once, each distinct condition set gets its worlds once, and
-    each distinct pair its verdict once per call.  Worlds depend on the
-    set alone and a verdict on the two conditions alone, so a hit is
-    exact.  Nothing outlives the call."""
+    compiled once and each distinct condition set gets its worlds once per
+    call.  Worlds depend on the set alone, so a hit is exact.  Nothing
+    outlives the call."""
 
-    __slots__ = ("bits", "names", "worlds", "verdicts")
+    __slots__ = ("bits", "names", "worlds")
 
     def __init__(self) -> None:
         super().__init__()
         self.bits: dict[str, int] = {}
         self.names: list[str] = []
         self.worlds: dict[frozenset[Condition], list] = {}
-        self.verdicts: dict[frozenset[Condition], ExclusivityVerdict] = {}
 
     def __missing__(self, cond: Condition) -> tuple:
         required = forbidden = 0
@@ -292,27 +282,6 @@ class ConditionTable(dict):
         indices into ``conditions``, it tells whether theirs can."""
         compiled = [self[c] for c in conditions]
         return lambda indices: _conjoin([compiled[i] for i in indices]) is not None
-
-
-def split_condition(
-    cond: Condition,
-) -> tuple[list[EqConstraint], list[tuple[Term, Term]], dict[str, bool]]:
-    """A condition's equalities, disequalities, and flag polarity map.
-    Raises ValueError on an internally contradictory flag pair."""
-    eqs: list[EqConstraint] = []
-    neqs: list[tuple[Term, Term]] = []
-    flags: dict[str, bool] = {}
-    for lit in cond.sorted_literals():
-        if isinstance(lit, FlagLiteral):
-            wanted = not lit.negated
-            if flags.setdefault(lit.name, wanted) != wanted:
-                raise ValueError(f"flag {lit.name!r} both required and forbidden")
-            continue
-        if lit.op == "eq":
-            eqs.append(EqConstraint(lit.lhs, lit.rhs))
-        else:
-            neqs.append((lit.lhs, lit.rhs))
-    return eqs, neqs, flags
 
 
 def _conjoin(
@@ -346,16 +315,19 @@ def condition_satisfiable(*conds: Condition) -> bool:
     return _conjoin([table[c] for c in conds]) is not None
 
 
-def _exclusivity(table: ConditionTable, c1: Condition, c2: Condition) -> ExclusivityVerdict:
-    """The verdict on ``c1`` and ``c2``, compiled in ``table``.  Its witness
-    gives one value per class of the conjunction's closure, distinct
-    classes distinct synthetic values, so every disequality between two
-    classes holds; and each flag of the conjunction as a boolean, read off
-    the set bits of its masks, so a witness costs what the pair holds, not
-    every flag the table numbers."""
+def _exclusivity(
+    table: ConditionTable, c1: Condition, c2: Condition
+) -> Union[tuple[tuple[str, str], ...], None]:
+    """None when ``c1`` and ``c2``, compiled in ``table``, cannot hold
+    together, else a witness that they can.  The witness gives one value
+    per class of the conjunction's closure, distinct classes distinct
+    synthetic values, so every disequality between two classes holds; and
+    each flag of the conjunction as a boolean, read off the set bits of its
+    masks, so a witness costs what the pair holds, not every flag the table
+    numbers."""
     conjunction = _conjoin((table[c1], table[c2]))
     if conjunction is None:
-        return ExclusivityVerdict(exclusive=True)
+        return None
     required, forbidden, part = conjunction
     entries: list[tuple[str, str]] = []
     fresh = 0
@@ -374,7 +346,7 @@ def _exclusivity(table: ConditionTable, c1: Condition, c2: Condition) -> Exclusi
         bit = flags & -flags
         flags ^= bit
         entries.append((table.names[bit.bit_length() - 1], "true" if bit & required else "false"))
-    return ExclusivityVerdict(False, tuple(sorted(entries)))
+    return tuple(sorted(entries))
 
 
 def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
@@ -383,7 +355,8 @@ def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
     the one place that needs the conjunction's sorted partition.  One
     closure decides both, and none when the conjunction holds no equality
     or disequality."""
-    return _exclusivity(ConditionTable(), c1, c2)
+    witness = _exclusivity(ConditionTable(), c1, c2)
+    return ExclusivityVerdict(witness is None, witness)
 
 
 def pairwise_exclusive(
@@ -392,17 +365,12 @@ def pairwise_exclusive(
     """Yield ``(i, j, witness)`` for each pair ``i < j`` of ``conditions``
     that can hold together, in index order; a family of fewer than two
     conditions has no pair.  This is the one loop that asks which of
-    several conditions overlap.  Each pair's verdict is kept in ``table``,
+    several conditions overlap.  Each condition is compiled in ``table``,
     and a pair of flag-only conditions is decided on its masks, with no
     closure."""
     table = ConditionTable() if table is None else table
-    verdicts = table.verdicts
     for i, a in enumerate(conditions):
         for j in range(i + 1, len(conditions)):
-            b = conditions[j]
-            pair = frozenset((a, b))
-            verdict = verdicts.get(pair)
-            if verdict is None:
-                verdict = verdicts[pair] = _exclusivity(table, a, b)
-            if not verdict.exclusive:
-                yield i, j, verdict.witness or ()
+            witness = _exclusivity(table, a, conditions[j])
+            if witness is not None:
+                yield i, j, witness

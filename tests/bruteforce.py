@@ -4,7 +4,8 @@ Five families live here: finite-domain enumeration for the constraint
 engine, the sweep over every subset of conditions that the analyzers' world
 enumeration replaced, the is-a and override verdicts of unconditional
 bundles decided from their definitions, a character-by-character reference
-lexer, and linear scans standing in for the ``PromiseGraph`` indexes.
+lexer, and linear scans standing in for the ``PromiseGraph`` indexes and for
+``discover_roles``' one pass.
 
 The constraint oracles decide satisfiability and entailment the slow,
 obviously correct way: enumerate every assignment of domain values to the free terms
@@ -22,10 +23,12 @@ inside that regime.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from promisekit.constraints import condition_satisfiable, split_condition
+from promisekit.analysis import IN, OUT
+from promisekit.constraints import condition_satisfiable
 from promisekit.dsl.diagnostics import (
     E_LEX_BAD_ESCAPE,
     E_LEX_BAD_PARAM,
@@ -231,6 +234,28 @@ def oracle_mutually_exclusive(
 # ---------------------------------------------------------------------------
 # Worlds: every subset of the distinct conditions
 # ---------------------------------------------------------------------------
+
+def split_condition(
+    cond: Condition,
+) -> tuple[list[EqConstraint], list[tuple[Term, Term]], dict[str, bool]]:
+    """A condition's equalities, disequalities, and flag polarity map, read
+    off its literals without a ``ConditionTable``.  Raises ValueError on an
+    internally contradictory flag pair."""
+    eqs: list[EqConstraint] = []
+    neqs: list[tuple[Term, Term]] = []
+    flags: dict[str, bool] = {}
+    for lit in cond.sorted_literals():
+        if isinstance(lit, FlagLiteral):
+            wanted = not lit.negated
+            if flags.setdefault(lit.name, wanted) != wanted:
+                raise ValueError(f"flag {lit.name!r} both required and forbidden")
+            continue
+        if lit.op == "eq":
+            eqs.append(EqConstraint(lit.lhs, lit.rhs))
+        else:
+            neqs.append((lit.lhs, lit.rhs))
+    return eqs, neqs, flags
+
 
 def reference_scenarios(conditions: Iterable[Condition]) -> list[World]:
     """Maximal co-satisfiable combinations of the distinct conditions seen,
@@ -511,3 +536,18 @@ def scan_channels(graph: PromiseGraph) -> dict[tuple[str, str], tuple[Promise, .
     for p in graph.promises:
         out.setdefault((p.promiser, p.promisee), []).append(p)
     return {k: tuple(v) for k, v in sorted(out.items())}
+
+
+def role_signature(graph: PromiseGraph, agent: str) -> tuple:
+    """Multiset of (direction, polarity, type) over the agent's promises,
+    found by scanning every promise once per direction.  Constraints and
+    conditions are invisible, and so are constraint-only link bodies."""
+    counts: Counter = Counter()
+    for direction, promises in (
+        (OUT, scan_promises_from(graph, agent)),
+        (IN, scan_promises_to(graph, agent)),
+    ):
+        for p in promises:
+            if not p.body.is_link:
+                counts[(direction, p.body.polarity, p.body.type)] += 1
+    return tuple(sorted(counts.items()))

@@ -29,7 +29,6 @@ from promisekit.analysis import (
     IS_A,
     normalize_body,
     RESTRICTED,
-    role_signature,
     Severity,
 )
 from promisekit.constraints import (
@@ -70,6 +69,7 @@ from bruteforce import (
     oracle_override,
     oracle_satisfiable,
     reference_scenarios,
+    role_signature,
 )
 from loaders import load_corpus, load_text
 
@@ -162,6 +162,20 @@ class TestSignatures:
 
         assert normalize_body(gated("x", "y", "y")) == normalize_body(gated("a", "b", "b"))
         assert normalize_body(gated("x", "y", "y")) != normalize_body(gated("x", "y", "x"))
+
+    def test_a_tie_past_the_cap_falls_back_to_name_order(self, monkeypatch):
+        # Seven parameters share one occurrence profile: 7! = 5040 orders,
+        # past _PERM_CAP, so the one assignment is name order, and it gives
+        # one signature whatever the order of the bodies.
+        bodies = tuple(give("width", EqConstraint(WIDTH, P(f"p{i}"))) for i in range(7))
+
+        def no_permutations(*args):
+            raise AssertionError("a permutation was tried past the cap")
+
+        monkeypatch.setattr(itertools, "permutations", no_permutations)
+        first = bundle_signature(Bundle("B", bodies))
+        assert bundle_signature(Bundle("B", bodies)) == first
+        assert bundle_signature(Bundle("B", bodies[::-1])) == first
 
     def test_constraint_shape_matters(self):
         a = give("width", EqConstraint(WIDTH, P("w")))
@@ -317,6 +331,17 @@ class TestExtension:
         assert check_extension(gated("A", 1), gated("B", 1))
         assert not check_extension(gated("A", 1), gated("B", 2))
 
+    def test_flag_literals_tell_bodies_apart(self):
+        def gated(name: str, param: str, *literals: FlagLiteral) -> Bundle:
+            body = give("w", EqConstraint(Attribute("w"), P(param)),
+                        condition=Condition.of(*literals))
+            return Bundle(name, (body,))
+
+        child = gated("A", "a", FlagLiteral("f"))
+        assert check_extension(child, gated("B", "b", FlagLiteral("f")))
+        assert not check_extension(child, gated("B", "b", FlagLiteral("g")))
+        assert not check_extension(child, gated("B", "b", FlagLiteral("f", negated=True)))
+
     def test_repeated_bodies_are_counted(self):
         once = Bundle("Once", (use("svc"),))
         twice = Bundle("Twice", (use("svc"), use("svc")))
@@ -392,6 +417,13 @@ class TestSubstitution:
         full = Bundle("Full", (use("ping"), use("render")))
         report = check_substitution(parent_api(), [(full, ALWAYS)])
         assert [f.code for f in report.findings] == ["non-exclusive"]
+
+    def test_an_empty_parent_has_no_condition(self):
+        # With no body to share a literal, the parent's condition is the
+        # empty one, which overlaps every child's.
+        report = check_substitution(Bundle("P", ()), [(Bundle("C", ()), SUBTYPE)])
+        assert [f.code for f in report.findings] == ["non-exclusive"]
+        assert report.findings[0].message.startswith("conditions of bundle P () and")
 
     def test_parent_predicate_is_recovered_from_body_conditions(self):
         gated = Bundle(
@@ -1323,9 +1355,10 @@ def test_conflict_detection_judges_each_condition_set_once(monkeypatch):
     assert counts[25]["closure"] == 1
 
 
-def test_overlap_verdicts_are_shared_across_shapes_and_roles(monkeypatch):
+def test_overlap_verdicts_are_judged_once_per_pair_per_family(monkeypatch):
     # Two channels of different shapes, whose promisers are two roles, hold
-    # the same pair of overlapping conditions: one verdict serves each call.
+    # the same pair of overlapping conditions.  No verdict is kept between
+    # families: each channel shape and each role judges its pair once.
     graph = load_text(
         "agent a, b, c, d;\n"
         "type t: num;\n"
@@ -1341,10 +1374,10 @@ def test_overlap_verdicts_are_shared_across_shapes_and_roles(monkeypatch):
     verdicts = count_calls(monkeypatch, promisekit.constraints, "_exclusivity")
     overlaps = [f for f in detect_conflicts(graph) if f.code == "channel-overlap"]
     assert len(overlaps) == 2
-    assert verdicts["calls"] == 1
+    assert verdicts["calls"] == 2
     hierarchy = derive_class_hierarchy(graph)
     assert [f.code for f in hierarchy.findings] == ["hierarchy-overlap"] * 2
-    assert verdicts["calls"] == 2
+    assert verdicts["calls"] == 4
 
 
 def count_compiles(monkeypatch) -> Counter:

@@ -14,6 +14,8 @@ from promisekit import corpus
 from promisekit.cli import entry, main
 from promisekit.dsl import parse
 
+from loaders import run_cli
+
 CLEAN = str(corpus.path("web.pml"))
 GEOMETRY = str(corpus.path("geometry.pml"))
 BANK = str(corpus.path("bank.pml"))
@@ -220,6 +222,36 @@ class TestExitCodes:
         )
         assert main(["check", str(path)]) == 2
         assert "error[E-LEX-001]: unexpected character '\u00b2'" in capsys.readouterr().out
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        """A corpus model saved with a UTF-8 byte-order mark gives ``check``
+        and ``dot`` the exit code, stdout and stderr of the file without
+        one; a mark anywhere else is still an unexpected character."""
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        for name in corpus.names():
+            text = corpus.read(name)
+            (plain / name).write_text(text, encoding="utf-8")
+            (marked / name).write_text("\ufeff" + text, encoding="utf-8")
+            for argv in (["check", name], ["check", name, "--json"], ["dot", name]):
+                assert run_cli(marked, argv) == run_cli(plain, argv)
+        (marked / "twice.pml").write_text("\ufeff\ufeffagent a;\n", encoding="utf-8")
+        (marked / "later.pml").write_text("\ufeffagent a;\n\ufeff", encoding="utf-8")
+        for name, where in (("twice.pml", "1:1"), ("later.pml", "2:1")):
+            run = run_cli(marked, ["check", name])
+            assert run["exit"] == 2
+            assert f"{where}: error[E-LEX-001]: unexpected character '\\ufeff'" in run["stdout"]
+
+    def test_a_stderr_line_its_encoding_cannot_hold_is_escaped(self, tmp_path):
+        """``cannot read`` goes through stderr's text stream when stderr's
+        encoding has no form for a character of the path, and that stream
+        escapes it."""
+        path = tmp_path / "\u00e9.pml"
+        proc = run_module(["check", str(path)], PYTHONIOENCODING="ascii")
+        assert proc.returncode == 2
+        expected = f"pml: cannot read {tmp_path}/\\xe9.pml: No such file or directory\n"
+        assert proc.stderr == expected.encode("ascii")
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == 3

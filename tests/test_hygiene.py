@@ -5,8 +5,10 @@ without their class's constructor, no module names
 ``object.__setattr__``, no regular expression needs a newer Python than
 3.10, only ``value`` and ``LineIndex`` name
 ``__hash__``, only ``constraints`` judges a pair of conditions, conjoins
-conditions or builds a term partition, no module imports ``gc``, and no
-module-level container outlives a run.
+conditions or builds a term partition, no module imports ``gc``, no
+module-level container outlives a run, and every function in the package
+runs in some ``pml`` command, demo or spanning-set call, or is listed with
+the reason it stays.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -16,8 +18,10 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import itertools
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -26,10 +30,13 @@ import pytest
 
 import promisekit
 from promisekit import cli, corpus
-from promisekit.analysis import detect_conflicts
+from promisekit.analysis import detect_conflicts, extract_spanning_set
 from promisekit.dsl import LineIndex, parse, resolve, SourceSpan
 
+from loaders import CORPUS_DIR, INVALID_DIR, ISA_BUNDLES, load_corpus, run_cli, SHARED_DIR
+
 PACKAGE = Path(promisekit.__file__).resolve().parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -392,3 +399,115 @@ def test_conflict_detection_keeps_no_memo_between_calls():
     after = _module_container_sizes()
     assert {k: (v, after.get(k)) for k, v in before.items() if after.get(k) != v} == {}
     assert sorted(set(after) - set(before)) == []
+
+
+_CONSTRUCT = "a paper construct that `pml check` does not run yet (ROADMAP item 18)"
+_TRACED = "bound by the benchmark's tracer (perfbench/tracer.py)"
+_PRINTER = "the print/parse round trip the README documents"
+
+#: The functions of the package that no run in
+#: ``test_every_function_runs_or_is_listed`` reaches, each with the one
+#: reason it stays.  An entry that runs, or no longer exists, fails the
+#: test, so the table only shrinks.
+UNREACHED = {
+    "analysis.check_specialization": _CONSTRUCT,
+    "analysis.check_substitution": _CONSTRUCT,
+    "analysis.check_override_policy": _CONSTRUCT,
+    "analysis._check_variants": "the one body of check_specialization and check_substitution",
+    "analysis._shared_condition": "check_substitution's default parent condition",
+    "analysis._type_multiset": "check_specialization's and check_substitution's type rule",
+    "analysis._format_types": "check_specialization's and check_substitution's type rule",
+    "analysis._bundle_refs": "cites the bundles of a check_specialization finding",
+    "analysis._literal_sig": "a gated body's signature, reached through check_extension",
+    "constraints.condition_satisfiable": _TRACED,
+    "model.PromiseGraph.promises_to": _TRACED,
+    "model.PromiseGraph._incoming": "the index behind promises_to",
+    "model.give": "library API for building bodies, in the README",
+    "model.use": "library API for building bodies, in the README",
+    "model.link": "library API for building bodies, in the README",
+    "corpus.names": "library API listing the shipped models, in the README",
+    "dsl.diagnostics.SourceSpan.merge": "library API for spans, in the README",
+    "dsl.diagnostics.SourceSpan.overlaps_offsets": "library API for spans, in the README",
+    "dsl.printer.print_model": _PRINTER,
+    "dsl.printer._decl": _PRINTER,
+    "dsl.printer._body": _PRINTER,
+    "dsl.printer._condition": _PRINTER,
+    "dsl.printer._term": _PRINTER,
+    "dsl.lexer._matched_pairs": "only a number whose fraction runs past a split part",
+    "cli.entry": "the console script, which exits the process",
+}
+
+
+def _package_functions() -> dict[tuple[str, int], str]:
+    """Each function and method that the package defines, nested ones
+    included and dunders not, named ``module.qualname`` and keyed by its
+    file and the first line of its code object (a decorator's line, when
+    it has one)."""
+    found: dict[tuple[str, int], str] = {}
+
+    def visit(node: ast.AST, module: str, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(path, first)] = f"{module}.{name}"
+                visit(child, module, path, name + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, path, prefix + child.name + ".")
+            else:
+                visit(child, module, path, prefix)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        if module.endswith("__init__"):
+            module = module[: -len(".__init__")] or "promisekit"
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        visit(tree, module, str(path), "")
+    return found
+
+
+def test_every_function_runs_or_is_listed():
+    """Under ``sys.setprofile``: every ``pml`` command (``check``,
+    ``check --json``, ``roles``, ``classes``, ``classes --json``, ``dot``)
+    on the corpus and on every golden model, one usage error, ``isa`` on
+    each bundle pair of geometry and dispatch, the four demos, and
+    ``extract_spanning_set`` on the corpus graphs.  A function that none of
+    them runs is code that nothing reachable uses, unless ``UNREACHED``
+    gives the reason it stays."""
+    commands = (["check"], ["check", "--json"], ["roles"], ["classes"],
+                ["classes", "--json"], ["dot"])
+    models = [(CORPUS_DIR, name) for name in corpus.names()] + [
+        (directory, path.name)
+        for directory in (INVALID_DIR, SHARED_DIR)
+        for path in sorted(directory.glob("*.pml"))
+    ]
+    runs = [(CORPUS_DIR, ["check"])]
+    runs += [(d, [argv[0], name, *argv[1:]]) for d, name in models for argv in commands]
+    runs += [
+        (CORPUS_DIR, ["isa", name, child, parent])
+        for name, bundles in ISA_BUNDLES.items()
+        for child, parent in itertools.permutations(bundles, 2)
+    ]
+    graphs = [load_corpus(name) for name in corpus.names()]
+    demos = sorted(DEMOS.glob("*.py"))
+    assert len(demos) == 4
+
+    seen: set = set()
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code))
+    try:
+        for cwd, argv in runs:
+            run_cli(cwd, argv)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for demo in demos:
+                runpy.run_path(str(demo), run_name="__main__")
+        for graph in graphs:
+            extract_spanning_set(graph)
+    finally:
+        sys.setprofile(previous)
+
+    ran = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in seen}
+    unreached = {name for key, name in _package_functions().items() if key not in ran}
+    assert sorted(unreached - set(UNREACHED)) == []
+    assert sorted(set(UNREACHED) - unreached) == []

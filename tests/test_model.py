@@ -27,6 +27,7 @@ from promisekit.model import (
     FlagLiteral,
     format_body,
     format_condition,
+    format_number,
     format_term,
     give,
     KIND_FLAG,
@@ -79,6 +80,7 @@ class TestTerms:
         assert format_term(W) == "$w"
         assert format_term(NumConst(90)) == "90"
         assert format_term(NumConst(2.5)) == "2.5"
+        assert format_number(3.0) == "3"
         assert format_term(StrConst("hi")) == '"hi"'
         assert format_term(StrConst('a"b')) == '"a\\"b"'
         assert format_term(NamedConst("owner")) == "owner"
