@@ -372,9 +372,9 @@ def _check_variants(
             Finding(
                 Severity.PATTERN_ERROR,
                 "non-exclusive",
-                f"conditions of bundle {a.name} ({format_condition(cond_a)}) and "
-                f"bundle {b.name} ({format_condition(cond_b)}) can hold together: "
-                f"{_witness_text(witness)}",
+                f"conditions of bundle {a.name} ({format_condition(cond_a) or 'always'}) "
+                f"and bundle {b.name} ({format_condition(cond_b) or 'always'}) can hold "
+                f"together: {_witness_text(witness)}",
                 tuple(sorted(set(_bundle_refs(a) + _bundle_refs(b)))),
             )
         )

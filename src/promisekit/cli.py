@@ -63,36 +63,41 @@ def _say(line: str) -> None:
     print(line, file=stream)
 
 
-def _build_parser() -> _Parser:
+#: One row per command: its name, its help line, its positionals as
+#: (dest, metavar, nargs), and whether it takes ``--json``.
+_SUBCOMMANDS = (
+    ("check", "resolve models and detect conflicts", (("files", "FILE", "+"),), True),
+    ("roles", "partition agents into roles", (("file", "FILE", None),), True),
+    ("classes", "derive the class hierarchy", (("file", "FILE", None),), True),
+    (
+        "isa",
+        "test whether CHILD can stand in for PARENT",
+        (("file", "FILE", None), ("child", "CHILD", None), ("parent", "PARENT", None)),
+        True,
+    ),
+    ("dot", "export the promise graph as DOT", (("file", "FILE", None),), False),
+)
+
+
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """The pml parser for ``argv``.  Every command is listed with its help
+    line, so ``--help`` and the unknown-command error name all five, but
+    only the command ``argv`` names gets its arguments and ``-h``.  That is
+    its first word not starting with ``-``: a command word that does start
+    with one (``-1``, say) names no command, so it ends in the
+    unknown-command error whatever the commands' arguments are."""
+    named = next((word for word in argv if not word.startswith("-")), None)
     parser = _Parser(prog="pml", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def common(p: argparse.ArgumentParser, json_flag: bool = True) -> None:
+    for name, help_line, positionals, json_flag in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_line, add_help=name == named)
+        if name != named:
+            continue
+        for dest, metavar, nargs in positionals:
+            p.add_argument(dest, nargs=nargs, metavar=metavar)
         p.add_argument("-o", "--output", metavar="PATH", help="write output to PATH")
         if json_flag:
             p.add_argument("--json", action="store_true", help="emit JSON")
-
-    p_check = sub.add_parser("check", help="resolve models and detect conflicts")
-    p_check.add_argument("files", nargs="+", metavar="FILE")
-    common(p_check)
-
-    p_roles = sub.add_parser("roles", help="partition agents into roles")
-    p_roles.add_argument("file", metavar="FILE")
-    common(p_roles)
-
-    p_classes = sub.add_parser("classes", help="derive the class hierarchy")
-    p_classes.add_argument("file", metavar="FILE")
-    common(p_classes)
-
-    p_isa = sub.add_parser("isa", help="test whether CHILD can stand in for PARENT")
-    p_isa.add_argument("file", metavar="FILE")
-    p_isa.add_argument("child", metavar="CHILD")
-    p_isa.add_argument("parent", metavar="PARENT")
-    common(p_isa)
-
-    p_dot = sub.add_parser("dot", help="export the promise graph as DOT")
-    p_dot.add_argument("file", metavar="FILE")
-    common(p_dot, json_flag=False)
     return parser
 
 
@@ -147,10 +152,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     findings: list[Finding] = []
     roles = []
     failed = False
+    read = False
     multi = len(args.files) > 1
     for path in args.files:
         graph, entry = _load(path)
         entries.append(entry)
+        # An entry with no graph and no diagnostics is a file that was not read.
+        read = read or graph is not None or bool(entry.diagnostics)
         if graph is None:
             failed = True
             continue
@@ -159,6 +167,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f = Finding(f.severity, f.code, f"{path}: {f.message}", f.promises)
             findings.append(f)
         roles.extend(discover_roles(graph))
+    if not read:
+        return EXIT_INPUT_ERROR
     findings.sort(key=finding_sort_key)
     code = _emit(args, Report(tuple(entries), tuple(findings), tuple(roles)))
     return EXIT_INPUT_ERROR if failed else code
@@ -228,7 +238,9 @@ _COMMANDS = {
 
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

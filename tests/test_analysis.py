@@ -388,6 +388,14 @@ class TestSpecialization:
         report = check_specialization(parent_api(), ALWAYS, [(child, SUBTYPE)])
         assert [f.code for f in report.findings] == ["non-exclusive"]
 
+    def test_an_always_true_base_prints_as_always(self):
+        child = Bundle("Child", (use("render"),))
+        report = check_specialization(parent_api(), ALWAYS, [(child, ALWAYS)])
+        assert [f.message for f in report.findings] == [
+            "conditions of bundle Parent (always) and bundle Child (always) can hold "
+            "together: always"
+        ]
+
     def test_requires_a_child(self):
         with pytest.raises(ValueError):
             check_specialization(parent_api(), NOT_SUBTYPE, [])
@@ -423,7 +431,7 @@ class TestSubstitution:
         # empty one, which overlaps every child's.
         report = check_substitution(Bundle("P", ()), [(Bundle("C", ()), SUBTYPE)])
         assert [f.code for f in report.findings] == ["non-exclusive"]
-        assert report.findings[0].message.startswith("conditions of bundle P () and")
+        assert report.findings[0].message.startswith("conditions of bundle P (always) and")
 
     def test_parent_predicate_is_recovered_from_body_conditions(self):
         gated = Bundle(
@@ -467,7 +475,7 @@ def variant_runs():
         ("specialization-unconditioned-parent",
          lambda: check_specialization(parent_api(), ALWAYS, [(child, SUBTYPE)]),
          [("non-exclusive",
-           "conditions of bundle Parent () and bundle Child (subtype) can hold "
+           "conditions of bundle Parent (always) and bundle Child (subtype) can hold "
            "together: subtype=true",
            ("bundle Child: U(render)",) + parent_refs)]),
         ("substitution-ok",
@@ -493,7 +501,8 @@ def variant_runs():
         ("substitution-unconditioned",
          lambda: check_substitution(parent_api(), [(full, ALWAYS)]),
          [("non-exclusive",
-           "conditions of bundle Parent () and bundle Full () can hold together: always",
+           "conditions of bundle Parent (always) and bundle Full (always) can hold "
+           "together: always",
            ("bundle Full: U(ping)", "bundle Full: U(render)") + parent_refs)]),
         ("substitution-recovered-predicate",
          lambda: check_substitution(gated, [(full, SUBTYPE)]),

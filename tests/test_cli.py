@@ -1,6 +1,9 @@
 """Command-line interface: commands, output modes, exit codes."""
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import promisekit
-from promisekit import corpus
+from promisekit import cli, corpus
 from promisekit.cli import entry, main
 from promisekit.dsl import parse
 
@@ -78,7 +81,7 @@ class TestExitCodes:
             assert main([command, str(path)]) == 2
             assert f"pml: cannot read {path}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["roles", "classes", "isa", "dot"])
+    @pytest.mark.parametrize("command", ["check", "roles", "classes", "isa", "dot"])
     @pytest.mark.parametrize(
         "case, content",
         [
@@ -89,8 +92,8 @@ class TestExitCodes:
         ],
     )
     def test_unusable_input_contract(self, command, case, content, tmp_path, capsys):
-        """Single-file commands on input they cannot use: exit 2; a read
-        failure goes to stderr with no report; diagnostics come as a report on
+        """Every command on one file it cannot use: exit 2; a read failure
+        goes to stderr with no report; diagnostics come as a report on
         stdout, except for dot, which prints them on stderr and no graph."""
         path = tmp_path / f"{case}.pml"
         if content is not None:
@@ -296,6 +299,93 @@ class TestExitCodes:
         assert exc.value.code == 0
 
 
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(3)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """pml's parser built whole: every command with all of its arguments."""
+    parser = _ReferenceParser(prog="pml", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    check = sub.add_parser("check", help="resolve models and detect conflicts")
+    check.add_argument("files", nargs="+", metavar="FILE")
+    roles = sub.add_parser("roles", help="partition agents into roles")
+    classes = sub.add_parser("classes", help="derive the class hierarchy")
+    isa = sub.add_parser("isa", help="test whether CHILD can stand in for PARENT")
+    dot = sub.add_parser("dot", help="export the promise graph as DOT")
+    for p in (roles, classes, isa, dot):
+        p.add_argument("file", metavar="FILE")
+    isa.add_argument("child", metavar="CHILD")
+    isa.add_argument("parent", metavar="PARENT")
+    for p in (check, roles, classes, isa, dot):
+        p.add_argument("-o", "--output", metavar="PATH", help="write output to PATH")
+        if p is not dot:
+            p.add_argument("--json", action="store_true", help="emit JSON")
+    return parser
+
+
+#: Each argv that ends in argparse: help, or a usage error.
+PARSER_EXITS = [
+    (["--help"], 0),
+    (["-h", "roles"], 0),
+    *[([command, "--help"], 0) for command in ("check", "roles", "classes", "isa", "dot")],
+    ([], 3),
+    (["frobnicate", "f"], 3),
+    (["check"], 3),
+    (["roles", "a", "b"], 3),
+    (["-1", "check", "f"], 3),
+    (["--", "roles", "f"], 3),
+    (["--json", "check", "f"], 3),
+    (["check", "--frobnicate", "f"], 3),
+    (["isa", "f", "Child"], 3),
+    (["dot", "f", "--json"], 3),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, code", PARSER_EXITS, ids=[" ".join(a) or "none" for a, _ in PARSER_EXITS]
+    )
+    def test_help_and_usage_errors_keep_their_text(self, argv, code, monkeypatch, capsys):
+        """stdout, stderr and exit code are those of the parser built whole."""
+        monkeypatch.setenv("COLUMNS", "80")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                reference_parser().parse_args(argv)
+        assert (exc.value.code or 0) == code
+        assert main(argv) == code
+        assert capsys.readouterr() == (out.getvalue(), err.getvalue())
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["check", GEOMETRY], 5),
+            (["roles", GEOMETRY], 5),
+            (["classes", GEOMETRY], 5),
+            (["isa", GEOMETRY, "Square", "Rectangle"], 7),
+            (["dot", GEOMETRY], 4),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v),
+    )
+    def test_a_run_builds_only_the_command_it_runs(self, argv, calls, monkeypatch, capsys):
+        """One ``-h`` for pml, and the named command's ``-h``, positionals,
+        ``-o`` and ``--json``: no other command's arguments."""
+        added = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            added.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        assert main(argv) in (0, 1)
+        assert len(added) == calls, added
+
+
 class TestCheck:
     def test_multiple_files_prefix_findings_with_their_path(
         self, overlap_file, capsys
@@ -306,6 +396,20 @@ class TestCheck:
 
     def test_one_broken_file_fails_the_whole_run(self, broken_file, capsys):
         assert main(["check", CLEAN, broken_file]) == 2
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_no_file_read_writes_no_report(self, mode, tmp_path, capsys):
+        """With no file read there is nothing to report, not even to ``-o``;
+        with one read, that one is reported."""
+        missing = [str(tmp_path / "nope.pml"), str(tmp_path / "gone.pml")]
+        target = tmp_path / "out.txt"
+        assert main(["check", *missing, *mode]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(["check", *missing, *mode, "-o", str(target)]) == 2
+        assert not target.exists()
+        assert main(["check", missing[0], CLEAN, *mode]) == 2
+        out = capsys.readouterr().out
+        assert CLEAN in out if mode else out.endswith("no findings\n")
 
     def test_json_mode_emits_the_schema(self, capsys):
         assert main(["check", BANK, "--json"]) == 0
