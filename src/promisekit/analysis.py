@@ -169,16 +169,11 @@ def _assignments(classes: list[list[str]]) -> Iterable[dict[str, int]]:
     for cls in classes:
         for n in range(2, len(cls) + 1):
             total *= n
+    # Past the cap only the name order, the first assignment of the product.
     if total > _PERM_CAP:
-        base = 0
-        assign = {}
-        for cls in classes:
-            for name in cls:
-                assign[name] = base
-                base += 1
-        yield assign
-        return
-    per_class = [list(itertools.permutations(cls)) for cls in classes]
+        per_class = [[cls] for cls in classes]
+    else:
+        per_class = [list(itertools.permutations(cls)) for cls in classes]
     for combo in itertools.product(*per_class):
         assign = {}
         base = 0
@@ -301,7 +296,7 @@ def extract_spanning_set(graph: PromiseGraph) -> tuple[SpanningClass, ...]:
     for (promiser, promisee), promises in graph.channels().items():
         direct = [
             p.body for p in promises
-            if p.group == derive_group(promiser, promisee, p.body)
+            if p.group == derive_group(p.body)
         ]
         if direct:
             name = f"{promiser}->{promisee}"
@@ -461,8 +456,8 @@ class IsAVerdict(Value):
 
 
 def _scope_params(body: PromiseBody, scope: str) -> frozenset[EqConstraint]:
-    """The body's constraints with its parameters put in ``scope``, apart
-    from every other scope's."""
+    """The body's constraints with its parameters put in ``scope`` (a group
+    or a side), apart from every other scope's."""
 
     def rescope(t: Term) -> Term:
         return Parameter(t.name, scope) if isinstance(t, Parameter) else t
@@ -668,13 +663,10 @@ def check_dispatch_pattern(
 
 def _channel_verdicts(
     shape: tuple[tuple[PromiseBody, str], ...], table: ConditionTable
-) -> list[tuple[Severity, str, str, list[int], list[tuple[str, str]]]]:
-    """The findings of a channel of ``shape``, its (body, scope) pairs in
+) -> list[tuple[Severity, str, str, list[int]]]:
+    """The findings of a channel of ``shape``, its (body, group) pairs in
     channel order, before the channel names them: each is (severity, code,
-    message after the channel, indices of the promises cited, scopes).  A
-    restriction's message ends before its scopes, which come as (scope,
-    formatted terms) pairs, and its indices are those of every promise in
-    force; the others have no scopes."""
+    message after the channel, indices of the promises cited)."""
     found: list = []
     by_type: dict[tuple[str, str], list[int]] = {}
     for i, (body, _) in enumerate(shape):
@@ -688,7 +680,7 @@ def _channel_verdicts(
                 found.append((
                     Severity.POLICY_VIOLATION, "channel-overlap",
                     f"'{format_body(shape[a][0])}' and '{format_body(shape[b][0])}' "
-                    f"can both apply (when {_witness_text(witness)})", [a, b], [],
+                    f"can both apply (when {_witness_text(witness)})", [a, b],
                 ))
 
     # World-by-world joint satisfiability and independence.  With no
@@ -698,7 +690,7 @@ def _channel_verdicts(
     if not any(body.constraints for body, _ in shape):
         return found
     entries = [
-        (i, body.condition, _scope_params(body, scope)) for i, (body, scope) in enumerate(shape)
+        (i, body.condition, _scope_params(body, group)) for i, (body, group) in enumerate(shape)
     ]
     for world, in_force, part in judge(entries, table):
         if not part.admits(world.neqs):
@@ -707,20 +699,23 @@ def _channel_verdicts(
             found.append((
                 Severity.INCONSISTENT, "channel-inconsistent",
                 f"promises cannot all hold{world.when}: {_clash_detail(part)}",
-                [i for i, _, scoped in in_force if scoped], [],
+                [i for i, _, scoped in in_force if scoped],
             ))
             continue
         for cls in part.classes:
-            by_scope: dict[str, list[str]] = {}
+            by_group: dict[str, list[str]] = {}
             for t in cls:  # a class is in term_key order
                 if isinstance(t, Parameter) and t.scope:
-                    by_scope.setdefault(t.scope, []).append(format_term(t))
-            if len(by_scope) > 1:
+                    by_group.setdefault(t.scope, []).append(format_term(t))
+            if len(by_group) > 1:
+                named = " = ".join(
+                    f"{group_label(g)} {{{', '.join(by_group[g])}}}" for g in sorted(by_group)
+                )
                 found.append((
                     Severity.RESTRICTED, "channel-restricted",
-                    f"independent declarations are forced to share one value{world.when}: ",
-                    [i for i, _, _ in in_force],
-                    [(scope, ", ".join(terms)) for scope, terms in by_scope.items()],
+                    f"independent declarations are forced to share one value{world.when}: "
+                    f"{named}",
+                    [i for i, _, _ in in_force if shape[i][1] in by_group],
                 ))
     return found
 
@@ -734,44 +729,22 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     Policy violation: two promises of the same polarity and type whose
     conditions can overlap, leaving it ambiguous which one applies.
 
-    Cost: a channel's shape is its (body, scope) pairs in channel order,
-    where group "" keeps scope "" and any other group becomes the index of
-    its first promise on the channel.  ``_channel_verdicts`` judges each
-    distinct shape once per call, and each channel only formats findings.
-    That is exact, because a group is read in three ways only: by scope
-    equality inside closures, which an injective renaming keeps (condition
-    parameters keep scope "", and no renamed scope is ""); in the label and
-    the order of a restriction's scopes; and in the choice of the promises
-    a restriction involves.  The last two are done per channel on the real
-    group strings.  Bodies are compared by value.  A clash detail does not
-    depend on scope names either: a clashing class holds a constant, which
-    ``term_key`` ranks first.  The shapes share one ``ConditionTable``.
+    Cost: a channel's shape is its (body, group) pairs in channel order, and
+    ``_channel_verdicts`` judges each distinct shape once per call, on one
+    ``ConditionTable``; each channel only names its findings.  A group does
+    not repeat its channel, so channels that attach the same bundles or
+    declare the same bodies share a shape.  Bodies are compared by value.
     """
     findings: dict[tuple, Finding] = {}
     table = ConditionTable()
     shape_memo: dict[tuple, list] = {}
     for (promiser, promisee), promises in graph.channels().items():
-        scopes = {"": ""}
-        shape = tuple(
-            (p.body, scopes.setdefault(p.group, str(i))) for i, p in enumerate(promises)
-        )
+        shape = tuple((p.body, p.group) for p in promises)
         shared = shape_memo.get(shape)
         if shared is None:
             shared = shape_memo[shape] = _channel_verdicts(shape, table)
-        formatted: dict[int, str] = {}  # each cited promise, formatted once
-        for severity, code, text, cited, scoped in shared:
-            if scoped:
-                # A scope is the index of its group's first promise.
-                named = sorted((promises[int(s)].group, terms) for s, terms in scoped)
-                text += " = ".join(
-                    f"{group_label(promiser, promisee, g)} {{{terms}}}" for g, terms in named
-                )
-                groups = {g for g, _ in named}
-                cited = [i for i in cited if promises[i].group in groups]
-            for i in cited:
-                if i not in formatted:
-                    formatted[i] = promises[i].formatted()
-            refs = tuple(sorted({formatted[i] for i in cited}))
+        for severity, code, text, cited in shared:
+            refs = tuple(sorted({promises[i].formatted() for i in cited}))
             message = f"{promiser} -> {promisee}: {text}"
             key = (int(severity), code, refs, message)
             if key not in findings:

@@ -152,13 +152,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     findings: list[Finding] = []
     roles = []
     failed = False
-    read = False
     multi = len(args.files) > 1
     for path in args.files:
         graph, entry = _load(path)
-        entries.append(entry)
-        # An entry with no graph and no diagnostics is a file that was not read.
-        read = read or graph is not None or bool(entry.diagnostics)
+        # An entry with no graph and no diagnostics is a file that was not
+        # read, which the report leaves out.
+        if graph is not None or entry.diagnostics:
+            entries.append(entry)
         if graph is None:
             failed = True
             continue
@@ -167,7 +167,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f = Finding(f.severity, f.code, f"{path}: {f.message}", f.promises)
             findings.append(f)
         roles.extend(discover_roles(graph))
-    if not read:
+    if not entries:
         return EXIT_INPUT_ERROR
     findings.sort(key=finding_sort_key)
     code = _emit(args, Report(tuple(entries), tuple(findings), tuple(roles)))

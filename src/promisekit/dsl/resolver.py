@@ -404,7 +404,7 @@ class _Resolver:
                 flat = self.flat_bundles.get(bundle.name)
                 if not ok or flat is None:
                     continue
-                group = bundle_group(promiser, promisee, bundle.name)
+                group = bundle_group(bundle.name)
                 for body in flat.bodies:
                     if not attach_cond.is_empty:
                         body = PromiseBody(
@@ -426,7 +426,7 @@ class _Resolver:
                             resolved[node] = body
                 if body is None or not ok:
                     continue
-                group = derive_group(promiser, promisee, body)
+                group = derive_group(body)
                 self.add_promise(promiser, promisee, body, group, decl)
 
     def add_promise(
@@ -464,17 +464,14 @@ class _Resolver:
         findings = validate_autonomy(graph)
         if findings:
             # Each promise at its first declaration.
-            first_decls: dict[tuple, PromiseDecl] = {}
+            first_decls: dict[Promise, PromiseDecl] = {}
             for p, decl in zip(self.promises, self.decls):
-                first_decls.setdefault((p.promiser, p.promisee, p.group, p.body), decl)
+                first_decls.setdefault(p, decl)
             for finding in findings:
-                p = finding.promise
-                key = (p.promiser, p.promisee, p.group, p.body)
-                first = first_decls.get(key)
-                start, end = (first.start, first.end) if first else (0, 0)
-                self.diagnostics.append(
-                    Diagnostic(WARNING, W_AUTONOMY, finding.message, self.ast.span(start, end))
-                )
+                first = first_decls[finding.promise]
+                self.diagnostics.append(Diagnostic(
+                    WARNING, W_AUTONOMY, finding.message, self.ast.span(first.start, first.end)
+                ))
         return ResolveResult(graph, sorted(self.diagnostics, key=diagnostic_sort_key))
 
 

@@ -55,8 +55,10 @@ class Attribute(Value):
 
 
 class Parameter(Value):
-    """A free value placeholder, written ``$w``.  ``scope`` is the group of
-    the promise that makes it, set where analyses keep groups apart, else ""."""
+    """A free value placeholder, written ``$w``.  ``scope`` keeps one
+    declaration's parameters apart from another's: the group of the promise
+    that makes it in ``detect_conflicts``, the side in ``check_is_a``, else
+    ""."""
 
     __slots__ = ("name", "scope", "_hash")
 
@@ -358,9 +360,10 @@ def body_key(body: PromiseBody) -> tuple:
 class Promise(Value):
     """A directed edge: ``promiser`` makes ``body`` toward ``promisee``.
 
-    ``group`` identifies the enclosing parameter scope (one bundle attachment
-    or one direct declaration); it is derived from content so graphs stay
-    order-insensitive.
+    ``group`` is the parameter scope on the promise's channel: ``bundle:NAME``
+    for one bundle attachment, ``body:TEXT`` for one direct declaration.  It
+    is derived from content so graphs stay order-insensitive, and leaves the
+    channel to ``promiser`` and ``promisee``.
     """
 
     __slots__ = ("promiser", "promisee", "body", "group")
@@ -565,24 +568,23 @@ def flatten_bundles(bundles: Iterable[Bundle]) -> tuple[Bundle, ...]:
     return tuple(sorted(flat.values(), key=lambda b: b.name))
 
 
-def derive_group(promiser: str, promisee: str, body: PromiseBody) -> str:
+def derive_group(body: PromiseBody) -> str:
     """Content-derived scope id for a directly declared promise body."""
-    return f"{promiser}->{promisee}|body:{format_body(body)}"
+    return f"body:{format_body(body)}"
 
 
-def bundle_group(promiser: str, promisee: str, bundle_name: str) -> str:
+def bundle_group(bundle_name: str) -> str:
     """Scope id shared by all bodies of one bundle attachment."""
-    return f"{promiser}->{promisee}|bundle:{bundle_name}"
+    return f"bundle:{bundle_name}"
 
 
-def group_label(promiser: str, promisee: str, group: str) -> str:
-    """How reports name a group on its channel: ``bundle NAME`` for a bundle
-    attachment, ``promise BODY`` for a direct declaration, and a group of
-    neither form by itself."""
+def group_label(group: str) -> str:
+    """How reports name a group: ``bundle NAME`` for a bundle attachment,
+    ``promise BODY`` for a direct declaration, and a group of neither form
+    by itself."""
     for form, word in (("bundle:", "bundle"), ("body:", "promise")):
-        prefix = f"{promiser}->{promisee}|{form}"
-        if group.startswith(prefix):
-            return f"{word} {group[len(prefix):]}"
+        if group.startswith(form):
+            return f"{word} {group[len(form):]}"
     return group
 
 
@@ -660,7 +662,7 @@ def build_graph(
             check_body(p.body, f"promise {promiser} -> {promisee}")
             entry = bodies[p.body] = (p.body, body_key(p.body))
         body, key = entry
-        group = p.group or derive_group(promiser, promisee, body)
+        group = p.group or derive_group(body)
         # A promise whose fields are the shared objects already is kept as is.
         if not (p.promiser is promiser and p.promisee is promisee and p.body is body
                 and p.group is group):

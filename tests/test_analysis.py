@@ -1520,8 +1520,8 @@ LIB_BODIES = [
     lambda: give("y", EqConstraint(Attribute("y"), P("u")),
                  condition=Condition.of(CmpLiteral(P("u"), "neq", NumConst(1)))),
 ]
-# "bundle B" is also the label of the group "{p}->{q}|bundle:B" on p -> q.
-LIB_GROUPS = ["", "g", "h", "bundle B", "{p}->{q}|bundle:B"]
+# "bundle B" is also the label of the group "bundle:B".
+LIB_GROUPS = ["", "g", "h", "bundle B", "bundle:B"]
 LIB_CHANNELS = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "a")]
 
 
@@ -1534,14 +1534,14 @@ def shared_channels(draw) -> list[Promise]:
     for p, q in draw(st.lists(st.sampled_from(LIB_CHANNELS), min_size=1, max_size=4, unique=True)):
         own = draw(st.one_of(st.just(shared_groups), groups))
         promises += [
-            Promise(p, q, LIB_BODIES[b](), g.format(p=p, q=q)) for b, g in zip(bodies, own)
+            Promise(p, q, LIB_BODIES[b](), g) for b, g in zip(bodies, own)
         ]
     return promises
 
 
 def lib_channels(*channels) -> list[Promise]:
     return [
-        Promise(p, q, LIB_BODIES[b](), g.format(p=p, q=q))
+        Promise(p, q, LIB_BODIES[b](), g)
         for (p, q), entries in channels
         for b, g in entries
     ]
@@ -1550,10 +1550,10 @@ def lib_channels(*channels) -> list[Promise]:
 @settings(max_examples=300, deadline=None)
 # The empty group shares scope "" with the condition's parameters.
 @example(lib_channels((("a", "b"), [(7, ""), (2, "")]), (("a", "c"), [(7, ""), (2, "g")])))
-# A group named like another group's label on the same channel.
+# A group, "bundle B", named like another group's label, on the same channel.
 @example(lib_channels(
-    (("a", "b"), [(0, "bundle B"), (2, "{p}->{q}|bundle:B")]),
-    (("a", "c"), [(0, "bundle B"), (2, "{p}->{q}|bundle:B")]),
+    (("a", "b"), [(0, "bundle B"), (2, "bundle:B")]),
+    (("a", "c"), [(0, "bundle B"), (2, "bundle:B")]),
 ))
 # The same bodies in one scope on one channel and in two on the next.
 @example(lib_channels((("a", "b"), [(0, "g"), (2, "g")]), (("a", "c"), [(0, "g"), (2, "h")])))

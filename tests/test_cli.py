@@ -74,6 +74,13 @@ class TestExitCodes:
         assert main(["check", missing]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_json_report_lists_only_the_files_it_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.pml")
+        assert main(["check", missing, CLEAN, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"pml: cannot read {missing}: No such file or directory\n"
+        assert [f["path"] for f in json.loads(captured.out)["files"]] == [CLEAN]
+
     def test_non_utf8_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.pml"
         path.write_bytes(b"agent a\xff;\n")

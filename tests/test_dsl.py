@@ -590,7 +590,7 @@ class TestResolver:
     def test_bundle_attachment_shares_one_group(self):
         result = resolve_text(GEOMETRY)
         groups = {p.group for p in result.graph.promises}
-        assert groups == {"rect->viewer|bundle:Rectangle"}
+        assert groups == {"bundle:Rectangle"}
 
     def test_terms_resolve_to_their_model_classes(self):
         text = (

@@ -3,12 +3,12 @@ defines a private name it never uses, no module imports another
 promisekit module's private name, only the span module builds tuples
 without their class's constructor, no module names
 ``object.__setattr__``, no regular expression needs a newer Python than
-3.10, only ``value`` and ``LineIndex`` name
-``__hash__``, only ``constraints`` judges a pair of conditions, conjoins
-conditions or builds a term partition, no module imports ``gc``, no
-module-level container outlives a run, and every function in the package
-runs in some ``pml`` command, demo or spanning-set call, or is listed with
-the reason it stays.
+3.10, only ``value`` and ``LineIndex`` name ``__hash__``, only
+``constraints`` judges a pair of conditions, conjoins conditions or builds
+a term partition, only ``model`` spells a group, no module imports
+``gc``, no module-level container outlives a run, and every function in
+the package runs in some ``pml`` command, demo or spanning-set call, or is
+listed with the reason it stays.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -235,6 +235,23 @@ def test_only_the_constraints_module_conjoins_conditions():
     condition or conjoins compiled ones.  ``worlds`` reads compiled
     conditions off a ``ConditionTable`` and tests them through the table."""
     assert _modules_binding("split_condition", "_conjoin") == {"constraints.py"}
+
+
+def test_only_the_model_module_spells_a_group():
+    """A group's text is written in ``model`` alone: other modules build
+    groups through ``derive_group`` and ``bundle_group`` and name them
+    through ``group_label``, so no other string constant, f-string parts
+    and docstrings included, holds ``bundle:`` or ``body:``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "bundle:" in node.value or "body:" in node.value:
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
 
 
 def test_only_the_constraints_module_builds_a_term_partition():

@@ -295,8 +295,8 @@ class TestBuildGraph:
 
     def test_group_ids_derive_from_content(self):
         body = give("width", EqConstraint(WIDTH, W))
-        assert derive_group("a", "b", body) == "a->b|body:+width=$w"
-        assert bundle_group("a", "b", "Rectangle") == "a->b|bundle:Rectangle"
+        assert derive_group(body) == "body:+width=$w"
+        assert bundle_group("Rectangle") == "bundle:Rectangle"
 
 
 # ---------------------------------------------------------------------------
