@@ -26,7 +26,6 @@ from .model import (
     EqConstraint,
     FlagLiteral,
     format_body,
-    format_condition,
     format_term,
     GIVE,
     group_label,
@@ -367,8 +366,8 @@ def _check_variants(
             Finding(
                 Severity.PATTERN_ERROR,
                 "non-exclusive",
-                f"conditions of bundle {a.name} ({format_condition(cond_a) or 'always'}) "
-                f"and bundle {b.name} ({format_condition(cond_b) or 'always'}) can hold "
+                f"conditions of bundle {a.name} ({cond_a.text or 'always'}) "
+                f"and bundle {b.name} ({cond_b.text or 'always'}) can hold "
                 f"together: {_witness_text(witness)}",
                 tuple(sorted(set(_bundle_refs(a) + _bundle_refs(b)))),
             )
@@ -639,7 +638,7 @@ def check_dispatch_pattern(
     for p in outgoing:
         if _mentions_flag(p.body.condition, discriminator):
             branches.setdefault((p.group, p.body.condition), []).append(p)
-    keys = sorted(branches, key=lambda k: (k[0], format_condition(k[1])))
+    keys = sorted(branches, key=lambda k: (k[0], k[1].text))
     for i, j, witness in pairwise_exclusive([c for _, c in keys]):
         cited = tuple(
             sorted({p.formatted() for key in (keys[i], keys[j]) for p in branches[key]})
@@ -649,7 +648,7 @@ def check_dispatch_pattern(
                 Severity.PATTERN_ERROR,
                 "dispatch-overlap",
                 f"branches on '{discriminator}' overlap: "
-                f"({format_condition(keys[i][1])}) and ({format_condition(keys[j][1])}) "
+                f"({keys[i][1].text}) and ({keys[j][1].text}) "
                 f"hold together when {_witness_text(witness)}",
                 cited,
             )
@@ -795,11 +794,10 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
     Unconditional bodies form the base class.  Conditional bodies group by
     condition; groups whose conditions are pairwise exclusive become subtype
     nodes, anything overlapping stays in the base and is reported.  The
-    roles share one ``ConditionTable`` and one text per condition."""
+    roles share one ``ConditionTable``."""
     findings: list[Finding] = []
     entries: list[RoleClasses] = []
     table = ConditionTable()
-    texts: dict[Condition, str] = {}
     for role in discover_roles(graph):
         rep = role.members[0]
         bodies: list[PromiseBody] = []
@@ -818,10 +816,7 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
                 groups.setdefault(b.condition, []).append(b)
                 cited.setdefault(b.condition, []).append(citations[b])
 
-        for cond in groups:
-            if cond not in texts:
-                texts[cond] = format_condition(cond)
-        conditions = sorted(groups, key=texts.__getitem__)
+        conditions = sorted(groups, key=lambda c: c.text)
         overlapping: set[Condition] = set()
         for i, j, witness in pairwise_exclusive(conditions, table):
             overlapping.update((conditions[i], conditions[j]))
@@ -830,8 +825,8 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
                     Severity.PATTERN_ERROR,
                     "hierarchy-overlap",
                     f"role '{role.label}': conditions "
-                    f"({texts[conditions[i]]}) and "
-                    f"({texts[conditions[j]]}) can hold together "
+                    f"({conditions[i].text}) and "
+                    f"({conditions[j].text}) can hold together "
                     f"(when {_witness_text(witness)}); their bodies stay in "
                     f"the base class",
                     tuple(sorted(cited[conditions[i]] + cited[conditions[j]])),
@@ -844,7 +839,7 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
                 base_bodies.extend(format_body(b) for b in groups[cond])
         subtypes = tuple(
             ClassNode(
-                texts[cond],
+                cond.text,
                 tuple(
                     format_body(
                         PromiseBody(b.polarity, b.type, b.constraints, ALWAYS)

@@ -374,12 +374,11 @@ class _Resolver:
         return agent.name
 
     def collect_promises(self) -> None:
-        # Each distinct direct-promise body node is resolved once, and equal
-        # bodies are one object, so they share a text.  Nodes compare without
-        # spans; a node that drew a diagnostic is resolved again at each of
-        # its declarations, so that each is reported.
+        # Each distinct direct-promise body node is resolved once; build_graph
+        # then makes equal bodies one object.  Nodes compare without spans; a
+        # node that drew a diagnostic is resolved again at each of its
+        # declarations, so that each is reported.
         resolved: dict[BodyNode, PromiseBody] = {}
-        bodies: dict[PromiseBody, PromiseBody] = {}
         for decl in self.ast.decls:
             if not isinstance(decl, PromiseDecl):
                 continue
@@ -420,10 +419,8 @@ class _Resolver:
                 if body is None:
                     reported = len(self.diagnostics)
                     body = self.resolve_body(node, _Scope())
-                    if body is not None:
-                        body = bodies.setdefault(body, body)
-                        if len(self.diagnostics) == reported:
-                            resolved[node] = body
+                    if body is not None and len(self.diagnostics) == reported:
+                        resolved[node] = body
                 if body is None or not ok:
                     continue
                 group = derive_group(body)

@@ -51,7 +51,7 @@ class Attribute(Value):
     def __init__(self, name: str) -> None:
         set_name, set_hash = self._setters
         set_name(self, name)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash(name))
 
 
 class Parameter(Value):
@@ -66,7 +66,7 @@ class Parameter(Value):
         set_name, set_scope, set_hash = self._setters
         set_name(self, name)
         set_scope(self, scope)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash((name, scope)))
 
 
 class NumConst(Value):
@@ -75,7 +75,7 @@ class NumConst(Value):
     def __init__(self, value: Union[int, float]) -> None:
         set_value, set_hash = self._setters
         set_value(self, value)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash(value))
 
 
 class StrConst(Value):
@@ -84,7 +84,7 @@ class StrConst(Value):
     def __init__(self, value: str) -> None:
         set_value, set_hash = self._setters
         set_value(self, value)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash(value))
 
 
 class NamedConst(Value):
@@ -99,7 +99,7 @@ class NamedConst(Value):
     def __init__(self, name: str) -> None:
         set_name, set_hash = self._setters
         set_name(self, name)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash(name))
 
 
 Term = Union[Attribute, Parameter, NumConst, StrConst, NamedConst]
@@ -179,7 +179,7 @@ class EqConstraint(Value):
         set_lhs, set_rhs, set_hash = self._setters
         set_lhs(self, lhs)
         set_rhs(self, rhs)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash((lhs, rhs)))
 
     def terms(self) -> tuple[Term, Term]:
         return (self.lhs, self.rhs)
@@ -206,7 +206,7 @@ class CmpLiteral(Value):
         set_lhs(self, lhs)
         set_op(self, op)
         set_rhs(self, rhs)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash((lhs, op, rhs)))
 
 
 class FlagLiteral(Value):
@@ -218,7 +218,7 @@ class FlagLiteral(Value):
         set_name, set_negated, set_hash = self._setters
         set_name(self, name)
         set_negated(self, negated)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash((name, negated)))
 
 
 ConditionLiteral = Union[CmpLiteral, FlagLiteral]
@@ -244,12 +244,12 @@ def format_literal(lit: ConditionLiteral) -> str:
 class Condition(Value):
     """A conjunction of literals; the empty condition is always true."""
 
-    __slots__ = ("literals", "_hash")
+    __slots__ = ("literals", "_hash", "__dict__")
 
     def __init__(self, literals: frozenset[ConditionLiteral] = frozenset()) -> None:
         set_literals, set_hash = self._setters
         set_literals(self, literals)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash(literals))
 
     @staticmethod
     def of(*literals: ConditionLiteral) -> "Condition":
@@ -264,6 +264,12 @@ class Condition(Value):
 
     def conjoin(self, other: "Condition") -> "Condition":
         return Condition(self.literals | other.literals)
+
+    @cached_property
+    def text(self) -> str:
+        """The printed condition, made once per condition object:
+        ``name == owner and not employee``, or ``""`` when empty."""
+        return format_condition(self)
 
 
 ALWAYS = Condition()
@@ -304,7 +310,7 @@ class PromiseBody(Value):
         set_type(self, type)
         set_constraints(self, constraints)
         set_condition(self, condition)
-        set_hash(self, hash(self._key(self)))
+        set_hash(self, hash((polarity, type, constraints, condition)))
 
     @property
     def is_link(self) -> bool:
@@ -327,7 +333,7 @@ class PromiseBody(Value):
             core = self.type if not parts else ",".join(parts)
             text = f"+{core}" if self.polarity == GIVE else f"U({core})"
         if not self.condition.is_empty:
-            text += f" if {format_condition(self.condition)}"
+            text += f" if {self.condition.text}"
         return text
 
 

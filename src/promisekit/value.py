@@ -27,8 +27,10 @@ repr, ``uncompared`` from equality and hash only.
 
 A value shared across a request, such as a term, a condition or a body, is
 hashed again and again.  Such a class declares the slot ``"_hash"``, and its
-constructor ends with ``set_hash(self, hash(self._key(self)))``: the hash
-is computed once, and ``hash()`` only reads the slot.  So a field that
+constructor ends by hashing its own arguments in the order of ``_key``, as
+in ``set_hash(self, hash((name, scope)))``, or ``hash(name)`` for one
+compared field: the hash is computed once, equals that of the key, and
+``hash()`` only reads the slot.  So a field that
 cannot be hashed is refused at construction.  A copy or an unpickled
 value goes through the constructor and computes its own hash, so no hash
 crosses processes.  The other classes, hashed once or never, compute the

@@ -7,7 +7,6 @@ closing their constraints together with the world's own equalities.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .constraints import closure, ConditionTable, TermPartition, UnionFind
@@ -15,7 +14,6 @@ from .model import (
     Condition,
     EqConstraint,
     FlagLiteral,
-    format_condition,
     is_constant,
     Term,
 )
@@ -28,7 +26,7 @@ class World(Value):
     """One maximal co-satisfiable set of conditions, with the equalities and
     disequalities those conditions impose."""
 
-    __slots__ = ("active", "eqs", "neqs", "__dict__")
+    __slots__ = ("active", "eqs", "neqs")
 
     def __init__(
         self,
@@ -41,14 +39,13 @@ class World(Value):
         set_eqs(self, eqs)
         set_neqs(self, neqs)
 
-    @cached_property
+    @property
     def when(self) -> str:
         """The suffix naming the world in a finding: ``" (when a & b)"``, or
-        ``""`` for the world of no conditions.  Made once per world, on the
-        first read."""
+        ``""`` for the world of no conditions."""
         if not self.active:
             return ""
-        return f" (when {' & '.join(sorted(format_condition(c) for c in self.active))})"
+        return f" (when {' & '.join(sorted(c.text for c in self.active))})"
 
     def closure(self, extra: Iterable[EqConstraint]) -> TermPartition:
         """The closure of the world's equalities with ``extra``."""
@@ -138,7 +135,7 @@ def worlds(
     table = ConditionTable() if table is None else table
     distinct = sorted(
         {c for c in conditions if not c.is_empty},
-        key=lambda c: format_condition(c),
+        key=lambda c: c.text,
     )
     fits = table.subset_test(distinct)
     viable = [i for i in range(len(distinct)) if fits((i,))]

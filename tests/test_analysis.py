@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import promisekit.constraints
+import promisekit.model
 import promisekit.worlds
 from promisekit import corpus
 from promisekit.analysis import (
@@ -71,7 +72,7 @@ from bruteforce import (
     reference_scenarios,
     role_signature,
 )
-from loaders import load_corpus, load_text
+from loaders import load_corpus, load_text, run_cli
 
 WIDTH, HEIGHT, ANGLE = Attribute("width"), Attribute("height"), Attribute("angle")
 
@@ -1317,21 +1318,28 @@ def ring_text(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def count_calls(monkeypatch, module, name: str) -> Counter:
+def wrap_calls(monkeypatch, module, name: str, hook) -> None:
     """Wrap ``module.name`` wherever a promisekit module binds it, as the
-    benchmark's tracer does; the counter's ``calls`` rises per call."""
+    benchmark's tracer does: each call first passes its arguments to
+    ``hook``."""
     real = getattr(module, name)
-    counter: Counter = Counter()
 
-    def counting(*args, **kwargs):
-        counter["calls"] += 1
+    def wrapped(*args, **kwargs):
+        hook(*args, **kwargs)
         return real(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "promisekit" or mod_name.startswith("promisekit."):
             for attr, value in list(vars(mod).items()):
                 if value is real:
-                    monkeypatch.setattr(mod, attr, counting)
+                    monkeypatch.setattr(mod, attr, wrapped)
+
+
+def count_calls(monkeypatch, module, name: str) -> Counter:
+    """Wrap ``module.name`` as ``wrap_calls`` does; the counter's ``calls``
+    rises per call."""
+    counter: Counter = Counter()
+    wrap_calls(monkeypatch, module, name, lambda *args, **kwargs: counter.update(["calls"]))
     return counter
 
 
@@ -1477,6 +1485,26 @@ def test_flag_only_conditions_need_no_closure(monkeypatch):
     # The conflicts close one world per world of x -> y: four.
     assert detect_conflicts(graph) == []
     assert closures["calls"] == 4
+
+
+def test_each_condition_is_printed_once_per_request(monkeypatch, tmp_path):
+    # Every request that the flags benchmark makes at k = 12: the resolver's
+    # groups, the world sorts, the world labels and the class hierarchy all
+    # read one text per condition object.  The printed conditions are kept,
+    # so that no id is reused within a request.
+    (tmp_path / "flags.pml").write_text(flags_channel_text(12), encoding="utf-8")
+    printed: list = []
+    wrap_calls(monkeypatch, promisekit.model, "format_condition", printed.append)
+    for argv in (
+        ["check", "flags.pml"],
+        ["classes", "--json", "flags.pml"],
+        ["isa", "flags.pml", "C", "P"],
+        ["isa", "--json", "flags.pml", "RC", "SP"],
+        ["isa", "flags.pml", "RC", "RP"],
+    ):
+        printed.clear()
+        assert run_cli(tmp_path, argv)["exit"] in (0, 1)
+        assert printed and max(Counter(map(id, printed)).values()) == 1, argv
 
 
 def closures_per_call(monkeypatch, graph) -> int:

@@ -23,7 +23,16 @@ from promisekit.dsl import (
 )
 from promisekit.dsl import lexer as lexer_module, resolver as resolver_module
 from promisekit.errors import PromiseModelError
-from promisekit.model import Attribute, CmpLiteral, NamedConst, NumConst, Parameter, StrConst
+from promisekit.model import (
+    Attribute,
+    CmpLiteral,
+    Condition,
+    FlagLiteral,
+    NamedConst,
+    NumConst,
+    Parameter,
+    StrConst,
+)
 
 from bruteforce import reference_tokenize
 
@@ -530,7 +539,53 @@ NUMBER_LITERALS = st.builds(
 )
 
 
+# Gates over the flags, attributes, parameters and constants that
+# ``GATE_MODEL`` declares or leaves free.  A comparison relates two num terms
+# or two str terms, and each parameter keeps one kind, so every gate
+# resolves.  A resolved string holds no carriage return: a raw one ends a
+# string, and no escape writes one.
+_NAMED = st.builds(NamedConst, st.sampled_from(["red", "blue", "k7"]))
+_NUM_TERMS = st.one_of(
+    st.sampled_from([Attribute("n0"), Attribute("bank.balance"), Parameter("x"), Parameter("y")]),
+    st.builds(NumConst, st.integers(0, 10**30) | st.floats(0, allow_infinity=False)),
+    _NAMED,
+)
+_STR_TERMS = st.one_of(
+    st.sampled_from([Attribute("s0"), Parameter("u")]),
+    st.builds(StrConst, st.text(st.characters(exclude_characters="\r"))),
+    _NAMED,
+)
+_OPS = st.sampled_from(["eq", "neq"])
+GATES = st.builds(
+    lambda literals: Condition(frozenset(literals)),
+    st.lists(
+        st.one_of(
+            st.builds(FlagLiteral, st.sampled_from(["f0", "f1"]), st.booleans()),
+            st.builds(CmpLiteral, _NUM_TERMS, _OPS, _NUM_TERMS),
+            st.builds(CmpLiteral, _STR_TERMS, _OPS, _STR_TERMS),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+GATE_MODEL = (
+    "agent a, b;\nflag f0; flag f1;\n"
+    "type n0: num; type bank.balance: num; type s0: str; type svc: service;\n"
+    "a -> b: give svc if {};\n"
+)
+
+
 class TestPrinterRoundTrip:
+    @settings(max_examples=200)
+    @given(GATES)
+    @example(Condition.of(CmpLiteral(StrConst('a"\\\n\tb'), "neq", Attribute("s0"))))
+    @example(Condition.of(CmpLiteral(NumConst(1e-07), "eq", NumConst(10**20))))
+    def test_a_condition_text_reads_back_as_the_condition(self, condition):
+        result = resolve_text(GATE_MODEL.format(condition.text))
+        assert result.ok, [d.formatted() for d in result.diagnostics]
+        (promise,) = result.graph.promises
+        assert promise.body.condition == condition
+
     @pytest.mark.parametrize("name", corpus.names())
     def test_print_then_parse_is_a_fixpoint(self, name):
         printed = normalize(corpus.read(name), name)

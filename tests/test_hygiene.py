@@ -5,10 +5,10 @@ without their class's constructor, no module names
 ``object.__setattr__``, no regular expression needs a newer Python than
 3.10, only ``value`` and ``LineIndex`` name ``__hash__``, only
 ``constraints`` judges a pair of conditions, conjoins conditions or builds
-a term partition, only ``model`` spells a group, no module imports
-``gc``, no module-level container outlives a run, and every function in
-the package runs in some ``pml`` command, demo or spanning-set call, or is
-listed with the reason it stays.
+a term partition, only ``model`` spells a group or prints a condition,
+no module imports ``gc``, no module-level container outlives a run, and
+every function in the package runs in some ``pml`` command, demo or
+spanning-set call, or is listed with the reason it stays.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -252,6 +252,23 @@ def test_only_the_model_module_spells_a_group():
                 if "bundle:" in node.value or "body:" in node.value:
                     found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_model_module_prints_a_condition():
+    """How a condition prints is worked out in ``model`` alone, once per
+    condition object: every other module reads ``Condition.text``, so none
+    calls ``format_condition`` or ``format_literal``.  The package
+    ``__init__`` re-exports ``format_condition`` without calling it."""
+    callers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("format_condition", "format_literal"):
+                    callers.add(path.relative_to(PACKAGE).as_posix())
+    assert callers == {"model.py"}
 
 
 def test_only_the_constraints_module_builds_a_term_partition():
