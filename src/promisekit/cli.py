@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence, Union
+from typing import NoReturn, Sequence, Union
 
 from .analysis import (
     check_is_a,
@@ -37,7 +37,7 @@ EXIT_USAGE = 3
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract says 3."""
 
-    def error(self, message: str) -> "NoReturn":  # type: ignore[name-defined]
+    def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
@@ -79,26 +79,42 @@ _SUBCOMMANDS = (
 )
 
 
-def _build_parser(argv: Sequence[str]) -> _Parser:
-    """The pml parser for ``argv``.  Every command is listed with its help
-    line, so ``--help`` and the unknown-command error name all five, but
-    only the command ``argv`` names gets its arguments and ``-h``.  That is
-    its first word not starting with ``-``: a command word that does start
-    with one (``-1``, say) names no command, so it ends in the
-    unknown-command error whatever the commands' arguments are."""
-    named = next((word for word in argv if not word.startswith("-")), None)
+def _add_arguments(parser: _Parser, positionals: tuple, json_flag: bool) -> None:
+    """Give ``parser`` one ``_SUBCOMMANDS`` row's positionals, ``-o`` and
+    ``--json``."""
+    for dest, metavar, nargs in positionals:
+        parser.add_argument(dest, nargs=nargs, metavar=metavar)
+    parser.add_argument("-o", "--output", metavar="PATH", help="write output to PATH")
+    if json_flag:
+        parser.add_argument("--json", action="store_true", help="emit JSON")
+
+
+def _build_parser() -> _Parser:
+    """The pml parser built whole: every command with its help line and its
+    arguments, so that ``--help`` and the unknown-command error name all five."""
     parser = _Parser(prog="pml", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, help_line, positionals, json_flag in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_line, add_help=name == named)
-        if name != named:
-            continue
-        for dest, metavar, nargs in positionals:
-            p.add_argument(dest, nargs=nargs, metavar=metavar)
-        p.add_argument("-o", "--output", metavar="PATH", help="write output to PATH")
-        if json_flag:
-            p.add_argument("--json", action="store_true", help="emit JSON")
+        _add_arguments(sub.add_parser(name, help=help_line), positionals, json_flag)
     return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of ``argv``.  When its first word names a command, that
+    command's own parser reads the rest: the parser ``add_parser`` makes for
+    it, with the same prog, so its help and usage errors are those of the
+    whole parser.  Only an ``argv`` it leaves words over from, or one whose
+    first word names no command (``--help``, an unknown command, an option
+    before the command, no words), builds the whole parser, which answers."""
+    for name, _, positionals, json_flag in _SUBCOMMANDS:
+        if argv and argv[0] == name:
+            parser = _Parser(prog=f"pml {name}")
+            _add_arguments(parser, positionals, json_flag)
+            args, rest = parser.parse_known_args(argv[1:])
+            if not rest:
+                args.command = name
+                return args
+    return _build_parser().parse_args(argv)
 
 
 def _load(path: str) -> tuple[Union[PromiseGraph, None], FileEntry]:
@@ -240,9 +256,8 @@ _COMMANDS = {
 def main(argv: Union[Sequence[str], None] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command == "check":

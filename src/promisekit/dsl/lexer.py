@@ -15,7 +15,7 @@ default); a fraction is read as the nearest ``float``, and as an ``int``
 when that float is integral.  A number that neither holds is reported
 (E-LEX-004) and yields no token.  A string ends at its closing quote or,
 unterminated, before a carriage return or newline or at the end of the
-text; its escapes are ``\\\\ \\" \\n \\t``, and any other escaped
+text; its escapes are ``\\\\ \\" \\n \\r \\t``, and any other escaped
 character, a line end included, is reported and kept as it is.
 
 The lexer reads a text with one ``split`` of its pattern, which gives each
@@ -88,7 +88,7 @@ KEYWORDS = frozenset(
 Token = tuple[str, Union[str, int, float], str, int, int]
 
 
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 _INFINITY = float("inf")
 
 _OPERATORS = ("->", "==", "!=", ";", ",", ":", ".", "{", "}", "=")

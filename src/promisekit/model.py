@@ -143,7 +143,7 @@ def format_number(value: Union[int, float]) -> str:
 
 def escape_string(value: str) -> str:
     out = value.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\t", "\\t")
+    out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
     return f'"{out}"'
 
 

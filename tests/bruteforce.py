@@ -357,7 +357,7 @@ def oracle_override(
 
 _TWO_CHAR_OPS = ("->", "==", "!=")
 _ONE_CHAR_OPS = frozenset(";,:.{}=")
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
 # Where a token or diagnostic lies: (file, start_line, start_col, end_line,

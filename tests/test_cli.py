@@ -347,8 +347,42 @@ PARSER_EXITS = [
     (["--", "roles", "f"], 3),
     (["--json", "check", "f"], 3),
     (["check", "--frobnicate", "f"], 3),
+    (["check", "f", "--frobnicate"], 3),
+    (["roles", "f", "--json", "extra"], 3),
     (["isa", "f", "Child"], 3),
+    (["isa", "f", "C", "P", "extra"], 3),
+    (["isa", "f", "C", "P", "--frobnicate", "-h"], 0),
     (["dot", "f", "--json"], 3),
+    (["dot", "f", "-o"], 3),
+]
+
+#: Accepted argv, with ``m.pml``, ``-a.pml`` and ``-`` the names of model
+#: files: options before and after positionals, the three spellings of
+#: ``-o``, abbreviated long options, ``--`` before a file whose name starts
+#: with ``-``, and ``-`` as a file.
+ACCEPTED = [
+    ["check", "m.pml"],
+    ["check", "--json", "m.pml", "m.pml"],
+    ["check", "m.pml", "--json"],
+    ["check", "m.pml", "-o", "out"],
+    ["check", "--output=out", "m.pml"],
+    ["check", "-oout", "m.pml", "--js"],
+    ["check", "--out", "out", "m.pml"],
+    ["check", "--", "-a.pml"],
+    ["check", "-", "m.pml"],
+    ["roles", "--json", "m.pml"],
+    ["roles", "m.pml", "-oout", "--js"],
+    ["roles", "--", "-a.pml"],
+    ["roles", "-"],
+    ["classes", "m.pml", "--output=out", "--json"],
+    ["classes", "--out=out", "-"],
+    ["isa", "m.pml", "Square", "Rectangle", "--json"],
+    ["isa", "--json", "m.pml", "Square", "Rectangle"],
+    ["isa", "-o", "out", "m.pml", "Square", "--js", "Rectangle"],
+    ["isa", "--", "-a.pml", "Square", "Rectangle"],
+    ["dot", "m.pml"],
+    ["dot", "-oout", "-"],
+    ["dot", "--output=out", "--", "-a.pml"],
 ]
 
 
@@ -367,30 +401,51 @@ class TestParser:
         assert main(argv) == code
         assert capsys.readouterr() == (out.getvalue(), err.getvalue())
 
+    @pytest.mark.parametrize("argv", ACCEPTED, ids=" ".join)
+    def test_accepted_argv_parse_as_the_whole_parser_reads_them(
+        self, argv, tmp_path, monkeypatch
+    ):
+        """The arguments every command is run with equal the reference
+        parser's, whichever parser read them."""
+        for name in ("m.pml", "-a.pml", "-"):
+            (tmp_path / name).write_text(corpus.read("geometry.pml"), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        emitted = []
+        monkeypatch.setattr(cli, "_emit", lambda args, *rest: emitted.append(vars(args)) or 0)
+        assert main(argv) == 0
+        assert emitted == [vars(reference_parser().parse_args(argv))]
+
     @pytest.mark.parametrize(
         "argv, calls",
         [
-            (["check", GEOMETRY], 5),
-            (["roles", GEOMETRY], 5),
-            (["classes", GEOMETRY], 5),
-            (["isa", GEOMETRY, "Square", "Rectangle"], 7),
-            (["dot", GEOMETRY], 4),
+            (["check", GEOMETRY], 4),
+            (["roles", GEOMETRY], 4),
+            (["classes", GEOMETRY], 4),
+            (["isa", GEOMETRY, "Square", "Rectangle"], 6),
+            (["dot", GEOMETRY], 3),
         ],
         ids=lambda v: v[0] if isinstance(v, list) else str(v),
     )
     def test_a_run_builds_only_the_command_it_runs(self, argv, calls, monkeypatch, capsys):
-        """One ``-h`` for pml, and the named command's ``-h``, positionals,
-        ``-o`` and ``--json``: no other command's arguments."""
-        added = []
+        """One parser, the named command's own: its ``-h``, positionals,
+        ``-o`` and ``--json``, and no other command's arguments."""
+        added, built = [], []
         add_argument = argparse.ArgumentParser.add_argument
+        init = argparse.ArgumentParser.__init__
 
         def counted(self, *args, **kwargs):
             added.append(args)
             return add_argument(self, *args, **kwargs)
 
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
         assert main(argv) in (0, 1)
         assert len(added) == calls, added
+        assert built == [f"pml {argv[0]}"]
 
 
 class TestCheck:

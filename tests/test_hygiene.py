@@ -6,9 +6,10 @@ without their class's constructor, no module names
 3.10, only ``value`` and ``LineIndex`` name ``__hash__``, only
 ``constraints`` judges a pair of conditions, conjoins conditions or builds
 a term partition, only ``model`` spells a group or prints a condition,
-no module imports ``gc``, no module-level container outlives a run, and
-every function in the package runs in some ``pml`` command, demo or
-spanning-set call, or is listed with the reason it stays.
+no module imports ``gc``, importing the cli builds no argument parser, no
+module-level container outlives a run, and every function in the package
+runs in some ``pml`` command, demo or spanning-set call, or is listed with
+the reason it stays.
 
 Package ``__init__`` modules are exempt from the import check, because their
 imports are the public re-exports.
@@ -331,10 +332,22 @@ def test_no_module_imports_gc():
     assert found == []
 
 
+def _run_fresh(code: str) -> str:
+    """The stdout of ``code`` in a fresh interpreter that imports this
+    package.  ``-S`` keeps ``site`` from loading anything first."""
+    src = str(PACKAGE.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """In a fresh interpreter, ``import promisekit.cli`` leaves
     ``dataclasses`` and ``inspect`` unloaded, and no promisekit class has
-    dataclass fields.  ``-S`` keeps ``site`` from loading anything first."""
+    dataclass fields."""
     code = (
         "import sys, promisekit.cli\n"
         "mods = [m for n, m in list(sys.modules.items()) if n.split('.')[0] == 'promisekit']\n"
@@ -342,14 +355,28 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         "         if isinstance(c, type) and hasattr(c, '__dataclass_fields__')}\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), sorted(built))\n"
     )
-    src = str(PACKAGE.parent)
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True, text=True, check=True, timeout=60,
+    assert _run_fresh(code) == "[] []\n"
+
+
+def test_importing_the_cli_builds_no_parser():
+    """In a fresh interpreter, ``import promisekit.cli`` constructs no
+    ``ArgumentParser`` and binds none at a module's top level: a run builds
+    the parser it uses."""
+    code = (
+        "import argparse, sys\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(type(self).__name__)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import promisekit.cli\n"
+        "mods = [m for n, m in list(sys.modules.items()) if n.split('.')[0] == 'promisekit']\n"
+        "bound = [a for m in mods for a, v in vars(m).items()\n"
+        "         if isinstance(v, argparse.ArgumentParser)]\n"
+        "print(built, bound)\n"
     )
-    assert done.stdout == "[] []\n"
+    assert _run_fresh(code) == "[] []\n"
 
 
 def test_spans_keep_their_checks():
@@ -504,8 +531,10 @@ def _package_functions() -> dict[tuple[str, int], str]:
 def test_every_function_runs_or_is_listed():
     """Under ``sys.setprofile``: every ``pml`` command (``check``,
     ``check --json``, ``roles``, ``classes``, ``classes --json``, ``dot``)
-    on the corpus and on every golden model, one usage error, ``isa`` on
-    each bundle pair of geometry and dispatch, the four demos, and
+    on the corpus and on every golden model, one usage error that the
+    command's own parser answers (``check`` with no file) and one that only
+    the whole parser answers (an unknown command), ``isa`` on each bundle
+    pair of geometry and dispatch, the four demos, and
     ``extract_spanning_set`` on the corpus graphs.  A function that none of
     them runs is code that nothing reachable uses, unless ``UNREACHED``
     gives the reason it stays."""
@@ -516,7 +545,7 @@ def test_every_function_runs_or_is_listed():
         for directory in (INVALID_DIR, SHARED_DIR)
         for path in sorted(directory.glob("*.pml"))
     ]
-    runs = [(CORPUS_DIR, ["check"])]
+    runs = [(CORPUS_DIR, ["check"]), (CORPUS_DIR, ["frobnicate"])]
     runs += [(d, [argv[0], name, *argv[1:]]) for d, name in models for argv in commands]
     runs += [
         (CORPUS_DIR, ["isa", name, child, parent])

@@ -83,6 +83,7 @@ class TestTerms:
         assert format_number(3.0) == "3"
         assert format_term(StrConst("hi")) == '"hi"'
         assert format_term(StrConst('a"b')) == '"a\\"b"'
+        assert format_term(StrConst("a\r\nb")) == '"a\\r\\nb"'
         assert format_term(NamedConst("owner")) == "owner"
 
     def test_scoped_parameter_prints_without_its_scope_tag(self):
