@@ -39,7 +39,7 @@ from .model import (
     USE,
 )
 from .value import Value
-from .worlds import judge, World
+from .worlds import judge, name_world, World
 
 
 class Severity(enum.IntEnum):
@@ -340,10 +340,6 @@ def _format_types(counts: Counter) -> str:
     return ", ".join(parts)
 
 
-def _witness_text(witness: tuple[tuple[str, str], ...]) -> str:
-    return ", ".join(f"{k}={v}" for k, v in witness) or "always"
-
-
 def _check_variants(
     parent: Bundle,
     parent_condition: Condition,
@@ -360,7 +356,7 @@ def _check_variants(
         raise ValueError(f"{check} needs at least one child")
     variants = [(parent, parent_condition), *children]
     findings = []
-    for i, j, witness in pairwise_exclusive([cond for _, cond in variants]):
+    for i, j in pairwise_exclusive([cond for _, cond in variants]):
         (a, cond_a), (b, cond_b) = variants[i], variants[j]
         findings.append(
             Finding(
@@ -368,7 +364,7 @@ def _check_variants(
                 "non-exclusive",
                 f"conditions of bundle {a.name} ({cond_a.text or 'always'}) "
                 f"and bundle {b.name} ({cond_b.text or 'always'}) can hold "
-                f"together: {_witness_text(witness)}",
+                f"together{name_world((cond_a, cond_b))}",
                 tuple(sorted(set(_bundle_refs(a) + _bundle_refs(b)))),
             )
         )
@@ -454,18 +450,6 @@ class IsAVerdict(Value):
         return self.outcome == IS_A
 
 
-def _scope_params(body: PromiseBody, scope: str) -> frozenset[EqConstraint]:
-    """The body's constraints with its parameters put in ``scope`` (a group
-    or a side), apart from every other scope's."""
-
-    def rescope(t: Term) -> Term:
-        return Parameter(t.name, scope) if isinstance(t, Parameter) else t
-
-    return frozenset(
-        EqConstraint(rescope(c.lhs), rescope(c.rhs)) for c in body.constraints
-    )
-
-
 def _clash_detail(part: TermPartition) -> str:
     clash = part.constant_clash()
     if clash is None:
@@ -474,27 +458,26 @@ def _clash_detail(part: TermPartition) -> str:
 
 
 def _against_base(
-    base: Sequence[tuple[str, Condition, Collection[EqConstraint]]],
-    other: Sequence[tuple[str, Condition, Collection[EqConstraint]]],
+    base: Sequence[tuple[str, PromiseBody, str]],
+    other: Sequence[tuple[str, PromiseBody, str]],
     table: Union[ConditionTable, None] = None,
 ) -> Iterator[tuple[World, list, TermPartition, list, tuple[tuple[Term, Term], ...]]]:
     """The restriction engine of is-a and the override policy: promise the
-    base's entries, each (reference, condition, constraints), and the other's
-    at once.  Per world, in ``judge`` order, yield the world, the entries in
-    force tagged ((is_base, reference), condition, constraints), their joint
-    closure, its clashing classes, and, when none clashes, the pairs of base
-    terms that the joint closure merges and the base's entries in force alone
-    do not.  A parameter with a non-empty scope belongs to its own side and
-    is never a base term.  With no other entries nothing can be narrowed, so
-    judging one side alone makes one closure per world and sorts no classes
-    unless they clash."""
-    entries = [((True, r), c, k) for r, c, k in base]
-    entries += [((False, r), c, k) for r, c, k in other]
-    for world, in_force, joint in judge(entries, table):
-        clashing = [] if joint.admits(world.neqs) else joint.clashing_classes(world.neqs)
+    base's entries, each (reference, body, scope) as ``judge`` takes them,
+    and the other's at once.  Per world, in ``judge`` order, yield the
+    world, the entries in force tagged ((is_base, reference), scoped
+    constraints), their joint closure, its clashing classes, and, when none
+    clashes, the pairs of base terms that the joint closure merges and the
+    base's entries in force alone do not.  A parameter with a non-empty
+    scope belongs to its own side and is never a base term.  With no other
+    entries nothing can be narrowed, so judging one side alone makes one
+    closure per world and sorts no classes unless they clash."""
+    entries = [((True, r), b, s) for r, b, s in base]
+    entries += [((False, r), b, s) for r, b, s in other]
+    for world, in_force, joint, clashing in judge(entries, table):
         pairs = ()
         if other and not clashing:
-            cons = [c for (is_base, _), _, k in in_force if is_base for c in k]
+            cons = [c for (is_base, _), k in in_force if is_base for c in k]
             terms = {
                 t for c in cons for t in c.terms() if not (isinstance(t, Parameter) and t.scope)
             }
@@ -503,7 +486,7 @@ def _against_base(
 
 
 def _refs_touching(
-    in_force: Sequence[tuple[tuple[bool, str], Condition, Collection[EqConstraint]]],
+    in_force: Sequence[tuple[tuple[bool, str], Collection[EqConstraint]]],
     classes: Sequence[tuple[Term, ...]],
 ) -> tuple[str, ...]:
     """The references of the entries in force whose terms meet ``classes``.
@@ -512,7 +495,7 @@ def _refs_touching(
     terms lie in it; and a restricted pair's class holds base terms, each
     from a base entry in force."""
     touching = set()
-    for (_, ref), _, scoped in in_force:
+    for (_, ref), scoped in in_force:
         terms = {t for c in scoped for t in c.terms()}
         if any(not terms.isdisjoint(cls) for cls in classes):
             touching.add(ref)
@@ -531,8 +514,7 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     ``ConditionTable``.
     """
     sides = [
-        [(f"{side} {b.name}: {format_body(body)}", body.condition, _scope_params(body, side))
-         for body in b.bodies]
+        [(f"{side} {b.name}: {format_body(body)}", body, side) for body in b.bodies]
         for side, b in (("parent", parent), ("child", child))
     ]
     table = ConditionTable()
@@ -559,11 +541,11 @@ def check_override_policy(base: Bundle, child: Bundle) -> list[Finding]:
     shared namespace here — the child is editing the base's own variables."""
     findings: list[Finding] = []
     for world, in_force, _, clashing, pairs in _against_base(
-        [(format_body(b), b.condition, b.constraints) for b in base.sorted_bodies()],
-        [(format_body(b), b.condition, b.constraints) for b in child.bodies],
+        [(format_body(b), b, "") for b in base.sorted_bodies()],
+        [(format_body(b), b, "") for b in child.bodies],
     ):
         for entry in in_force:
-            (is_base, text), _, _ = entry
+            (is_base, text), _ = entry
             if not is_base:
                 continue
             touching = [
@@ -639,7 +621,7 @@ def check_dispatch_pattern(
         if _mentions_flag(p.body.condition, discriminator):
             branches.setdefault((p.group, p.body.condition), []).append(p)
     keys = sorted(branches, key=lambda k: (k[0], k[1].text))
-    for i, j, witness in pairwise_exclusive([c for _, c in keys]):
+    for i, j in pairwise_exclusive([c for _, c in keys]):
         cited = tuple(
             sorted({p.formatted() for key in (keys[i], keys[j]) for p in branches[key]})
         )
@@ -649,7 +631,7 @@ def check_dispatch_pattern(
                 "dispatch-overlap",
                 f"branches on '{discriminator}' overlap: "
                 f"({keys[i][1].text}) and ({keys[j][1].text}) "
-                f"hold together when {_witness_text(witness)}",
+                f"hold together{name_world((keys[i][1], keys[j][1]))}",
                 cited,
             )
         )
@@ -673,13 +655,13 @@ def _channel_verdicts(
             by_type.setdefault((body.polarity, body.type), []).append(i)
     for same_type in by_type.values():
         conditions = [shape[i][0].condition for i in same_type]
-        for i, j, witness in pairwise_exclusive(conditions, table):
+        for i, j in pairwise_exclusive(conditions, table):
             if conditions[i] != conditions[j]:
                 a, b = same_type[i], same_type[j]
                 found.append((
                     Severity.POLICY_VIOLATION, "channel-overlap",
                     f"'{format_body(shape[a][0])}' and '{format_body(shape[b][0])}' "
-                    f"can both apply (when {_witness_text(witness)})", [a, b],
+                    f"can both apply{name_world((conditions[i], conditions[j]))}", [a, b],
                 ))
 
     # World-by-world joint satisfiability and independence.  With no
@@ -688,17 +670,15 @@ def _channel_verdicts(
     # scope "" (see Parameter), so no world is inconsistent or restricted.
     if not any(body.constraints for body, _ in shape):
         return found
-    entries = [
-        (i, body.condition, _scope_params(body, group)) for i, (body, group) in enumerate(shape)
-    ]
-    for world, in_force, part in judge(entries, table):
-        if not part.admits(world.neqs):
+    entries = [(i, body, group) for i, (body, group) in enumerate(shape)]
+    for world, in_force, part, clashing in judge(entries, table):
+        if clashing:
             # The world's conditions hold together, so the clash needs the
             # constraints of some promise in force.
             found.append((
                 Severity.INCONSISTENT, "channel-inconsistent",
                 f"promises cannot all hold{world.when}: {_clash_detail(part)}",
-                [i for i, _, scoped in in_force if scoped],
+                [i for i, scoped in in_force if scoped],
             ))
             continue
         for cls in part.classes:
@@ -714,7 +694,7 @@ def _channel_verdicts(
                     Severity.RESTRICTED, "channel-restricted",
                     f"independent declarations are forced to share one value{world.when}: "
                     f"{named}",
-                    [i for i, _, _ in in_force if shape[i][1] in by_group],
+                    [i for i, _ in in_force if shape[i][1] in by_group],
                 ))
     return found
 
@@ -818,7 +798,7 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
 
         conditions = sorted(groups, key=lambda c: c.text)
         overlapping: set[Condition] = set()
-        for i, j, witness in pairwise_exclusive(conditions, table):
+        for i, j in pairwise_exclusive(conditions, table):
             overlapping.update((conditions[i], conditions[j]))
             findings.append(
                 Finding(
@@ -826,9 +806,9 @@ def derive_class_hierarchy(graph: PromiseGraph) -> ClassHierarchy:
                     "hierarchy-overlap",
                     f"role '{role.label}': conditions "
                     f"({conditions[i].text}) and "
-                    f"({conditions[j].text}) can hold together "
-                    f"(when {_witness_text(witness)}); their bodies stay in "
-                    f"the base class",
+                    f"({conditions[j].text}) can hold together"
+                    f"{name_world((conditions[i], conditions[j]))}; their bodies "
+                    f"stay in the base class",
                     tuple(sorted(cited[conditions[i]] + cited[conditions[j]])),
                 )
             )

@@ -146,7 +146,7 @@ def _emit(args: argparse.Namespace, report: Report, text: Union[str, None] = Non
     if text is None:
         text = report_json(report) if args.json else format_text(report)
     try:
-        if args.output:
+        if args.output is not None:
             # surrogateescape writes a path's undecodable bytes back as they were.
             with open(
                 args.output, "w", encoding="utf-8", errors="surrogateescape", newline="\n"
@@ -156,7 +156,7 @@ def _emit(args: argparse.Namespace, report: Report, text: Union[str, None] = Non
             sys.stdout.write(text)
     except (OSError, UnicodeEncodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        _say(f"pml: cannot write {args.output or 'stdout'}: {reason}")
+        _say(f"pml: cannot write {'stdout' if args.output is None else args.output}: {reason}")
         return EXIT_INPUT_ERROR
     if any(f.severity >= Severity.POLICY_VIOLATION for f in report.findings):
         return EXIT_FINDINGS

@@ -237,9 +237,9 @@ class ConditionTable(dict):
     """The condition work of one analyzer call.  ``table[cond]`` is the
     condition compiled once into numbered literals: (required, forbidden,
     equalities, disequalities), the flags as bit masks over the table's own
-    numbering (``bits``, name to bit; ``names``, bit index to name), the
-    rest in sorted-literal order.  ``worlds`` maps each set of non-empty
-    conditions to its worlds (kept by ``worlds.judge``).
+    numbering (``bits``, name to bit), the rest in sorted-literal order.
+    ``worlds`` maps each set of non-empty conditions to its worlds (kept by
+    ``worlds.judge``).
 
     Cost: an analyzer builds one table per call and passes it to every
     question it asks, one per channel or role say, so each condition is
@@ -247,12 +247,11 @@ class ConditionTable(dict):
     call.  Worlds depend on the set alone, so a hit is exact.  Nothing
     outlives the call."""
 
-    __slots__ = ("bits", "names", "worlds")
+    __slots__ = ("bits", "worlds")
 
     def __init__(self) -> None:
         super().__init__()
         self.bits: dict[str, int] = {}
-        self.names: list[str] = []
         self.worlds: dict[frozenset[Condition], list] = {}
 
     def __missing__(self, cond: Condition) -> tuple:
@@ -264,8 +263,7 @@ class ConditionTable(dict):
             if isinstance(lit, FlagLiteral):
                 bit = bits.get(lit.name)
                 if bit is None:
-                    bit = bits[lit.name] = 1 << len(self.names)
-                    self.names.append(lit.name)
+                    bit = bits[lit.name] = 1 << len(bits)
                 if lit.negated:
                     forbidden |= bit
                 else:
@@ -315,20 +313,19 @@ def condition_satisfiable(*conds: Condition) -> bool:
     return _conjoin([table[c] for c in conds]) is not None
 
 
-def _exclusivity(
-    table: ConditionTable, c1: Condition, c2: Condition
-) -> Union[tuple[tuple[str, str], ...], None]:
-    """None when ``c1`` and ``c2``, compiled in ``table``, cannot hold
-    together, else a witness that they can.  The witness gives one value
-    per class of the conjunction's closure, distinct classes distinct
-    synthetic values, so every disequality between two classes holds; and
-    each flag of the conjunction as a boolean, read off the set bits of its
-    masks, so a witness costs what the pair holds, not every flag the table
-    numbers."""
+def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
+    """Can ``c1`` and ``c2`` hold at the same time?  Exclusive iff their
+    conjunction is unsatisfiable; otherwise the verdict carries a witness
+    that they can.  The witness gives one value per class of the
+    conjunction's closure, distinct classes distinct synthetic values, so
+    every disequality between two classes holds; and each flag of the pair
+    as a boolean.  One closure decides both, and none when the conjunction
+    holds no equality or disequality."""
+    table = ConditionTable()
     conjunction = _conjoin((table[c1], table[c2]))
     if conjunction is None:
-        return None
-    required, forbidden, part = conjunction
+        return ExclusivityVerdict(True)
+    required, _, part = conjunction
     entries: list[tuple[str, str]] = []
     fresh = 0
     for cls in part.classes if part is not None else ():
@@ -341,36 +338,21 @@ def _exclusivity(
         for t in cls:
             if not is_constant(t):
                 entries.append((format_term(t), value))
-    flags = required | forbidden
-    while flags:
-        bit = flags & -flags
-        flags ^= bit
-        entries.append((table.names[bit.bit_length() - 1], "true" if bit & required else "false"))
-    return tuple(sorted(entries))
-
-
-def mutually_exclusive(c1: Condition, c2: Condition) -> ExclusivityVerdict:
-    """Can ``c1`` and ``c2`` hold at the same time?  Exclusive iff their
-    conjunction is unsatisfiable; otherwise the verdict carries a witness,
-    the one place that needs the conjunction's sorted partition.  One
-    closure decides both, and none when the conjunction holds no equality
-    or disequality."""
-    witness = _exclusivity(ConditionTable(), c1, c2)
-    return ExclusivityVerdict(witness is None, witness)
+    entries += [(name, "true" if bit & required else "false") for name, bit in table.bits.items()]
+    return ExclusivityVerdict(False, tuple(sorted(entries)))
 
 
 def pairwise_exclusive(
     conditions: Sequence[Condition], table: Union[ConditionTable, None] = None
-) -> Iterator[tuple[int, int, tuple[tuple[str, str], ...]]]:
-    """Yield ``(i, j, witness)`` for each pair ``i < j`` of ``conditions``
-    that can hold together, in index order; a family of fewer than two
-    conditions has no pair.  This is the one loop that asks which of
-    several conditions overlap.  Each condition is compiled in ``table``,
-    and a pair of flag-only conditions is decided on its masks, with no
-    closure."""
+) -> Iterator[tuple[int, int]]:
+    """Yield ``(i, j)`` for each pair ``i < j`` of ``conditions`` that can
+    hold together, in index order; a family of fewer than two conditions
+    has no pair.  This is the one loop that asks which of several
+    conditions overlap.  Each condition is compiled in ``table``, and each
+    pair decided by one ``_conjoin``, so a pair of flag-only conditions is
+    decided on its masks, with no closure."""
     table = ConditionTable() if table is None else table
     for i, a in enumerate(conditions):
         for j in range(i + 1, len(conditions)):
-            witness = _exclusivity(table, a, conditions[j])
-            if witness is not None:
-                yield i, j, witness
+            if _conjoin((table[a], table[conditions[j]])) is not None:
+                yield i, j

@@ -2,12 +2,14 @@
 
 A conditional promise is in force only where its condition holds, so every
 analyzer asks its question once per world.  ``worlds`` enumerates them
-exactly; ``judge`` walks them, keeping the entries in force in each one and
-closing their constraints together with the world's own equalities.
+exactly; ``judge`` walks them, keeping the entries in force in each one,
+closing their constraints together with the world's own equalities and
+testing the closure against the world's disequalities.  ``name_world``
+writes every world's name in a finding.
 """
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .constraints import closure, ConditionTable, TermPartition, UnionFind
 from .model import (
@@ -15,11 +17,21 @@ from .model import (
     EqConstraint,
     FlagLiteral,
     is_constant,
+    Parameter,
+    PromiseBody,
     Term,
 )
 from .value import Value
 
 Item = TypeVar("Item")
+
+
+def name_world(conditions: Iterable[Condition]) -> str:
+    """The suffix naming, in a finding, the world where ``conditions`` hold:
+    ``" (when a & b)"`` from their ``Condition.text``s in sorted order, or
+    ``""`` when there is no condition."""
+    texts = sorted({c.text for c in conditions if not c.is_empty})
+    return f" (when {' & '.join(texts)})" if texts else ""
 
 
 class World(Value):
@@ -41,11 +53,8 @@ class World(Value):
 
     @property
     def when(self) -> str:
-        """The suffix naming the world in a finding: ``" (when a & b)"``, or
-        ``""`` for the world of no conditions."""
-        if not self.active:
-            return ""
-        return f" (when {' & '.join(sorted(c.text for c in self.active))})"
+        """The suffix naming the world in a finding (see ``name_world``)."""
+        return name_world(self.active)
 
     def closure(self, extra: Iterable[EqConstraint]) -> TermPartition:
         """The closure of the world's equalities with ``extra``."""
@@ -156,31 +165,53 @@ def worlds(
     return out
 
 
+def _scoped(body: PromiseBody, scope: str) -> frozenset[EqConstraint]:
+    """The body's constraints with its parameters put in ``scope`` (a group
+    or a side), apart from every other scope's.  A parameter in the body's
+    condition keeps scope "", channel-wide, so the condition does not bind
+    its own body's parameter."""
+
+    def rescope(t: Term) -> Term:
+        return Parameter(t.name, scope) if isinstance(t, Parameter) else t
+
+    return frozenset(
+        EqConstraint(rescope(c.lhs), rescope(c.rhs)) for c in body.constraints
+    )
+
+
 def judge(
-    entries: Iterable[tuple[Item, Condition, Collection[EqConstraint]]],
+    entries: Iterable[tuple[Item, PromiseBody, str]],
     table: Optional[ConditionTable] = None,
 ) -> Iterator[
-    tuple[World, list[tuple[Item, Condition, Collection[EqConstraint]]], TermPartition]
+    tuple[
+        World,
+        list[tuple[Item, frozenset[EqConstraint]]],
+        TermPartition,
+        list[tuple[Term, ...]],
+    ]
 ]:
     """Walk the worlds of the entries' conditions, in ``worlds`` order.
 
-    Each entry is (item, condition, constraints).  For each world this
-    yields the world, the entries in force in it (unconditional, or with a
-    condition of the world) in input order, and the closure of their
-    constraints with the world's equalities.  The closure of a world is
+    Each entry is (item, body, scope); the body's constraint parameters
+    are put in ``scope`` (see ``_scoped``).  For each world this yields the
+    world; the entries in force in it (unconditional, or with a condition
+    of the world) in input order, each as (item, scoped constraints); the
+    closure of their constraints with the world's equalities; and the
+    closure's clashing classes against the world's disequalities, empty
+    when the world's promises can all hold.  The closure of a world is
     made only when the caller asks for that world.  The worlds of each
     condition set are kept in ``table``; closures stay per list and per
     world."""
-    entries = list(entries)
+    scoped = [(item, body.condition, _scoped(body, scope)) for item, body, scope in entries]
     table = ConditionTable() if table is None else table
-    conditions = frozenset(c for _, c, _ in entries if not c.is_empty)
+    conditions = frozenset(c for _, c, _ in scoped if not c.is_empty)
     found = table.worlds.get(conditions)
     if found is None:
         found = table.worlds[conditions] = worlds(conditions, table)
     for world in found:
         in_force = [
-            entry
-            for entry in entries
-            if entry[1].is_empty or entry[1] in world.active
+            (item, cons) for item, c, cons in scoped if c.is_empty or c in world.active
         ]
-        yield world, in_force, world.closure(c for _, _, cons in in_force for c in cons)
+        part = world.closure(c for _, cons in in_force for c in cons)
+        clashing = [] if part.admits(world.neqs) else part.clashing_classes(world.neqs)
+        yield world, in_force, part, clashing

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 from collections import Counter
 
@@ -382,7 +383,7 @@ class TestSpecialization:
         assert not report.ok
         finding = next(f for f in report.findings if f.code == "non-exclusive")
         assert finding.severity == Severity.PATTERN_ERROR
-        assert "subtype=true" in finding.message
+        assert finding.message.endswith("can hold together (when subtype)")
 
     def test_parent_condition_participates_in_exclusivity(self):
         child = Bundle("Child", (use("render"),))
@@ -394,7 +395,7 @@ class TestSpecialization:
         report = check_specialization(parent_api(), ALWAYS, [(child, ALWAYS)])
         assert [f.message for f in report.findings] == [
             "conditions of bundle Parent (always) and bundle Child (always) can hold "
-            "together: always"
+            "together"
         ]
 
     def test_requires_a_child(self):
@@ -471,13 +472,13 @@ def variant_runs():
          ),
          [("non-exclusive",
            "conditions of bundle Child (subtype) and bundle Child (subtype) can hold "
-           "together: subtype=true",
+           "together (when subtype)",
            ("bundle Child: U(render)",))]),
         ("specialization-unconditioned-parent",
          lambda: check_specialization(parent_api(), ALWAYS, [(child, SUBTYPE)]),
          [("non-exclusive",
            "conditions of bundle Parent (always) and bundle Child (subtype) can hold "
-           "together: subtype=true",
+           "together (when subtype)",
            ("bundle Child: U(render)",) + parent_refs)]),
         ("substitution-ok",
          lambda: check_substitution(
@@ -503,7 +504,7 @@ def variant_runs():
          lambda: check_substitution(parent_api(), [(full, ALWAYS)]),
          [("non-exclusive",
            "conditions of bundle Parent (always) and bundle Full (always) can hold "
-           "together: always",
+           "together",
            ("bundle Full: U(ping)", "bundle Full: U(render)") + parent_refs)]),
         ("substitution-recovered-predicate",
          lambda: check_substitution(gated, [(full, SUBTYPE)]),
@@ -869,7 +870,7 @@ class TestDispatchPattern:
         )
         report = check_dispatch_pattern(graph, "provider", "consumer", "subtype")
         assert [f.code for f in report.findings] == ["dispatch-overlap"]
-        assert "subtype=true" in report.findings[0].message
+        assert report.findings[0].message.endswith("hold together (when subtype)")
 
     def test_the_three_defect_codes_are_distinct(self):
         codes = {"dispatch-missing-give", "dispatch-missing-use", "dispatch-overlap"}
@@ -1009,6 +1010,42 @@ def test_string_constants_do_not_change_conflicts(promises, mark):
         return Counter(f.code for f in detect_conflicts(load_text(text)))
 
     assert codes(mark) == codes("")
+
+
+# A gate over a promised term (ROADMAP item 6), and two gates that each
+# exclude one value: findings whose worlds were once named by assignments,
+# ``kind="v1"`` or ``$x=v0, $y=v1``, beside ``World.when``'s conditions.
+WORLD_NAMED_MODELS = {
+    "gate-on-a-promised-term": (
+        "agent a, b;\ntype h: num;\ntype kind: str;\n"
+        'a -> b: give kind = "v2";\n'
+        'a -> b: give h = 1 if kind == "v1";\n'
+        "a -> b: give h = 2;\n"
+    ),
+    "two-disequalities": (
+        "agent a, b;\ntype w: num;\n"
+        "a -> b: give w = $x if $x != 1;\n"
+        "a -> b: give w = $y if $y != 2;\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORLD_NAMED_MODELS))
+def test_every_finding_names_its_world_by_its_conditions(name, tmp_path):
+    """Each finding of ``pml check`` names its world as ``(when a & b)``,
+    ``a`` and ``b`` the ``Condition.text`` of conditions in the model, with
+    no assignment of values to terms or flags."""
+    text = WORLD_NAMED_MODELS[name]
+    (tmp_path / "m.pml").write_text(text, encoding="utf-8")
+    out = run_cli(tmp_path, ["check", "m.pml"])["stdout"]
+    texts = {p.body.condition.text for p in load_text(text).promises}
+    headers = [line for line in out.splitlines() if line.startswith("  [")]
+    worlds = [w for line in headers for w in re.findall(r"\(when (.*?)\)", line)]
+    assert len(headers) == len(worlds) == 2
+    for world in worlds:
+        assert set(world.split(" & ")) <= texts - {""}
+    for notation in ("=true", "=false", '="', "v0"):
+        assert not any(notation in line for line in headers)
 
 
 # ---------------------------------------------------------------------------
@@ -1252,10 +1289,16 @@ def test_flag_masks_match_the_oracles(family):
     for n in range(len(family) + 1):
         assert condition_satisfiable(*family[:n]) == oracle_conditions_satisfiable(family[:n])
     assert worlds(promisekit.worlds.worlds(family)) == worlds(reference_scenarios(family))
-    assert list(pairwise_exclusive(family)) == [
-        (i, j, mutually_exclusive(family[i], family[j]).witness)
+    pairs = list(pairwise_exclusive(family))
+    assert pairs == [
+        (i, j)
         for i, j in itertools.combinations(range(len(family)), 2)
         if not oracle_mutually_exclusive(family[i], family[j])
+    ]
+    assert pairs == [
+        (i, j)
+        for i, j in itertools.combinations(range(len(family)), 2)
+        if mutually_exclusive(family[i], family[j]).witness is not None
     ]
 
 
@@ -1343,6 +1386,21 @@ def count_calls(monkeypatch, module, name: str) -> Counter:
     return counter
 
 
+def count_pair_verdicts(monkeypatch) -> Counter:
+    """Count the pair verdicts of ``pairwise_exclusive``: the counter's
+    ``calls`` rises per ``_conjoin`` that it makes, and not for those of
+    the world search or of any other caller."""
+    counter: Counter = Counter()
+
+    def hook(*args) -> None:
+        # Frame 1 is the wrapper; frame 2 called it.
+        if sys._getframe(2).f_code.co_name == "pairwise_exclusive":
+            counter["calls"] += 1
+
+    wrap_calls(monkeypatch, promisekit.constraints, "_conjoin", hook)
+    return counter
+
+
 def test_conflict_detection_judges_each_condition_set_once(monkeypatch):
     graphs = {n: load_text(ring_text(n)) for n in (25, 50)}
     counts = {}
@@ -1352,7 +1410,7 @@ def test_conflict_detection_judges_each_condition_set_once(monkeypatch):
             counters = {
                 "closure": count_calls(patch, promisekit.constraints, "closure"),
                 "compile": count_compiles(patch),
-                "verdict": count_calls(patch, promisekit.constraints, "_exclusivity"),
+                "verdict": count_pair_verdicts(patch),
                 "worlds": count_calls(patch, promisekit.worlds, "worlds"),
             }
             findings[n] = detect_conflicts(graph)
@@ -1388,7 +1446,7 @@ def test_overlap_verdicts_are_judged_once_per_pair_per_family(monkeypatch):
         "c -> d: give t = 2 if q;\n"
         "c -> d: give u = 3;\n"
     )
-    verdicts = count_calls(monkeypatch, promisekit.constraints, "_exclusivity")
+    verdicts = count_pair_verdicts(monkeypatch)
     overlaps = [f for f in detect_conflicts(graph) if f.code == "channel-overlap"]
     assert len(overlaps) == 2
     assert verdicts["calls"] == 2

@@ -136,14 +136,23 @@ class TestExitCodes:
     )
     @pytest.mark.parametrize(
         "target, reason",
-        [("missing-dir", "No such file or directory"), ("directory", "Is a directory")],
+        [
+            ("missing-dir", "No such file or directory"),
+            ("directory", "Is a directory"),
+            ("empty", "No such file or directory"),
+        ],
     )
     def test_unwritable_output_path(
         self, command, source, target, reason, broken_file, tmp_path, capsys
     ):
         """An -o path that cannot be opened: exit 2, nothing on stdout and one
-        line on stderr, also when the report only lists input errors."""
-        output = tmp_path / "missing" / "out.txt" if target == "missing-dir" else tmp_path
+        line on stderr, also when the report only lists input errors.  An
+        empty path is a path too: the line names it, not stdout."""
+        output = {
+            "missing-dir": tmp_path / "missing" / "out.txt",
+            "directory": tmp_path,
+            "empty": "",
+        }[target]
         path = GEOMETRY if source == "model" else broken_file
         argv = [command, path] + (["Square", "Rectangle"] if command == "isa" else [])
         assert main(argv + ["-o", str(output)]) == 2

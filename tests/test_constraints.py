@@ -284,8 +284,7 @@ class TestConditions:
 
     def test_pairwise_reports_the_offending_pair(self):
         overlaps = pairwise_exclusive([C_OWNER, C_STAFF, Condition.of(flag("vip"))])
-        offenders = {(i, j) for i, j, _ in overlaps}
-        assert offenders == {(0, 2), (1, 2)}
+        assert list(overlaps) == [(0, 2), (1, 2)]
 
     def test_a_family_of_one_has_no_pair(self):
         assert list(pairwise_exclusive([C_OWNER])) == []
@@ -431,45 +430,17 @@ def test_conjunction_of_several_conditions_matches_oracle(conds):
     )
 )
 def test_pairwise_engine_matches_oracle(conds):
-    assert list(pairwise_exclusive(conds, ConditionTable())) == [
-        (i, j, mutually_exclusive(conds[i], conds[j]).witness)
+    pairs = list(pairwise_exclusive(conds, ConditionTable()))
+    assert pairs == [
+        (i, j)
         for i, j in itertools.combinations(range(len(conds)), 2)
         if not oracle_mutually_exclusive(conds[i], conds[j])
     ]
-
-
-def test_a_witness_reads_only_its_pairs_flags():
-    """A table shared by a whole analyzer call numbers every flag of the
-    call.  A witness reads the set bits of its pair's masks, one name per
-    flag, and never walks the numbering: n compatible conditions on
-    distinct flags cost n(n-1)/2 two-flag witnesses, whatever the table
-    holds."""
-
-    class Unwalked(dict):
-        def __iter__(self):
-            raise AssertionError("a witness walked the flag numbering")
-
-        items = keys = values = __iter__
-
-    class CountedNames(list):
-        reads = 0
-
-        def __getitem__(self, index):
-            CountedNames.reads += 1
-            return super().__getitem__(index)
-
-        def __iter__(self):
-            raise AssertionError("a witness walked the flag names")
-
-    table = ConditionTable()
-    table.bits, table.names = Unwalked(), CountedNames()
-    n = 200
-    conds = [Condition.of(FlagLiteral(f"f{i:03}", i % 2 == 1)) for i in range(n)]
-    found = list(pairwise_exclusive(conds, table=table))
-    assert len(found) == n * (n - 1) // 2
-    assert found[0] == (0, 1, (("f000", "true"), ("f001", "false")))
-    assert all(len(witness) == 2 for _, _, witness in found)
-    assert CountedNames.reads == 2 * len(found)
+    assert pairs == [
+        (i, j)
+        for i, j in itertools.combinations(range(len(conds)), 2)
+        if mutually_exclusive(conds[i], conds[j]).witness is not None
+    ]
 
 
 # ---------------------------------------------------------------------------

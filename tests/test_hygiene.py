@@ -255,6 +255,33 @@ def test_only_the_model_module_spells_a_group():
     assert found == []
 
 
+def test_only_the_worlds_module_names_a_world():
+    """A world is named in ``worlds`` alone: ``name_world`` writes
+    ``" (when a & b)"`` from the conditions' ``Condition.text``, and every
+    finding names its world through it or ``World.when``.  So no other
+    module holds a string constant, f-string parts and docstrings included,
+    with ``(when``, and no other f-string writes a value right after
+    ``when ``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "worlds.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "(when" in node.value:
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+            elif isinstance(node, ast.JoinedStr):
+                for part, value in zip(node.values, node.values[1:]):
+                    if (
+                        isinstance(part, ast.Constant)
+                        and part.value.endswith("when ")
+                        and isinstance(value, ast.FormattedValue)
+                    ):
+                        found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
 def test_only_the_model_module_prints_a_condition():
     """How a condition prints is worked out in ``model`` alone, once per
     condition object: every other module reads ``Condition.text``, so none
