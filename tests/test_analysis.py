@@ -1012,9 +1012,9 @@ def test_string_constants_do_not_change_conflicts(promises, mark):
     assert codes(mark) == codes("")
 
 
-# A gate over a promised term (ROADMAP item 6), and two gates that each
-# exclude one value: findings whose worlds were once named by assignments,
-# ``kind="v1"`` or ``$x=v0, $y=v1``, beside ``World.when``'s conditions.
+# A gate over a promised term, and two gates that each exclude one value:
+# each finding's world reads as conditions, never as an assignment such as
+# ``kind="v1"`` or ``$x=v0, $y=v1``.
 WORLD_NAMED_MODELS = {
     "gate-on-a-promised-term": (
         "agent a, b;\ntype h: num;\ntype kind: str;\n"
