@@ -1,15 +1,16 @@
 """Paired benchmark runs of a parent revision and the change: BENCH_<pr>.json.
 
-    python3 bench_pairs.py --parent REV --pr N [--workloads W ...]
-        [--seeds S ...] [--pairs P] [--seconds T]
+    python3 bench_pairs.py --parent REV --pr N
 
 The change is the tree this script sits in; the parent is checked out with
-`git worktree add` into a temporary directory, removed at the end.  Each
-pair runs `python3 TREE/perfbench/run.py --workload W --seed S --seconds T`
-once on each side: the change goes first in odd pairs and the parent first
-in even ones, and both sides of a pair use one seed (the seeds are taken in
-turn).  Only the last stdout line of each run is read, the JSON object that
-`run.py` prints there.
+`git worktree add` into a temporary directory, removed at the end.  Every
+workload of `BENCHMARK.json` gets `PAIRS` pairs.  Each pair runs the
+benchmark command of `BENCHMARK.json`, `--workload W --seed S --seconds T`
+with T its `run_seconds`, once on each side, in that side's tree: the
+change goes first in odd pairs and the parent first in even ones, and both
+sides of a pair use one seed (`SEEDS` taken in turn, so each seed runs in
+both orders).  Only the last stdout line of each run is read, the JSON
+object that `run.py` prints there.
 
 Both trees run in one bytecode regime: `compileall` writes the bytecode of
 `src/` and `perfbench/` in each tree before the first run, and the runs
@@ -20,7 +21,7 @@ The file, written with sorted keys beside this script, holds per workload
 and end-to-end metric each side's median, quartiles and per-pair values,
 the pairs the change wins (ties count for neither side) and the bound from
 `BENCHMARK.json`; per workload and side, `failed/attempted` over all runs;
-and once, the Python version, the command line, the seeds, the revisions
+and once, the Python version, the command line, the seeds, both revisions
 and the bytecode regime.
 """
 from __future__ import annotations
@@ -35,6 +36,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
+SEEDS = (5, 7, 9, 11, 13)
+PAIRS = 10
 BYTECODE = (
     "compiled: python3 -m compileall on src/ and perfbench/ of both trees before "
     "the first run; PYTHONDONTWRITEBYTECODE unset"
@@ -93,34 +96,31 @@ def git(*args: str, cwd: Path = ROOT) -> str:
                           text=True).stdout.strip()
 
 
-def command(tree: str, workload: str, seed: str, seconds: str) -> list[str]:
-    return [sys.executable, f"{tree}/perfbench/run.py", "--workload", workload,
-            "--seed", seed, "--seconds", seconds]
-
-
-def run_once(tree: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
-    """One `run.py` run on ``tree``: the JSON object of its last stdout line."""
-    argv = command(str(tree), workload, str(seed), str(seconds))
+def run_once(tree: Path, argv: list[str], env: dict, seconds: float) -> dict:
+    """One benchmark run in ``tree``: the JSON object of its last stdout line."""
     done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
                           timeout=20 * seconds + 600)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: {done.stderr[-2000:]}")
+        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {done.returncode}: "
+                           f"{done.stderr[-2000:]}")
     return json.loads(lines[-1])
 
 
 def main(argv=None) -> int:
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
     parser.add_argument("--pr", required=True, help="the N of BENCH_<N>.json")
-    parser.add_argument("--workloads", nargs="+",
-                        default=[w["name"] for w in benchmark["workloads"]])
-    parser.add_argument("--seeds", nargs="+", type=int, default=[5, 7, 9, 11, 13])
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     args = parser.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = benchmark["run_seconds"]
+    seeds = [SEEDS[pair % len(SEEDS)] for pair in range(PAIRS)]
 
+    def command(workload: str, seed: object) -> list[str]:
+        return [*benchmark["command"], "--workload", workload, "--seed", str(seed),
+                "--seconds", str(seconds)]
+
+    python = benchmark["command"][0]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     # Whether the measured code of the change differs from its revision.
     dirty = bool(git("status", "--porcelain", "--", "src", "perfbench"))
@@ -130,32 +130,32 @@ def main(argv=None) -> int:
         try:
             trees = {"change": ROOT, "parent": parent_tree}
             for tree in trees.values():
-                subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                subprocess.run([python, "-m", "compileall", "-q", "src", "perfbench"],
                                cwd=tree, env=env, check=True, capture_output=True)
             workloads = {}
-            for workload in args.workloads:
+            for workload in (w["name"] for w in benchmark["workloads"]):
                 runs: dict[str, list[dict]] = {"change": [], "parent": []}
-                for pair in range(1, args.pairs + 1):
-                    seed = args.seeds[(pair - 1) % len(args.seeds)]
+                for pair, seed in enumerate(seeds, 1):
                     order = ("change", "parent") if pair % 2 else ("parent", "change")
                     for side in order:
                         runs[side].append(
-                            run_once(trees[side], workload, seed, args.seconds, env))
-                    print(f"{workload}: pair {pair}/{args.pairs} done", file=sys.stderr)
+                            run_once(trees[side], command(workload, seed), env, seconds))
+                    print(f"{workload}: pair {pair}/{PAIRS} done", file=sys.stderr)
                 workloads[workload] = summarize(runs, benchmark["end_to_end"])
             revisions = {side: git("rev-parse", "HEAD", cwd=tree) for side, tree in trees.items()}
         finally:
             git("worktree", "remove", "--force", str(parent_tree))
+    version = subprocess.run([python, "-c", "import sys; print(sys.version)"], env=env,
+                             check=True, capture_output=True, text=True).stdout.strip()
     out = {
         "bytecode": BYTECODE,
-        "command": command("TREE", "W", "S", str(args.seconds)),
+        "command": command("W", "S"),
         "change_dirty": dirty,
-        "pairs": args.pairs,
-        "python": sys.version,
+        "pairs": PAIRS,
+        "python": version,
         "revisions": revisions,
-        "runner_revision": revisions["change"],
-        "seconds": args.seconds,
-        "seeds": [args.seeds[(p - 1) % len(args.seeds)] for p in range(1, args.pairs + 1)],
+        "seconds": seconds,
+        "seeds": seeds,
         "workloads": workloads,
     }
     path = ROOT / f"BENCH_{args.pr}.json"

@@ -174,6 +174,9 @@ def _scoped(body: PromiseBody, scope: str) -> frozenset[EqConstraint]:
     def rescope(t: Term) -> Term:
         return Parameter(t.name, scope) if isinstance(t, Parameter) else t
 
+    terms = (t for c in body.constraints for t in (c.lhs, c.rhs))
+    if not any(isinstance(t, Parameter) and t.scope != scope for t in terms):
+        return body.constraints
     return frozenset(
         EqConstraint(rescope(c.lhs), rescope(c.rhs)) for c in body.constraints
     )

@@ -79,22 +79,24 @@ def test_a_workload_record_pairs_the_two_sides():
 def test_every_committed_bench_file_holds_the_runner_keys():
     files = sorted(ROOT.glob("BENCH_*.json"))
     assert files
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for path in files:
         text = path.read_text(encoding="utf-8")
         data = json.loads(text)
         assert text == json.dumps(data, indent=1, sort_keys=True) + "\n", path.name
         assert {
             "bytecode", "change_dirty", "command", "pairs", "python", "revisions",
-            "runner_revision", "seconds", "seeds", "workloads",
+            "seconds", "seeds", "workloads",
         } <= set(data), path.name
+        assert data["seconds"] == benchmark["run_seconds"], path.name
+        assert set(data["workloads"]) == {w["name"] for w in benchmark["workloads"]}, path.name
         assert len(data["seeds"]) == data["pairs"]
         for name, record in data["workloads"].items():
             for side in ("change", "parent"):
                 run = record["runs"][side]
                 assert run["failed/attempted"] == run["failed"] / run["attempted"]
                 assert len(run["correct"]) == data["pairs"]
-            assert set(record["metrics"]) == {m["name"] for m in end_to_end}, name
+            assert set(record["metrics"]) == {m["name"] for m in benchmark["end_to_end"]}, name
             for metric in record["metrics"].values():
                 assert {"better", "bound", "unit", "wins"} <= set(metric)
                 for side in ("change", "parent"):
