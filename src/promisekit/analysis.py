@@ -29,6 +29,7 @@ from .model import (
     format_term,
     GIVE,
     group_label,
+    is_constant,
     LINK_TYPE,
     Parameter,
     Promise,
@@ -450,11 +451,12 @@ class IsAVerdict(Value):
         return self.outcome == IS_A
 
 
-def _clash_detail(part: TermPartition) -> str:
-    clash = part.constant_clash()
-    if clash is None:
+def _clash_detail(clashing: Sequence[tuple[Term, ...]]) -> str:
+    """Name a clash; ``clashing_classes`` lists a class of two constants first."""
+    consts = [t for t in clashing[0] if is_constant(t)]
+    if len(consts) < 2:
         return "a required disequality is violated"
-    return f"{format_term(clash[0])} and {format_term(clash[1])} are forced equal"
+    return f"{format_term(consts[0])} and {format_term(consts[1])} are forced equal"
 
 
 def _against_base(
@@ -469,14 +471,12 @@ def _against_base(
     constraints), their joint closure, its clashing classes, and, when none
     clashes, the pairs of base terms that the joint closure merges and the
     base's entries in force alone do not.  A parameter with a non-empty
-    scope belongs to its own side and is never a base term.  With no other
-    entries nothing can be narrowed, so judging one side alone makes one
-    closure per world and sorts no classes unless they clash."""
+    scope belongs to its own side and is never a base term."""
     entries = [((True, r), b, s) for r, b, s in base]
     entries += [((False, r), b, s) for r, b, s in other]
     for world, in_force, joint, clashing in judge(entries, table):
         pairs = ()
-        if other and not clashing:
+        if not clashing:
             cons = [c for (is_base, _), k in in_force if is_base for c in k]
             terms = {
                 t for c in cons for t in c.terms() if not (isinstance(t, Parameter) and t.scope)
@@ -510,22 +510,28 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     attributes and constants that the parent alone does not entail.
     Otherwise the child can genuinely stand in for the parent.
 
-    Each side alone and the two together are judged on one
-    ``ConditionTable``.
+    The two are walked together once.  Only at the first world where they
+    clash is each side judged alone, on the same ``ConditionTable``, to
+    raise ``UnsatisfiableError`` for a side (the parent first) that clashes
+    on its own.  That is exact: a world W where one side clashes extends
+    to a joint world whose share of that side's conditions is exactly W,
+    since W is maximal; the same entries of that side are in force there,
+    and its closure and disequalities contain W's.  So a joint walk with
+    no clash proves both sides satisfiable alone.
     """
     sides = [
         [(f"{side} {b.name}: {format_body(body)}", body, side) for body in b.bodies]
         for side, b in (("parent", parent), ("child", child))
     ]
     table = ConditionTable()
-    for bundle, own in zip((parent, child), sides):
-        if any(clashing for _, _, _, clashing, _ in _against_base(own, (), table)):
-            raise UnsatisfiableError(f"bundle {bundle.name} is unsatisfiable on its own")
     merged: set[str] = set()
     involved: set[str] = set()
     for world, in_force, joint, clashing, pairs in _against_base(*sides, table):
         if clashing:
-            detail = _clash_detail(joint) + world.when
+            for bundle, own in zip((parent, child), sides):
+                if any(alone for _, _, _, alone in judge(own, table)):
+                    raise UnsatisfiableError(f"bundle {bundle.name} is unsatisfiable on its own")
+            detail = _clash_detail(clashing) + world.when
             return IsAVerdict(INCONSISTENT, (detail,), _refs_touching(in_force, clashing))
         for a, b in pairs:
             merged.add(f"{format_term(a)} ~ {format_term(b)}{world.when}")
@@ -677,7 +683,7 @@ def _channel_verdicts(
             # constraints of some promise in force.
             found.append((
                 Severity.INCONSISTENT, "channel-inconsistent",
-                f"promises cannot all hold{world.when}: {_clash_detail(part)}",
+                f"promises cannot all hold{world.when}: {_clash_detail(clashing)}",
                 [i for i, scoped in in_force if scoped],
             ))
             continue

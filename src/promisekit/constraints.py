@@ -101,13 +101,6 @@ class TermPartition:
         parent, find = self._uf.parent, self._uf.find
         return a == b or (a in parent and b in parent and find(a) is find(b))
 
-    def constant_clash(self) -> Union[tuple[Term, Term], None]:
-        """Two distinct literal constants forced together, if any."""
-        for cls in self.clashing_classes():
-            consts = [t for t in cls if is_constant(t)]
-            return (consts[0], consts[1])
-        return None
-
     def admits(self, disequalities: Iterable[tuple[Term, Term]] = ()) -> bool:
         """True iff no class holds two distinct constants and no disequality
         pair falls inside one class.  Decided on the roots (see ``UnionFind``)."""
@@ -175,11 +168,11 @@ def reduce(constraints: Iterable[EqConstraint]) -> frozenset[EqConstraint]:
     """
     source = list(constraints)
     part = closure(source)
-    clash = part.constant_clash()
-    if clash is not None:
+    clashing = part.clashing_classes()
+    if clashing:
+        a, b = [t for t in clashing[0] if is_constant(t)][:2]
         raise UnsatisfiableError(
-            f"cannot reduce: {format_term(clash[0])} and {format_term(clash[1])} "
-            f"are forced equal"
+            f"cannot reduce: {format_term(a)} and {format_term(b)} are forced equal"
         )
     out: list[EqConstraint] = []
     for cls in part.classes:

@@ -595,14 +595,14 @@ def group_label(group: str) -> str:
 
 
 def _condition_names(condition: Condition) -> tuple[str, ...]:
-    """Type names a condition watches, in sorted-literal order."""
+    """Type names a condition watches, each once, in sorted-literal order."""
     names: list[str] = []
     for lit in condition.sorted_literals():
         if isinstance(lit, FlagLiteral):
             names.append(lit.name)
         else:
             names.extend(t.name for t in (lit.lhs, lit.rhs) if isinstance(t, Attribute))
-    return tuple(names)
+    return tuple(dict.fromkeys(names))
 
 
 def _referenced_types(body: PromiseBody) -> set[str]:
@@ -688,7 +688,7 @@ def build_graph(
 def validate_autonomy(graph: PromiseGraph) -> list[AutonomyFinding]:
     """Conditions may only watch what the promiser can see: types promised to
     it by the promisee, or its own private attributes.  One finding per
-    offending reference."""
+    promise and type name it watches but may not see."""
     findings: list[AutonomyFinding] = []
     referenced: dict[Condition, tuple[str, ...]] = {}  # per distinct condition
     private_of: dict[str, set[str]] = {}  # per promiser, once a name is not visible

@@ -742,6 +742,64 @@ def test_is_a_matches_its_oracle(child, parent):
         assert verdict.details == tuple(sorted(pair_text(p) for p in pairs))
 
 
+F, NOT_F = Condition.of(FlagLiteral("f")), Condition.of(FlagLiteral("f", True))
+ORACLE_GATES = [
+    F,
+    NOT_F,
+    Condition.of(FlagLiteral("g")),
+    Condition.of(CmpLiteral(WIDTH, "eq", NumConst(1))),
+    Condition.of(CmpLiteral(WIDTH, "neq", NumConst(1))),
+]
+
+
+def gated_bundle_st(name: str):
+    gated_body = st.builds(
+        lambda body, gate: PromiseBody(body.polarity, body.type, body.constraints, gate),
+        oracle_body_st,
+        st.sampled_from([ALWAYS, *ORACLE_GATES]),
+    )
+    return st.builds(lambda bodies: Bundle(name, tuple(bodies)), st.lists(gated_body, max_size=3))
+
+
+def clashes_alone(bundle: Bundle) -> bool:
+    """Some world of the bundle's own conditions admits no model of its
+    premises and the bundle's constraints in force.  A world holds at most
+    one disequality, so the oracle's three-value domain is exact."""
+    for world in reference_scenarios(b.condition for b in bundle.bodies):
+        in_force = [
+            c for b in bundle.bodies
+            if b.condition.is_empty or b.condition in world.active
+            for c in b.constraints
+        ]
+        if not oracle_satisfiable([*world.eqs, *in_force], world.neqs):
+            return True
+    return False
+
+
+GATED_CLASH = Bundle("G", tuple(
+    give("width", EqConstraint(WIDTH, NumConst(n)), condition=F) for n in (1, 2)
+))
+
+
+@settings(max_examples=200, deadline=None)
+@example(Bundle("C", GATED_CLASH.bodies), rectangle())
+@example(square(), Bundle("P", GATED_CLASH.bodies))
+@example(Bundle("C", GATED_CLASH.bodies), Bundle("P", GATED_CLASH.bodies))
+@example(Bundle("C", GATED_CLASH.bodies[:1]), Bundle("P", GATED_CLASH.bodies[1:]))
+@example(rectangle(), Bundle("P", GATED_CLASH.bodies + (link(HEIGHT, P("a"), NOT_F),)))
+@given(gated_bundle_st("C"), gated_bundle_st("P"))
+def test_is_a_names_the_side_that_clashes_alone(child, parent):
+    # The joint walk judges a side alone only where the two clash; the
+    # side it names must be the first, parent then child, that clashes in
+    # some world of its own conditions.
+    unsatisfiable = [b.name for b in (parent, child) if clashes_alone(b)]
+    if unsatisfiable:
+        with pytest.raises(UnsatisfiableError, match=f"bundle {unsatisfiable[0]} is"):
+            check_is_a(child, parent)
+    else:
+        assert check_is_a(child, parent).outcome in (IS_A, RESTRICTED, INCONSISTENT)
+
+
 @settings(max_examples=200, deadline=None)
 @example(
     Bundle("Base", (give("width", EqConstraint(WIDTH, P("a"))),
@@ -802,10 +860,9 @@ def flags_text(k: int) -> str:
 
 
 def test_restriction_engine_closes_only_what_its_caller_reads(monkeypatch):
-    # Four worlds: g0 and g1 always, fa or not, fb or not.  is-a closes each
-    # side alone once per world of its own conditions (RC has one world),
-    # then the joint and the parent alone once per joint world; the override
-    # policy judges no side alone.
+    # Four worlds: g0 and g1 always, fa or not, fb or not.  Where the two
+    # sides do not clash, is-a and the override policy each close the joint
+    # and the base alone once per joint world, and judge no side alone.
     graph = load_text(flags_text(6))
     calls = Counter()
     real = promisekit.worlds.closure
@@ -824,9 +881,9 @@ def test_restriction_engine_closes_only_what_its_caller_reads(monkeypatch):
         check_override_policy(graph.bundle(parent), graph.bundle(child))
         counts["override", parent, child] = calls["closure"]
     assert counts == {
-        ("is-a", "C", "P"): 16,
-        ("is-a", "RC", "SP"): 13,
-        ("is-a", "RC", "RP"): 13,
+        ("is-a", "C", "P"): 8,
+        ("is-a", "RC", "SP"): 8,
+        ("is-a", "RC", "RP"): 8,
         ("override", "P", "C"): 8,
         ("override", "SP", "RC"): 8,
         ("override", "RP", "RC"): 8,
@@ -1500,10 +1557,9 @@ def flags_channel_text(k: int) -> str:
 
 
 def test_is_a_searches_its_worlds_once(monkeypatch):
-    # Both sides alone and the two together share one world memo; P and C
-    # hold the same conditions, so one search serves all three passes.
-    # The world closures are those that test_restriction_engine pins, and
-    # flag-only conditions add none.
+    # The two sides are walked together once, and no side is judged alone
+    # unless they clash.  The world closures are those that
+    # test_restriction_engine pins, and flag-only conditions add none.
     graph = load_text(flags_text(12))
     counts = {}
     for child, parent in (("C", "P"), ("RC", "SP"), ("RC", "RP")):
@@ -1512,13 +1568,20 @@ def test_is_a_searches_its_worlds_once(monkeypatch):
             closures = count_calls(patch, promisekit.constraints, "closure")
             check_is_a(graph.bundle(child), graph.bundle(parent))
         counts[child, parent] = (searches["calls"], closures["calls"])
-    # RC holds no condition: its own search is of the empty set.
-    assert counts == {("C", "P"): (1, 16), ("RC", "SP"): (2, 13), ("RC", "RP"): (2, 13)}
+    assert counts == {("C", "P"): (1, 8), ("RC", "SP"): (1, 8), ("RC", "RP"): (1, 8)}
+    # ClassicApi and ExtendedApi force "plain" and "rich" together: after
+    # the one joint closure, each side alone is closed once, on the world
+    # that the joint walk's search already found.
+    dispatch = load_corpus("dispatch.pml")
+    searches = count_calls(monkeypatch, promisekit.worlds, "worlds")
+    closures = count_calls(monkeypatch, promisekit.constraints, "closure")
+    verdict = check_is_a(dispatch.bundle("ExtendedApi"), dispatch.bundle("ClassicApi"))
+    assert verdict.outcome == INCONSISTENT
+    assert (searches["calls"], closures["calls"]) == (1, 3)
 
 
 def test_is_a_compiles_each_condition_once(monkeypatch):
-    # The parent alone, the child alone and the two together share one
-    # table: the child's own pass asks about g again, and f and g are each
+    # The two together are walked on one table, and f and g are each
     # compiled once.
     graph = load_text(
         "flag f;\n"

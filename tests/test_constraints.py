@@ -85,17 +85,16 @@ class TestClosure:
 
     def test_constant_clash_detected(self):
         part = closure([eq(WIDTH, NumConst(0)), eq(WIDTH, NumConst(1))])
-        clash = part.constant_clash()
-        assert clash is not None
-        assert set(clash) == {NumConst(0), NumConst(1)}
+        [clash] = part.clashing_classes()
+        assert set(clash) == {NumConst(0), NumConst(1), WIDTH}
 
     def test_distinct_strings_clash_too(self):
         part = closure([eq(NAME, StrConst("a")), eq(NAME, StrConst("b"))])
-        assert part.constant_clash() is not None
+        assert part.clashing_classes()
 
     def test_same_constant_twice_is_fine(self):
         part = closure([eq(WIDTH, NumConst(4)), eq(HEIGHT, NumConst(4))])
-        assert part.constant_clash() is None
+        assert part.clashing_classes() == []
         assert part.same_class(WIDTH, HEIGHT)  # both sit in 4's class
 
     def test_insertion_order_does_not_matter(self):

@@ -348,6 +348,24 @@ class TestAutonomy:
         findings = validate_autonomy(build_graph(agents, types, [], promises))
         assert [(f.promise.promiser, f.type_name) for f in findings] == [("c", "threshold")]
 
+    @pytest.mark.parametrize(
+        "literals, name",
+        [
+            ((CmpLiteral(Attribute("w"), "eq", Attribute("w")),), "w"),
+            ((FlagLiteral("f"), FlagLiteral("f", negated=True)), "f"),
+        ],
+    )
+    def test_a_type_named_twice_is_flagged_once(self, literals, name):
+        agents = [Agent.make("a"), Agent.make("b")]
+        types = [
+            PromiseTypeDecl("w", KIND_NUM),
+            PromiseTypeDecl("f", KIND_FLAG),
+            PromiseTypeDecl("svc", KIND_SERVICE),
+        ]
+        promises = [Promise("a", "b", use("svc", Condition.of(*literals)))]
+        findings = validate_autonomy(build_graph(agents, types, [], promises))
+        assert [f.type_name for f in findings] == [name]
+
     def test_named_constants_in_conditions_are_not_policed(self):
         agents = [Agent.make("a"), Agent.make("b")]
         types = [
