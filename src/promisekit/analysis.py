@@ -510,14 +510,13 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     attributes and constants that the parent alone does not entail.
     Otherwise the child can genuinely stand in for the parent.
 
-    The two are walked together once.  Only at the first world where they
-    clash is each side judged alone, on the same ``ConditionTable``, to
-    raise ``UnsatisfiableError`` for a side (the parent first) that clashes
-    on its own.  That is exact: a world W where one side clashes extends
-    to a joint world whose share of that side's conditions is exactly W,
-    since W is maximal; the same entries of that side are in force there,
-    and its closure and disequalities contain W's.  So a joint walk with
-    no clash proves both sides satisfiable alone.
+    The two are walked together once; each side is judged alone, on the
+    same ``ConditionTable``, only at the first world where they clash.
+    This is exact: a world W where one side clashes extends to a joint
+    world whose share of that side's conditions is W, as W is maximal, so
+    the same entries of that side are in force there, under a closure and
+    disequalities that contain W's.  A joint walk with no clash thus
+    proves both sides satisfiable alone.
     """
     sides = [
         [(f"{side} {b.name}: {format_body(body)}", body, side) for body in b.bodies]
