@@ -12,6 +12,10 @@ sides of a pair use one seed (`SEEDS` taken in turn, so each seed runs in
 both orders).  Only the last stdout line of each run is read, the JSON
 object that `run.py` prints there.
 
+While `main` runs, SIGTERM and SIGHUP raise `SystemExit` (status 128 + the
+signal), so a stopped run still removes the parent's worktree in its
+`finally`, and `subprocess.run` kills the child it was waiting for.
+
 Both trees run in one bytecode regime: `compileall` writes the bytecode of
 `src/` and `perfbench/` in each tree before the first run, and the runs
 inherit no `PYTHONDONTWRITEBYTECODE`, so `setup_s` times an import from
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -36,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
+STOPS = (signal.SIGTERM, signal.SIGHUP)
 SEEDS = (5, 7, 9, 11, 13)
 PAIRS = 10
 BYTECODE = (
@@ -107,7 +113,22 @@ def run_once(tree: Path, argv: list[str], env: dict, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def stop(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    """Run the pairs with SIGTERM and SIGHUP turned into ``SystemExit``."""
+    handlers = {signum: signal.signal(signum, stop) for signum in STOPS}
+    try:
+        return run_pairs(argv)
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, STOPS)
+
+
+def run_pairs(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the revision to compare against")
     parser.add_argument("--pr", required=True, help="the N of BENCH_<N>.json")
@@ -126,8 +147,11 @@ def main(argv=None) -> int:
     dirty = bool(git("status", "--porcelain", "--", "src", "perfbench"))
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         parent_tree = Path(scratch) / "parent"
+        # A stop during the add is held until the `try` that removes the tree.
+        signal.pthread_sigmask(signal.SIG_BLOCK, STOPS)
         git("worktree", "add", "--detach", str(parent_tree), args.parent)
         try:
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, STOPS)
             trees = {"change": ROOT, "parent": parent_tree}
             for tree in trees.values():
                 subprocess.run([python, "-m", "compileall", "-q", "src", "perfbench"],

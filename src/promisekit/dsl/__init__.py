@@ -1,4 +1,8 @@
-"""Text form of promise models: lexer, parser, printer, resolver."""
+"""Text form of promise models: lexer, parser, printer, resolver.
+
+``print_model`` is loaded the first time it is read (PEP 562): no ``pml``
+command prints a model, so a ``pml`` process never loads the printer.
+"""
 from .ast_nodes import (
     AgentDecl,
     BodyNode,
@@ -30,7 +34,6 @@ from .diagnostics import (
 )
 from .lexer import Token, tokenize
 from .parser import parse, ParseResult
-from .printer import print_model
 from .resolver import resolve, ResolveResult
 
 __all__ = [
@@ -67,3 +70,15 @@ __all__ = [
     "TypeDecl",
     "WARNING",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name == "print_model":
+        from .printer import print_model
+
+        return print_model
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), "print_model"])

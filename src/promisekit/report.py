@@ -5,10 +5,8 @@ formatting — so identical inputs serialize to identical bytes.
 """
 from __future__ import annotations
 
-import json
 import re
-from json.encoder import encode_basestring_ascii
-from typing import Union
+from typing import Callable, Union
 
 from . import __version__
 from .analysis import ClassHierarchy, Finding, Role
@@ -114,24 +112,35 @@ def indented_json(value: object) -> str:
 
     Any ``indent`` turns ``json``'s C encoder off for the whole document.
     Here only the layout is Python: C code writes each string, number,
-    bool, ``None`` and empty container.  Keys must be strings.
+    bool, ``None`` and empty container.  Keys must be strings.  ``json`` is
+    imported here, not at the top, so that only ``--json`` output loads it.
     """
+    from json import dumps
+    from json.encoder import encode_basestring_ascii
+
     parts: list[str] = []
-    _layout(value, "\n", parts)
+    _layout(value, "\n", parts, encode_basestring_ascii, dumps)
     return "".join(parts)
 
 
-def _layout(value: object, newline: str, parts: list[str]) -> None:
+def _layout(
+    value: object,
+    newline: str,
+    parts: list[str],
+    encode: Callable[[str], str],
+    dumps: Callable[[object], str],
+) -> None:
     """Append the JSON of ``value`` to ``parts``; each of its items starts a
-    line two spaces deeper than ``newline``."""
+    line two spaces deeper than ``newline``.  ``encode`` writes a string and
+    ``dumps`` any other leaf."""
     if isinstance(value, str):  # most of a report
-        parts.append(encode_basestring_ascii(value))
+        parts.append(encode(value))
     elif isinstance(value, dict) and value:
         inner = newline + "  "
         opener = "{"
         for key in sorted(value):
-            parts.append(f"{opener}{inner}{encode_basestring_ascii(key)}: ")
-            _layout(value[key], inner, parts)
+            parts.append(f"{opener}{inner}{encode(key)}: ")
+            _layout(value[key], inner, parts, encode, dumps)
             opener = ","
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)) and value:
@@ -139,11 +148,11 @@ def _layout(value: object, newline: str, parts: list[str]) -> None:
         opener = "["
         for item in value:
             parts.append(opener + inner)
-            _layout(item, inner, parts)
+            _layout(item, inner, parts, encode, dumps)
             opener = ","
         parts.append(newline + "]")
     else:
-        parts.append(json.dumps(value))
+        parts.append(dumps(value))
 
 
 def report_json(report: Report) -> str:

@@ -2,13 +2,20 @@
 
 ``bench_pairs.py`` at the repository root compares a parent revision with
 the change over paired benchmark runs.  These tests check its median,
-quartiles and wins on fixed inputs, and that every committed
-``BENCH_*.json`` holds the keys it writes.  They never run the benchmark.
+quartiles and wins on fixed inputs, that every committed ``BENCH_*.json``
+holds the keys it writes, and that a run stopped by SIGTERM removes its
+worktree.  They never run the benchmark: the stopped run is a copy of the
+script in a throwaway repository whose benchmark command sleeps.
 """
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,3 +113,51 @@ def test_every_committed_bench_file_holds_the_runner_keys():
                 assert metric["wins"] == bench_pairs.wins(
                     metric["change"]["values"], metric["parent"]["values"], metric["better"]
                 )
+
+
+def worktrees(repo: Path) -> list[str]:
+    """The paths that ``git worktree list`` shows for ``repo``."""
+    listing = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=repo,
+                             check=True, capture_output=True, text=True).stdout
+    return [line.split(" ", 1)[1] for line in listing.splitlines()
+            if line.startswith("worktree ")]
+
+
+def test_a_stopped_run_removes_the_parents_worktree(tmp_path):
+    repo = tmp_path / "repo"
+    for directory in ("src", "perfbench"):
+        (repo / directory).mkdir(parents=True)
+        (repo / directory / "stub.py").write_text("", encoding="utf-8")
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "-c", "import time; time.sleep(120)"],
+        "run_seconds": 1,
+        "workloads": [{"name": "stub"}],
+        "end_to_end": [],
+    }), encoding="utf-8")
+    shutil.copy(ROOT / "bench_pairs.py", repo)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run([*git, *args], cwd=repo, check=True, capture_output=True)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    run = subprocess.Popen(
+        [sys.executable, "bench_pairs.py", "--parent", "HEAD", "--pr", "0"], cwd=repo,
+        env={**os.environ, "TMPDIR": str(temp)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(worktrees(repo)) < 2:
+            assert run.poll() is None, run.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        parent = Path(worktrees(repo)[1])
+        assert parent.is_relative_to(temp)
+        run.send_signal(signal.SIGTERM)
+        assert run.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        run.kill()
+        run.wait()
+    assert worktrees(repo) == [str(repo)]
+    assert not parent.exists()
+    assert list(temp.iterdir()) == []

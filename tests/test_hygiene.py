@@ -6,8 +6,10 @@ without their class's constructor, no module names
 3.10, only ``value`` and ``LineIndex`` name ``__hash__``, only
 ``constraints`` judges a pair of conditions, conjoins conditions or builds
 a term partition, only ``model`` spells a group or prints a condition,
-no module imports ``gc``, importing the cli builds no argument parser, no
-module-level container outlives a run, and every function in the package
+no module imports ``gc``, importing the cli builds no argument parser and
+loads neither ``json`` nor the printer, a ``pml`` process loads ``json``
+only for ``--json``, every exported name resolves, no module-level
+container outlives a run, and every function in the package
 runs in some ``pml`` command, demo or spanning-set call, or is listed with
 the reason it stays.
 
@@ -20,6 +22,7 @@ import ast
 import contextlib
 import io
 import itertools
+import json
 import os
 import re
 import runpy
@@ -359,16 +362,23 @@ def test_no_module_imports_gc():
     assert found == []
 
 
-def _run_fresh(code: str) -> str:
-    """The stdout of ``code`` in a fresh interpreter that imports this
-    package.  ``-S`` keeps ``site`` from loading anything first."""
+def _fresh(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
+    """``python -S ARGS`` in a fresh interpreter that imports this package.
+    ``-S`` keeps ``site`` from loading anything first."""
     src = str(PACKAGE.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", *args], cwd=cwd,
         env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True, text=True, check=True, timeout=60,
-    ).stdout
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def _run_fresh(code: str) -> str:
+    """The stdout of ``code`` in a fresh interpreter (see ``_fresh``)."""
+    done = _fresh(["-c", code])
+    done.check_returncode()
+    return done.stdout
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -383,6 +393,63 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), sorted(built))\n"
     )
     assert _run_fresh(code) == "[] []\n"
+
+
+#: Modules that a ``pml`` process loads only when its command uses them.
+_LOADED_ON_USE = ("json", "promisekit.dsl.printer")
+
+
+def test_importing_the_cli_loads_neither_json_nor_the_printer():
+    code = f"import sys, promisekit.cli\nprint(sorted(set({_LOADED_ON_USE}) & set(sys.modules)))\n"
+    assert _run_fresh(code) == "[]\n"
+
+
+_FRESH_RUNS = [
+    (CORPUS_DIR, ["check", "bank.pml"], []),
+    (CORPUS_DIR, ["check", "bank.pml", "--json"], ["json"]),
+    (SHARED_DIR, ["check", "overlaps.pml", "--json"], ["json"]),
+]
+
+
+@pytest.mark.parametrize(
+    "cwd, argv, loaded", _FRESH_RUNS, ids=[" ".join(argv) for _, argv, _ in _FRESH_RUNS]
+)
+def test_a_pml_process_loads_json_only_for_json_output(cwd, argv, loaded):
+    """A fresh ``pml`` process loads ``json`` for ``--json`` output only, and
+    the printer never, and writes what the golden file records.  In-process
+    runs cannot see the import that ``--json`` makes: pytest has loaded
+    ``json`` before them."""
+    code = (
+        "import sys, promisekit.cli\n"
+        "try:\n"
+        "    promisekit.cli.entry()\n"
+        "finally:\n"
+        f"    print(sorted(set({_LOADED_ON_USE}) & set(sys.modules)), file=sys.stderr)\n"
+    )
+    done = _fresh(["-c", code, *argv], cwd=cwd)
+    *stderr, last = done.stderr.splitlines(keepends=True)
+    assert last == f"{loaded}\n"
+    golden = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text("utf-8"))
+    run = {"argv": argv, "exit": done.returncode, "stdout": done.stdout,
+           "stderr": "".join(stderr)}
+    assert run in golden
+
+
+def test_every_exported_name_resolves():
+    """The package and ``promisekit.dsl`` export every name in ``__all__``,
+    ``print_model`` too, which ``promisekit.dsl`` loads on first use."""
+    from promisekit import dsl
+    from promisekit.dsl import printer
+
+    for module in (promisekit, dsl):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+    namespace: dict = {}
+    exec("from promisekit.dsl import *", namespace)
+    assert namespace["print_model"] is dsl.print_model is printer.print_model
+    assert "print_model" in dir(dsl)
+    assert set(dsl.__all__) <= set(dir(dsl))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        dsl.no_such_name
 
 
 def test_importing_the_cli_builds_no_parser():
