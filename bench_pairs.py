@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     finally:
         for signum, handler in handlers.items():
             signal.signal(signum, handler)
-        signal.pthread_sigmask(signal.SIG_UNBLOCK, STOPS)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, STOPS)  # held if the add failed
 
 
 def run_pairs(argv=None) -> int:
