@@ -158,6 +158,7 @@ def test_a_stopped_run_removes_the_parents_worktree(tmp_path):
     finally:
         run.kill()
         run.wait()
+        run.stderr.close()
     assert worktrees(repo) == [str(repo)]
     assert not parent.exists()
     assert list(temp.iterdir()) == []
