@@ -7,8 +7,8 @@ the text; 3 usage error.  pml isa exits 3 for an unknown bundle name and
 """
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import NoReturn, Sequence, Union
 
 from .analysis import (
@@ -32,15 +32,6 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_USAGE = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract says 3."""
-
-    def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _say(line: str) -> None:
@@ -79,42 +70,85 @@ _SUBCOMMANDS = (
 )
 
 
-def _add_arguments(parser: _Parser, positionals: tuple, json_flag: bool) -> None:
-    """Give ``parser`` one ``_SUBCOMMANDS`` row's positionals, ``-o`` and
-    ``--json``."""
-    for dest, metavar, nargs in positionals:
-        parser.add_argument(dest, nargs=nargs, metavar=metavar)
-    parser.add_argument("-o", "--output", metavar="PATH", help="write output to PATH")
-    if json_flag:
-        parser.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _build_parser() -> _Parser:
+def _build_parser():
     """The pml parser built whole: every command with its help line and its
     arguments, so that ``--help`` and the unknown-command error name all five."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with 2 on usage errors; the contract says 3."""
+
+        def error(self, message: str) -> NoReturn:
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
+
     parser = _Parser(prog="pml", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, help_line, positionals, json_flag in _SUBCOMMANDS:
-        _add_arguments(sub.add_parser(name, help=help_line), positionals, json_flag)
+        command = sub.add_parser(name, help=help_line)
+        for dest, metavar, nargs in positionals:
+            command.add_argument(dest, nargs=nargs, metavar=metavar)
+        command.add_argument("-o", "--output", metavar="PATH", help="write output to PATH")
+        if json_flag:
+            command.add_argument("--json", action="store_true", help="emit JSON")
     return parser
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """The arguments of ``argv``.  When its first word names a command, that
-    command's own parser reads the rest: the parser ``add_parser`` makes for
-    it, with the same prog, so its help and usage errors are those of the
-    whole parser.  Only an ``argv`` it leaves words over from, or one whose
-    first word names no command (``--help``, an unknown command, an option
-    before the command, no words), builds the whole parser, which answers."""
-    for name, _, positionals, json_flag in _SUBCOMMANDS:
-        if argv and argv[0] == name:
-            parser = _Parser(prog=f"pml {name}")
-            _add_arguments(parser, positionals, json_flag)
-            args, rest = parser.parse_known_args(argv[1:])
-            if not rest:
-                args.command = name
-                return args
-    return _build_parser().parse_args(argv)
+def _read_plain(argv: Sequence[str]) -> Union[dict, None]:
+    """The arguments of ``argv``, as the whole parser would read them, when
+    ``argv`` has the plain shape: a command, then positionals that do not
+    start with ``-``, ``--json`` where the command takes it, and at most one
+    ``-o`` or ``--output`` followed by a value that does not start with
+    ``-``, with as many positionals as the command takes.  ``check``'s
+    files must be one unbroken run, because argparse takes no more of them
+    once an option has followed them.  Any other ``argv`` gives None."""
+    row = next((row for row in _SUBCOMMANDS if argv and argv[0] == row[0]), None)
+    if row is None:
+        return None
+    name, _, positionals, json_flag = row
+    variadic = positionals[0][2] == "+"
+    args = {"command": name, "output": None}
+    if json_flag:
+        args["json"] = False
+    words: list[str] = []
+    ended = False
+    rest = iter(argv[1:])
+    for word in rest:
+        if not word.startswith("-"):
+            if ended:
+                return None
+            words.append(word)
+            continue
+        ended = variadic and bool(words)
+        if word == "--json" and json_flag:
+            args["json"] = True
+        elif word in ("-o", "--output") and args["output"] is None:
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                return None
+            args["output"] = value
+        else:
+            return None
+    if variadic and words:
+        args[positionals[0][0]] = words
+    elif not variadic and len(words) == len(positionals):
+        args.update(zip((dest for dest, _, _ in positionals), words))
+    else:
+        return None
+    return args
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The arguments of ``argv``.  A plain command line (see ``_read_plain``)
+    is read without argparse.  Every other one, ``--help``, ``-h``, ``--``,
+    ``-oPATH``, ``--output=PATH``, an abbreviated option, an unknown command
+    and a left-over word among them, goes to the parser built whole, which
+    answers help and usage errors itself."""
+    args = _read_plain(argv)
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
+    return SimpleNamespace(**args)
 
 
 def _load(path: str) -> tuple[Union[PromiseGraph, None], FileEntry]:
@@ -137,7 +171,7 @@ def _load(path: str) -> tuple[Union[PromiseGraph, None], FileEntry]:
     return resolved.graph, FileEntry(path, diagnostics)
 
 
-def _emit(args: argparse.Namespace, report: Report, text: Union[str, None] = None) -> int:
+def _emit(args: SimpleNamespace, report: Report, text: Union[str, None] = None) -> int:
     """Write ``text``, or else the report as text or JSON, to stdout or ``-o``.
 
     Returns 2 when the output cannot take the text (nothing is written then),
@@ -163,7 +197,7 @@ def _emit(args: argparse.Namespace, report: Report, text: Union[str, None] = Non
     return EXIT_CLEAN
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     entries: list[FileEntry] = []
     findings: list[Finding] = []
     roles = []
@@ -190,11 +224,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_INPUT_ERROR if failed else code
 
 
-def _cmd_roles(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) -> int:
+def _cmd_roles(args: SimpleNamespace, graph: PromiseGraph, entry: FileEntry) -> int:
     return _emit(args, Report((entry,), roles=tuple(discover_roles(graph))))
 
 
-def _cmd_classes(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) -> int:
+def _cmd_classes(args: SimpleNamespace, graph: PromiseGraph, entry: FileEntry) -> int:
     hierarchy = derive_class_hierarchy(graph)
     return _emit(args, Report((entry,), findings=hierarchy.findings, hierarchy=hierarchy))
 
@@ -219,7 +253,7 @@ def _isa_findings(verdict: IsAVerdict, child: str, parent: str) -> tuple[Finding
     )
 
 
-def _cmd_isa(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) -> int:
+def _cmd_isa(args: SimpleNamespace, graph: PromiseGraph, entry: FileEntry) -> int:
     missing = [
         name for name in (args.child, args.parent) if graph.bundle(name) is None
     ]
@@ -241,7 +275,7 @@ def _cmd_isa(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) ->
     return _emit(args, Report((entry,), findings=findings, notes=(note,)))
 
 
-def _cmd_dot(args: argparse.Namespace, graph: PromiseGraph, entry: FileEntry) -> int:
+def _cmd_dot(args: SimpleNamespace, graph: PromiseGraph, entry: FileEntry) -> int:
     return _emit(args, Report(), export_dot(graph))
 
 

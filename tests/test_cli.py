@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import promisekit
 from promisekit import cli, corpus
@@ -363,12 +364,16 @@ PARSER_EXITS = [
     (["isa", "f", "C", "P", "--frobnicate", "-h"], 0),
     (["dot", "f", "--json"], 3),
     (["dot", "f", "-o"], 3),
+    (["check", "a.pml", "--json", "b.pml"], 3),
+    (["check", "a.pml", "-o", "out", "b.pml"], 3),
+    (["roles", "m.pml", "-o", "--json"], 3),
 ]
 
 #: Accepted argv, with ``m.pml``, ``-a.pml`` and ``-`` the names of model
 #: files: options before and after positionals, the three spellings of
-#: ``-o``, abbreviated long options, ``--`` before a file whose name starts
-#: with ``-``, and ``-`` as a file.
+#: ``-o``, ``-o`` twice (the last one counts), an empty ``-o`` path,
+#: abbreviated long options, ``--`` before a file whose name starts with
+#: ``-``, and ``-`` as a file.
 ACCEPTED = [
     ["check", "m.pml"],
     ["check", "--json", "m.pml", "m.pml"],
@@ -379,6 +384,8 @@ ACCEPTED = [
     ["check", "--out", "out", "m.pml"],
     ["check", "--", "-a.pml"],
     ["check", "-", "m.pml"],
+    ["check", "-o", "x", "m.pml", "-o", "out"],
+    ["check", "m.pml", "-o", ""],
     ["roles", "--json", "m.pml"],
     ["roles", "m.pml", "-oout", "--js"],
     ["roles", "--", "-a.pml"],
@@ -425,19 +432,19 @@ class TestParser:
         assert emitted == [vars(reference_parser().parse_args(argv))]
 
     @pytest.mark.parametrize(
-        "argv, calls",
+        "argv",
         [
-            (["check", GEOMETRY], 4),
-            (["roles", GEOMETRY], 4),
-            (["classes", GEOMETRY], 4),
-            (["isa", GEOMETRY, "Square", "Rectangle"], 6),
-            (["dot", GEOMETRY], 3),
+            ["check", GEOMETRY],
+            ["roles", GEOMETRY],
+            ["classes", GEOMETRY],
+            ["isa", GEOMETRY, "Square", "Rectangle"],
+            ["dot", GEOMETRY],
         ],
-        ids=lambda v: v[0] if isinstance(v, list) else str(v),
+        ids=lambda argv: argv[0],
     )
-    def test_a_run_builds_only_the_command_it_runs(self, argv, calls, monkeypatch, capsys):
-        """One parser, the named command's own: its ``-h``, positionals,
-        ``-o`` and ``--json``, and no other command's arguments."""
+    def test_a_plain_run_builds_no_parser(self, argv, monkeypatch, capsys):
+        """A plain command line is read without argparse: no
+        ``ArgumentParser`` is built and no argument is added."""
         added, built = [], []
         add_argument = argparse.ArgumentParser.add_argument
         init = argparse.ArgumentParser.__init__
@@ -453,8 +460,43 @@ class TestParser:
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
         assert main(argv) in (0, 1)
-        assert len(added) == calls, added
-        assert built == [f"pml {argv[0]}"]
+        assert (built, added) == ([], [])
+
+
+#: Words for random command lines: every command, plain words, the
+#: options in every spelling, and the words argparse reads specially.
+COMMANDS = ["check", "roles", "classes", "isa", "dot"]
+PLAIN_WORDS = ["m.pml", "out", "Square", ""]
+ARGV_WORDS = [*COMMANDS, *PLAIN_WORDS, "--json", "-o", "--output", "--js", "-oout",
+              "--output=x", "--", "-", "-h", "-1"]
+#: The words of the plain shape, drawn more often after the first word.
+SHAPE_WORDS = [*PLAIN_WORDS, "--json", "-o"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.builds(
+        lambda first, rest: [first, *rest],
+        st.one_of(st.just("check"), st.sampled_from(COMMANDS), st.sampled_from(ARGV_WORDS)),
+        st.lists(st.one_of(st.sampled_from(SHAPE_WORDS), st.sampled_from(ARGV_WORDS)),
+                 max_size=6),
+    )
+)
+def test_the_plain_reader_reads_as_the_whole_parser(argv):
+    """Every argv the plain reader takes, the reference parser reads without
+    exiting, to the same arguments.  Commands, ``check`` most of all, are
+    drawn first more often than other words, and plain words, ``--json`` and
+    ``-o`` after, so that many argv reach the reader's own rules:
+    ``check``'s unbroken run of files among them."""
+    plain = cli._read_plain(argv)
+    if plain is None:
+        return
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            reference = vars(reference_parser().parse_args(argv))
+    except SystemExit as exc:
+        reference = f"exit {exc.code}"
+    assert plain == reference
 
 
 class TestCheck:

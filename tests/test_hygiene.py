@@ -7,8 +7,9 @@ without their class's constructor, no module names
 ``constraints`` judges a pair of conditions, conjoins conditions or builds
 a term partition, only ``model`` spells a group or prints a condition,
 no module imports ``gc``, importing the cli builds no argument parser and
-loads neither ``json`` nor the printer, a ``pml`` process loads ``json``
-only for ``--json``, every exported name resolves, no module-level
+loads neither ``json``, the printer, ``argparse`` nor ``gettext``, a ``pml``
+process loads ``json`` only for ``--json`` and ``argparse`` only for help
+and usage errors, every exported name resolves, no module-level
 container outlives a run, and every function in the package
 runs in some ``pml`` command, demo or spanning-set call, or is listed with
 the reason it stays.
@@ -395,13 +396,32 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert _run_fresh(code) == "[] []\n"
 
 
-#: Modules that a ``pml`` process loads only when its command uses them.
-_LOADED_ON_USE = ("json", "promisekit.dsl.printer")
+#: Modules that a ``pml`` process loads only when its command uses them:
+#: ``argparse``, with the ``gettext`` it imports, only for help and usage
+#: errors.
+_LOADED_ON_USE = ("argparse", "gettext", "json", "promisekit.dsl.printer")
 
 
 def test_importing_the_cli_loads_neither_json_nor_the_printer():
+    """Nor ``argparse`` and ``gettext``."""
     code = f"import sys, promisekit.cli\nprint(sorted(set({_LOADED_ON_USE}) & set(sys.modules)))\n"
     assert _run_fresh(code) == "[]\n"
+
+
+def _fresh_pml(argv: list[str], cwd: Path) -> tuple[subprocess.CompletedProcess, str, str]:
+    """``pml ARGV`` through ``cli.entry`` in a fresh interpreter (see
+    ``_fresh``): the process, its stderr, and the ``_LOADED_ON_USE`` modules
+    it loaded, as the line that the process prints last on stderr."""
+    code = (
+        "import sys, promisekit.cli\n"
+        "try:\n"
+        "    promisekit.cli.entry()\n"
+        "finally:\n"
+        f"    print(sorted(set({_LOADED_ON_USE}) & set(sys.modules)), file=sys.stderr)\n"
+    )
+    done = _fresh(["-c", code, *argv], cwd=cwd)
+    *stderr, last = done.stderr.splitlines(keepends=True)
+    return done, "".join(stderr), last
 
 
 _FRESH_RUNS = [
@@ -419,20 +439,20 @@ def test_a_pml_process_loads_json_only_for_json_output(cwd, argv, loaded):
     the printer never, and writes what the golden file records.  In-process
     runs cannot see the import that ``--json`` makes: pytest has loaded
     ``json`` before them."""
-    code = (
-        "import sys, promisekit.cli\n"
-        "try:\n"
-        "    promisekit.cli.entry()\n"
-        "finally:\n"
-        f"    print(sorted(set({_LOADED_ON_USE}) & set(sys.modules)), file=sys.stderr)\n"
-    )
-    done = _fresh(["-c", code, *argv], cwd=cwd)
-    *stderr, last = done.stderr.splitlines(keepends=True)
+    done, stderr, last = _fresh_pml(argv, cwd)
     assert last == f"{loaded}\n"
     golden = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text("utf-8"))
-    run = {"argv": argv, "exit": done.returncode, "stdout": done.stdout,
-           "stderr": "".join(stderr)}
+    run = {"argv": argv, "exit": done.returncode, "stdout": done.stdout, "stderr": stderr}
     assert run in golden
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["check"], 3)], ids=["help", "check"])
+def test_a_pml_process_loads_argparse_for_help_and_usage_errors(argv, code):
+    """The parser built whole answers ``--help`` and a usage error, so a
+    fresh ``pml`` process loads ``argparse`` and ``gettext`` for them."""
+    done, stderr, last = _fresh_pml(argv, CORPUS_DIR)
+    assert (done.returncode, last) == (code, "['argparse', 'gettext']\n")
+    assert (done.stdout if code == 0 else stderr).startswith("usage: pml")
 
 
 def test_every_exported_name_resolves():
@@ -624,9 +644,9 @@ def _package_functions() -> dict[tuple[str, int], str]:
 def test_every_function_runs_or_is_listed():
     """Under ``sys.setprofile``: every ``pml`` command (``check``,
     ``check --json``, ``roles``, ``classes``, ``classes --json``, ``dot``)
-    on the corpus and on every golden model, one usage error that the
-    command's own parser answers (``check`` with no file) and one that only
-    the whole parser answers (an unknown command), ``isa`` on each bundle
+    on the corpus and on every golden model, two usage errors, which the
+    parser built whole answers (``check`` with no file and an unknown
+    command), ``isa`` on each bundle
     pair of geometry and dispatch, the four demos, and
     ``extract_spanning_set`` on the corpus graphs.  A function that none of
     them runs is code that nothing reachable uses, unless ``UNREACHED``
