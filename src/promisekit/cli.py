@@ -144,7 +144,8 @@ def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
     is read without argparse.  Every other one, ``--help``, ``-h``, ``--``,
     ``-oPATH``, ``--output=PATH``, an abbreviated option, an unknown command
     and a left-over word among them, goes to the parser built whole, which
-    answers help and usage errors itself."""
+    answers help and usage errors itself.  Either way the commands get the
+    arguments as one ``SimpleNamespace``."""
     args = _read_plain(argv)
     if args is None:
         args = vars(_build_parser().parse_args(argv))

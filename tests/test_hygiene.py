@@ -646,9 +646,8 @@ def test_every_function_runs_or_is_listed():
     ``check --json``, ``roles``, ``classes``, ``classes --json``, ``dot``)
     on the corpus and on every golden model, two usage errors, which the
     parser built whole answers (``check`` with no file and an unknown
-    command), ``isa`` on each bundle
-    pair of geometry and dispatch, the four demos, and
-    ``extract_spanning_set`` on the corpus graphs.  A function that none of
+    command), ``isa`` on each bundle pair of geometry and dispatch, the four
+    demos, and ``extract_spanning_set`` on the corpus graphs.  A function that none of
     them runs is code that nothing reachable uses, unless ``UNREACHED``
     gives the reason it stays."""
     commands = (["check"], ["check", "--json"], ["roles"], ["classes"],
