@@ -23,7 +23,8 @@ cached bytecode on both sides.
 
 The file, written with sorted keys beside this script, holds per workload
 and end-to-end metric each side's median, quartiles and per-pair values,
-the pairs the change wins (ties count for neither side) and the bound from
+the same for the per-pair ratio change/parent (`ratio`), the pairs the
+change wins (ties count for neither side) and the bound from
 `BENCHMARK.json`; per workload and side, `failed/attempted` over all runs;
 and once, the Python version, the command line, the seeds, both revisions
 and the bytecode regime.
@@ -68,6 +69,13 @@ def wins(change: list[float], parent: list[float], better: str) -> int:
     return sum(c > p for c, p in zip(change, parent))
 
 
+def ratios(change: list[float], parent: list[float]) -> list[float]:
+    """Each pair's change value over its parent value.  The two sides of a
+    pair run minutes apart at most, so drift that moves both sides alike
+    between pairs cancels here, where it widens each side's own quartiles."""
+    return [c / p for c, p in zip(change, parent)]
+
+
 def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
     """One workload's record from each side's run results, in pair order:
     ``runs`` maps "change" and "parent" to the JSON objects that
@@ -92,6 +100,7 @@ def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
             "unit": metric["unit"],
             "change": spread(values["change"]),
             "parent": spread(values["parent"]),
+            "ratio": spread(ratios(values["change"], values["parent"])),
             "wins": wins(values["change"], values["parent"], metric["better"]),
         }
     return record

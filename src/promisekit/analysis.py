@@ -258,21 +258,25 @@ def discover_roles(graph: PromiseGraph) -> list[Role]:
     sorted (entry, count) pairs.  Constraints and conditions are
     deliberately invisible, and so are constraint-only link bodies: an
     extra equation never changes the role.  One pass over the promises
-    collects every agent's entries at once, with no per-agent index."""
+    collects every agent's entries at once, with no per-agent index.
+    Agents are grouped by their sorted entries, a tuple of strings that
+    hashes in C, and each distinct multiset's signature is counted off its
+    runs once, not once per agent."""
     shapes: defaultdict[str, list[tuple[str, str, str]]] = defaultdict(list)
     for p in graph.promises:
         body = p.body
         if body.type != LINK_TYPE:
             shapes[p.promiser].append((OUT, body.polarity, body.type))
             shapes[p.promisee].append((IN, body.polarity, body.type))
-    by_signature: dict[RoleSignature, list[str]] = {}
+    by_entries: dict[tuple[tuple[str, str, str], ...], list[str]] = {}
     for agent in graph.agents:
-        signature = tuple(sorted(Counter(shapes.get(agent.name, ())).items()))
-        by_signature.setdefault(signature, []).append(agent.name)
-    return [
-        Role(sig, _role_label(sig), tuple(sorted(members)))
-        for sig, members in sorted(by_signature.items())
-    ]
+        by_entries.setdefault(tuple(sorted(shapes.get(agent.name, ()))), []).append(agent.name)
+    # Distinct multisets have distinct signatures, so no two groups merge.
+    grouped = sorted(
+        (tuple((entry, len(list(run))) for entry, run in itertools.groupby(entries)), members)
+        for entries, members in by_entries.items()
+    )
+    return [Role(sig, _role_label(sig), tuple(sorted(members))) for sig, members in grouped]
 
 
 class SpanningClass(Value):

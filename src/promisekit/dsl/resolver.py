@@ -374,11 +374,26 @@ class _Resolver:
         return agent.name
 
     def collect_promises(self) -> None:
-        # Each distinct direct-promise body node is resolved once; build_graph
-        # then makes equal bodies one object.  Nodes compare without spans; a
-        # node that drew a diagnostic is resolved again at each of its
-        # declarations, so that each is reported.
-        resolved: dict[BodyNode, PromiseBody] = {}
+        """Turn every promise declaration into promises, in file order.
+
+        Each direct statement's (body, group) pair is memoised for this call,
+        keyed on its source text, ``text[node.start:node.end]``: a ``str``
+        hashes and compares in C, where a ``BodyNode`` key hashed and compared
+        its syntax tree through ``Value`` once per lookup.  The key is exact.
+        Equal text read from a token boundary lexes and parses to an equal
+        node.  A direct statement resolves in a fresh ``_Scope()`` of its own
+        against the type table alone, which is complete before this runs, so
+        equal nodes resolve to equal bodies.  A body that drew a diagnostic is
+        not memoised, so it is resolved, and reported, at every occurrence.
+        Where the slice is empty, as in a library-built tree whose offsets are
+        all 0, the node itself is the key.  The memo stays exact only while a
+        direct statement resolves independently of every other statement; a
+        change that lets one statement's resolution read another's (such as
+        channel-wide kinds for named constants) must keep that, or re-key.
+        ``build_graph`` then makes equal bodies one object."""
+        text = self.ast.lines.text
+        resolved: dict[Hashable, tuple[PromiseBody, str]] = {}
+        promises, decls = self.promises, self.decls
         for decl in self.ast.decls:
             if not isinstance(decl, PromiseDecl):
                 continue
@@ -412,30 +427,23 @@ class _Resolver:
                             body.constraints,
                             body.condition.conjoin(attach_cond),
                         )
-                    self.add_promise(promiser, promisee, body, group, decl)
+                    promises.append(Promise(promiser, promisee, body, group))
+                    decls.append(decl)
             else:
                 node = decl.item
-                body = resolved.get(node)
-                if body is None:
+                key = text[node.start:node.end] or node
+                pair = resolved.get(key)
+                if pair is None:
                     reported = len(self.diagnostics)
                     body = self.resolve_body(node, _Scope())
-                    if body is not None and len(self.diagnostics) == reported:
-                        resolved[node] = body
-                if body is None or not ok:
-                    continue
-                group = derive_group(body)
-                self.add_promise(promiser, promisee, body, group, decl)
-
-    def add_promise(
-        self,
-        promiser: str,
-        promisee: str,
-        body: PromiseBody,
-        group: str,
-        decl: PromiseDecl,
-    ) -> None:
-        self.promises.append(Promise(promiser, promisee, body, group))
-        self.decls.append(decl)
+                    if body is None:
+                        continue
+                    pair = (body, derive_group(body))
+                    if len(self.diagnostics) == reported:
+                        resolved[key] = pair
+                if ok:
+                    promises.append(Promise(promiser, promisee, *pair))
+                    decls.append(decl)
 
     # -- entry ---------------------------------------------------------------
 

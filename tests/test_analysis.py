@@ -27,10 +27,13 @@ from promisekit.analysis import (
     extract_spanning_set,
     Finding,
     finding_sort_key,
+    IN,
     INCONSISTENT,
     IS_A,
     normalize_body,
+    OUT,
     RESTRICTED,
+    Role,
     Severity,
 )
 from promisekit.constraints import (
@@ -238,7 +241,7 @@ class TestRoles:
         assert [r.label for r in roles] == ["isolated"]
 
 
-ROLE_AGENTS = ["a", "b", "c", "d"]
+ROLE_AGENTS = ["h", "c", "f", "a", "g", "b", "e", "d"]
 ROLE_ATTRS, ROLE_PARAMS = ["width", "height"], ["p", "q", "r"]
 ROLE_TYPES = [PromiseTypeDecl(t, "num") for t in ROLE_ATTRS] + [PromiseTypeDecl("ready", "flag")]
 
@@ -260,26 +263,51 @@ role_body_st = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@example(3, [(0, 0, link(Parameter("p"), Parameter("q"))), (0, 0, use("width")),
-             (0, 2, link(Parameter("p"), Parameter("r")))])
-@given(
-    st.integers(1, len(ROLE_AGENTS)),
-    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), role_body_st), max_size=12),
-)
-def test_discover_roles_groups_agents_by_role_signature(n, edges):
-    """The one-pass ``discover_roles`` equals grouping the agents by their
-    ``role_signature``, with self-promises, link-only bodies and agents
-    that promise nothing."""
-    names = ROLE_AGENTS[:n]
-    promises = [Promise(names[i % n], names[j % n], body) for i, j, body in edges]
-    graph = build_graph([Agent(a) for a in names], ROLE_TYPES, promises=promises)
+def counted_roles(graph) -> list:
+    """The roles by definition: one ``Counter`` per agent (``role_signature``),
+    agents grouped by equal signatures, roles in signature order, members
+    sorted, and the label read off the first non-empty (direction,
+    polarity) in out-give, out-use, in-give, in-use order."""
     grouped: dict = {}
     for agent in graph.agents:
         grouped.setdefault(role_signature(graph, agent.name), []).append(agent.name)
-    assert [(r.signature, r.members) for r in discover_roles(graph)] == sorted(
-        (signature, tuple(sorted(members))) for signature, members in grouped.items()
-    )
+    verbs = {(OUT, "give"): "gives", (OUT, "use"): "uses",
+             (IN, "give"): "receives", (IN, "use"): "serves"}
+    roles = []
+    for signature, members in sorted(grouped.items()):
+        label = "isolated"
+        for (direction, polarity), verb in verbs.items():
+            types = sorted({t for (d, pol, t), _ in signature if (d, pol) == (direction, polarity)})
+            if types:
+                label = f"{verb}:{'+'.join(types)}"
+                break
+        roles.append(Role(signature, label, tuple(sorted(members))))
+    return roles
+
+
+@settings(max_examples=200, deadline=None)
+@example(3, [(0, 0, link(Parameter("p"), Parameter("q"))), (0, 0, use("width")),
+             (0, 2, link(Parameter("p"), Parameter("r")))], 1)
+@given(
+    st.integers(1, len(ROLE_AGENTS)),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), role_body_st), max_size=24),
+    st.integers(1, 3),
+)
+def test_discover_roles_groups_agents_by_role_signature(n, edges, copies):
+    """The one-pass ``discover_roles``, which groups agents by their sorted
+    entries and counts each distinct multiset once, gives the same roles,
+    in the same order, with the same members and labels, as one
+    ``Counter`` per agent; with self-promises, link-only bodies and agents
+    that promise nothing.  ``copies`` repeats every edge among renamed
+    agents, so that many agents share one multiset."""
+    names = ROLE_AGENTS[:n]
+    promises = [
+        Promise(f"{names[i % n]}{k}", f"{names[j % n]}{k}", body)
+        for k in range(copies) for i, j, body in edges
+    ]
+    agents = [Agent(f"{a}{k}") for k in range(copies) for a in names]
+    graph = build_graph(agents, ROLE_TYPES, promises=promises)
+    assert discover_roles(graph) == counted_roles(graph)
 
 
 class TestSpanningSet:

@@ -2,9 +2,9 @@
 
 ``bench_pairs.py`` at the repository root compares a parent revision with
 the change over paired benchmark runs.  These tests check its median,
-quartiles and wins on fixed inputs, that every committed ``BENCH_*.json``
-holds the keys it writes, and that a run stopped by SIGTERM removes its
-worktree.  They never run the benchmark: the stopped run is a copy of the
+quartiles, per-pair ratios and wins on fixed inputs, that every committed
+``BENCH_*.json`` holds the keys it writes, and that a run stopped by
+SIGTERM removes its worktree.  They never run the benchmark: the stopped run is a copy of the
 script in a throwaway repository whose benchmark command sleeps.
 """
 from __future__ import annotations
@@ -57,6 +57,17 @@ def test_wins_count_strictly_better_pairs_only():
     assert bench_pairs.wins(change, parent, "higher") == 2
 
 
+def test_ratios_divide_each_pair_by_its_parent_value():
+    """A drift that scales both sides of every pair alike leaves the ratio
+    spread at zero, while each side's quartiles take the drift."""
+    parent = [2.0, 4.0, 8.0, 16.0, 32.0]
+    change = [0.9 * p for p in parent]
+    ratio = bench_pairs.spread(bench_pairs.ratios(change, parent))
+    assert ratio["q3"] - ratio["q1"] == 0.0 and ratio["median"] == pytest.approx(0.9)
+    assert bench_pairs.spread(parent)["q3"] - bench_pairs.spread(parent)["q1"] == 12.0
+    assert bench_pairs.ratios([3.0, 1.0], [2.0, 4.0]) == [1.5, 0.25]
+
+
 def test_a_workload_record_pairs_the_two_sides():
     runs = {
         "change": [result(0, 10, latency_p50_ms=1.0), result(1, 10, latency_p50_ms=3.0)],
@@ -71,6 +82,7 @@ def test_a_workload_record_pairs_the_two_sides():
                 "unit": "ms",
                 "change": {"median": 2.0, "q1": 1.5, "q3": 2.5, "values": [1.0, 3.0]},
                 "parent": {"median": 2.0, "q1": 2.0, "q3": 2.0, "values": [2.0, 2.0]},
+                "ratio": {"median": 1.0, "q1": 0.75, "q3": 1.25, "values": [0.5, 1.5]},
                 "wins": 1,
             }
         },
@@ -110,6 +122,9 @@ def test_every_committed_bench_file_holds_the_runner_keys():
                     spread = metric[side]
                     assert len(spread["values"]) == data["pairs"]
                     assert spread == bench_pairs.spread(spread["values"])
+                if "ratio" in metric:  # written since BENCH_35.json
+                    assert metric["ratio"] == bench_pairs.spread(bench_pairs.ratios(
+                        metric["change"]["values"], metric["parent"]["values"]))
                 assert metric["wins"] == bench_pairs.wins(
                     metric["change"]["values"], metric["parent"]["values"], metric["better"]
                 )

@@ -22,11 +22,21 @@ from promisekit.dsl import (
     tokenize,
 )
 from promisekit.dsl import lexer as lexer_module, resolver as resolver_module
+from promisekit.dsl.ast_nodes import (
+    AgentDecl,
+    BodyNode,
+    IdentTerm,
+    ModelAst,
+    NumberTerm,
+    PromiseDecl,
+    TypeDecl,
+)
 from promisekit.errors import PromiseModelError
 from promisekit.model import (
     Attribute,
     CmpLiteral,
     Condition,
+    EqConstraint,
     FlagLiteral,
     NamedConst,
     NumConst,
@@ -34,7 +44,10 @@ from promisekit.model import (
     StrConst,
 )
 
+from promisekit.value import Value
+
 from bruteforce import reference_tokenize
+from loaders import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -910,18 +923,114 @@ class TestResolver:
         assert len({p.body for p in graph.promises}) == 5
         assert len({id(p.body) for p in graph.promises}) == 5
 
+    def test_a_direct_statement_is_resolved_once_per_text(self, monkeypatch):
+        """The memo is keyed on a statement's text: the same body spelled
+        three other ways is resolved once per spelling, and is still one
+        body in the graph."""
+        calls = []
+        resolve_body = resolver_module._Resolver.resolve_body
+
+        def counted(self, node, scope):
+            calls.append(node)
+            return resolve_body(self, node, scope)
+
+        monkeypatch.setattr(resolver_module._Resolver, "resolve_body", counted)
+        text = ring_text(4) + (
+            "a0 -> a2: give  load = $x;\n"
+            "a1 -> a3: give load = # why\n  $x;\n"
+            "a2 -> a0: give\tload=$x ;\n"
+            "a3 -> a1: give  load = $x;\n"
+        )
+        graph = resolve_text(text).graph
+        assert len(calls) == 2 + 3 + 3
+        loads = {p.body for p in graph.promises if p.group.startswith("body:")
+                 and p.body.type == "load"}
+        assert len(loads) == 1
+
+    def test_a_roles_run_hashes_and_compares_no_value_in_python(self, tmp_path, monkeypatch):
+        """``pml roles`` on a ring keys the resolver's memo on statement
+        texts, which hash and compare in C: no ``Value.__hash__`` or
+        ``Value.__eq__`` runs.  Keyed on syntax nodes, the memo made about
+        1,400 of each in the same run."""
+        (tmp_path / "ring.pml").write_text(ring_text(200), encoding="utf-8")
+        calls = {"hash": 0, "eq": 0}
+        value_hash, value_eq = Value.__hash__, Value.__eq__
+
+        def counted_hash(self):
+            calls["hash"] += 1
+            return value_hash(self)
+
+        def counted_eq(self, other):
+            calls["eq"] += 1
+            return value_eq(self, other)
+
+        monkeypatch.setattr(Value, "__hash__", counted_hash)
+        monkeypatch.setattr(Value, "__eq__", counted_eq)
+        run = run_cli(tmp_path, ["roles", "ring.pml"])
+        assert run["exit"] == 0 and run["stdout"]
+        assert calls == {"hash": 0, "eq": 0}
+
+    @pytest.mark.parametrize("command", ["check", "classes"])
+    @pytest.mark.parametrize(
+        "spelling", ["give  load=$x ;", "give load = # why\n  $x;", "give\tload =\n$x;"]
+    )
+    def test_a_statement_spelled_otherwise_gives_the_same_report(
+        self, command, spelling, tmp_path
+    ):
+        """Respelling some of a ring's direct statements, with other spacing
+        or a comment inside, leaves the JSON report byte-identical."""
+        plain = ring_text(6)
+        respelled = plain.replace("give load = $x;", spelling, 3)
+        assert respelled != plain
+        reports = []
+        for name, text in (("plain", plain), ("respelled", respelled)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "ring.pml").write_text(text, encoding="utf-8")
+            reports.append(run_cli(tmp_path / name, [command, "--json", "ring.pml"]))
+        assert reports[0]["stdout"] and reports[0]["stderr"] == ""
+        assert [r["exit"] for r in reports] == [reports[0]["exit"]] * 2
+        assert reports[1]["stdout"] == reports[0]["stdout"]
+
+    def test_a_library_built_tree_keys_each_body_on_its_node(self):
+        """A tree built without a text has every offset 0, so every
+        statement's text is empty: the node itself is the key, and two
+        different bodies stay two promises."""
+        decls = (
+            AgentDecl(("a", "b")),
+            TypeDecl("w", "num"),
+            PromiseDecl("a", "b", BodyNode("give", IdentTerm("w"), NumberTerm(1))),
+            PromiseDecl("a", "b", BodyNode("give", IdentTerm("w"), NumberTerm(2))),
+            PromiseDecl("b", "a", BodyNode("give", IdentTerm("w"), NumberTerm(1))),
+        )
+        result = resolve(ModelAst(decls))
+        assert result.ok
+        assert [(p.promiser, set(p.body.constraints)) for p in result.graph.promises] == [
+            ("a", {EqConstraint(Attribute("w"), NumConst(1))}),
+            ("a", {EqConstraint(Attribute("w"), NumConst(2))}),
+            ("b", {EqConstraint(Attribute("w"), NumConst(1))}),
+        ]
+
     @pytest.mark.parametrize(
         "body, code",
-        [("use w = 1;", "E-RESOLVE-006"), ("give w = svc;", "E-RESOLVE-007")],
+        [
+            ("use w = 1;", "E-RESOLVE-006"),
+            ("give w = svc;", "E-RESOLVE-007"),
+            ("give nosuch = 1;", "E-RESOLVE-002"),
+        ],
     )
     def test_a_repeated_invalid_body_is_reported_at_each_declaration(self, body, code):
+        """The same statement text, twice on one line and once more, draws
+        one diagnostic per occurrence, each where that occurrence is."""
         text = (
             "agent a, b, c;\ntype w: num;\ntype svc: service;\n"
-            f"a -> b: {body}\nb -> c: {body}\n"
+            f"a -> b: {body}\nb -> c:   {body} c -> a: {body}\n"
         )
         result = resolve_text(text)
-        assert [(d.code, d.span.start_line) for d in result.diagnostics] == [
-            (code, 4), (code, 5)
+        sites = [(d.code, d.span.start_line, d.span.start_col) for d in result.diagnostics]
+        shift = sites[0][2] - 9  # where in the statement its diagnostic starts
+        starts = (9, 11, 11 + len(body) + len(" c -> a: "))
+        assert sites == [
+            (code, line, start + shift) for line, start in zip((4, 5, 5), starts)
         ]
 
     def test_corpus_resolves_without_diagnostics(self):
