@@ -43,7 +43,6 @@ from promisekit.model import (
     Parameter,
     StrConst,
 )
-
 from promisekit.value import Value
 
 from bruteforce import reference_tokenize
