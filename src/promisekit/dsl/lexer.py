@@ -28,9 +28,9 @@ takes its type from one dict of fixed texts, any other token from its first
 character.  Only a run of ``\\w`` characters that starts on a numeral that
 is no letter costs more: a number inside it is matched once more, and when
 that number takes a fraction past the run, the pairs after it no longer line
-up and the rest of the text is read by one match per token.  So the pattern
-reads a character at most twice, or three times for a digit of such a run
-after such a fraction.
+up and the rest of the text is read by one match per token.  So, statements
+(below) aside, the pattern reads a character at most twice, or three times
+for a digit of such a run after such a fraction.
 
 A token is one plain tuple of atoms, ``(type, value, text, start, end)``,
 where ``start`` and ``end`` are the character offsets of ``text``.  It holds
@@ -38,10 +38,47 @@ no span, so the cyclic garbage collector stops tracking it at its first
 collection.  A ``SourceSpan`` is built only for a diagnostic.  Every span
 of one text shares that text's ``LineIndex``, so the lexer keeps no line or
 column count.
+
+A promise statement of the two forms that models repeat, ``A -> B: give T;``
+or ``use``, with an optional ``= $p`` or ``= NAME``, and ``A -> B: bundle
+N`` with or without ``;``, is one token, ``("statement", pieces, text,
+start, end)``: ``pieces`` holds its names and their offsets from ``start``
+(``Pieces``), all atoms.  The pattern reads one after a name, as that name
+alternative's tail, and holds no comment, number, string, dotted name or
+condition.  It is made only where the token path would build the same
+declaration with no diagnostic:
+
+- where a declaration starts: outside every brace pair (a '}' with none open
+  closes none), and after nothing, a ';', a '}' or another statement token.
+  Inside a body, or after an unfinished declaration, the parser would meet
+  its tokens while it recovers;
+- where each name is an identifier: no keyword, and no name that starts on
+  a numeral;
+- for ``bundle N`` with no ';', where the next text past blanks is the end
+  or starts a name other than ``if`` on an ASCII letter or '_'.  After a
+  comment, an illegal character or a number no type holds (none of which is
+  a token), a ';' or an ``if`` would still join the attachment.
+
+Each name and keyword ends where its run of ``\\w`` does.  A refused
+statement is read again, one match per token: the first bounded at the end
+of its promiser's run, every one at the statement's end, so none can take a
+statement again.
+
+This bounds the reading.  A tail that fails has read no further than one
+statement reaches, across at most one '->'.  So at most two failed tails
+read a character: the one whose '->' is the last before it, and the one of
+the name just before its run of blanks.  Each reads it once and steps back
+over it at most once, since what follows each repeat fails on the first
+character the repeat took.  A refused statement is read once more, where
+only the tail of the name before a run of blanks reads that run again.  So
+statements add at most seven reads of a character to those above: four by
+failed tails and three in a refused statement.  The split and the matches of
+one text ask for at most twice its length.
 """
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Iterator, Union
 
 from .diagnostics import (
@@ -62,6 +99,7 @@ STRING = "string"
 PARAM = "param"
 KEYWORD = "keyword"
 OP = "op"
+STATEMENT = "statement"
 EOF = "eof"
 
 KEYWORDS = frozenset(
@@ -83,15 +121,23 @@ KEYWORDS = frozenset(
 )
 
 
+# A statement token's value: (promiser, promisee, promisee_at, keyword,
+# keyword_at, name, name_at, value, value_at), each ``*_at`` an offset from
+# the token's start.  ``keyword`` is "give", "use" or "bundle", ``name`` the
+# type or bundle name, and ``value`` a parameter's text with its '$', a
+# name, or None, with ``value_at`` 0.
+Pieces = tuple[str, str, int, str, int, str, int, Union[str, None], int]
+
 # (type, value, text, start, end): what a token is, what it means, the text
 # it was read from, and the offsets of that text.
-Token = tuple[str, Union[str, int, float], str, int, int]
+Token = tuple[str, Union[str, int, float, Pieces], str, int, int]
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 _INFINITY = float("inf")
 
-_OPERATORS = ("->", "==", "!=", ";", ",", ":", ".", "{", "}", "=")
+_OPERATORS = ("->", "==", "!=", ";", ",", ":", ".", "=")
+_DECL_ENDS = (";", "}")  # tokens after which a declaration starts
 
 # The type of each token whose text fixes it.
 _FIXED = {**dict.fromkeys(KEYWORDS, KEYWORD), **dict.fromkeys(_OPERATORS, OP)}
@@ -109,13 +155,19 @@ _FIXED = {**dict.fromkeys(KEYWORDS, KEYWORD), **dict.fromkeys(_OPERATORS, OP)}
 # that starts on one is no name: each of its characters up to the first
 # letter, '_' or decimal digit is illegal, and a name there runs to the end of
 # the run.  ``tokenize`` reports those characters from the run it has read
-# already, and matches again only where a number starts.  A string takes in
-# escapes, a backslash-newline and a missing closing quote.  The alternative
-# before the empty one is any single character.
+# already, and matches again only where a number starts.  A name's tail,
+# tried before its empty alternative, takes the rest of a promise statement
+# (see the module docstring); it holds no group, so it adds nothing to a
+# ``split``.  A string takes in escapes, a backslash-newline and a missing
+# closing quote.  The alternative before the empty one is any single
+# character.
 _TOKEN = re.compile(
     r"([ \t\r\n]*(?:#[^\r\n]*[ \t\r\n]*)*)"
     r"(->|[=!]=|[;,:.{}=]"
-    r"|[^\W\d]\w*"
+    r"|[^\W\d]\w*(?:[ \t\r\n]*->[ \t\r\n]*[^\W\d]\w*[ \t\r\n]*:[ \t\r\n]*"
+    r"(?:(?:give|use)[ \t\r\n]+[^\W\d]\w*[ \t\r\n]*(?:=[ \t\r\n]*\$?[^\W\d]\w*[ \t\r\n]*|);"
+    r"|bundle[ \t\r\n]+[^\W\d]\w*(?:[ \t\r\n]*;"
+    r"|(?!\w)(?=[ \t\r\n]*(?:[A-Za-z_]|\Z))(?![ \t\r\n]*if\b)))|)"
     r"|\d+(?:\.\d+|)"
     r"|\$[^\W\d]\w*"
     r'|"[^"\\\r\n]*(?:\\[\s\S]?[^"\\\r\n]*)*"?'
@@ -140,8 +192,9 @@ def tokenize(
     # match, the gap always empty: each match starts where the one before it
     # ends, and the last one has no token.
     parts = _TOKEN.split(text)
-    pairs = zip(parts[1::3], parts[2::3])
+    pairs: Union[Iterator[tuple[str, str]], None] = zip(parts[1::3], parts[2::3])
     pos = 0
+    depth = 0  # '{' tokens not yet closed by a '}'
     while pairs is not None:
         for skip, raw in pairs:
             start = pos + len(skip)
@@ -150,7 +203,22 @@ def tokenize(
             if kind is None:
                 head = raw[:1]
                 if head.isalpha() or head == "_":
-                    kind = IDENT
+                    if ":" not in raw:
+                        append((IDENT, raw, raw, start, pos))
+                        continue
+                    # A statement, taken where a declaration starts.
+                    if not depth and (
+                        not tokens
+                        or tokens[-1][0] == STATEMENT
+                        or tokens[-1][2] in _DECL_ENDS
+                    ):
+                        pieces = _pieces(raw)
+                        if pieces is not None:
+                            append((STATEMENT, pieces, raw, start, pos))
+                            continue
+                    pairs = chain(_refused_pairs(text, start, pos), pairs)
+                    pos = start
+                    break
                 elif head.isdecimal():
                     _read_number(raw, start, file, lines, tokens, diagnostics)
                     continue
@@ -163,7 +231,19 @@ def tokenize(
                 elif head == "$" and (raw[1:2].isalpha() or raw[1:2] == "_"):
                     append((PARAM, raw[1:], raw, start, pos))
                     continue
+                elif head == "{":
+                    depth += 1
+                    kind = OP
+                elif head == "}":
+                    if depth:
+                        depth -= 1
+                    kind = OP
                 elif head:
+                    if ":" in raw:
+                        # A statement whose promiser starts on a numeral.
+                        pairs = chain(_refused_pairs(text, start, pos), pairs)
+                        pos = start
+                        break
                     end = pos
                     pos = _read_illegal(text, start, end, file, lines, tokens, diagnostics)
                     if pos > end:
@@ -179,6 +259,68 @@ def tokenize(
 
     append((EOF, "", "", pos, pos))
     return tokens, diagnostics
+
+
+def _pieces(raw: str) -> Union[Pieces, None]:
+    """The pieces of the statement ``raw``, which the pattern's statement
+    tail matched; None when a name in it is no identifier to the token path:
+    a keyword, or a name that starts on a numeral.  A statement spaced as
+    ``a -> b: give t = $p;`` takes its offsets from the lengths of its
+    names; any other finds each name from where the one before it ends, past
+    which only blanks and operators come before it."""
+    words = raw.split()
+    count = len(words)
+    if count == 7:
+        promiser, _, promisee, keyword, name, _, value = words
+        promisee = promisee[:-1]
+        value = value[:-1]
+        canonical = f"{promiser} -> {promisee}: {keyword} {name} = {value};" == raw
+    elif count == 5:
+        promiser, _, promisee, keyword, name = words
+        promisee = promisee[:-1]
+        value = None
+        if name[-1] == ";":
+            name = name[:-1]
+            canonical = f"{promiser} -> {promisee}: {keyword} {name};" == raw
+        else:
+            canonical = f"{promiser} -> {promisee}: {keyword} {name}" == raw
+    else:
+        canonical = False
+    if canonical:
+        promisee_at = len(promiser) + 4
+        keyword_at = promisee_at + len(promisee) + 2
+        name_at = keyword_at + len(keyword) + 1
+        value_at = 0 if value is None else name_at + len(name) + 3
+    else:
+        words = raw.replace("->", " ").replace(":", " ").replace("=", " ").replace(";", " ").split()
+        promiser, promisee, keyword, name = words[:4]
+        value = words[4] if len(words) == 5 else None
+        promisee_at = raw.index(promisee, len(promiser))
+        keyword_at = raw.index(keyword, promisee_at + len(promisee))
+        name_at = raw.index(name, keyword_at + len(keyword))
+        value_at = 0 if value is None else raw.index(value, name_at + len(name))
+    if not KEYWORDS.isdisjoint((promiser, promisee, name, value)):
+        return None
+    if not raw.isascii():
+        for word in (promiser, promisee, name, value[1:] if value and value[0] == "$" else value):
+            if word is not None and not (word[0].isalpha() or word[0] == "_"):
+                return None
+    return (promiser, promisee, promisee_at, keyword, keyword_at, name, name_at, value, value_at)
+
+
+def _refused_pairs(text: str, start: int, end: int) -> Iterator[tuple[str, str]]:
+    """The (skipped, token) pairs of the refused statement ``text[start:end]``,
+    one match each, the first bounded at the end of the promiser's run and
+    every one at ``end``: no bounded match can take a statement again."""
+    match = _TOKEN.match
+    promiser_end = start + len(text[start:end].split("->", 1)[0].rstrip(" \t\r\n"))
+    skip, raw = match(text, start, promiser_end).groups()
+    yield skip, raw
+    pos = start + len(skip) + len(raw)
+    while pos < end:
+        skip, raw = match(text, pos, end).groups()
+        yield skip, raw
+        pos += len(skip) + len(raw)
 
 
 def _matched_pairs(text: str, pos: int) -> Iterator[tuple[str, str]]:

@@ -5,12 +5,16 @@ records one diagnostic and resynchronizes at the next ``;`` or ``}`` (or the
 start of an obvious new declaration), so a single broken statement does not
 hide the rest of the file.
 
-The parser reads the lexer's plain-tuple tokens by index.  Each syntax node
-keeps the offsets of its first and last token, and of any name inside it
-whose position a diagnostic may need, as plain ints; names are strings.  A
-``SourceSpan`` is built only for a syntax diagnostic.  The tree keeps the
-text's one ``LineIndex``, which the lexer's spans share, so that a later
-diagnostic can build a span from two offsets (``ModelAst.span``).
+The parser reads the lexer's plain-tuple tokens by index.  A statement
+token, which the lexer makes only where a declaration starts, is one whole
+promise declaration: ``parse_model`` builds its nodes from the token's
+pieces, with the offsets that ``parse_promise`` would give its tokens.
+Each syntax node keeps the offsets of its first and last token, and of any
+name inside it whose position a diagnostic may need, as plain ints; names
+are strings.  A ``SourceSpan`` is built only for a syntax diagnostic.  The
+tree keeps the text's one ``LineIndex``, which the lexer's spans share, so
+that a later diagnostic can build a span from two offsets
+(``ModelAst.span``).
 """
 from __future__ import annotations
 
@@ -47,7 +51,9 @@ from .diagnostics import (
     make_span,
     SourceSpan,
 )
-from .lexer import EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, STRING, Token, tokenize
+from .lexer import (
+    EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, Pieces, STATEMENT, STRING, Token, tokenize,
+)
 
 _TOP_STARTERS = frozenset({"agent", "type", "flag", "bundle"})
 _BODY_STARTERS = frozenset({"give", "use"})
@@ -187,6 +193,11 @@ class Parser:
     def parse_model(self) -> ModelAst:
         decls: list[Decl] = []
         while self.current[0] != EOF:
+            if self.current[0] == STATEMENT:
+                decls.append(self.statement(self.current))
+                self.pos += 1
+                self.current = self.tokens[self.pos]
+                continue
             if self.current[2] == "}":
                 self.diagnostics.append(
                     Diagnostic(ERROR, E_PARSE_UNEXPECTED, "unmatched '}'", self.current_span())
@@ -210,6 +221,29 @@ class Parser:
         if text == "bundle":
             return self.parse_bundle_decl()
         raise self._fail("a declaration")
+
+    def statement(self, tok: Token) -> PromiseDecl:
+        """The declaration of a statement token, built with the nodes and
+        offsets that ``parse_promise`` gives its tokens."""
+        pieces: Pieces = tok[1]  # type: ignore[assignment]
+        (promiser, promisee, promisee_at, keyword, keyword_at, name, name_at, value,
+         value_at) = pieces
+        start, end = tok[3], tok[4]
+        name_start = start + name_at
+        item: BodyNode | BundleRef
+        if keyword == "bundle":
+            item = BundleRef(name, None, start + keyword_at, end, name_start)
+        else:
+            term: TermNode | None = None
+            if value is not None:
+                value_start = start + value_at
+                if value[0] == "$":
+                    term = ParamTerm(value[1:], value_start, value_start + len(value))
+                else:
+                    term = IdentTerm(value, value_start, value_start + len(value))
+            subject = IdentTerm(name, name_start, name_start + len(name))
+            item = BodyNode(keyword, subject, term, None, start + keyword_at, end)
+        return PromiseDecl(promiser, promisee, item, start, end, start + promisee_at)
 
     def parse_agent(self) -> AgentDecl:
         start = self.advance()[3]

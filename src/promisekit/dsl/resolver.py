@@ -9,7 +9,7 @@ is built through ``ModelAst.span`` only when it is reported.
 """
 from __future__ import annotations
 
-from typing import Hashable, Union
+from typing import Hashable, Iterator, Union
 
 from ..constraints import UnionFind
 from ..errors import BundleCycleError, PromiseModelError
@@ -42,6 +42,7 @@ from ..model import (
     PromiseTypeDecl,
     StrConst,
     Term,
+    term_key,
     USE,
     validate_autonomy,
     VALUED_KINDS,
@@ -387,12 +388,16 @@ class _Resolver:
         not memoised, so it is resolved, and reported, at every occurrence.
         Where the slice is empty, as in a library-built tree whose offsets are
         all 0, the node itself is the key.  The memo stays exact only while a
-        direct statement resolves independently of every other statement; a
-        change that lets one statement's resolution read another's (such as
-        channel-wide kinds for named constants) must keep that, or re-key.
-        ``build_graph`` then makes equal bodies one object."""
+        direct statement resolves independently of every other statement.
+        Named constants take one kind per channel, which reads every
+        statement of the channel, so that check runs after the memo, on the
+        promises built here (``check_named_kinds``), and never changes what
+        the memo holds.  ``build_graph`` then makes equal bodies one
+        object."""
         text = self.ast.lines.text
-        resolved: dict[Hashable, tuple[PromiseBody, str]] = {}
+        resolved: dict[Hashable, tuple[PromiseBody, str, bool]] = {}
+        bundle_named: dict[str, bool] = {}
+        named: list[tuple[Promise, PromiseDecl]] = []  # promises that hold a named constant
         promises, decls = self.promises, self.decls
         for decl in self.ast.decls:
             if not isinstance(decl, PromiseDecl):
@@ -419,6 +424,13 @@ class _Resolver:
                 if not ok or flat is None:
                     continue
                 group = bundle_group(bundle.name)
+                # A bundle's parameters span its bodies, so every body of an
+                # attachment that holds a named constant is checked.
+                held = bundle_named.get(bundle.name)
+                if held is None:
+                    held = any(_holds_named(_pairs(body)) for body in flat.bodies)
+                    bundle_named[bundle.name] = held
+                held = held or _holds_named(_pairs(attach_cond))
                 for body in flat.bodies:
                     if not attach_cond.is_empty:
                         body = PromiseBody(
@@ -427,23 +439,104 @@ class _Resolver:
                             body.constraints,
                             body.condition.conjoin(attach_cond),
                         )
-                    promises.append(Promise(promiser, promisee, body, group))
+                    promise = Promise(promiser, promisee, body, group)
+                    promises.append(promise)
                     decls.append(decl)
+                    if held:
+                        named.append((promise, decl))
             else:
                 node = decl.item
                 key = text[node.start:node.end] or node
-                pair = resolved.get(key)
-                if pair is None:
+                entry = resolved.get(key)
+                if entry is None:
                     reported = len(self.diagnostics)
                     body = self.resolve_body(node, _Scope())
                     if body is None:
                         continue
-                    pair = (body, derive_group(body))
+                    entry = (body, derive_group(body), _holds_named(_pairs(body)))
                     if len(self.diagnostics) == reported:
-                        resolved[key] = pair
+                        resolved[key] = entry
                 if ok:
-                    promises.append(Promise(promiser, promisee, *pair))
+                    body, group, held = entry
+                    promise = Promise(promiser, promisee, body, group)
+                    promises.append(promise)
                     decls.append(decl)
+                    if held:
+                        named.append((promise, decl))
+        if named:
+            self.check_named_kinds(named)
+
+    def check_named_kinds(self, held: list[tuple[Promise, PromiseDecl]]) -> None:
+        """Report each named constant that takes two kinds on one channel.
+
+        ``held`` lists, in file order, each promise whose body holds a named
+        constant, or that comes from a bundle attachment one of whose bodies
+        does, with its declaration.  A named constant is one value across its
+        channel, and a parameter one value across its declaration: a
+        statement, or a bundle attachment.  A constraint or a comparison puts
+        its two terms in one class, whose kind is that of the attributes,
+        numbers and strings related to it.  The first relation, in file
+        order, that would give a class holding a named constant a second kind
+        is reported at its declaration's item, once per declaration and
+        constant.  A class of parameters alone is left to ``unify_kinds``."""
+        channels: dict[tuple[str, str], tuple[UnionFind, dict]] = {}
+        reported: set[tuple[int, str]] = set()
+        for promise, decl in held:
+            channel = (promise.promiser, promise.promisee)
+            if channel not in channels:
+                channels[channel] = (UnionFind(), {})
+            classes, info = channels[channel]  # root -> (kind, a named constant's name)
+            pairs = sorted(_pairs(promise.body), key=lambda p: (term_key(p[0]), term_key(p[1])))
+            for pair in pairs:
+                nodes: list[Hashable] = []
+                kinds = set()
+                for term in pair:
+                    if isinstance(term, NamedConst):
+                        nodes.append(term)
+                    elif isinstance(term, Parameter):
+                        nodes.append((id(decl), term))
+                    else:
+                        kinds.add(self.term_kind(term))
+                if not nodes:
+                    continue
+                names = [t.name for t in nodes if isinstance(t, NamedConst)]
+                roots = []
+                for node in nodes:
+                    classes.add(node)
+                    root = classes.find(node)
+                    roots.append(root)
+                    kind, name = info.get(root, (_UNKNOWN, None))
+                    kinds.add(kind)
+                    if name is not None:
+                        names.append(name)
+                kinds.discard(_UNKNOWN)
+                if len(kinds) > 1:
+                    if names and (id(decl), names[0]) not in reported:
+                        reported.add((id(decl), names[0]))
+                        first, second = sorted(kinds)
+                        self.error(
+                            E_RESOLVE_KIND_CONFLICT,
+                            f"named constant '{names[0]}' is related to both a {first} and "
+                            f"a {second} value on channel {channel[0]} -> {channel[1]}",
+                            decl.item.start,
+                            decl.item.end,
+                        )
+                    continue
+                if len(roots) == 2:
+                    classes.union(*roots)
+                info[classes.find(nodes[0])] = (
+                    kinds.pop() if kinds else _UNKNOWN, names[0] if names else None
+                )
+
+    def term_kind(self, term: Term) -> str:
+        """The kind of a constant or an attribute: 'num', 'str', or
+        'unknown' for a type that takes no value."""
+        if isinstance(term, NumConst):
+            return KIND_NUM
+        if isinstance(term, StrConst):
+            return KIND_STR
+        decl = self.types.get(term.name)  # an Attribute: its type is declared
+        return decl.kind if decl is not None and decl.kind in VALUED_KINDS else _UNKNOWN
 
     # -- entry ---------------------------------------------------------------
 
@@ -478,6 +571,23 @@ class _Resolver:
                     WARNING, W_AUTONOMY, finding.message, self.ast.span(first.start, first.end)
                 ))
         return ResolveResult(graph, sorted(self.diagnostics, key=diagnostic_sort_key))
+
+
+def _pairs(body: Union[PromiseBody, Condition]) -> Iterator[tuple[Term, Term]]:
+    """The term pairs that a body's constraints and comparisons relate, or a
+    condition's comparisons."""
+    condition = body if isinstance(body, Condition) else body.condition
+    if isinstance(body, PromiseBody):
+        for constraint in body.constraints:
+            yield constraint.lhs, constraint.rhs
+    for literal in condition.literals:
+        if isinstance(literal, CmpLiteral):
+            yield literal.lhs, literal.rhs
+
+
+def _holds_named(pairs: Iterator[tuple[Term, Term]]) -> bool:
+    """Whether any of the term pairs holds a named constant."""
+    return any(isinstance(term, NamedConst) for pair in pairs for term in pair)
 
 
 def resolve(ast: ModelAst) -> ResolveResult:

@@ -37,7 +37,7 @@ from promisekit.constraints import (
     reduce,
     satisfiable,
 )
-from promisekit.dsl import parse, resolve, tokenize
+from promisekit.dsl import parse, resolve
 from promisekit.errors import UnsatisfiableError
 from promisekit.model import (
     Attribute,
@@ -55,6 +55,7 @@ from bruteforce import (
     oracle_mutually_exclusive,
     oracle_same_class_pairs,
     oracle_satisfiable,
+    reference_tokenize,
 )
 from loaders import cli_invocations, load_corpus, load_text, run_cli
 
@@ -423,14 +424,16 @@ def mutation_sites():
     """Single-token mutations: overwrite one token with an illegal character.
 
     Every produced text must provoke a diagnostic whose span covers the
-    mutated offset, so the check is exact rather than statistical.
+    mutated offset, so the check is exact rather than statistical.  The
+    tokens are the reference lexer's, one per name, operator or literal,
+    where ``tokenize`` reads a promise statement as one token.
     """
     per_file = []
     for name in corpus.names():
         text = corpus.read(name)
-        tokens, diags = tokenize(text, name)
+        tokens, diags = reference_tokenize(text, name)
         assert diags == []
-        spots = [(name, text, start, end) for kind, _, _, start, end in tokens if kind != "eof"]
+        spots = [(name, text, place[5], place[6]) for kind, _, _, place in tokens if kind != "eof"]
         per_file.append(spots)
     rng = random.Random(0xBAD)
     for spots in per_file:

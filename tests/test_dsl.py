@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -116,8 +117,8 @@ class CountingPattern:
     def calls(self) -> int:
         return self.splits + self.matches
 
-    def match(self, text, pos=0):
-        m = self.pattern.match(text, pos)
+    def match(self, text, pos=0, endpos=sys.maxsize):
+        m = self.pattern.match(text, pos, endpos)
         self.matches += 1
         self.consumed += m.end() - pos
         return m
@@ -242,18 +243,55 @@ class TestLexer:
 
     @pytest.mark.parametrize("name", [*corpus.names(), "ring"])
     def test_a_clean_text_is_read_in_one_pass(self, name, monkeypatch):
-        """A text with no numeral run is read by one ``split`` and no
-        ``match``."""
+        """A text with no numeral run and no refused statement is read by
+        one ``split`` and no ``match``, its statements taken whole."""
         text = ring_text(20) if name == "ring" else corpus.read(name)
         counting = CountingPattern(lexer_module._TOKEN)
         monkeypatch.setattr(lexer_module, "_TOKEN", counting)
         tokens, diags = tokenize(text)
-        assert diags == [] and len(tokens) > 50
+        assert diags == [] and len(text) > 400
+        assert sum(t[0] == "statement" for t in tokens) >= 2
         assert (counting.splits, counting.matches) == (1, 0)
 
+    def test_a_ring_statement_is_one_token(self):
+        """Each of the 4 x 200 promise statements of a ring of 200 agents
+        is read as one statement token."""
+        tokens, diags = tokenize(ring_text(200))
+        assert diags == []
+        assert sum(t[0] == "statement" for t in tokens) == 4 * 200
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a ->\n" * 5000,
+            "a -> b: bundle c #\n" * 2000,
+            "a" + " \t\r\n" * 5000 + "-> b" + " " * 20000 + ": give x" + "\n" * 20000 + "= $y;",
+            "a -> b: give x" + " " * 20000 + "@",
+            "bundle B {\n" + "a -> b: give x = $y;\n" * 2000 + "}\n",
+            "give -> a: use b;\n" * 2000,
+            "x a ->   b: bundle give   \n" * 2000,
+            "\u00b2a -> b: use t;\n" * 2000,
+        ],
+        ids=[
+            "arrows", "commented-attachments", "blank-runs", "unfinished", "refused-in-bundle",
+            "keyword-promiser", "keyword-bundle", "numeral-promiser",
+        ],
+    )
+    def test_statements_read_each_character_at_most_twice(self, text, monkeypatch):
+        """A count, not a timing: the split reads the text once, and only a
+        refused statement is read again, by one bounded match per token."""
+        counting = CountingPattern(lexer_module._TOKEN)
+        monkeypatch.setattr(lexer_module, "_TOKEN", counting)
+        tokens, diags = tokenize(text)
+        assert counting.splits == 1
+        assert counting.matches <= len(tokens) + len(diags)
+        assert counting.consumed <= 2 * len(text)
+
     def test_tokens_are_left_to_the_collector_untracked(self):
-        """A token is a tuple of atoms, which a collection stops tracking, and
-        a text that lexes cleanly makes no span at all."""
+        """A token is a tuple of atoms, or a statement token that holds one
+        tuple of atoms, which collections stop tracking, and a text that
+        lexes cleanly makes no span at all.  A collection that visits a
+        statement token before its pieces leaves it to the next one."""
         text = ring_text(20) + 'type s: str;\na0 -> a1: give s = "x";\na1 -> a2: give load = 2.5;\n'
 
         def spans() -> int:
@@ -264,8 +302,9 @@ class TestLexer:
         tokens, diags = tokenize(text)
         assert diags == [] and spans() == before
         gc.collect()
+        gc.collect()
         assert {t[0] for t in tokens} == {
-            "keyword", "ident", "op", "param", "number", "string", "eof"
+            "keyword", "ident", "op", "param", "number", "string", "statement", "eof"
         }
         assert [t for t in tokens if gc.is_tracked(t)] == []
 
@@ -305,13 +344,25 @@ def assert_lexes_like_the_reference(text: str) -> None:
 
     tokens, diags = tokenize(text, "t.pml")
     expected_tokens, expected_diags = reference_tokenize(text, "t.pml")
-    lines = LineIndex(text)
-    assert [
-        (type_, value, type(value), raw, place(make_span("t.pml", start, end, lines)))
-        for type_, value, raw, start, end in tokens
-    ] == [
+    expected = [
         (type_, value, type(value), raw, where) for type_, value, raw, where in expected_tokens
     ]
+    lines = LineIndex(text)
+    found = []
+    for type_, value, raw, start, end in tokens:
+        if type_ == "statement":
+            # Its ends are token boundaries, and it stands for the tokens
+            # between them.
+            inside = [
+                t for t in expected if start <= t[4][5] and t[4][6] <= end and t[0] != "eof"
+            ]
+            assert (inside[0][4][5], inside[-1][4][6]) == (start, end)
+            found += inside
+        else:
+            found.append(
+                (type_, value, type(value), raw, place(make_span("t.pml", start, end, lines)))
+            )
+    assert found == expected
     assert [(d.severity, d.code, d.message, place(d.span)) for d in diags] == expected_diags
 
 
@@ -353,6 +404,123 @@ def test_whole_models_lex_like_the_reference(name):
         at = rng.randrange(len(text) + 1)
         cut = at + rng.choice((0, 0, 1, 2, 3))
         assert_lexes_like_the_reference(text[:at] + rng.choice(LEX_PIECES) + text[cut:])
+
+
+# ---------------------------------------------------------------------------
+# Statement tokens
+# ---------------------------------------------------------------------------
+
+def token_path_pattern():
+    """The lexer's pattern without the tail that reads a whole promise
+    statement after its promiser's name: every statement read token by
+    token."""
+    pattern = lexer_module._TOKEN.pattern
+    start = pattern.index(r"(?:[ \t\r\n]*->")
+    end = pattern.index(r"|\d+")
+    assert pattern[end - 2 : end] == "|)"
+    return re.compile(pattern[:start] + pattern[end:])
+
+
+TOKEN_PATH = token_path_pattern()
+
+
+def syntax(node):
+    """A syntax tree as nested tuples, with every hidden offset."""
+    if isinstance(node, Value):
+        return (
+            type(node).__name__,
+            *(syntax(getattr(node, name)) for name in node._fields if name != "lines"),
+        )
+    if isinstance(node, tuple):
+        return tuple(syntax(item) for item in node)
+    return node
+
+
+def parse_both_ways(text: str) -> tuple:
+    """(tree, diagnostics) of ``text`` from ``parse`` and from the token path."""
+    found = []
+    for pattern in (lexer_module._TOKEN, TOKEN_PATH):
+        saved, lexer_module._TOKEN = lexer_module._TOKEN, pattern
+        try:
+            result = parse(text, "t.pml")
+        finally:
+            lexer_module._TOKEN = saved
+        diags = [(d.severity, d.code, d.message, d.span.start_offset, d.span.end_offset)
+                 for d in result.diagnostics]
+        found.append((syntax(result.ast), diags))
+    return tuple(found)
+
+
+# Statement pieces, each as (well-formed, traps): names, then names that are
+# keywords or start on a numeral; the statement keywords, then keywords
+# that run into a name; values the statement token takes, then values it
+# leaves to the token path; blanks with line ends, then comments.
+STATEMENT_NAMES = (
+    ["a", "b2", "_x", "é", "a²", "givex"], ["\u00b2a", "give", "bundle", "if", "Ⅻ"]
+)
+STATEMENT_KEYWORDS = ["give", "use", "bundle"], ["givex", "bundleX", "usE"]
+STATEMENT_GAPS = [" ", "\n ", "\t"], ["", " # c\n"]
+STATEMENT_VALUES = (
+    ["", "= $p", "=$give", "= b2"], ["= $\u00b2", "= if", "= 1", '= "s"', "= a.b", "=="]
+)
+STATEMENT_CONDITIONS = [""], [" if f", " if not f", " iffy"]
+STATEMENT_ENDS = [";", ""], [" # c\n;", "\n;", ";;", " if"]
+BLANKS = ["", " ", "\t", "\n", "\r\n", "\r", "  \n\t"], [" # c\n", "#\n", "\u00a0"]
+# What a statement may follow: nothing, a finished or an unfinished
+# declaration, an illegal character, a bundle body, or a brace on its own.
+STATEMENT_CONTEXTS = [
+    "\n", "agent a\n", "agent a;\n", "@", "bundle B { give x; ", "bundle B {", " }", "}", "{",
+    "type t: num;", "a -> b: bundle B if f\n", "x ", "a.b ", '"s" ',
+]
+
+
+@st.composite
+def statements(draw) -> str:
+    """A statement from the grammar, each of its pieces well-formed nine
+    times in ten."""
+
+    def pick(pieces):
+        clean, traps = pieces
+        return draw(st.sampled_from(clean * 9 * len(traps) + traps * len(clean)))
+
+    return "".join([
+        pick(STATEMENT_NAMES), pick(BLANKS), "->", pick(BLANKS), pick(STATEMENT_NAMES),
+        pick(BLANKS), ":", pick(BLANKS), pick(STATEMENT_KEYWORDS), pick(STATEMENT_GAPS),
+        pick(STATEMENT_NAMES), pick(BLANKS), pick(STATEMENT_VALUES), pick(BLANKS),
+        pick(STATEMENT_CONDITIONS), pick(STATEMENT_ENDS),
+    ])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(statements(), st.sampled_from(STATEMENT_CONTEXTS)), max_size=8).map(
+    "".join
+))
+@example("a -> b: bundle B # c\n;")
+@example("a -> b: bundle B if f;")
+@example("x\t\u00b2a -> b: use t;")
+@example("a -> b: bundle give")
+@example("bundle B { give x; a -> b: give y; }")
+@example("agent a\nb -> c: give x;")
+@example("a -> b: bundle B\u00a0;\na -> b: bundle C \u00b2if f\na -> b: bundle D $;")
+@example("} bundle B { give x; a -> b: give y; }")
+@example("a -> b: give x;\nc\r\n->\td :use y ;a->b:bundle C\na -> b: give x = $p;")
+def test_statement_tokens_parse_like_the_token_path(text):
+    """Each statement token builds the tree, with every offset, and the
+    diagnostics that its tokens would."""
+    statement, token_path = parse_both_ways(text)
+    assert statement == token_path
+
+
+def test_statement_tokens_are_made_where_a_declaration_starts():
+    """The statement tests above reach statement tokens: after nothing, a
+    ';', a '}' and another statement, and not inside a bundle body."""
+    text = "a -> b: give x;\nbundle B { c -> d: use y; }\ne -> f: bundle B\ng -> h: use z;"
+    tokens, diags = tokenize(text)
+    assert diags == []
+    assert [t[2] for t in tokens if t[0] == "statement"] == [
+        "a -> b: give x;", "e -> f: bundle B", "g -> h: use z;"
+    ]
+    assert [t[0] for t in tokens].count("ident") == 4
 
 
 # ---------------------------------------------------------------------------
@@ -553,19 +721,18 @@ NUMBER_LITERALS = st.builds(
 
 # Gates over the flags, attributes, parameters and constants that
 # ``GATE_MODEL`` declares or leaves free.  A comparison relates two num terms
-# or two str terms, and each parameter keeps one kind, so every gate
-# resolves.  A string constant may hold any character: a carriage return,
-# which ends a string raw, prints as its escape.
-_NAMED = st.builds(NamedConst, st.sampled_from(["red", "blue", "k7"]))
+# or two str terms, and each parameter and each named constant keeps one
+# kind, so every gate resolves.  A string constant may hold any character: a
+# carriage return, which ends a string raw, prints as its escape.
 _NUM_TERMS = st.one_of(
     st.sampled_from([Attribute("n0"), Attribute("bank.balance"), Parameter("x"), Parameter("y")]),
     st.builds(NumConst, st.integers(0, 10**30) | st.floats(0, allow_infinity=False)),
-    _NAMED,
+    st.builds(NamedConst, st.sampled_from(["red", "k7"])),
 )
 _STR_TERMS = st.one_of(
     st.sampled_from([Attribute("s0"), Parameter("u")]),
     st.builds(StrConst, st.text()),
-    _NAMED,
+    st.builds(NamedConst, st.sampled_from(["blue", "k8"])),
 )
 _OPS = st.sampled_from(["eq", "neq"])
 GATES = st.builds(
@@ -677,6 +844,39 @@ class TestResolver:
         assert StrConst("s") in everything
         assert NamedConst("other") in everything
         assert any(isinstance(t, Parameter) for t in everything)
+
+    @pytest.mark.parametrize(
+        "statements, reported",
+        [
+            # The repro: one named constant given as a num and as a str.
+            ("a -> b: give w = owner;\na -> b: give s = owner;", [(6, 9)]),
+            # One statement, through its comparison.
+            ('a -> b: give w = owner if owner == "x";', [(5, 9)]),
+            # Through a parameter, and through another named constant.
+            ("a -> b: give w = $x if $x == owner;\na -> b: give s = owner;", [(6, 9)]),
+            ("a -> b: give w = owner if owner == boss;\na -> b: give s = boss;", [(6, 9)]),
+            # Through a bundle's parameter, across its bodies.
+            ("bundle B { give w = $x; give $x = owner; }\na -> b: bundle B\n"
+             "a -> b: give s = owner;", [(7, 9)]),
+            # Each channel gives it a kind of its own.
+            ("a -> b: give w = owner;\nb -> a: give s = owner;\na -> c: use s;", []),
+            # Equal named constants clash with no kind; so do parameters
+            # across two statements.
+            ("a -> b: give w = owner;\na -> b: give w = boss;", []),
+            ("a -> b: give w = $x if $x == owner;\na -> b: give s = $x;", []),
+        ],
+        ids=["repro", "one-statement", "parameter", "named", "bundle", "channels", "no-clash",
+             "statement-scopes"],
+    )
+    def test_a_named_constant_takes_one_kind_per_channel(self, statements, reported):
+        """E-RESOLVE-008 at the declaration that gives a named constant a
+        second kind on its channel: its line and column."""
+        text = f"agent a, b, c;\ntype w: num;\ntype s: str;\nflag f;\n{statements}\n"
+        result = resolve(parse(text, "m.pml").ast)
+        assert [(d.code, d.span.start_line, d.span.start_col) for d in result.diagnostics] == [
+            ("E-RESOLVE-008", line, col) for line, col in reported
+        ]
+        assert result.ok == (not reported)
 
     def test_unknown_agent(self):
         result = resolve_text("agent a; type t: num;\nghost -> a: give t;\n")
