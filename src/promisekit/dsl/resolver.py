@@ -9,7 +9,7 @@ is built through ``ModelAst.span`` only when it is reported.
 """
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Union
+from typing import Hashable, Union
 
 from ..constraints import UnionFind
 from ..errors import BundleCycleError, PromiseModelError
@@ -132,6 +132,8 @@ class _Resolver:
         self.flat_bundles: dict[str, Bundle] = {}
         self.promises: list[Promise] = []
         self.decls: list[PromiseDecl] = []  # the declaration of each promise
+        self.named_terms = 0  # named constants resolved so far
+        self.named_bundles: set[str] = set()  # bundles whose bodies hold one
 
     def error(self, code: str, message: str, start: int, end: int) -> None:
         """Report at ``[start, end)``; ``(0, 0)``, the start of the file, is
@@ -188,6 +190,7 @@ class _Resolver:
         if isinstance(node, IdentTerm):
             decl = self.types.get(node.name)
             if decl is None:
+                self.named_terms += 1
                 return NamedConst(node.name), _UNKNOWN
             if decl.kind == KIND_FLAG:
                 self.error(
@@ -343,11 +346,14 @@ class _Resolver:
                 parent = None
             scope = _Scope()  # one parameter scope per bundle
             bodies = []
+            named_terms = self.named_terms
             for body_node in decl.bodies:
                 body = self.resolve_body(body_node, scope)
                 if body is not None:
                     bodies.append(body)
             self.bundles[name] = Bundle(name, tuple(bodies), parent)
+            if self.named_terms != named_terms:
+                self.named_bundles.add(name)
 
         # A cycle leaves flat_bundles empty: the run has an error and builds
         # no graph, so attachments need not be expanded.
@@ -360,6 +366,13 @@ class _Resolver:
             )
             return
         self.flat_bundles = {b.name: b for b in flat}
+        # A flat bundle holds a named constant when a bundle it extends does.
+        for name in self.bundles if self.named_bundles else ():
+            ancestor: Union[str, None] = name
+            while ancestor is not None and ancestor not in self.named_bundles:
+                ancestor = self.bundles[ancestor].parent
+            if ancestor is not None:
+                self.named_bundles.add(name)
 
     # -- promises ------------------------------------------------------------
 
@@ -396,8 +409,8 @@ class _Resolver:
         object."""
         text = self.ast.lines.text
         resolved: dict[Hashable, tuple[PromiseBody, str, bool]] = {}
-        bundle_named: dict[str, bool] = {}
-        named: list[tuple[Promise, PromiseDecl]] = []  # promises that hold a named constant
+        # Per channel, each promise that may relate a named constant.
+        named: dict[tuple[str, str], list[tuple[Promise, PromiseDecl]]] = {}
         promises, decls = self.promises, self.decls
         for decl in self.ast.decls:
             if not isinstance(decl, PromiseDecl):
@@ -418,6 +431,7 @@ class _Resolver:
                     )
                     continue
                 attach_cond = ALWAYS
+                named_terms = self.named_terms
                 if ref.condition is not None:
                     attach_cond = self.resolve_condition(ref.condition, _Scope())
                 flat = self.flat_bundles.get(bundle.name)
@@ -426,11 +440,7 @@ class _Resolver:
                 group = bundle_group(bundle.name)
                 # A bundle's parameters span its bodies, so every body of an
                 # attachment that holds a named constant is checked.
-                held = bundle_named.get(bundle.name)
-                if held is None:
-                    held = any(_holds_named(_pairs(body)) for body in flat.bodies)
-                    bundle_named[bundle.name] = held
-                held = held or _holds_named(_pairs(attach_cond))
+                held = bundle.name in self.named_bundles or self.named_terms != named_terms
                 for body in flat.bodies:
                     if not attach_cond.is_empty:
                         body = PromiseBody(
@@ -443,17 +453,18 @@ class _Resolver:
                     promises.append(promise)
                     decls.append(decl)
                     if held:
-                        named.append((promise, decl))
+                        named.setdefault((promiser, promisee), []).append((promise, decl))
             else:
                 node = decl.item
                 key = text[node.start:node.end] or node
                 entry = resolved.get(key)
                 if entry is None:
                     reported = len(self.diagnostics)
+                    named_terms = self.named_terms
                     body = self.resolve_body(node, _Scope())
                     if body is None:
                         continue
-                    entry = (body, derive_group(body), _holds_named(_pairs(body)))
+                    entry = (body, derive_group(body), self.named_terms != named_terms)
                     if len(self.diagnostics) == reported:
                         resolved[key] = entry
                 if ok:
@@ -462,32 +473,36 @@ class _Resolver:
                     promises.append(promise)
                     decls.append(decl)
                     if held:
-                        named.append((promise, decl))
+                        named.setdefault((promiser, promisee), []).append((promise, decl))
         if named:
             self.check_named_kinds(named)
 
-    def check_named_kinds(self, held: list[tuple[Promise, PromiseDecl]]) -> None:
+    def check_named_kinds(
+        self, named: dict[tuple[str, str], list[tuple[Promise, PromiseDecl]]]
+    ) -> None:
         """Report each named constant that takes two kinds on one channel.
 
-        ``held`` lists, in file order, each promise whose body holds a named
-        constant, or that comes from a bundle attachment one of whose bodies
-        does, with its declaration.  A named constant is one value across its
-        channel, and a parameter one value across its declaration: a
-        statement, or a bundle attachment.  A constraint or a comparison puts
-        its two terms in one class, whose kind is that of the attributes,
-        numbers and strings related to it.  The first relation, in file
-        order, that would give a class holding a named constant a second kind
-        is reported at its declaration's item, once per declaration and
-        constant.  A class of parameters alone is left to ``unify_kinds``."""
-        channels: dict[tuple[str, str], tuple[UnionFind, dict]] = {}
-        reported: set[tuple[int, str]] = set()
-        for promise, decl in held:
-            channel = (promise.promiser, promise.promisee)
-            if channel not in channels:
-                channels[channel] = (UnionFind(), {})
-            classes, info = channels[channel]  # root -> (kind, a named constant's name)
-            pairs = sorted(_pairs(promise.body), key=lambda p: (term_key(p[0]), term_key(p[1])))
-            for pair in pairs:
+        ``named`` lists per channel, in file order, each promise whose body
+        holds a named constant, or that comes from a bundle attachment one of
+        whose bodies does, with its declaration.  A named constant is one
+        value across its channel, and a parameter one value across its
+        declaration: a statement, or a bundle attachment.  A constraint or a
+        comparison relates its two terms, which puts them in one class, whose
+        kind is that of the attributes, numbers and strings in it.  The first
+        relation, in file order, that would give a class holding a named
+        constant a second kind is reported at its declaration's item, once
+        per declaration and constant.  A class of parameters alone is left
+        to ``unify_kinds``, and so is a channel of one relation."""
+        for (promiser, promisee), held in named.items():
+            relations = [
+                (decl, pair) for promise, decl in held for pair in _pairs(promise.body)
+            ]
+            if len(relations) < 2:
+                continue
+            classes = UnionFind()
+            info: dict[Hashable, tuple[str, Union[str, None]]] = {}  # root -> (kind, name)
+            reported: set[tuple[int, str]] = set()
+            for decl, pair in relations:
                 nodes: list[Hashable] = []
                 kinds = set()
                 for term in pair:
@@ -517,7 +532,7 @@ class _Resolver:
                         self.error(
                             E_RESOLVE_KIND_CONFLICT,
                             f"named constant '{names[0]}' is related to both a {first} and "
-                            f"a {second} value on channel {channel[0]} -> {channel[1]}",
+                            f"a {second} value on channel {promiser} -> {promisee}",
                             decl.item.start,
                             decl.item.end,
                         )
@@ -573,21 +588,14 @@ class _Resolver:
         return ResolveResult(graph, sorted(self.diagnostics, key=diagnostic_sort_key))
 
 
-def _pairs(body: Union[PromiseBody, Condition]) -> Iterator[tuple[Term, Term]]:
-    """The term pairs that a body's constraints and comparisons relate, or a
-    condition's comparisons."""
-    condition = body if isinstance(body, Condition) else body.condition
-    if isinstance(body, PromiseBody):
-        for constraint in body.constraints:
-            yield constraint.lhs, constraint.rhs
-    for literal in condition.literals:
-        if isinstance(literal, CmpLiteral):
-            yield literal.lhs, literal.rhs
-
-
-def _holds_named(pairs: Iterator[tuple[Term, Term]]) -> bool:
-    """Whether any of the term pairs holds a named constant."""
-    return any(isinstance(term, NamedConst) for pair in pairs for term in pair)
+def _pairs(body: PromiseBody) -> list[tuple[Term, Term]]:
+    """The term pairs that a body's constraints and comparisons relate, in
+    term order: a frozenset's order changes with the hash seed."""
+    pairs = [(c.lhs, c.rhs) for c in body.constraints]
+    pairs += [(lit.lhs, lit.rhs) for lit in body.condition.literals if isinstance(lit, CmpLiteral)]
+    if len(pairs) > 1:
+        pairs.sort(key=lambda pair: (term_key(pair[0]), term_key(pair[1])))
+    return pairs
 
 
 def resolve(ast: ModelAst) -> ResolveResult:
