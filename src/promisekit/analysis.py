@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import Counter, defaultdict
+from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Sequence, Union
 
 from .constraints import ConditionTable, pairwise_exclusive, TermPartition
@@ -719,25 +720,57 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
 
     Cost: a channel's shape is its (body, group) pairs in channel order, and
     ``_channel_verdicts`` judges each distinct shape once per call, on one
-    ``ConditionTable``; each channel only names its findings.  A group does
-    not repeat its channel, so channels that attach the same bundles or
-    declare the same bodies share a shape.  Bodies are compared by value.
+    ``ConditionTable``.  A group does not repeat its channel, so channels
+    that attach the same bundles or declare the same bodies share a shape.
+    Bodies are compared by value.  The shape's verdicts are named once too:
+    each keeps its severity, code, message text and the sorted distinct
+    ``format_body`` texts of the bodies it cites, and equal verdicts of the
+    shape are kept once.  A channel only puts its head ``"{promiser} ->
+    {promisee}: "`` before the message text and before each body text: no
+    promise is formatted and no citation is sorted per channel.
+
+    This names each finding as formatting its cited promises would, since a
+    cited promise prints as the head followed by ``format_body`` of its
+    body.  Strings that begin with one prefix are equal, and ordered, as the
+    rest of them are, so the prefixed body texts stay distinct and sorted,
+    and two verdicts of a shape make equal findings on a channel exactly
+    when they are equal in the shape.  Findings of two channels can be equal
+    only when the channels print the same head.  If one finding's message
+    and citations equal another's, one head is a prefix of the other; were
+    it a proper prefix, the rest of the longer head would begin both the
+    shorter-headed finding's message text (``'``, ``promises`` or
+    ``independent``) and one of its body texts (``+`` or ``U(``), and no
+    non-empty text begins both.  Two channels print the same head only when
+    an agent name holds ``->``, as ``"a -> b" -> "c"`` and ``"a" -> "b ->
+    c"`` do; then equal findings are kept once, as one finding.
     """
-    findings: dict[tuple, Finding] = {}
+    findings: list[Finding] = []
     table = ConditionTable()
     shape_memo: dict[tuple, list] = {}
+    heads: set[str] = set()
+    named_channels = 0
+    body_group = attrgetter("body", "group")
     for (promiser, promisee), promises in graph.channels().items():
-        shape = tuple((p.body, p.group) for p in promises)
-        shared = shape_memo.get(shape)
-        if shared is None:
-            shared = shape_memo[shape] = _channel_verdicts(shape, table)
-        for severity, code, text, cited in shared:
-            refs = tuple(sorted({promises[i].formatted() for i in cited}))
-            message = f"{promiser} -> {promisee}: {text}"
-            key = (int(severity), code, refs, message)
-            if key not in findings:
-                findings[key] = Finding(severity, code, message, refs)
-    return sorted(findings.values(), key=finding_sort_key)
+        shape = tuple(map(body_group, promises))
+        named = shape_memo.get(shape)
+        if named is None:
+            named = shape_memo[shape] = list(dict.fromkeys(
+                (severity, code, text, tuple(sorted({format_body(shape[i][0]) for i in cited})))
+                for severity, code, text, cited in _channel_verdicts(shape, table)
+            ))
+        if not named:
+            continue
+        head = f"{promiser} -> {promisee}: "
+        heads.add(head)
+        named_channels += 1
+        for severity, code, text, bodies in named:
+            findings.append(
+                Finding(severity, code, head + text, tuple([head + b for b in bodies]))
+            )
+    if len(heads) < named_channels:  # two channels printed one head
+        findings = list(dict.fromkeys(findings))
+    findings.sort(key=finding_sort_key)
+    return findings
 
 
 # ---------------------------------------------------------------------------

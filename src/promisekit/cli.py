@@ -220,7 +220,8 @@ def _cmd_check(args: SimpleNamespace) -> int:
         roles.extend(discover_roles(graph))
     if not entries:
         return EXIT_INPUT_ERROR
-    findings.sort(key=finding_sort_key)
+    if multi:  # one file's findings come sorted from detect_conflicts
+        findings.sort(key=finding_sort_key)
     code = _emit(args, Report(tuple(entries), tuple(findings), tuple(roles)))
     return EXIT_INPUT_ERROR if failed else code
 

@@ -59,17 +59,11 @@ def _diagnostic_obj(d: Diagnostic) -> dict:
 
 def _unicode(text: str) -> str:
     """``text`` with each lone surrogate (how ``surrogateescape`` reads an
-    undecodable file-name byte) as U+FFFD, so that the JSON is Unicode."""
+    undecodable file-name byte) as U+FFFD, so that the JSON is Unicode.
+    ASCII text, nearly every text, is returned as it is."""
+    if text.isascii():
+        return text
     return re.sub("[\ud800-\udfff]", "\ufffd", text)
-
-
-def _finding_obj(f: Finding) -> dict:
-    return {
-        "severity": f.severity.label,
-        "code": f.code,
-        "message": _unicode(f.message),
-        "promises": list(f.promises),
-    }
 
 
 def _role_obj(r: Role) -> dict:
@@ -107,22 +101,6 @@ def _hierarchy_obj(h: Union[ClassHierarchy, None]) -> dict:
     }
 
 
-def indented_json(value: object) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, written faster.
-
-    Any ``indent`` turns ``json``'s C encoder off for the whole document.
-    Here only the layout is Python: C code writes each string, number,
-    bool, ``None`` and empty container.  Keys must be strings.  ``json`` is
-    imported here, not at the top, so that only ``--json`` output loads it.
-    """
-    from json import dumps
-    from json.encoder import encode_basestring_ascii
-
-    parts: list[str] = []
-    _layout(value, "\n", parts, encode_basestring_ascii, dumps)
-    return "".join(parts)
-
-
 def _layout(
     value: object,
     newline: str,
@@ -156,18 +134,47 @@ def _layout(
 
 
 def report_json(report: Report) -> str:
-    obj = {
-        "version": __version__,
-        "files": [
-            {"path": _unicode(fe.path),
-             "diagnostics": [_diagnostic_obj(d) for d in fe.diagnostics]}
-            for fe in report.files
-        ],
-        "findings": [_finding_obj(f) for f in report.findings],
-        "roles": [_role_obj(r) for r in report.roles],
-        "hierarchy": _hierarchy_obj(report.hierarchy),
-    }
-    return indented_json(obj) + "\n"
+    """The report as ``json.dumps(obj, sort_keys=True, indent=2)`` and a
+    newline, written faster.
+
+    Any ``indent`` turns ``json``'s C encoder off for the whole document.
+    Here the top-level object is written in sorted-key order and each
+    finding from one template; files, roles and the hierarchy go through
+    ``_layout``.  C code writes each string, number, bool, ``None`` and
+    empty container.  ``json`` is imported here, not at the top, so that
+    only ``--json`` output loads it.
+    """
+    from json import dumps
+    from json.encoder import encode_basestring_ascii as encode
+
+    files = [
+        {"path": _unicode(fe.path),
+         "diagnostics": [_diagnostic_obj(d) for d in fe.diagnostics]}
+        for fe in report.files
+    ]
+    parts = ['{\n  "files": ']
+    _layout(files, "\n  ", parts, encode, dumps)
+    if report.findings:
+        # A finding is a list item two levels deep; it cites at least one
+        # promise, so its "promises" list is never empty.
+        cite = ",\n        ".join
+        parts.append(',\n  "findings": [')
+        parts.append(",".join([
+            f'\n    {{\n      "code": {encode(f.code)},'
+            f'\n      "message": {encode(_unicode(f.message))},'
+            f'\n      "promises": [\n        {cite(map(encode, f.promises))}\n      ],'
+            f'\n      "severity": {encode(f.severity.label)}\n    }}'
+            for f in report.findings
+        ]))
+        parts.append("\n  ]")
+    else:
+        parts.append(',\n  "findings": []')
+    parts.append(',\n  "hierarchy": ')
+    _layout(_hierarchy_obj(report.hierarchy), "\n  ", parts, encode, dumps)
+    parts.append(',\n  "roles": ')
+    _layout([_role_obj(r) for r in report.roles], "\n  ", parts, encode, dumps)
+    parts.append(f',\n  "version": {encode(__version__)}\n}}\n')
+    return "".join(parts)
 
 
 def format_text(report: Report) -> str:

@@ -1,11 +1,12 @@
 """Slow, obviously correct oracles for cross-checking the fast code.
 
-Five families live here: finite-domain enumeration for the constraint
+Six families live here: finite-domain enumeration for the constraint
 engine, the sweep over every subset of conditions that the analyzers' world
 enumeration replaced, the is-a and override verdicts of unconditional
 bundles decided from their definitions, a character-by-character reference
-lexer, and linear scans standing in for the ``PromiseGraph`` indexes and for
-``discover_roles``' one pass.
+lexer, linear scans standing in for the ``PromiseGraph`` indexes and for
+``discover_roles``' one pass, and ``detect_conflicts`` judging and naming
+each channel on its own.
 
 The constraint oracles decide satisfiability and entailment the slow,
 obviously correct way: enumerate every assignment of domain values to the free terms
@@ -27,8 +28,8 @@ from collections import Counter
 from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from promisekit.analysis import IN, OUT
-from promisekit.constraints import condition_satisfiable
+from promisekit.analysis import _channel_verdicts, Finding, finding_sort_key, IN, OUT
+from promisekit.constraints import condition_satisfiable, ConditionTable
 from promisekit.dsl.diagnostics import (
     E_LEX_BAD_ESCAPE,
     E_LEX_BAD_PARAM,
@@ -551,3 +552,24 @@ def role_signature(graph: PromiseGraph, agent: str) -> tuple:
             if not p.body.is_link:
                 counts[(direction, p.body.polarity, p.body.type)] += 1
     return tuple(sorted(counts.items()))
+
+
+# ---------------------------------------------------------------------------
+# Conflict naming
+# ---------------------------------------------------------------------------
+
+def reference_findings(graph: PromiseGraph) -> list[Finding]:
+    """``detect_conflicts`` without sharing anything between channels: each
+    channel is judged on a table of its own, and each finding formats the
+    promises it cites.  Equal findings, of one channel or of two channels
+    that print the same head, are kept once."""
+    findings: dict[tuple, Finding] = {}
+    for (promiser, promisee), promises in graph.channels().items():
+        shape = tuple((p.body, p.group) for p in promises)
+        for severity, code, text, cited in _channel_verdicts(shape, ConditionTable()):
+            refs = tuple(sorted({promises[i].formatted() for i in cited}))
+            message = f"{promiser} -> {promisee}: {text}"
+            key = (int(severity), code, refs, message)
+            if key not in findings:
+                findings[key] = Finding(severity, code, message, refs)
+    return sorted(findings.values(), key=finding_sort_key)

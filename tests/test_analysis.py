@@ -73,6 +73,7 @@ from bruteforce import (
     oracle_mutually_exclusive,
     oracle_override,
     oracle_satisfiable,
+    reference_findings,
     reference_scenarios,
     role_signature,
 )
@@ -1745,3 +1746,68 @@ def test_shared_channel_verdicts_match_judging_each_channel_alone(promises):
         for finding in detect_conflicts(PromiseGraph(agents, types, (), channel_promises))
     ]
     assert detect_conflicts(graph) == sorted(alone, key=finding_sort_key)
+
+
+# Names holding "->", so that two channels can print one head: "a -> b" ->
+# "c" and "a" -> "b -> c" both print "a -> b -> c: ", "a ->" -> "c" and
+# "a" -> "-> c" both print "a -> -> c: ".
+HEAD_AGENTS = ["a", "b", "c", "a -> b", "b -> c", "a ->", "-> c"]
+HEAD_CHANNELS = [
+    ("a -> b", "c"), ("a", "b -> c"), ("a ->", "c"), ("a", "-> c"), ("a", "b"), ("c", "a -> b"),
+]
+
+
+def head_graph(promises) -> PromiseGraph:
+    agents = tuple(Agent(name) for name in HEAD_AGENTS)
+    types = (PromiseTypeDecl("x", "num"), PromiseTypeDecl("y", "num"))
+    return PromiseGraph(agents, types, (), tuple(promises))
+
+
+@st.composite
+def named_channels(draw) -> list[Promise]:
+    """At most four channels, each of one of at most two shapes; a shape
+    may attach its first body through a second group, so that two of its
+    promises print alike."""
+    entry = st.tuples(st.integers(0, len(LIB_BODIES) - 1), st.sampled_from(LIB_GROUPS))
+    shapes = draw(st.lists(st.lists(entry, min_size=1, max_size=3), min_size=1, max_size=2))
+    for shape in shapes:
+        if draw(st.booleans()):
+            body, group = shape[0]
+            shape.append((body, draw(st.sampled_from([g for g in LIB_GROUPS if g != group]))))
+    channels = draw(st.lists(st.sampled_from(HEAD_CHANNELS), min_size=1, max_size=4, unique=True))
+    return lib_channels(*((channel, draw(st.sampled_from(shapes))) for channel in channels))
+
+
+HEAD_COLLISION = lib_channels(
+    (("a -> b", "c"), [(0, "g"), (4, "g")]), (("a", "b -> c"), [(0, "g"), (4, "g")])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(HEAD_COLLISION)
+# One body through two groups, on two channels that print one head.
+@example(lib_channels(
+    (("a ->", "c"), [(0, "g"), (5, "g"), (0, "h"), (4, "h")]),
+    (("a", "-> c"), [(0, "g"), (5, "g"), (0, "h"), (4, "h")]),
+))
+@given(named_channels())
+def test_findings_are_named_as_each_channel_would_name_them(promises):
+    graph = head_graph(promises)
+    assert detect_conflicts(graph) == reference_findings(graph)
+
+
+def test_channels_that_print_one_head_keep_one_finding():
+    [finding] = detect_conflicts(head_graph(HEAD_COLLISION))
+    assert finding.message.startswith("a -> b -> c: ")
+    assert finding.promises == ("a -> b -> c: +x=$t", "a -> b -> c: +x=2 if not f")
+
+
+def test_conflict_detection_names_each_channel_shape_once(monkeypatch):
+    # Every successor channel of the ring shares one shape, whose findings
+    # are named once: no promise is formatted for any channel.
+    graph = load_text(ring_text(50))
+    real, calls = Promise.formatted, []
+    monkeypatch.setattr(Promise, "formatted", lambda p: calls.append(p) or real(p))
+    findings = detect_conflicts(graph)
+    assert Counter(f.code for f in findings) == {"channel-overlap": 50, "channel-restricted": 50}
+    assert calls == []

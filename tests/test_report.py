@@ -10,19 +10,23 @@ from hypothesis import example, given, settings, strategies as st
 
 from promisekit import __version__, corpus
 from promisekit.analysis import (
+    ClassHierarchy,
+    ClassNode,
     derive_class_hierarchy,
     detect_conflicts,
     discover_roles,
     Finding,
+    Role,
+    RoleClasses,
     Severity,
 )
 from promisekit.dsl import Diagnostic, LineIndex, parse, SourceSpan
 from promisekit.model import format_body
 from promisekit.report import (
+    _layout,
     export_dot,
     FileEntry,
     format_text,
-    indented_json,
     Report,
     report_json,
 )
@@ -133,8 +137,151 @@ json_values = st.recursive(
 @example({"files": [], "hierarchy": {}, "roles": [{"count": 2, "members": ["\u00e9", "b"]}]})
 @example({"a": [[], {}, [None, True, False, -1, 2.5, 1e300, "\u2603\n\"q\""]]})
 @example({"tuples": ((), ("a", ["b"]))})
-def test_indented_json_is_the_json_modules_layout(value):
-    assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
+def test_layout_is_the_json_modules_layout(value):
+    parts: list[str] = []
+    _layout(value, "\n", parts, json.encoder.encode_basestring_ascii, json.dumps)
+    assert "".join(parts) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def _reference_unicode(text: str) -> str:
+    return re.sub("[\ud800-\udfff]", "\ufffd", text)
+
+
+def reference(report: Report) -> dict:
+    """The report as the plain object that ``report_json`` writes."""
+    hierarchy = report.hierarchy
+    return {
+        "version": __version__,
+        "files": [
+            {
+                "path": _reference_unicode(fe.path),
+                "diagnostics": [
+                    {
+                        "severity": d.severity,
+                        "code": d.code,
+                        "message": d.message,
+                        "line": d.span.start_line,
+                        "col": d.span.start_col,
+                        "end_line": d.span.end_line,
+                        "end_col": d.span.end_col,
+                    }
+                    for d in fe.diagnostics
+                ],
+            }
+            for fe in report.files
+        ],
+        "findings": [
+            {
+                "severity": f.severity.label,
+                "code": f.code,
+                "message": _reference_unicode(f.message),
+                "promises": list(f.promises),
+            }
+            for f in report.findings
+        ],
+        "roles": [
+            {
+                "label": r.label,
+                "members": list(r.members),
+                "signature": [
+                    {"direction": d, "polarity": p, "type": t, "count": n}
+                    for (d, p, t), n in r.signature
+                ],
+            }
+            for r in report.roles
+        ],
+        "hierarchy": {} if hierarchy is None else {
+            "classes": [
+                {
+                    "role": rc.role.label,
+                    "agents": list(rc.role.members),
+                    "base": {"condition": rc.base.condition, "bodies": list(rc.base.bodies)},
+                    "subtypes": [
+                        {"condition": s.condition, "bodies": list(s.bodies)}
+                        for s in rc.subtypes
+                    ],
+                }
+                for rc in hierarchy.classes
+            ]
+        },
+    }
+
+
+# Quotes, backslashes, control characters, non-ASCII letters, an astral
+# character, JSON's line separators and lone surrogates (how an undecodable
+# file-name byte reads).
+HOSTILE = st.text(
+    st.sampled_from('ab "\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001F600\ud800\udcff->:'), max_size=6
+)
+TINY = st.text("ab", max_size=2)
+
+
+@st.composite
+def diagnostics(draw) -> Diagnostic:
+    text = draw(st.text("ab\n\r\t\u00e9", max_size=8))
+    start = draw(st.integers(0, len(text)))
+    end = draw(st.integers(start, len(text)))
+    span = SourceSpan(draw(HOSTILE), start, end, LineIndex(text))
+    return Diagnostic(draw(st.sampled_from(["error", "warning"])), draw(TINY), draw(HOSTILE), span)
+
+
+@st.composite
+def file_entries(draw) -> FileEntry:
+    return FileEntry(draw(HOSTILE), tuple(draw(st.lists(diagnostics(), max_size=2))))
+
+
+@st.composite
+def findings(draw) -> Finding:
+    # A multi-file message starts with its file's path.
+    message = draw(st.one_of(HOSTILE, st.tuples(HOSTILE, HOSTILE).map(": ".join)))
+    promises = tuple(draw(st.lists(HOSTILE, min_size=1, max_size=3)))
+    return Finding(draw(st.sampled_from(Severity)), draw(HOSTILE), message, promises)
+
+
+@st.composite
+def roles(draw) -> Role:
+    entry = st.tuples(st.tuples(TINY, TINY, HOSTILE), st.integers(0, 3))
+    signature = tuple(draw(st.lists(entry, max_size=2)))
+    return Role(signature, draw(HOSTILE), tuple(draw(st.lists(HOSTILE, max_size=2))))
+
+
+@st.composite
+def class_nodes(draw) -> ClassNode:
+    return ClassNode(draw(HOSTILE), tuple(draw(st.lists(HOSTILE, max_size=2))))
+
+
+@st.composite
+def hierarchies(draw) -> ClassHierarchy:
+    classes = draw(st.lists(
+        st.builds(RoleClasses, roles(), class_nodes(), st.lists(class_nodes(), max_size=2).map(tuple)),
+        max_size=2,
+    ))
+    return ClassHierarchy(tuple(classes))
+
+
+@st.composite
+def reports(draw) -> Report:
+    return Report(
+        files=tuple(draw(st.lists(file_entries(), max_size=2))),
+        findings=tuple(draw(st.lists(findings(), max_size=3))),
+        roles=tuple(draw(st.lists(roles(), max_size=2))),
+        hierarchy=draw(st.none() | hierarchies()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@example(Report())
+@example(Report(
+    files=(FileEntry("dir/\udcff.pml"),),
+    findings=(Finding(Severity.INCONSISTENT, "c", "dir/\udcff.pml: a -> b: x", ("a -> b: +w",)),),
+))
+@given(reports())
+def test_report_json_is_the_json_modules_layout_of_the_report(report):
+    text = report_json(report)
+    assert text == json.dumps(reference(report), sort_keys=True, indent=2) + "\n"
+    data = json.loads(text)
+    written = [f["path"] for f in data["files"]] + [f["message"] for f in data["findings"]]
+    assert not any("\ud800" <= c <= "\udfff" for t in written for c in t)
 
 
 class TestText:
