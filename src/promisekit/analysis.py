@@ -2,8 +2,8 @@
 
 Treats recurring promise structure as class structure: canonical bundle
 signatures, role discovery, the spanning set of class-like containers,
-extension / specialization / substitution checks, the behavioural is-a
-verdict, dispatch-pattern validation, channel conflict detection, and
+the extension check, the behavioural is-a verdict and the override
+policy, dispatch-pattern validation, channel conflict detection, and
 class-hierarchy derivation.
 """
 from __future__ import annotations
@@ -328,107 +328,6 @@ def check_extension(child: Bundle, parent: Bundle) -> bool:
     return not parent_bodies - child_bodies
 
 
-def _type_multiset(bundle: Bundle) -> Counter:
-    return Counter(b.type for b in bundle.bodies)
-
-
-def _bundle_refs(bundle: Bundle) -> tuple[str, ...]:
-    return tuple(f"bundle {bundle.name}: {format_body(b)}" for b in bundle.sorted_bodies()) or (
-        f"bundle {bundle.name}: (empty)",
-    )
-
-
-def _format_types(counts: Counter) -> str:
-    parts = []
-    for name in sorted(counts):
-        n = counts[name]
-        parts.append(name if n == 1 else f"{name} x{n}")
-    return ", ".join(parts)
-
-
-def _check_variants(
-    parent: Bundle,
-    parent_condition: Condition,
-    children: Sequence[tuple[Bundle, Condition]],
-    complete: bool,
-) -> CheckReport:
-    """The one body of ``check_specialization`` and ``check_substitution``.
-    The parent's condition and every child's must be pairwise exclusive,
-    and no child may offer a type the parent does not; a ``complete``
-    child must also offer every type the parent does.  Raises ValueError
-    when there is no child."""
-    if not children:
-        check = "substitution" if complete else "specialization"
-        raise ValueError(f"{check} needs at least one child")
-    variants = [(parent, parent_condition), *children]
-    findings = []
-    for i, j in pairwise_exclusive([cond for _, cond in variants]):
-        (a, cond_a), (b, cond_b) = variants[i], variants[j]
-        findings.append(
-            Finding(
-                Severity.PATTERN_ERROR,
-                "non-exclusive",
-                f"conditions of bundle {a.name} ({cond_a.text or 'always'}) "
-                f"and bundle {b.name} ({cond_b.text or 'always'}) can hold "
-                f"together{name_world((cond_a, cond_b))}",
-                tuple(sorted(set(_bundle_refs(a) + _bundle_refs(b)))),
-            )
-        )
-    parent_types = _type_multiset(parent)
-    for child, _cond in children:
-        child_types = _type_multiset(child)
-        extra = child_types - parent_types
-        missing = parent_types - child_types
-        if extra:
-            verb = "introduces" if complete else "overrides"
-            code = "type-mismatch"
-            text = f"{verb} types {parent.name} does not offer: {_format_types(extra)}"
-        elif complete and missing:
-            code = "incomplete-replacement"
-            text = f"replaces only part of {parent.name}; missing: {_format_types(missing)}"
-        else:
-            continue
-        findings.append(
-            Finding(
-                Severity.PATTERN_ERROR, code, f"bundle {child.name} {text}", _bundle_refs(child)
-            )
-        )
-    return CheckReport(tuple(sorted(findings, key=finding_sort_key)))
-
-
-def check_specialization(
-    parent: Bundle,
-    base_condition: Condition,
-    children: Sequence[tuple[Bundle, Condition]],
-) -> CheckReport:
-    """Children may each replace a subset of the parent's typed bodies, and
-    the parent's own condition plus every child condition must be pairwise
-    exclusive — at most one variant in force at a time."""
-    return _check_variants(parent, base_condition, children, complete=False)
-
-
-def check_substitution(
-    parent: Bundle,
-    children: Sequence[tuple[Bundle, Condition]],
-    parent_condition: Union[Condition, None] = None,
-) -> CheckReport:
-    """Each child must stand in for the parent wholesale: identical type
-    multiset, under conditions exclusive with the parent's predicate.  The
-    parent predicate defaults to whatever condition all its bodies share."""
-    if parent_condition is None:
-        parent_condition = _shared_condition(parent)
-    return _check_variants(parent, parent_condition, children, complete=True)
-
-
-def _shared_condition(bundle: Bundle) -> Condition:
-    """The condition literals common to every body of the bundle."""
-    literal_sets = [set(b.condition.literals) for b in bundle.bodies]
-    if not literal_sets:
-        return ALWAYS
-    shared = set.intersection(*literal_sets)
-    return Condition(frozenset(shared))
-
-
 # ---------------------------------------------------------------------------
 # Against a base: the is-a verdict and the override policy
 # ---------------------------------------------------------------------------
@@ -467,7 +366,7 @@ def _clash_detail(clashing: Sequence[tuple[Term, ...]]) -> str:
 def _against_base(
     base: Sequence[tuple[str, PromiseBody, str]],
     other: Sequence[tuple[str, PromiseBody, str]],
-    table: Union[ConditionTable, None] = None,
+    names: tuple[str, str],
 ) -> Iterator[tuple[World, list, TermPartition, list, tuple[tuple[Term, Term], ...]]]:
     """The restriction engine of is-a and the override policy: promise the
     base's entries, each (reference, body, scope) as ``judge`` takes them,
@@ -476,9 +375,21 @@ def _against_base(
     constraints), their joint closure, its clashing classes, and, when none
     clashes, the pairs of base terms that the joint closure merges and the
     base's entries in force alone do not.  A parameter with a non-empty
-    scope belongs to its own side and is never a base term."""
+    scope belongs to its own side and is never a base term.
+
+    A side that clashes by itself has no verdict against the other: at the
+    first world where the two clash, each side is judged alone, the base
+    first, on the same ``ConditionTable``, and UnsatisfiableError names the
+    first of ``names`` (base, other) whose side clashes.  This is exact: a
+    world W where one side clashes extends to a joint world whose share of
+    that side's conditions is W, as W is maximal, so the same entries of
+    that side are in force there, under a closure and disequalities that
+    contain W's.  A joint walk with no clash thus proves both sides
+    satisfiable alone, and after one clash no side need be judged again."""
+    table = ConditionTable()
     entries = [((True, r), b, s) for r, b, s in base]
     entries += [((False, r), b, s) for r, b, s in other]
+    judged_alone = False
     for world, in_force, joint, clashing in judge(entries, table):
         pairs = ()
         if not clashing:
@@ -487,6 +398,11 @@ def _against_base(
                 t for c in cons for t in c.terms() if not (isinstance(t, Parameter) and t.scope)
             }
             pairs = joint.new_pairs_over(world.closure(cons), terms)
+        elif not judged_alone:
+            judged_alone = True
+            for name, own in zip(names, (base, other)):
+                if any(alone for _, _, _, alone in judge(own, table)):
+                    raise UnsatisfiableError(f"bundle {name} is unsatisfiable on its own")
         yield world, in_force, joint, clashing, pairs
 
 
@@ -515,26 +431,19 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     attributes and constants that the parent alone does not entail.
     Otherwise the child can genuinely stand in for the parent.
 
-    The two are walked together once; each side is judged alone, on the
-    same ``ConditionTable``, only at the first world where they clash.
-    This is exact: a world W where one side clashes extends to a joint
-    world whose share of that side's conditions is W, as W is maximal, so
-    the same entries of that side are in force there, under a closure and
-    disequalities that contain W's.  A joint walk with no clash thus
-    proves both sides satisfiable alone.
+    The two are walked together once.  A bundle that is unsatisfiable on
+    its own raises UnsatisfiableError (see ``_against_base``).
     """
     sides = [
         [(f"{side} {b.name}: {format_body(body)}", body, side) for body in b.bodies]
         for side, b in (("parent", parent), ("child", child))
     ]
-    table = ConditionTable()
     merged: set[str] = set()
     involved: set[str] = set()
-    for world, in_force, joint, clashing, pairs in _against_base(*sides, table):
+    for world, in_force, joint, clashing, pairs in _against_base(
+        *sides, (parent.name, child.name)
+    ):
         if clashing:
-            for bundle, own in zip((parent, child), sides):
-                if any(alone for _, _, _, alone in judge(own, table)):
-                    raise UnsatisfiableError(f"bundle {bundle.name} is unsatisfiable on its own")
             detail = _clash_detail(clashing) + world.when
             return IsAVerdict(INCONSISTENT, (detail,), _refs_touching(in_force, clashing))
         for a, b in pairs:
@@ -544,15 +453,24 @@ def check_is_a(child: Bundle, parent: Bundle) -> IsAVerdict:
     return IsAVerdict(outcome, tuple(sorted(merged)), tuple(sorted(involved)))
 
 
+def _bundle_refs(bundle: Bundle) -> tuple[str, ...]:
+    """Cite each body of an override finding's child, which has one: with no
+    child body the joint closure is the base's own, and its clash raises."""
+    return tuple(f"bundle {bundle.name}: {format_body(b)}" for b in bundle.sorted_bodies())
+
+
 def check_override_policy(base: Bundle, child: Bundle) -> list[Finding]:
     """The base bundle's bodies are not to be overridden: in every world of
     the two bundles' conditions, conjoining the child's bodies in force must
     neither contradict nor narrow a base body in force.  Parameters are a
-    shared namespace here — the child is editing the base's own variables."""
+    shared namespace here — the child is editing the base's own variables.
+    A bundle that is unsatisfiable on its own raises UnsatisfiableError, as
+    in ``check_is_a``."""
     findings: list[Finding] = []
     for world, in_force, _, clashing, pairs in _against_base(
         [(format_body(b), b, "") for b in base.sorted_bodies()],
         [(format_body(b), b, "") for b in child.bodies],
+        (base.name, child.name),
     ):
         for entry in in_force:
             (is_base, text), _ = entry

@@ -19,8 +19,6 @@ from promisekit.analysis import (
     check_extension,
     check_is_a,
     check_override_policy,
-    check_specialization,
-    check_substitution,
     derive_class_hierarchy,
     detect_conflicts,
     discover_roles,
@@ -381,175 +379,6 @@ class TestExtension:
 
 
 # ---------------------------------------------------------------------------
-# Specialization and substitution
-# ---------------------------------------------------------------------------
-
-SUBTYPE = Condition.of(FlagLiteral("subtype"))
-NOT_SUBTYPE = Condition.of(FlagLiteral("subtype", True))
-
-
-def parent_api() -> Bundle:
-    return Bundle("Parent", (use("ping"), use("render")))
-
-
-class TestSpecialization:
-    def test_exclusive_split_is_ok(self):
-        child = Bundle("Child", (use("render"),))
-        report = check_specialization(parent_api(), NOT_SUBTYPE, [(child, SUBTYPE)])
-        assert report.ok
-
-    def test_child_with_extra_type_is_a_mismatch(self):
-        child = Bundle("Child", (use("render"), use("extra")))
-        report = check_specialization(parent_api(), NOT_SUBTYPE, [(child, SUBTYPE)])
-        codes = [f.code for f in report.findings]
-        assert "type-mismatch" in codes
-
-    def test_overlapping_children_are_flagged_with_witness(self):
-        child = Bundle("Child", (use("render"),))
-        report = check_specialization(
-            parent_api(), NOT_SUBTYPE, [(child, SUBTYPE), (child, SUBTYPE)]
-        )
-        assert not report.ok
-        finding = next(f for f in report.findings if f.code == "non-exclusive")
-        assert finding.severity == Severity.PATTERN_ERROR
-        assert finding.message.endswith("can hold together (when subtype)")
-
-    def test_parent_condition_participates_in_exclusivity(self):
-        child = Bundle("Child", (use("render"),))
-        report = check_specialization(parent_api(), ALWAYS, [(child, SUBTYPE)])
-        assert [f.code for f in report.findings] == ["non-exclusive"]
-
-    def test_an_always_true_base_prints_as_always(self):
-        child = Bundle("Child", (use("render"),))
-        report = check_specialization(parent_api(), ALWAYS, [(child, ALWAYS)])
-        assert [f.message for f in report.findings] == [
-            "conditions of bundle Parent (always) and bundle Child (always) can hold "
-            "together"
-        ]
-
-    def test_requires_a_child(self):
-        with pytest.raises(ValueError):
-            check_specialization(parent_api(), NOT_SUBTYPE, [])
-
-
-class TestSubstitution:
-    def test_complete_exclusive_replacement_is_ok(self):
-        full = Bundle("Full", (use("ping"), use("render")))
-        report = check_substitution(
-            parent_api(), [(full, SUBTYPE)], parent_condition=NOT_SUBTYPE
-        )
-        assert report.ok
-
-    def test_partial_replacement_is_incomplete(self):
-        partial = Bundle("Partial", (use("render"),))
-        report = check_substitution(parent_api(), [(partial, SUBTYPE)],
-                                    parent_condition=NOT_SUBTYPE)
-        assert [f.code for f in report.findings] == ["incomplete-replacement"]
-
-    def test_extra_type_is_a_mismatch_not_incompleteness(self):
-        extra = Bundle("Extra", (use("ping"), use("render"), use("zap")))
-        report = check_substitution(parent_api(), [(extra, SUBTYPE)],
-                                    parent_condition=NOT_SUBTYPE)
-        assert [f.code for f in report.findings] == ["type-mismatch"]
-
-    def test_unconditioned_parent_and_child_collide(self):
-        full = Bundle("Full", (use("ping"), use("render")))
-        report = check_substitution(parent_api(), [(full, ALWAYS)])
-        assert [f.code for f in report.findings] == ["non-exclusive"]
-
-    def test_an_empty_parent_has_no_condition(self):
-        # With no body to share a literal, the parent's condition is the
-        # empty one, which overlaps every child's.
-        report = check_substitution(Bundle("P", ()), [(Bundle("C", ()), SUBTYPE)])
-        assert [f.code for f in report.findings] == ["non-exclusive"]
-        assert report.findings[0].message.startswith("conditions of bundle P (always) and")
-
-    def test_parent_predicate_is_recovered_from_body_conditions(self):
-        gated = Bundle(
-            "Gated",
-            (use("ping", NOT_SUBTYPE), use("render", NOT_SUBTYPE)),
-        )
-        full = Bundle("Full", (use("ping"), use("render")))
-        report = check_substitution(gated, [(full, SUBTYPE)])
-        assert report.ok
-
-
-def variant_runs():
-    """The fixtures above, each with every finding it yields, in order:
-    (code, message, citations)."""
-    child = Bundle("Child", (use("render"),))
-    extra_child = Bundle("Child", (use("render"), use("extra")))
-    full = Bundle("Full", (use("ping"), use("render")))
-    partial = Bundle("Partial", (use("render"),))
-    extra = Bundle("Extra", (use("ping"), use("render"), use("zap")))
-    gated = Bundle("Gated", (use("ping", NOT_SUBTYPE), use("render", NOT_SUBTYPE)))
-    parent_refs = ("bundle Parent: U(ping)", "bundle Parent: U(render)")
-    return [
-        ("specialization-ok",
-         lambda: check_specialization(parent_api(), NOT_SUBTYPE, [(child, SUBTYPE)]),
-         []),
-        ("specialization-extra-type",
-         lambda: check_specialization(
-             parent_api(), NOT_SUBTYPE, [(extra_child, SUBTYPE)]
-         ),
-         [("type-mismatch",
-           "bundle Child overrides types Parent does not offer: extra",
-           ("bundle Child: U(extra)", "bundle Child: U(render)"))]),
-        ("specialization-overlapping-children",
-         lambda: check_specialization(
-             parent_api(), NOT_SUBTYPE, [(child, SUBTYPE), (child, SUBTYPE)]
-         ),
-         [("non-exclusive",
-           "conditions of bundle Child (subtype) and bundle Child (subtype) can hold "
-           "together (when subtype)",
-           ("bundle Child: U(render)",))]),
-        ("specialization-unconditioned-parent",
-         lambda: check_specialization(parent_api(), ALWAYS, [(child, SUBTYPE)]),
-         [("non-exclusive",
-           "conditions of bundle Parent (always) and bundle Child (subtype) can hold "
-           "together (when subtype)",
-           ("bundle Child: U(render)",) + parent_refs)]),
-        ("substitution-ok",
-         lambda: check_substitution(
-             parent_api(), [(full, SUBTYPE)], parent_condition=NOT_SUBTYPE
-         ),
-         []),
-        ("substitution-partial",
-         lambda: check_substitution(
-             parent_api(), [(partial, SUBTYPE)], parent_condition=NOT_SUBTYPE
-         ),
-         [("incomplete-replacement",
-           "bundle Partial replaces only part of Parent; missing: ping",
-           ("bundle Partial: U(render)",))]),
-        ("substitution-extra-type",
-         lambda: check_substitution(
-             parent_api(), [(extra, SUBTYPE)], parent_condition=NOT_SUBTYPE
-         ),
-         [("type-mismatch",
-           "bundle Extra introduces types Parent does not offer: zap",
-           ("bundle Extra: U(ping)", "bundle Extra: U(render)",
-            "bundle Extra: U(zap)"))]),
-        ("substitution-unconditioned",
-         lambda: check_substitution(parent_api(), [(full, ALWAYS)]),
-         [("non-exclusive",
-           "conditions of bundle Parent (always) and bundle Full (always) can hold "
-           "together",
-           ("bundle Full: U(ping)", "bundle Full: U(render)") + parent_refs)]),
-        ("substitution-recovered-predicate",
-         lambda: check_substitution(gated, [(full, SUBTYPE)]),
-         []),
-    ]
-
-
-@pytest.mark.parametrize("run", variant_runs(), ids=lambda run: run[0])
-def test_variant_checks_keep_their_messages(run):
-    _, check, expected = run
-    findings = check().findings
-    assert [(f.code, f.message, f.promises) for f in findings] == expected
-    assert {f.severity for f in findings} <= {Severity.PATTERN_ERROR}
-
-
-# ---------------------------------------------------------------------------
 # Is-a
 # ---------------------------------------------------------------------------
 
@@ -646,6 +475,11 @@ class TestIsA:
 # Override policy
 # ---------------------------------------------------------------------------
 
+#: A base that clashes on its own, and a child that shares no term with it.
+SELF_CLASHING = Bundle("P", (link(P("w"), NumConst(1)), link(P("w"), NumConst(2))))
+UNRELATED_CHILD = Bundle("C", (give("other", EqConstraint(Attribute("other"), P("v"))),))
+
+
 class TestOverridePolicy:
     def test_restating_a_base_constraint_is_fine(self):
         base = Bundle("Base", (give("angle", EqConstraint(ANGLE, NumConst(90))),))
@@ -714,7 +548,8 @@ class TestOverridePolicy:
                 give("height", EqConstraint(HEIGHT, P("h"))),
             ),
         )
-        child = Bundle("Child", (link(P("w"), NumConst(1)), link(P("w"), NumConst(2))))
+        # The child holds on its own; with the base, width = $w makes 1 = 2.
+        child = Bundle("Child", (link(WIDTH, NumConst(1)), link(P("w"), NumConst(2))))
         findings = check_override_policy(base, child)
         assert [(f.code, f.message) for f in findings] == [
             ("override-contradiction", "base body '+width=$w' of Base is contradicted by Child")
@@ -727,6 +562,20 @@ class TestOverridePolicy:
         findings = check_override_policy(base, child)
         assert [f.code for f in findings] == ["override-contradiction"]
         assert findings[0].message.endswith("(when height != width)")
+
+    @pytest.mark.parametrize("base, child, name", [
+        (SELF_CLASHING, UNRELATED_CHILD, "P"),
+        (SELF_CLASHING, Bundle("C", ()), "P"),
+        (rectangle(), Bundle("C", SELF_CLASHING.bodies), "C"),
+    ])
+    def test_a_bundle_that_clashes_on_its_own_is_rejected_as_in_is_a(self, base, child, name):
+        # No child contradicts a base that clashes by itself; the override
+        # policy and is-a both name the bundle that does.
+        unsatisfiable = f"bundle {name} is unsatisfiable on its own"
+        with pytest.raises(UnsatisfiableError, match=unsatisfiable):
+            check_override_policy(base, child)
+        with pytest.raises(UnsatisfiableError, match=unsatisfiable):
+            check_is_a(child, base)
 
 
 # ---------------------------------------------------------------------------
@@ -835,16 +684,21 @@ def test_is_a_names_the_side_that_clashes_alone(child, parent):
                     give("height", EqConstraint(HEIGHT, P("b"))))),
     Bundle("Child", (link(P("a"), P("b")),)),
 )
+@example(SELF_CLASHING, UNRELATED_CHILD)
 @given(oracle_bundle_st("Base"), oracle_bundle_st("Child"))
 def test_override_policy_matches_its_oracle(base, child):
-    findings = check_override_policy(base, child)
     expected = oracle_override(base, child)
     if expected is None:
         alone = [[c for b in x.bodies for c in b.constraints] for x in (base, child)]
-        if all(oracle_satisfiable(cons) for cons in alone):
-            assert findings
-            assert {f.code for f in findings} == {"override-contradiction"}
+        if not all(oracle_satisfiable(cons) for cons in alone):
+            with pytest.raises(UnsatisfiableError):
+                check_override_policy(base, child)
+            return
+        findings = check_override_policy(base, child)
+        assert findings
+        assert {f.code for f in findings} == {"override-contradiction"}
         return
+    findings = check_override_policy(base, child)
     assert {f.code for f in findings} <= {"override-restriction"}
     narrowed = f"narrowed by {child.name}: "
     assert sorted(

@@ -595,6 +595,30 @@ class TestCheck:
 
         assert check("p::q") == check("pq") == (1, ["channel-restricted"])
 
+    @pytest.mark.parametrize("edits, finding", [
+        ([("ClassicApi if not subtype", "ClassicApi if subtype")],
+         "[Inconsistent] channel-inconsistent: provider -> consumer: promises cannot all "
+         'hold (when subtype): "plain" and "rich" are forced equal'),
+        ([("ClassicApi if not subtype", "ClassicApi if subtype"),
+          ('render = "plain"', "render = $x"), ('render = "rich"', "render = $y")],
+         "[Restricted] channel-restricted: provider -> consumer: independent declarations "
+         "are forced to share one value (when subtype): "
+         "bundle ClassicApi {$x} = bundle ExtendedApi {$y}"),
+    ], ids=["constants", "parameters"])
+    def test_variants_in_force_together_fail_the_check(self, edits, finding, tmp_path, capsys):
+        """Gate both of dispatch's variants on ``subtype``, and the check
+        judges them together on their channel: variants may not both be
+        in force."""
+        text = corpus.read("dispatch.pml")
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "dispatch.pml"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"findings (1):\n  {finding}\n" in out
+
 
 class TestRoles:
     def test_text_listing(self, capsys):

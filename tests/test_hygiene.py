@@ -9,7 +9,8 @@ a term partition, only ``model`` spells a group or prints a condition,
 no module imports ``gc``, importing the cli builds no argument parser and
 loads neither ``json``, the printer, ``argparse`` nor ``gettext``, a ``pml``
 process loads ``json`` only for ``--json`` and ``argparse`` only for help
-and usage errors, every exported name resolves, no module-level
+and usage errors, every exported name resolves, every analyzer the
+README describes exists, no module-level
 container outlives a run, and every function in the package
 runs in some ``pml`` command, demo or spanning-set call, or is listed with
 the reason it stays.
@@ -471,6 +472,23 @@ def test_every_exported_name_resolves():
         dsl.no_such_name
 
 
+def test_every_analyzer_the_readme_describes_exists():
+    """Each name in a ``- **`name`**`` bullet of the README's "Analyzers in
+    brief" section is an attribute of ``promisekit.analysis``, so a deleted
+    analyzer cannot stay documented."""
+    from promisekit import analysis
+
+    readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Analyzers in brief\n", 1)[1].split("\n## ", 1)[0]
+    names = [
+        name
+        for line in section.splitlines() if line.startswith("- **`")
+        for name in re.findall(r"\*\*`(\w+)`\*\*", line)
+    ]
+    assert names
+    assert [name for name in names if not hasattr(analysis, name)] == []
+
+
 def test_importing_the_cli_builds_no_parser():
     """In a fresh interpreter, ``import promisekit.cli`` constructs no
     ``ArgumentParser`` and binds none at a module's top level: a run builds
@@ -584,14 +602,8 @@ _PRINTER = "the print/parse round trip the README documents"
 #: reason it stays.  An entry that runs, or no longer exists, fails the
 #: test, so the table only shrinks.
 UNREACHED = {
-    "analysis.check_specialization": _CONSTRUCT,
-    "analysis.check_substitution": _CONSTRUCT,
     "analysis.check_override_policy": _CONSTRUCT,
-    "analysis._check_variants": "the one body of check_specialization and check_substitution",
-    "analysis._shared_condition": "check_substitution's default parent condition",
-    "analysis._type_multiset": "check_specialization's and check_substitution's type rule",
-    "analysis._format_types": "check_specialization's and check_substitution's type rule",
-    "analysis._bundle_refs": "cites the bundles of a check_specialization finding",
+    "analysis._bundle_refs": "cites the bundles of a check_override_policy finding",
     "analysis._literal_sig": "a gated body's signature, reached through check_extension",
     "constraints.condition_satisfiable": _TRACED,
     "model.PromiseGraph.promises_to": _TRACED,
