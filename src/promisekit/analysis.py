@@ -640,8 +640,13 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     ``_channel_verdicts`` judges each distinct shape once per call, on one
     ``ConditionTable``.  A group does not repeat its channel, so channels
     that attach the same bundles or declare the same bodies share a shape.
-    Bodies are compared by value.  The shape's verdicts are named once too:
-    each keeps its severity, code, message text and the sorted distinct
+    The memo is keyed on each body's identity and each group, which hash and
+    compare in C, and the shape is built only on a miss.  That is exact: the
+    graph keeps every body alive through the call, so no identity is
+    reused; ``build_graph`` makes equal bodies one object, and where a graph
+    built otherwise holds two equal bodies, a miss only judges an equal
+    shape again.  The shape's verdicts are named once too: each keeps its
+    severity, code, message text and the sorted distinct
     ``format_body`` texts of the bodies it cites, and equal verdicts of the
     shape are kept once.  A channel only puts its head ``"{promiser} ->
     {promisee}: "`` before the message text and before each body text: no
@@ -669,10 +674,11 @@ def detect_conflicts(graph: PromiseGraph) -> list[Finding]:
     named_channels = 0
     body_group = attrgetter("body", "group")
     for (promiser, promisee), promises in graph.channels().items():
-        shape = tuple(map(body_group, promises))
-        named = shape_memo.get(shape)
+        key = tuple([(id(p.body), p.group) for p in promises])
+        named = shape_memo.get(key)
         if named is None:
-            named = shape_memo[shape] = list(dict.fromkeys(
+            shape = tuple(map(body_group, promises))
+            named = shape_memo[key] = list(dict.fromkeys(
                 (severity, code, text, tuple(sorted({format_body(shape[i][0]) for i in cited})))
                 for severity, code, text, cited in _channel_verdicts(shape, table)
             ))

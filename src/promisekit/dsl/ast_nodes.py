@@ -13,6 +13,10 @@ it.
 Nodes compare structurally with positions excluded, so
 ``parse(print(ast))`` round-trips to an equal tree even though every offset
 moved.
+
+A tree that ``parse`` made keeps each simple promise statement as the
+lexer's statement token, and builds its nodes (``statement_decl``) only when
+``ModelAst.decls`` is first read.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from typing import Union
 
 from ..value import Value
 from .diagnostics import LineIndex, make_span, SourceSpan
+from .lexer import Pieces, Token
 
 
 class IdentTerm(Value, hidden=("start", "end")):
@@ -262,11 +267,42 @@ class PromiseDecl(Value, hidden=("start", "end", "promisee_start")):
 Decl = Union[AgentDecl, TypeDecl, FlagDecl, BundleDecl, PromiseDecl]
 
 
+def statement_decl(tok: Token) -> PromiseDecl:
+    """The declaration of a statement token, built with the nodes and
+    offsets that the parser gives the same statement read token by
+    token."""
+    pieces: Pieces = tok[1]  # type: ignore[assignment]
+    (promiser, promisee, promisee_at, keyword, keyword_at, name, name_at, value,
+     value_at) = pieces
+    start, end = tok[3], tok[4]
+    name_start = start + name_at
+    item: Union[BodyNode, BundleRef]
+    if keyword == "bundle":
+        item = BundleRef(name, None, start + keyword_at, end, name_start)
+    else:
+        term: Union[TermNode, None] = None
+        if value is not None:
+            value_start = start + value_at
+            if value[0] == "$":
+                term = ParamTerm(value[1:], value_start, value_start + len(value))
+            else:
+                term = IdentTerm(value, value_start, value_start + len(value))
+        subject = IdentTerm(name, name_start, name_start + len(name))
+        item = BodyNode(keyword, subject, term, None, start + keyword_at, end)
+    return PromiseDecl(promiser, promisee, item, start, end, start + promisee_at)
+
+
 class ModelAst(Value, hidden=("lines",), uncompared=("file",)):
     """The declarations of one text, with the text's ``LineIndex``
-    (``LineIndex("")`` when not given), which every span of it shares."""
+    (``LineIndex("")`` when not given), which every span of it shares.
 
-    __slots__ = ("decls", "file", "lines")
+    ``parts`` are the declarations in the order they were read, where a
+    statement token stands for the ``PromiseDecl`` that ``statement_decl``
+    builds from it.  A tree built from ``decls`` has them as its parts.  A
+    tree that ``parse`` made (``of_parts``) builds ``decls`` from its parts
+    on the first read, and keeps it."""
+
+    __slots__ = ("decls", "file", "lines", "_parts")
 
     def __init__(
         self,
@@ -274,10 +310,38 @@ class ModelAst(Value, hidden=("lines",), uncompared=("file",)):
         file: str = "<model>",
         lines: Union[LineIndex, None] = None,
     ) -> None:
-        set_decls, set_file, set_lines = self._setters
+        set_decls, set_file, set_lines, set_parts = self._setters
         set_decls(self, decls)
         set_file(self, file)
         set_lines(self, LineIndex("") if lines is None else lines)
+        set_parts(self, decls)
+
+    @classmethod
+    def of_parts(
+        cls, parts: tuple[Union[Decl, Token], ...], file: str, lines: LineIndex
+    ) -> ModelAst:
+        """The tree of the parser's ``parts``, its ``decls`` not yet built."""
+        ast = cls.__new__(cls)
+        _, set_file, set_lines, set_parts = cls._setters
+        set_file(ast, file)
+        set_lines(ast, lines)
+        set_parts(ast, parts)
+        return ast
+
+    @property
+    def parts(self) -> tuple[Union[Decl, Token], ...]:
+        return self._parts
+
+    def __getattr__(self, name: str) -> tuple[Decl, ...]:
+        # Python calls this only for an attribute it did not find, as
+        # ``decls`` of a tree made by ``of_parts``, before its first read.
+        if name != "decls":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        decls = tuple([
+            statement_decl(part) if part.__class__ is tuple else part for part in self._parts
+        ])
+        self._setters[0](self, decls)
+        return decls
 
     def span(self, start: int, end: int) -> SourceSpan:
         """The span of ``[start, end)`` in this tree's file."""

@@ -43,7 +43,10 @@ A promise statement of the two forms that models repeat, ``A -> B: give T;``
 or ``use``, with an optional ``= $p`` or ``= NAME``, and ``A -> B: bundle
 N`` with or without ``;``, is one token, ``("statement", pieces, text,
 start, end)``: ``pieces`` holds its names and their offsets from ``start``
-(``Pieces``), all atoms.  The pattern reads one after a name, as that name
+(``Pieces``), all atoms.  The parser keeps the token itself in the tree:
+``ast_nodes.statement_decl`` builds its declaration only when the tree's
+``decls`` are read, and the resolver reads most statement tokens from their
+pieces alone.  The pattern reads one after a name, as that name
 alternative's tail, and holds no comment, number, string, dotted name or
 condition.  It is made only where the token path would build the same
 declaration with no diagnostic:

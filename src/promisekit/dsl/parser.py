@@ -7,8 +7,11 @@ hide the rest of the file.
 
 The parser reads the lexer's plain-tuple tokens by index.  A statement
 token, which the lexer makes only where a declaration starts, is one whole
-promise declaration: ``parse_model`` builds its nodes from the token's
-pieces, with the offsets that ``parse_promise`` would give its tokens.
+promise declaration: ``parse_model`` keeps the token itself among the
+tree's parts.  Its nodes are built from the token's pieces, with the
+offsets that ``parse_promise`` would give its tokens, only when the tree's
+``decls`` are first read (``ast_nodes.statement_decl``); the resolver reads
+most statements from the token's pieces alone.
 Each syntax node keeps the offsets of its first and last token, and of any
 name inside it whose position a diagnostic may need, as plain ints; names
 are strings.  A ``SourceSpan`` is built only for a syntax diagnostic.  The
@@ -52,7 +55,7 @@ from .diagnostics import (
     SourceSpan,
 )
 from .lexer import (
-    EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, Pieces, STATEMENT, STRING, Token, tokenize,
+    EOF, IDENT, KEYWORD, NUMBER, OP, PARAM, STATEMENT, STRING, Token, tokenize,
 )
 
 _TOP_STARTERS = frozenset({"agent", "type", "flag", "bundle"})
@@ -191,10 +194,10 @@ class Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse_model(self) -> ModelAst:
-        decls: list[Decl] = []
+        parts: list[Decl | Token] = []
         while self.current[0] != EOF:
             if self.current[0] == STATEMENT:
-                decls.append(self.statement(self.current))
+                parts.append(self.current)
                 self.pos += 1
                 self.current = self.tokens[self.pos]
                 continue
@@ -204,8 +207,8 @@ class Parser:
                 )
                 self.advance()
                 continue
-            self._recover(self.parse_decl, _TOP_STARTERS, decls)
-        return ModelAst(tuple(decls), self.file, self.lines)
+            self._recover(self.parse_decl, _TOP_STARTERS, parts)
+        return ModelAst.of_parts(tuple(parts), self.file, self.lines)
 
     def parse_decl(self) -> Decl:
         tok = self.current
@@ -221,29 +224,6 @@ class Parser:
         if text == "bundle":
             return self.parse_bundle_decl()
         raise self._fail("a declaration")
-
-    def statement(self, tok: Token) -> PromiseDecl:
-        """The declaration of a statement token, built with the nodes and
-        offsets that ``parse_promise`` gives its tokens."""
-        pieces: Pieces = tok[1]  # type: ignore[assignment]
-        (promiser, promisee, promisee_at, keyword, keyword_at, name, name_at, value,
-         value_at) = pieces
-        start, end = tok[3], tok[4]
-        name_start = start + name_at
-        item: BodyNode | BundleRef
-        if keyword == "bundle":
-            item = BundleRef(name, None, start + keyword_at, end, name_start)
-        else:
-            term: TermNode | None = None
-            if value is not None:
-                value_start = start + value_at
-                if value[0] == "$":
-                    term = ParamTerm(value[1:], value_start, value_start + len(value))
-                else:
-                    term = IdentTerm(value, value_start, value_start + len(value))
-            subject = IdentTerm(name, name_start, name_start + len(name))
-            item = BodyNode(keyword, subject, term, None, start + keyword_at, end)
-        return PromiseDecl(promiser, promisee, item, start, end, start + promisee_at)
 
     def parse_agent(self) -> AgentDecl:
         start = self.advance()[3]

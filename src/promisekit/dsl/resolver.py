@@ -62,6 +62,7 @@ from .ast_nodes import (
     NumberTerm,
     ParamTerm,
     PromiseDecl,
+    statement_decl,
     StringTerm,
     TermNode,
     TypeDecl,
@@ -131,7 +132,8 @@ class _Resolver:
         self.bundles: dict[str, Bundle] = {}
         self.flat_bundles: dict[str, Bundle] = {}
         self.promises: list[Promise] = []
-        self.decls: list[PromiseDecl] = []  # the declaration of each promise
+        # The (start, end) offsets of each promise's declaration.
+        self.sites: list[tuple[int, int]] = []
         self.named_terms = 0  # named constants resolved so far
         self.named_bundles: set[str] = set()  # bundles whose bodies hold one
 
@@ -153,7 +155,7 @@ class _Resolver:
             table[name] = value
 
     def collect_agents(self) -> None:
-        for decl in self.ast.decls:
+        for decl in self.ast.parts:
             if isinstance(decl, AgentDecl):
                 for name, start in zip(decl.names, decl.name_starts):
                     self.declare(
@@ -162,7 +164,7 @@ class _Resolver:
                     )
 
     def collect_types(self) -> None:
-        for decl in self.ast.decls:
+        for decl in self.ast.parts:
             if isinstance(decl, TypeDecl):
                 name = decl.name
                 self.declare(
@@ -326,7 +328,7 @@ class _Resolver:
     # -- bundles -------------------------------------------------------------
 
     def collect_bundles(self) -> None:
-        for decl in self.ast.decls:
+        for decl in self.ast.parts:
             if isinstance(decl, BundleDecl):
                 self.declare(
                     self.bundle_decls, decl.name, decl,
@@ -406,18 +408,57 @@ class _Resolver:
         statement of the channel, so that check runs after the memo, on the
         promises built here (``check_named_kinds``), and never changes what
         the memo holds.  ``build_graph`` then makes equal bodies one
-        object."""
+        object.
+
+        A statement token (see the lexer) becomes promises from its pieces
+        alone, with no syntax node, when both its agents are declared and it
+        is a direct body whose text the memo holds with no named constant,
+        or an attachment, never conditioned in a token, of a flat bundle
+        that holds none.  This is exact.  ``statement_decl`` gives the body
+        node the offsets ``start + keyword_at`` and ``end``, so the node
+        path's key is the token's text from ``keyword_at`` on, and on a hit
+        with both agents declared the node path makes the same promise and
+        reports nothing.  An unconditioned attachment of a flat bundle
+        expands the same flat bodies under the same group, and reports
+        nothing either.  Neither promise is one that ``check_named_kinds``
+        reads, and the token's offsets are its declaration's.  Any other
+        statement has its declaration built and takes the node path, which
+        reports every diagnostic from nodes and fills the memo on a miss."""
         text = self.ast.lines.text
         resolved: dict[Hashable, tuple[PromiseBody, str, bool]] = {}
         # Per channel, each promise that may relate a named constant.
         named: dict[tuple[str, str], list[tuple[Promise, PromiseDecl]]] = {}
-        promises, decls = self.promises, self.decls
-        for decl in self.ast.decls:
-            if not isinstance(decl, PromiseDecl):
+        promises, sites = self.promises, self.sites
+        agents, flat_bundles, named_bundles = self.agents, self.flat_bundles, self.named_bundles
+        for part in self.ast.parts:
+            if part.__class__ is tuple:  # a statement token
+                _, pieces, raw, start, end = part
+                giver, taker, _, keyword, keyword_at, name, _, _, _ = pieces  # type: ignore
+                giver, taker = agents.get(giver), agents.get(taker)
+                if giver is not None and taker is not None:
+                    if keyword == "bundle":
+                        flat = flat_bundles.get(name)
+                        if flat is not None and name not in named_bundles:
+                            group, site = bundle_group(name), (start, end)
+                            for body in flat.bodies:
+                                promises.append(Promise(giver.name, taker.name, body, group))
+                                sites.append(site)
+                            continue
+                    else:
+                        entry = resolved.get(raw[keyword_at:])
+                        if entry is not None and not entry[2]:
+                            promises.append(Promise(giver.name, taker.name, entry[0], entry[1]))
+                            sites.append((start, end))
+                            continue
+                decl = statement_decl(part)  # type: ignore[arg-type]
+            elif isinstance(part, PromiseDecl):
+                decl = part
+            else:
                 continue
             promiser = self.check_agent(decl.promiser, decl.start)
             promisee = self.check_agent(decl.promisee, decl.promisee_start)
             ok = promiser is not None and promisee is not None
+            site = (decl.start, decl.end)
 
             if isinstance(decl.item, BundleRef):
                 ref = decl.item
@@ -434,13 +475,13 @@ class _Resolver:
                 named_terms = self.named_terms
                 if ref.condition is not None:
                     attach_cond = self.resolve_condition(ref.condition, _Scope())
-                flat = self.flat_bundles.get(bundle.name)
+                flat = flat_bundles.get(bundle.name)
                 if not ok or flat is None:
                     continue
                 group = bundle_group(bundle.name)
                 # A bundle's parameters span its bodies, so every body of an
                 # attachment that holds a named constant is checked.
-                held = bundle.name in self.named_bundles or self.named_terms != named_terms
+                held = bundle.name in named_bundles or self.named_terms != named_terms
                 for body in flat.bodies:
                     if not attach_cond.is_empty:
                         body = PromiseBody(
@@ -451,7 +492,7 @@ class _Resolver:
                         )
                     promise = Promise(promiser, promisee, body, group)
                     promises.append(promise)
-                    decls.append(decl)
+                    sites.append(site)
                     if held:
                         named.setdefault((promiser, promisee), []).append((promise, decl))
             else:
@@ -471,7 +512,7 @@ class _Resolver:
                     body, group, held = entry
                     promise = Promise(promiser, promisee, body, group)
                     promises.append(promise)
-                    decls.append(decl)
+                    sites.append(site)
                     if held:
                         named.setdefault((promiser, promisee), []).append((promise, decl))
         if named:
@@ -577,13 +618,13 @@ class _Resolver:
         findings = validate_autonomy(graph)
         if findings:
             # Each promise at its first declaration.
-            first_decls: dict[Promise, PromiseDecl] = {}
-            for p, decl in zip(self.promises, self.decls):
-                first_decls.setdefault(p, decl)
+            first_sites: dict[Promise, tuple[int, int]] = {}
+            for p, site in zip(self.promises, self.sites):
+                first_sites.setdefault(p, site)
             for finding in findings:
-                first = first_decls[finding.promise]
                 self.diagnostics.append(Diagnostic(
-                    WARNING, W_AUTONOMY, finding.message, self.ast.span(first.start, first.end)
+                    WARNING, W_AUTONOMY, finding.message,
+                    self.ast.span(*first_sites[finding.promise]),
                 ))
         return ResolveResult(graph, sorted(self.diagnostics, key=diagnostic_sort_key))
 

@@ -6,10 +6,11 @@ its methods generated and compiled when its module is imported: that cost a
 those methods once, for every class.
 
 A subclass lists its fields, in order, in ``__slots__``, followed by
-``"_hash"`` (below) and by ``"__dict__"`` where a
-``functools.cached_property`` needs somewhere to keep its value; neither
-holds a field.  Assignment is refused, so its own ``__init__`` writes each
-slot through the slot's own descriptor: ``_setters`` holds the ``__set__``
+``"_hash"`` (below), by ``"__dict__"`` where a
+``functools.cached_property`` needs somewhere to keep its value, and by any
+other slot whose name starts with ``_``; none of these holds a field.
+Assignment is refused, so its own ``__init__`` writes each slot through the
+slot's own descriptor: ``_setters`` holds the ``__set__``
 of each slot but ``__dict__``, in ``__slots__`` order, and the constructor
 unpacks it once, as in ``set_name, set_scope, set_hash = self._setters``,
 then calls ``set_name(self, name)``.  That skips the checks and the
@@ -50,7 +51,7 @@ class Value:
         cls, hidden: tuple[str, ...] = (), uncompared: tuple[str, ...] = ()
     ) -> None:
         super().__init_subclass__()
-        fields = tuple(name for name in cls.__slots__ if name not in ("_hash", "__dict__"))
+        fields = tuple(name for name in cls.__slots__ if name[0] != "_")
         cls.__match_args__ = cls._fields = fields
         cls._setters = tuple(
             getattr(cls, name).__set__ for name in cls.__slots__ if name != "__dict__"

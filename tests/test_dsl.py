@@ -1,7 +1,9 @@
 """Surface language: lexing, parsing, printing, and name resolution."""
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import re
 import sys
@@ -26,9 +28,11 @@ from promisekit.dsl import lexer as lexer_module, resolver as resolver_module
 from promisekit.dsl.ast_nodes import (
     AgentDecl,
     BodyNode,
+    BundleRef,
     IdentTerm,
     ModelAst,
     NumberTerm,
+    ParamTerm,
     PromiseDecl,
     TypeDecl,
 )
@@ -509,6 +513,124 @@ def test_statement_tokens_parse_like_the_token_path(text):
     diagnostics that its tokens would."""
     statement, token_path = parse_both_ways(text)
     assert statement == token_path
+
+
+# A header for statements: fixed types and a flag, then, for some of the
+# statements' names, an agent, a type or flag, and a bundle of one of these
+# bodies: parameters only, a named constant, a gated body, a use.
+HEADER_KINDS = ["", "", "num", "str", "service", "flag"]
+BUNDLE_BODIES = [
+    "give zn = $p; give zs = $q;", "give zn = zc;", "give zn = $p if zf;", "use zs;"
+]
+
+
+@st.composite
+def headers(draw) -> str:
+    """Declarations of some of the names that ``statements()`` draws."""
+    names = STATEMENT_NAMES[0]
+    agents = draw(st.lists(st.sampled_from(names), unique=True))
+    lines = [f"agent {', '.join(agents)};"] if agents else []
+    lines += ["type zn: num;", "type zs: str;", "flag zf;"]
+    for name in names:
+        kind = draw(st.sampled_from(HEADER_KINDS))
+        if kind == "flag":
+            lines.append(f"flag {name};")
+        elif kind:
+            lines.append(f"type {name}: {kind};")
+        if draw(st.booleans()):
+            lines.append(f"bundle {name} {{ {draw(st.sampled_from(BUNDLE_BODIES))} }}")
+    return "\n".join(lines) + "\n"
+
+
+def resolved_facts(result) -> tuple:
+    """A resolve result's graph, and each diagnostic with its offsets."""
+    return result.graph, [
+        (d.severity, d.code, d.message, d.span.start_offset, d.span.end_offset)
+        for d in result.diagnostics
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(headers(), st.lists(
+    st.one_of(statements(), st.sampled_from(STATEMENT_CONTEXTS)), max_size=8
+).map("".join))
+@example(
+    "agent a;\ntype t: num;\n", "a -> b: give t;\na -> a: give t;\nb -> a: give t;\nb -> a: bundle B\n"
+)
+@example("agent a, b;\n", "a -> b: give t;\nb -> a: give t;\na -> b: bundle B\n")
+@example("agent a, b;\ntype t: num;\n", "a -> b: give t = $p;\nb -> a: give t = $p;\n" * 2)
+@example(
+    "agent a, b;\ntype t: num;\ntype s: str;\nbundle B { give t = c; }\n",
+    "a -> b: bundle B\na -> b: give s = c;\nb -> a: bundle B\n",
+)
+@example(
+    "agent a, b;\ntype w: num;\ntype s: str;\n",
+    "b -> a: give w = o;\na -> b: give w = o;\na -> b: give s = o;\n",
+)
+@example(
+    "agent a, b;\ntype t: num;\nflag f;\nbundle B { give t = $p if f; }\n",
+    "a -> b: bundle B\na -> b: bundle B\nb -> a: bundle B\n",
+)
+def test_statement_tokens_resolve_like_their_nodes(header, text):
+    """Resolving a parsed tree, which reads most statement tokens from their
+    pieces, gives the graph and the diagnostics, with every offset, of the
+    same tree rebuilt from its ``decls``, whose parts are all nodes."""
+    ast = parse(header + text, "t.pml").ast
+    tokens = resolve(ast)
+    nodes = resolve(ModelAst(ast.decls, ast.file, ast.lines))
+    assert resolved_facts(tokens) == resolved_facts(nodes)
+
+
+DEFERRED = (PromiseDecl, BodyNode, BundleRef, IdentTerm, ParamTerm)
+
+
+def test_statement_nodes_are_built_on_the_first_read_of_decls(monkeypatch):
+    """``parse`` and ``resolve`` of a ring of 200 agents build the nodes of
+    the bundle's two bodies and of the first occurrence of each of the
+    three direct statement texts, which fills the resolver's memo, and no
+    others: none for the 800 statement tokens after them.  The first read of
+    ``decls`` builds all 800 declarations, and the second none.  The tree
+    read equals the one the token path builds, and ``deepcopy`` and
+    ``pickle`` round-trip the tree before and after the read."""
+    built = dict.fromkeys(DEFERRED, 0)
+    for cls in DEFERRED:
+        def counted(self, *args, __init=cls.__init__, __cls=cls, **kwargs):
+            built[__cls] += type(self) is __cls
+            __init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def fresh() -> ModelAst:
+        parsed = parse(ring_text(200), "ring.pml")
+        assert parsed.ok and sum(type(part) is tuple for part in parsed.ast.parts) == 800
+        return parsed.ast
+
+    ast = fresh()
+    assert resolve(ast).ok
+    assert {cls.__name__: n for cls, n in built.items()} == {
+        "PromiseDecl": 3, "BodyNode": 2 + 3, "BundleRef": 0, "IdentTerm": 3 + 3, "ParamTerm": 2 + 1,
+    }
+    built.update(dict.fromkeys(DEFERRED, 0))
+    decls = ast.decls
+    assert built[PromiseDecl] == 800 and built[BundleRef] == 200
+    built.update(dict.fromkeys(DEFERRED, 0))
+    assert ast.decls is decls and set(built.values()) == {0}
+
+    saved, lexer_module._TOKEN = lexer_module._TOKEN, TOKEN_PATH
+    try:
+        token_path = parse(ring_text(200), "ring.pml").ast
+    finally:
+        lexer_module._TOKEN = saved
+    assert not any(type(part) is tuple for part in token_path.parts)
+    assert syntax(ast) == syntax(token_path)
+
+    for read in (False, True):
+        tree = fresh()
+        if read:
+            assert tree.decls == decls
+        for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+            assert copied == tree and syntax(copied) == syntax(ast)
+            assert resolved_facts(resolve(copied)) == resolved_facts(resolve(tree))
 
 
 def test_statement_tokens_are_made_where_a_declaration_starts():
