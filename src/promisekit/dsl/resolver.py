@@ -132,8 +132,11 @@ class _Resolver:
         self.bundles: dict[str, Bundle] = {}
         self.flat_bundles: dict[str, Bundle] = {}
         self.promises: list[Promise] = []
-        # The (start, end) offsets of each promise's declaration.
-        self.sites: list[tuple[int, int]] = []
+        # The start and end offsets of each promise's declaration, as ints
+        # rather than pairs: a pair kept per promise is one more object for
+        # the cyclic collector to track.
+        self.starts: list[int] = []
+        self.ends: list[int] = []
         self.named_terms = 0  # named constants resolved so far
         self.named_bundles: set[str] = set()  # bundles whose bodies hold one
 
@@ -428,7 +431,7 @@ class _Resolver:
         resolved: dict[Hashable, tuple[PromiseBody, str, bool]] = {}
         # Per channel, each promise that may relate a named constant.
         named: dict[tuple[str, str], list[tuple[Promise, PromiseDecl]]] = {}
-        promises, sites = self.promises, self.sites
+        promises, starts, ends = self.promises, self.starts, self.ends
         agents, flat_bundles, named_bundles = self.agents, self.flat_bundles, self.named_bundles
         for part in self.ast.parts:
             if part.__class__ is tuple:  # a statement token
@@ -439,16 +442,18 @@ class _Resolver:
                     if keyword == "bundle":
                         flat = flat_bundles.get(name)
                         if flat is not None and name not in named_bundles:
-                            group, site = bundle_group(name), (start, end)
+                            group = bundle_group(name)
                             for body in flat.bodies:
                                 promises.append(Promise(giver.name, taker.name, body, group))
-                                sites.append(site)
+                                starts.append(start)
+                                ends.append(end)
                             continue
                     else:
                         entry = resolved.get(raw[keyword_at:])
                         if entry is not None and not entry[2]:
                             promises.append(Promise(giver.name, taker.name, entry[0], entry[1]))
-                            sites.append((start, end))
+                            starts.append(start)
+                            ends.append(end)
                             continue
                 decl = statement_decl(part)  # type: ignore[arg-type]
             elif isinstance(part, PromiseDecl):
@@ -458,7 +463,6 @@ class _Resolver:
             promiser = self.check_agent(decl.promiser, decl.start)
             promisee = self.check_agent(decl.promisee, decl.promisee_start)
             ok = promiser is not None and promisee is not None
-            site = (decl.start, decl.end)
 
             if isinstance(decl.item, BundleRef):
                 ref = decl.item
@@ -492,7 +496,8 @@ class _Resolver:
                         )
                     promise = Promise(promiser, promisee, body, group)
                     promises.append(promise)
-                    sites.append(site)
+                    starts.append(decl.start)
+                    ends.append(decl.end)
                     if held:
                         named.setdefault((promiser, promisee), []).append((promise, decl))
             else:
@@ -512,7 +517,8 @@ class _Resolver:
                     body, group, held = entry
                     promise = Promise(promiser, promisee, body, group)
                     promises.append(promise)
-                    sites.append(site)
+                    starts.append(decl.start)
+                    ends.append(decl.end)
                     if held:
                         named.setdefault((promiser, promisee), []).append((promise, decl))
         if named:
@@ -619,8 +625,8 @@ class _Resolver:
         if findings:
             # Each promise at its first declaration.
             first_sites: dict[Promise, tuple[int, int]] = {}
-            for p, site in zip(self.promises, self.sites):
-                first_sites.setdefault(p, site)
+            for p, start, end in zip(self.promises, self.starts, self.ends):
+                first_sites.setdefault(p, (start, end))
             for finding in findings:
                 self.diagnostics.append(Diagnostic(
                     WARNING, W_AUTONOMY, finding.message,
